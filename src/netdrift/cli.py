@@ -624,8 +624,8 @@ def build_parser():
     def add_common(p):
         p.add_argument("--mode", choices=("both", "closed", "numeric"),
                        default="both", help="drift table mode")
-        p.add_argument("--levels", type=int, default=32,
-                       help="initial truncation level per free coordinate")
+        p.add_argument("--levels", type=int, default=8,
+                       help="first truncation level tried per free coordinate")
         p.add_argument("--cap", type=int, default=512,
                        help="truncation level cap")
         p.add_argument("--out", help="write output to this path")
@@ -655,7 +655,8 @@ def build_parser():
     p.add_argument("--mode", choices=("both", "closed", "numeric"),
                    default="closed",
                    help="drift table mode per point (closed is fastest)")
-    p.add_argument("--levels", type=int, default=32)
+    p.add_argument("--levels", type=int, default=8,
+                   help="first truncation level tried per free coordinate")
     p.add_argument("--cap", type=int, default=512)
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel worker processes")

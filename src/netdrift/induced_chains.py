@@ -7,14 +7,16 @@ the long-run output rate of every queue and hence the drift vector
 Delta q^A: input rate minus output rate, per unit time.
 
 Numeric tables solve the induced chains on a reflecting truncation of
-the free lattice (out-of-box moves folded onto the boundary), doubling
-the truncation level until the distribution has provably negligible
-boundary mass.  Closed-form tables cover the priority disciplines and
-the symmetric (1,K)-limited case.
+the free lattice (out-of-box moves folded onto the boundary).  Each face
+starts at a small truncation level and grows it to the level its own
+measured decay calls for, until the distribution has provably
+negligible boundary mass.  Closed-form tables cover the priority
+disciplines and the symmetric (1,K)-limited case.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import reduce
 
@@ -132,11 +134,11 @@ class InducedChainSolution:
 
     __slots__ = (
         "A", "free", "levels", "dist", "residual", "tail_mass",
-        "converged", "history", "note",
+        "converged", "history", "solvers", "note",
     )
 
     def __init__(self, A, free, levels, dist, residual, tail_mass, converged,
-                 history, note):
+                 history, solvers, note):
         self.A = A
         self.free = free
         self.levels = levels
@@ -145,6 +147,7 @@ class InducedChainSolution:
         self.tail_mass = tail_mass
         self.converged = converged
         self.history = history
+        self.solvers = solvers
         self.note = note
 
     def group_masses(self):
@@ -179,52 +182,58 @@ class InducedChainSolution:
         return out
 
 
-def _stationary_of(P):
-    """Stationary row vector of a finite stochastic matrix.
+# a failed linear solve raises one of these; warnings count because the
+# solves run with warnings raised as errors
+_SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
-    Direct sparse solve of the balance equations with one equation
-    replaced by normalization; falls back to power iteration when the
-    solve misbehaves (multiple closed classes, conditioning).
+
+def _ilu_gmres(A, b):
+    # incomplete LU settings measured on the 2-D faces at n = 9k-26k: the
+    # coarse factor is the cheapest, and GMRES still reaches ~1e-15
+    ilu = spla.spilu(A, drop_tol=1e-2, fill_factor=5)
+    M = spla.LinearOperator(A.shape, ilu.solve)
+    pi, info = spla.gmres(A, b, M=M, rtol=1e-13, atol=0.0, maxiter=300,
+                          restart=80)
+    return pi if info == 0 else None
+
+
+def _stationary_of(P):
+    """Stationary row vector of a finite stochastic matrix, and the name
+    of the path that found it.
+
+    Solves the balance equations with one equation replaced by
+    normalization: densely ("dense") up to 400 states, else by
+    ILU-preconditioned GMRES ("ilu-gmres") and then sparse LU
+    ("spsolve").  A result that fails the 1e-9 stationarity check falls
+    through to the next path, and power iteration ("power") ends the
+    chain (multiple closed classes, conditioning).
     """
     n = P.shape[0]
-    pi = None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            if n <= 400:
-                A = (P.toarray() if sp.issparse(P) else np.asarray(P)).T - np.eye(n)
-                A[0, :] = 1.0
-                b = np.zeros(n)
-                b[0] = 1.0
-                pi = np.linalg.solve(A, b)
-            else:
-                A = (P.T - sp.identity(n, format="csr")).tocsr()
-                ones_row = sp.csr_matrix(np.ones((1, n)))
-                A = sp.vstack([ones_row, A[1:, :]], format="csc")
-                b = np.zeros(n)
-                b[0] = 1.0
-                # preconditioned iterative solve first: direct LU fill-in
-                # is prohibitive on the lattice-times-background graphs
-                try:
-                    ilu = spla.spilu(A, drop_tol=1e-6, fill_factor=20)
-                    M = spla.LinearOperator((n, n), ilu.solve)
-                    pi, info = spla.gmres(A, b, M=M, rtol=1e-13, atol=0.0,
-                                          maxiter=300, restart=80)
-                    if info != 0:
-                        pi = None
-                except Exception:
-                    pi = None
-                if pi is None:
-                    pi = spla.spsolve(A, b)
-    except Exception:
-        pi = None
-    if pi is not None:
-        bad = (not np.all(np.isfinite(pi))) or pi.min() < -1e-8 or pi.sum() <= 0
-        if not bad:
-            pi = np.clip(pi, 0.0, None)
-            pi /= pi.sum()
-            if np.max(np.abs(pi @ P - pi)) <= 1e-9:
-                return pi
+    b = np.zeros(n)
+    b[0] = 1.0
+    if n <= 400:
+        A = (P.toarray() if sp.issparse(P) else np.asarray(P)).T - np.eye(n)
+        A[0, :] = 1.0
+        paths = (("dense", np.linalg.solve),)
+    else:
+        A = (P.T - sp.identity(n, format="csr")).tocsr()
+        A = sp.vstack([sp.csr_matrix(np.ones((1, n))), A[1:, :]], format="csc")
+        # preconditioned iterative solve first: direct LU fill-in is
+        # prohibitive on the lattice-times-background graphs
+        paths = (("ilu-gmres", _ilu_gmres), ("spsolve", spla.spsolve))
+    for name, solve in paths:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pi = solve(A, b)
+        except _SOLVE_ERRORS:
+            continue
+        if pi is None or not np.all(np.isfinite(pi)) or pi.min() < -1e-8 or pi.sum() <= 0:
+            continue
+        pi = np.clip(pi, 0.0, None)
+        pi /= pi.sum()
+        if np.max(np.abs(pi @ P - pi)) <= 1e-9:
+            return pi, name
     # power iteration: P has strictly positive diagonal, so this converges
     pi = np.full(n, 1.0 / n)
     for _ in range(200000):
@@ -238,43 +247,100 @@ def _stationary_of(P):
         pi = nxt
         if delta <= 1e-14:
             break
-    return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+    return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum(), "power"
 
 
-def solve_stationary(chain: InducedChain, levels=32, cap=512,
+# per-level decay of the boundary mass at or above which a face is taken
+# to be transient: a tail falling by less than 10% over 32 levels
+NON_DECAY_RATE = 0.9 ** (1 / 32)
+
+
+def _marginal_decay(dist):
+    """Per-level decay of the stationary mass, read off one solve: the
+    geometric ratio of each axis's level marginal between levels 1 and
+    L-2, on the slowest axis.  None when no axis has mass there or the
+    truncation is too short to tell."""
+    d = dist.ndim - 1
+    L = dist.shape[0]
+    if L < 4:
+        return None
+    rates = []
+    for axis in range(d):
+        others = tuple(a for a in range(d + 1) if a != axis)
+        marginal = dist.sum(axis=others)
+        if marginal[1] <= 0.0:
+            continue
+        rates.append((marginal[L - 2] / marginal[1]) ** (1.0 / (L - 3)))
+    return max(rates) if rates else None
+
+
+def _next_level(L, tail, rate, cap):
+    """The level at which `tail` decaying by `rate` per level reaches a
+    quarter of TAIL_TOL, kept within [L+1, min(2L, cap)].  Doubles when
+    the rate is unknown or not below 1, or when the tail already meets
+    TAIL_TOL (then the residual failed, and the tail says nothing)."""
+    top = min(2 * L, cap)
+    if rate is None or rate >= 1.0 or tail <= TAIL_TOL:
+        return top
+    if rate <= 0.0:
+        return L + 1
+    steps = math.ceil(math.log(TAIL_TOL / 4 / tail) / math.log(rate))
+    return min(max(L + steps, L + 1), top)
+
+
+def _largest_fitting_level(d, S0, max_states):
+    L = int((max_states / S0) ** (1.0 / d)) + 1
+    while L > 0 and L ** d * S0 > max_states:
+        L -= 1
+    return L
+
+
+def solve_stationary(chain: InducedChain, levels=8, cap=512,
                      max_states=3_000_000) -> InducedChainSolution:
     """Stationary distribution with reflecting truncation.
 
-    Starts at `levels` per free coordinate and doubles until the
-    residual of the untruncated balance equations on interior states
-    is below 1e-8 and the boundary mass is below 1e-6, the cap is hit,
-    the state budget is exhausted, or the boundary mass stops decaying
-    (the signature of a transient chain).
+    Solves at `levels` per free coordinate first, then grows the
+    truncation until the residual of the untruncated balance equations
+    on interior states is at most RESIDUAL_TOL and the boundary mass at
+    most TAIL_TOL.  Each step goes to the level where the boundary mass,
+    decaying at its measured per-level rate, reaches TAIL_TOL/4, but by
+    at least one level and at most to double the current one or `cap`.
+    The first rate is the slowest axis's geometric decay of the level
+    marginal over levels 1..L-2 of the first solution; later rates come
+    from the boundary masses of the last two levels.  A later rate at or
+    above NON_DECAY_RATE means the boundary mass is not decaying (the
+    signature of a transient chain) and stops the growth, as does the
+    cap.  A level over the `max_states` budget is replaced by the largest
+    level that fits; the growth stops only when that level is no larger
+    than the current one.
     """
     d = len(chain.free)
     S0 = chain.kernel.S0
 
     if d == 0:
         P = assemble_lattice(chain.p_blocks, 0, 1, S0, fold=True)
-        pi = _stationary_of(P)
+        pi, solver = _stationary_of(P)
         residual = float(np.max(np.abs(pi @ P - pi)))
         dist = pi.reshape((S0,))
         return InducedChainSolution(
             chain.A, chain.free, 0, dist, residual, 0.0,
-            residual <= RESIDUAL_TOL, [(0, residual, 0.0)], "",
+            residual <= RESIDUAL_TOL, [(0, residual, 0.0)], [solver], "",
         )
 
-    L = int(levels)
+    fits = _largest_fitting_level(d, S0, max_states)
+    if fits < 1:
+        return InducedChainSolution(
+            chain.A, chain.free, 0, None, np.inf, np.inf, False, [], [],
+            f"state budget {max_states} is below {S0} background states",
+        )
+    L = min(int(levels), fits)
+    budget_note = (f"level {int(levels)} exceeds the state budget; "
+                   f"started at level {L}" if L < int(levels) else "")
     history = []
-    prev_tail = None
-    note = ""
+    solvers = []
     while True:
-        if L ** d * S0 > max_states:
-            note = f"state budget exceeded at level {L}"
-            L //= 2
-            break
         P = assemble_lattice(chain.p_blocks, d, L, S0, fold=True)
-        pi = _stationary_of(P)
+        pi, solver = _stationary_of(P)
         resid_vec = np.abs(pi @ P - pi)
         grid = resid_vec.reshape((L,) * d + (S0,))
         interior = grid[(slice(0, L - 1),) * d]
@@ -287,24 +353,31 @@ def solve_stationary(chain: InducedChain, levels=32, cap=512,
             on_boundary[tuple(idx)] = True
         tail = float(dist[on_boundary].sum())
         history.append((L, residual, tail))
+        solvers.append(solver)
         if residual <= RESIDUAL_TOL and tail <= TAIL_TOL:
             return InducedChainSolution(
-                chain.A, chain.free, L, dist, residual, tail, True, history, "",
+                chain.A, chain.free, L, dist, residual, tail, True, history,
+                solvers, budget_note,
             )
-        if prev_tail is not None and tail > 0.9 * prev_tail:
-            note = "boundary mass is not decaying; chain is likely transient"
-            break
+        if len(history) >= 2 and history[-2][2] > 0.0:
+            prev_L, _, prev_tail = history[-2]
+            rate = (tail / prev_tail) ** (1.0 / (L - prev_L))
+            if rate >= NON_DECAY_RATE:
+                note = "boundary mass is not decaying; chain is likely transient"
+                break
+        else:
+            rate = _marginal_decay(dist)
         if L >= cap:
             note = f"truncation cap {cap} reached"
             break
-        prev_tail = tail
-        L *= 2
+        nxt = min(_next_level(L, tail, rate, cap), fits)
+        if nxt <= L:
+            note = f"state budget exceeded beyond level {L}"
+            break
+        L = nxt
     return InducedChainSolution(
-        chain.A, chain.free, history[-1][0] if history else L,
-        dist if history else None,
-        history[-1][1] if history else np.inf,
-        history[-1][2] if history else np.inf,
-        False, history, note,
+        chain.A, chain.free, L, dist, residual, tail, False, history, solvers,
+        note,
     )
 
 
@@ -570,7 +643,7 @@ def closed_form_table(model: NetworkModel, lam1=None, lam3=None):
     )
 
 
-def numeric_table(model: NetworkModel, levels=32, cap=512,
+def numeric_table(model: NetworkModel, levels=8, cap=512,
                   max_states=3_000_000, kernel=None):
     """Numeric drift entries for the canonical subsets."""
     if kernel is None:
@@ -585,6 +658,7 @@ def numeric_table(model: NetworkModel, levels=32, cap=512,
             "tailMass": sol.tail_mass,
             "converged": sol.converged,
             "history": sol.history,
+            "solver": sol.solvers,
         }
         if sol.note:
             diag["note"] = sol.note
@@ -600,7 +674,7 @@ def numeric_table(model: NetworkModel, levels=32, cap=512,
     return entries, kernel.nu
 
 
-def drift_table(model: NetworkModel, mode="both", levels=32, cap=512,
+def drift_table(model: NetworkModel, mode="both", levels=8, cap=512,
                 max_states=3_000_000) -> DriftTable:
     """Assemble the drift table in the requested mode.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import EmptySubset, InsufficientData
 from .generator import SUBSET_ALL, regime_signature, uniformize
@@ -251,7 +251,7 @@ class DriftEstimate:
 def _batch_ci(values):
     values = np.asarray(values, float)
     n = len(values)
-    half = stats.t.ppf(0.975, n - 1) * values.std(ddof=1) / math.sqrt(n)
+    half = stdtrit(n - 1, 0.975) * values.std(ddof=1) / math.sqrt(n)
     # invariant floor: half-widths are strictly positive even for
     # constant batches
     return float(max(half, np.finfo(float).tiny))

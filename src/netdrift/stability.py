@@ -375,7 +375,7 @@ class StabilityReport:
         })
 
 
-def classify(model: NetworkModel, *, mode="both", levels=32, cap=512,
+def classify(model: NetworkModel, *, mode="both", levels=8, cap=512,
              max_states=3_000_000, margin=DECISION_MARGIN,
              assume_semi_irreducible=False, probe_radius=3,
              with_certificate=False, with_spiral=False,

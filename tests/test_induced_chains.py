@@ -3,6 +3,9 @@ closed-form / numeric cross-check."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netdrift import (
     CANONICAL_SUBSETS,
@@ -12,6 +15,7 @@ from netdrift import (
     drift_table,
     erlang_ph,
     exponential_ph,
+    hyperexponential_ph,
     mean_displacement,
     mmpp_map,
     numeric_table,
@@ -26,7 +30,7 @@ from netdrift.errors import (
     NotConverged,
     UnsupportedSubset,
 )
-from netdrift.induced_chains import input_rates
+from netdrift.induced_chains import TAIL_TOL, input_rates
 
 from tests.conftest import exp_model, symmetric_limited_model
 
@@ -102,6 +106,108 @@ def test_noncanonical_transient_subset_is_flagged(np_model):
     assert sol.note
     with pytest.raises(NotConverged):
         output_rates(np_model, chain, sol)
+
+
+def test_start_level_over_state_budget_solves_at_largest_fitting_level(np_model):
+    # 32 levels squared times S0 = 9 is over the budget, 20 squared fits;
+    # the {2,3} face (geometric, ratio 0.2) converges there
+    kernel = uniformize(np_model)
+    chain = build_induced_chain(kernel, {2, 3})
+    sol = solve_stationary(chain, levels=32, max_states=20 ** 2 * kernel.S0 + 5)
+    assert sol.converged
+    assert sol.history[0][0] == 20
+    assert sol.levels == 20
+    assert "state budget" in sol.note
+
+    # a face that needs more levels than the budget holds fails with a
+    # named reason after solving at the largest level that fits
+    limited = uniformize(symmetric_limited_model(3))
+    chain = build_induced_chain(limited, {1, 4})
+    sol = solve_stationary(chain, max_states=12 ** 2 * limited.S0)
+    assert not sol.converged
+    assert [L for L, _, _ in sol.history] == [8, 12]
+    assert "state budget" in sol.note
+
+
+def test_solver_path_is_recorded_and_only_solver_errors_fall_through(np_model, monkeypatch):
+    entries, _ = numeric_table(np_model)
+    for e in entries.values():
+        assert len(e.diagnostics["solver"]) == len(e.diagnostics["history"])
+    # 8 x 8 cells x 9 background states is past the dense solve's 400
+    kernel = uniformize(np_model)
+    chain = build_induced_chain(kernel, {2, 3})
+    assert set(solve_stationary(chain).solvers) == {"ilu-gmres"}
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "spilu", singular)
+    assert set(solve_stationary(chain).solvers) == {"spsolve"}
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spla, "spilu", exhausted)
+    with pytest.raises(MemoryError):
+        solve_stationary(chain)
+
+
+@st.composite
+def phmap_priority_models(draw):
+    """Priority models with MMPP class-1 arrivals, Erlang-2 and
+    hyperexponential services, every class load at most 0.45 so that a
+    32-level truncation converges on every face."""
+    u = [draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(9)]
+    lam1 = 0.3 + 0.3 * u[0]
+    switch = 0.5 + 1.5 * u[1]
+    spread = 0.1 + 0.4 * u[2]
+    lam3 = 0.2 + 0.3 * u[3]
+    p = 0.4 * u[4]
+    mu1 = lam1 / (0.15 + 0.15 * u[5])
+    mu2 = lam1 / (0.2 + 0.25 * u[6])
+    weight = 0.3 + 0.4 * u[7]
+    fast = 2.0 * mu2
+    slow = (1.0 - weight) / (1.0 / mu2 - weight / fast)
+    load3 = p * lam1 + lam3
+    mu4 = load3 / (0.2 + 0.25 * u[8])
+    return build_network(
+        mmpp_map([[-switch, switch], [switch, -switch]],
+                 [lam1 * (1 - spread), lam1 * (1 + spread)]),
+        poisson_map(lam3),
+        erlang_ph(2, 2.0 * mu1),
+        hyperexponential_ph([weight, 1.0 - weight], [fast, slow]),
+        exponential_ph(2.0 * mu4),
+        exponential_ph(mu4),
+        p,
+        draw(st.sampled_from(("non_preemptive", "preemptive_resume"))),
+    )
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.one_of(st.integers(min_value=3, max_value=6).map(symmetric_limited_model),
+                 phmap_priority_models()))
+def test_decay_sized_truncation_matches_fixed_level(model):
+    kernel = uniformize(model)
+    for A in CANONICAL_SUBSETS:
+        chain = build_induced_chain(kernel, A)
+        sized = solve_stationary(chain)
+        fixed = solve_stationary(chain, levels=32, cap=32)
+        assert sized.converged and fixed.converged
+        if chain.free:
+            assert sized.history[0][0] == 8
+            assert [L for L, _, _ in fixed.history] == [32]
+        # a rate's truncation error is about the boundary mass times that
+        # rate's boundary-to-mean ratio; MMPP bursts push the ratio above
+        # one (up to 1.2 seen), so rates agree within 2 * TAIL_TOL
+        np.testing.assert_allclose(output_rates(model, chain, sized),
+                                   output_rates(model, chain, fixed),
+                                   rtol=2 * TAIL_TOL, atol=1e-12)
+    if model.discipline != "limited":
+        # class 2 has priority at station 2: saturating {1,2,4} starves
+        # queue 3 while it keeps receiving, as in the np_model case above
+        sol = solve_stationary(build_induced_chain(kernel, {1, 2, 4}))
+        assert not sol.converged
+        assert sol.note
 
 
 @pytest.mark.parametrize("subset", [N, frozenset({2, 3}), frozenset({1, 4})])
