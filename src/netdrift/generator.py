@@ -28,7 +28,6 @@ behavior per face.
 
 from __future__ import annotations
 
-import threading
 from functools import reduce
 
 import numpy as np
@@ -79,8 +78,9 @@ def _kronsum4(mats):
 class BlockKernel:
     """Signature-indexed transition blocks for one model.
 
-    Blocks are built lazily and cached; the cache is lock-protected so
-    worker threads can share one kernel.
+    Blocks are built lazily and cached per signature.  The caches are
+    not locked: a kernel belongs to one thread (`sweep --jobs` runs its
+    points in worker processes).
     """
 
     def __init__(self, model: NetworkModel, nu: float | None = None):
@@ -95,20 +95,15 @@ class BlockKernel:
         self.nu = float(nu)
         self._q_cache = {}
         self._p_cache = {}
-        self._lock = threading.Lock()
 
     # -- continuous-time blocks ------------------------------------------
 
     def q_blocks(self, sig):
         sig = tuple(int(v) for v in sig)
-        with self._lock:
-            hit = self._q_cache.get(sig)
-        if hit is not None:
-            return hit
-        blocks = self._build_q(sig)
-        with self._lock:
-            self._q_cache[sig] = blocks
-        return blocks
+        hit = self._q_cache.get(sig)
+        if hit is None:
+            hit = self._q_cache[sig] = self._build_q(sig)
+        return hit
 
     def _build_q(self, sig):
         m = self.model
@@ -145,8 +140,7 @@ class BlockKernel:
 
     def p_blocks(self, sig):
         sig = tuple(int(v) for v in sig)
-        with self._lock:
-            hit = self._p_cache.get(sig)
+        hit = self._p_cache.get(sig)
         if hit is not None:
             return hit
         q = self.q_blocks(sig)
@@ -156,8 +150,7 @@ class BlockKernel:
                 blocks[z] = np.eye(self.S0) + B / self.nu
             else:
                 blocks[z] = B / self.nu
-        with self._lock:
-            self._p_cache[sig] = blocks
+        self._p_cache[sig] = blocks
         return blocks
 
     def unravel_background(self, j):
@@ -219,12 +212,14 @@ def generator_block(model: NetworkModel, x, xp):
 
 # -- lattice assembly --------------------------------------------------------
 #
-# STRATEGY: a truncated chain on {0..L-1}^d x S0 is a sum of Kronecker
-# products, one per (signature, displacement): a 0/1 lattice matrix that
-# maps each cell of the signature to its displaced cell, kron'ed with
-# the S0 x S0 block.  Out-of-box moves either fold onto the boundary
-# (reflecting truncation, used by the stationary solver) or are dropped
-# (used for reachability probes and debug exports).
+# STRATEGY: a truncated chain on {0..L-1}^d x S0 repeats each
+# (signature, displacement) block over the cells of its signature: a
+# nonzero (bi, bj) of the block at source cell s with target cell t is
+# the entry (s*S0 + bi, t*S0 + bj).  Every entry is written by this
+# index arithmetic into one COO, converted to CSR once.  Out-of-box
+# moves either fold onto the boundary (reflecting truncation, used by
+# the stationary solver) or are dropped (used for reachability probes
+# and debug exports).
 
 def _signature_ranges(sig_component, L):
     if sig_component == 0:
@@ -235,53 +230,51 @@ def _signature_ranges(sig_component, L):
 
 
 def assemble_lattice(block_fn, d, L, S0, fold=True):
-    """Sparse matrix of the truncated chain.
+    """Sparse matrix of the truncated chain, as canonical CSR (sorted
+    indices, no duplicates).
 
     block_fn(sig_free) -> dict mapping z_free (d-tuple) to an S0 x S0
     block.  State order: lattice cell (C order) major, background minor.
+    With fold=True, entries folded onto one state are summed in the
+    order they were emitted: signature, then displacement, then cell.
     """
     if d == 0:
         blocks = block_fn(())
         return sp.csr_matrix(sum(blocks.values()))
     shape = (L,) * d
-    ncells = L ** d
+    n = L ** d * S0
+    idx = np.int32 if n < 2 ** 31 else np.int64
     rows, cols, data = [], [], []
     for sig in np.ndindex(*(3,) * d):
         axes = [_signature_ranges(c, L) for c in sig]
         if any(a.size == 0 for a in axes):
             continue
-        grids = np.meshgrid(*axes, indexing="ij")
-        cells = np.ravel_multi_index([g.ravel() for g in grids], shape)
-        if cells.size == 0:
-            continue
+        grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+        cells = np.ravel_multi_index(grids, shape)
         for z, B in block_fn(tuple(sig)).items():
-            tgt_coords = [g.ravel() + dz for g, dz in zip(grids, z)]
+            bi, bj = np.nonzero(B)
+            tgt = [g + dz for g, dz in zip(grids, z)]
             if fold:
-                tgt_coords = [np.clip(tc, 0, L - 1) for tc in tgt_coords]
+                tgt = [np.clip(t, 0, L - 1) for t in tgt]
                 src = cells
             else:
-                ok = np.ones(cells.size, dtype=bool)
-                for tc in tgt_coords:
-                    ok &= (tc >= 0) & (tc <= L - 1)
-                if not ok.any():
-                    continue
-                tgt_coords = [tc[ok] for tc in tgt_coords]
+                ok = np.logical_and.reduce([(t >= 0) & (t < L) for t in tgt])
+                tgt = [t[ok] for t in tgt]
                 src = cells[ok]
-            tgt = np.ravel_multi_index(tgt_coords, shape)
-            lattice = sp.coo_matrix(
-                (np.ones(src.size), (src, tgt)), shape=(ncells, ncells)
-            )
-            part = sp.kron(lattice, sp.csr_matrix(B), format="coo")
-            rows.append(part.row)
-            cols.append(part.col)
-            data.append(part.data)
+            tgt = np.ravel_multi_index(tgt, shape)
+            rows.append(((src * S0).astype(idx)[:, None] + bi.astype(idx)).ravel())
+            cols.append(((tgt * S0).astype(idx)[:, None] + bj.astype(idx)).ravel())
+            data.append(np.tile(B[bi, bj], src.size))
     if not rows:
-        return sp.csr_matrix((ncells * S0, ncells * S0))
-    total = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ncells * S0, ncells * S0),
-    )
-    total.sum_duplicates()
+        return sp.csr_matrix((n, n))
+    # one array at a time, so each list of pieces is freed before the next
+    # copy: the probe box holds millions of entries
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    data = np.concatenate(data)
+    total = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
+    if fold:
+        total.sum_duplicates()
     return total.tocsr()
 
 
@@ -301,7 +294,9 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
     4*radius along such a path (+1 slack for one in-flight customer
     while walking the arrival phase).  Any path found is a genuine path
     of the chain, so success is a proof; failure only returns Unknown,
-    because paths may still need more room.
+    because paths may still need more room.  The search runs on the
+    zero pattern of the generator: an edge for every rate above 1e-14
+    between distinct states.
     """
     kernel = BlockKernel(model)
     S0 = kernel.S0
@@ -317,21 +312,21 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
         return UNKNOWN
     Lout = 4 * radius + 2
 
-    def block_fn(sig):
-        return kernel.q_blocks(sig)
+    def pattern_fn(sig):
+        out = {}
+        for z, B in kernel.q_blocks(sig).items():
+            out[z] = B > 1e-14
+            if z == (0, 0, 0, 0):
+                np.fill_diagonal(out[z], False)
+        return out
 
-    Q = assemble_lattice(block_fn, 4, Lout, S0, fold=False)
-    # adjacency on positive rates, diagonal ignored
-    Q = Q.tocoo()
-    mask = (Q.data > 1e-14) & (Q.row != Q.col)
-    adj = sp.csr_matrix(
-        (np.ones(mask.sum()), (Q.row[mask], Q.col[mask])), shape=Q.shape
-    )
+    adj = assemble_lattice(pattern_fn, 4, Lout, S0, fold=False)
     target = np.ravel_multi_index(probe[0], (Lout,) * 4) * S0 + probe[1]
+    # reverse edges: the states that can reach the target
     order = breadth_first_order(
-        adj.T.tocsr(), target, directed=True, return_predecessors=False
+        adj.T, target, directed=True, return_predecessors=False
     )
-    seen = np.zeros(Q.shape[0], dtype=bool)
+    seen = np.zeros(adj.shape[0], dtype=bool)
     seen[order] = True
     grids = np.meshgrid(*(np.arange(L),) * 4, indexing="ij")
     inner = np.ravel_multi_index([g.ravel() for g in grids], (Lout,) * 4)
@@ -346,12 +341,11 @@ def write_generator_triplets(model: NetworkModel, radius, path):
     "row col rate" line per nonzero, row-major order."""
     kernel = BlockKernel(model)
     L = radius + 1
-    Q = assemble_lattice(lambda s: kernel.q_blocks(s), 4, L, kernel.S0, fold=False)
-    Q = Q.tocoo()
-    order = np.lexsort((Q.col, Q.row))
+    Q = assemble_lattice(kernel.q_blocks, 4, L, kernel.S0, fold=False)
+    rows = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# truncated generator, box {L}^4 x {kernel.S0}, nu={float(kernel.nu)!r}\n")
-        for k in order:
-            if abs(Q.data[k]) <= 1e-14:
+        for r, c, v in zip(rows, Q.indices, Q.data):
+            if abs(v) <= 1e-14:
                 continue
-            fh.write(f"{Q.row[k]} {Q.col[k]} {float(Q.data[k])!r}\n")
+            fh.write(f"{r} {c} {float(v)!r}\n")

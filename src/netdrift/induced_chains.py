@@ -31,7 +31,7 @@ from .errors import (
     NotConverged,
     UnsupportedSubset,
 )
-from .generator import BlockKernel, SUBSET_ALL, assemble_lattice, uniformize
+from .generator import BlockKernel, SUBSET_ALL, _sym, assemble_lattice, uniformize
 from .primitives import map_arrival_rate
 from .service_disciplines import NetworkModel
 
@@ -71,10 +71,6 @@ CROSS_CHECK_TOL = 1e-4
 
 def subset_name(A):
     return "N" if A == SUBSET_ALL else "".join(str(i) for i in sorted(A))
-
-
-def _sym(c):
-    return "0" if c == 0 else "+"
 
 
 class InducedChain:

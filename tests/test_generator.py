@@ -1,14 +1,21 @@
 import itertools
+from collections import deque
+from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from netdrift import (
     boundary_face,
+    build_induced_chain,
     build_network,
     check_semi_irreducible,
+    erlang_ph,
     exponential_ph,
     generator_block,
+    hyperexponential_ph,
+    mmpp_map,
     poisson_map,
     regime_signature,
     uniformization_constant,
@@ -17,10 +24,24 @@ from netdrift import (
     write_generator_triplets,
 )
 from netdrift.errors import NuTooSmall, SkipFreeViolation
-from netdrift.generator import CONFIRMED, UNKNOWN, max_exit_rate
+from netdrift.generator import CONFIRMED, UNKNOWN, assemble_lattice, max_exit_rate
 from tests.conftest import exp_model, symmetric_limited_model
 
 ALL_SIGS = list(itertools.product((0, 1, 2), repeat=4))
+
+
+def phmap_model():
+    """Priority model with MMPP class-1 arrivals, Erlang-2 class-1 and
+    hyperexponential class-2 services."""
+    return build_network(
+        mmpp_map([[-1.0, 1.0], [1.0, -1.0]], [0.5, 1.1]),
+        poisson_map(0.4),
+        erlang_ph(2, 8.0),
+        hyperexponential_ph([0.4, 0.6], [6.0, 2.0]),
+        exponential_ph(4.2),
+        exponential_ph(2.2),
+        0.3,
+    )
 
 
 def _kronsum(mats):
@@ -199,6 +220,117 @@ def test_probe_outside_box_is_unknown(np_model):
                                   radius=2) == UNKNOWN
 
 
+def _reference_probe(model, radius, probe):
+    """check_semi_irreducible's verdict by a plain BFS over the
+    predecessor lists of every state of the box, read off the blocks."""
+    kernel = uniformize(model)
+    S0, side = kernel.S0, 4 * radius + 2
+    cells = list(itertools.product(range(side), repeat=4))
+    index = {x: i for i, x in enumerate(cells)}
+    edges = {}
+    for sig in ALL_SIGS:
+        edges[sig] = [(z, list(zip(*np.nonzero(B > 1e-14))))
+                      for z, B in kernel.q_blocks(sig).items()]
+    preds = [[] for _ in range(len(cells) * S0)]
+    for x in cells:
+        for z, pairs in edges[regime_signature(x)]:
+            y = tuple(a + b for a, b in zip(x, z))
+            if y not in index:
+                continue
+            for j, k in pairs:
+                src, dst = index[x] * S0 + j, index[y] * S0 + k
+                if src != dst:
+                    preds[dst].append(src)
+    x, parts = probe
+    target = index[x] * S0 + int(np.ravel_multi_index(parts, kernel.dims))
+    seen = {target}
+    queue = deque([target])
+    while queue:
+        for s in preds[queue.popleft()]:
+            if s not in seen:
+                seen.add(s)
+                queue.append(s)
+    inner = itertools.product(range(radius + 1), repeat=4)
+    ok = all(index[x] * S0 + j in seen for x in inner for j in range(S0))
+    return CONFIRMED if ok else UNKNOWN
+
+
+def test_probe_agrees_with_reference_bfs(np_model):
+    phs = [exponential_ph(m) for m in (4.0, 2.4, 4.2, 2.2)]
+    silent = validate_map([[0.0]], [[0.0]])
+    no_arrivals = build_network(silent, silent, *phs, 0.3, "non_preemptive")
+    cases = [
+        (np_model, ((0, 0, 0, 0), (0, 0, 0, 0)), CONFIRMED),
+        (symmetric_limited_model(3), ((0, 0, 0, 0), (0, 0, 0, 0)), CONFIRMED),
+        (phmap_model(), ((0, 0, 0, 0), (0, 0, 0, 0)), CONFIRMED),
+        (no_arrivals, ((1, 0, 0, 0), (0, 0, 0, 0)), UNKNOWN),
+        # a background given as a tuple of (arrival, arrival, server, server)
+        (np_model, ((0, 1, 0, 0), (0, 0, 0, 2)), CONFIRMED),
+    ]
+    for model, probe, want in cases:
+        got = check_semi_irreducible(model, probe_state=probe, radius=1)
+        assert got == _reference_probe(model, 1, probe) == want, probe
+
+
+# --- lattice assembly ------------------------------------------------------------
+
+def _kron_lattice(block_fn, d, L, S0, fold):
+    """Reference assembly: one 0/1 lattice map per (signature,
+    displacement), Kronecker-multiplied by its block and summed."""
+    shape = (L,) * d
+    ncells = L ** d
+    rows, cols, data = [], [], []
+    for sig in np.ndindex(*(3,) * d):
+        axes = [np.array([0]) if c == 0 else np.array([1]) if c == 1
+                else np.arange(2, L) for c in sig]
+        grids = np.meshgrid(*axes, indexing="ij")
+        cells = np.ravel_multi_index([g.ravel() for g in grids], shape)
+        if cells.size == 0:
+            continue
+        for z, B in block_fn(tuple(sig)).items():
+            tgt = [g.ravel() + dz for g, dz in zip(grids, z)]
+            if fold:
+                tgt = [np.clip(t, 0, L - 1) for t in tgt]
+                src = cells
+            else:
+                ok = reduce(np.logical_and, [(t >= 0) & (t < L) for t in tgt])
+                tgt = [t[ok] for t in tgt]
+                src = cells[ok]
+            lattice = sp.coo_matrix(
+                (np.ones(src.size), (src, np.ravel_multi_index(tgt, shape))),
+                shape=(ncells, ncells))
+            part = sp.kron(lattice, sp.csr_matrix(B), format="coo")
+            rows.append(part.row)
+            cols.append(part.col)
+            data.append(part.data)
+    total = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(ncells * S0, ncells * S0))
+    total.sum_duplicates()
+    return total.tocsr()
+
+
+@pytest.mark.parametrize("fold", [True, False])
+@pytest.mark.parametrize("which", ["np", "phmap"])
+def test_assembly_matches_kronecker_reference(which, fold):
+    model = exp_model() if which == "np" else phmap_model()
+    kernel = uniformize(model)
+    S0 = kernel.S0
+    cases = [
+        (build_induced_chain(kernel, (1, 2, 3)).p_blocks, 1, 4),
+        (build_induced_chain(kernel, (1, 4)).p_blocks, 2, 4),
+        (kernel.q_blocks, 4, 3),
+        (kernel.p_blocks, 4, 4 if which == "np" else 2),
+    ]
+    for block_fn, d, L in cases:
+        got = assemble_lattice(block_fn, d, L, S0, fold=fold)
+        want = _kron_lattice(block_fn, d, L, S0, fold)
+        assert got.shape == want.shape == (L ** d * S0,) * 2
+        assert np.array_equal(got.indptr, want.indptr), (d, L)
+        assert np.array_equal(got.indices, want.indices), (d, L)
+        assert np.array_equal(got.data, want.data), (d, L)
+
+
 # --- debug export ----------------------------------------------------------------
 
 def test_triplet_export_is_deterministic(tmp_path, np_model):
@@ -208,6 +340,8 @@ def test_triplet_export_is_deterministic(tmp_path, np_model):
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().splitlines()
     assert lines[0].startswith("#")
+    pairs = [tuple(int(v) for v in line.split()[:2]) for line in lines[1:]]
+    assert all(p < q for p, q in zip(pairs, pairs[1:]))
     row, col, rate = lines[1].split()
     assert float(rate) != 0.0
     # spot-check one entry against the block API
