@@ -14,9 +14,8 @@ from .generator import (
     boundary_face,
     check_semi_irreducible,
     generator_block,
+    kernel_of,
     regime_signature,
-    uniformization_constant,
-    uniformize,
     write_generator_triplets,
 )
 from .induced_chains import (
@@ -27,6 +26,7 @@ from .induced_chains import (
     closed_form_table,
     drift_table,
     mean_displacement,
+    nominal_condition,
     numeric_table,
     output_rates,
     solve_stationary,
@@ -70,7 +70,6 @@ from .stability import (
     classify,
     compute_r1_r2,
     lyapunov_certificate,
-    nominal_condition,
     spiral_path,
 )
 

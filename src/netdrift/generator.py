@@ -28,7 +28,7 @@ behavior per face.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +42,9 @@ SUBSET_ALL = frozenset((1, 2, 3, 4))
 # safety margin on the uniformization rate; keeps the discrete chain
 # aperiodic (strictly positive diagonal) on every face
 NU_MARGIN = 1.05
+
+# a rate at or below this is absent: no probe edge, clock or triplet
+RATE_TOL = 1e-14
 
 
 def boundary_face(x):
@@ -76,11 +79,13 @@ def _kronsum4(mats):
 
 
 class BlockKernel:
-    """Signature-indexed transition blocks for one model.
+    """Signature-indexed transition blocks for one model: the model's one
+    rate table, read by the probe, the induced chains and the simulator.
 
-    Blocks are built lazily and cached per signature.  The caches are
-    not locked: a kernel belongs to one thread (`sweep --jobs` runs its
-    points in worker processes).
+    The q blocks are built lazily, cached per signature and read-only;
+    the uniformized blocks and the simulator's clocks are derived from
+    them.  The caches are not locked: a kernel belongs to one thread
+    (`sweep --jobs` runs its points in worker processes).
     """
 
     def __init__(self, model: NetworkModel, nu: float | None = None):
@@ -94,7 +99,7 @@ class BlockKernel:
             raise NuTooSmall(f"nu={nu} is below the maximum exit rate {max_exit}")
         self.nu = float(nu)
         self._q_cache = {}
-        self._p_cache = {}
+        self._clocks = {}
 
     # -- continuous-time blocks ------------------------------------------
 
@@ -103,6 +108,8 @@ class BlockKernel:
         hit = self._q_cache.get(sig)
         if hit is None:
             hit = self._q_cache[sig] = self._build_q(sig)
+            for B in hit.values():
+                B.flags.writeable = False
         return hit
 
     def _build_q(self, sig):
@@ -136,28 +143,55 @@ class BlockKernel:
         )
         return blocks
 
-    # -- uniformized blocks ----------------------------------------------
+    # -- derived views -----------------------------------------------------
 
     def p_blocks(self, sig):
-        sig = tuple(int(v) for v in sig)
-        hit = self._p_cache.get(sig)
-        if hit is not None:
-            return hit
-        q = self.q_blocks(sig)
-        blocks = {}
-        for z, B in q.items():
-            if z == (0, 0, 0, 0):
-                blocks[z] = np.eye(self.S0) + B / self.nu
-            else:
-                blocks[z] = B / self.nu
-        self._p_cache[sig] = blocks
-        return blocks
+        """Uniformized blocks, computed from the q blocks on each call."""
+        return {
+            z: np.eye(self.S0) + B / self.nu if z == (0, 0, 0, 0) else B / self.nu
+            for z, B in self.q_blocks(sig).items()
+        }
 
-    def unravel_background(self, j):
-        return tuple(int(v) for v in np.unravel_index(j, self.dims))
+    def clocks(self, sig):
+        """Competing clocks out of each background state j in regime
+        `sig`: the cumulative rates of its moves and the moves (z, j2),
+        in block order, then column.  `sig` must be a tuple of ints."""
+        hit = self._clocks.get(sig)
+        if hit is None:
+            rates = [[] for _ in range(self.S0)]
+            moves = [[] for _ in range(self.S0)]
+            for z, B in self.q_blocks(sig).items():
+                rr, cc = np.nonzero(B > RATE_TOL)
+                for j, j2 in zip(rr.tolist(), cc.tolist()):
+                    if z == (0, 0, 0, 0) and j == j2:
+                        continue
+                    rates[j].append(B[j, j2])
+                    moves[j].append((z, j2))
+            cums = [np.cumsum(np.array(r)) if r else np.zeros(0) for r in rates]
+            hit = self._clocks[sig] = (cums, moves)
+        return hit
 
-    def ravel_background(self, parts):
-        return int(np.ravel_multi_index(parts, self.dims))
+    def background_index(self, j):
+        """Flat index of background state j, given as an int or as the
+        phase tuple (arrival 1, arrival 3, server 1, server 2).  Raises
+        ValueError when j names no background state."""
+        if isinstance(j, tuple):
+            if len(j) != 4 or not all(0 <= int(v) < n for v, n in zip(j, self.dims)):
+                raise ValueError(f"background phases {j} lie outside {self.dims}")
+            return int(np.ravel_multi_index(j, self.dims))
+        j = int(j)
+        if not 0 <= j < self.S0:
+            raise ValueError(f"background index {j} lies outside 0..{self.S0 - 1}")
+        return j
+
+
+@lru_cache(maxsize=1)
+def kernel_of(model: NetworkModel) -> BlockKernel:
+    """The kernel of `model` at the default nu, shared by every reader.
+    Holds one model, so moving on to the next frees the last one's
+    blocks.  Models compare by identity: do not change a model after
+    its kernel is built."""
+    return BlockKernel(model)
 
 
 def max_exit_rate(model: NetworkModel) -> float:
@@ -177,15 +211,6 @@ def max_exit_rate(model: NetworkModel) -> float:
     return bestC1 + bestC3 + best1 + best2
 
 
-def uniformization_constant(model: NetworkModel) -> float:
-    return NU_MARGIN * max_exit_rate(model)
-
-
-def uniformize(model: NetworkModel, nu: float | None = None) -> BlockKernel:
-    """Build a kernel; validates nu against the maximum exit rate."""
-    return BlockKernel(model, nu)
-
-
 def generator_block(model: NetworkModel, x, xp):
     """Continuous-time rate block for the move x -> xp.
 
@@ -202,7 +227,7 @@ def generator_block(model: NetworkModel, x, xp):
     z = tuple(b - a for a, b in zip(x, xp))
     if max(abs(v) for v in z) > 1:
         raise SkipFreeViolation(f"move {z} changes a coordinate by more than one")
-    kernel = BlockKernel(model)
+    kernel = kernel_of(model)
     blocks = kernel.q_blocks(regime_signature(x))
     hit = blocks.get(z)
     if hit is None:
@@ -289,24 +314,23 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
 
     Checks that the probe state is reachable from every state of the
     box {0..radius}^4 x S0.  Paths are searched inside a larger box of
-    side 4*radius + 1: draining a box state needs no arrivals and the
+    side 4*radius + 2: draining a box state needs no arrivals and the
     total count never grows without one, so no coordinate can exceed
-    4*radius along such a path (+1 slack for one in-flight customer
-    while walking the arrival phase).  Any path found is a genuine path
-    of the chain, so success is a proof; failure only returns Unknown,
-    because paths may still need more room.  The search runs on the
-    zero pattern of the generator: an edge for every rate above 1e-14
-    between distinct states.
+    4*radius along such a path, and the level above it is slack for one
+    in-flight customer while walking the arrival phase.  Any path found
+    is a genuine path of the chain, so success is a proof; failure only
+    returns Unknown, because paths may still need more room.  The search
+    runs on the zero pattern of the generator: an edge for every rate
+    above 1e-14 between distinct states.  The probe state is (x, j), with
+    j as `BlockKernel.background_index` takes it.
     """
-    kernel = BlockKernel(model)
+    kernel = kernel_of(model)
     S0 = kernel.S0
     if probe_state is None:
         probe = (0, 0, 0, 0), 0
     else:
         x, j = probe_state
-        if isinstance(j, tuple):
-            j = kernel.ravel_background(j)
-        probe = tuple(int(v) for v in x), int(j)
+        probe = tuple(int(v) for v in x), kernel.background_index(j)
     L = radius + 1
     if any(v >= L for v in probe[0]):
         return UNKNOWN
@@ -315,7 +339,7 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
     def pattern_fn(sig):
         out = {}
         for z, B in kernel.q_blocks(sig).items():
-            out[z] = B > 1e-14
+            out[z] = B > RATE_TOL
             if z == (0, 0, 0, 0):
                 np.fill_diagonal(out[z], False)
         return out
@@ -339,13 +363,13 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
 def write_generator_triplets(model: NetworkModel, radius, path):
     """Debug export: the generator restricted to {0..radius}^4, one
     "row col rate" line per nonzero, row-major order."""
-    kernel = BlockKernel(model)
+    kernel = kernel_of(model)
     L = radius + 1
     Q = assemble_lattice(kernel.q_blocks, 4, L, kernel.S0, fold=False)
     rows = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# truncated generator, box {L}^4 x {kernel.S0}, nu={float(kernel.nu)!r}\n")
         for r, c, v in zip(rows, Q.indices, Q.data):
-            if abs(v) <= 1e-14:
+            if abs(v) <= RATE_TOL:
                 continue
             fh.write(f"{r} {c} {float(v)!r}\n")

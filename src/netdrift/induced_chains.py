@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,8 +30,8 @@ from .errors import (
     NotConverged,
     UnsupportedSubset,
 )
-from .generator import BlockKernel, SUBSET_ALL, _sym, assemble_lattice, uniformize
-from .primitives import map_arrival_rate
+from .generator import BlockKernel, SUBSET_ALL, assemble_lattice, kernel_of
+from .primitives import map_arrival_rate, ph_mean
 from .service_disciplines import NetworkModel
 
 # the five saturated subsets whose induced chains are positive recurrent
@@ -85,8 +84,6 @@ class InducedChain:
         self.kernel = kernel
         self.A = A
         self.free = tuple(sorted(SUBSET_ALL - A))
-        self._p_cache = {}
-        self._q_cache = {}
 
     def full_signature(self, sig_free):
         sig = [2, 2, 2, 2]
@@ -94,31 +91,14 @@ class InducedChain:
             sig[coord - 1] = sig_free[pos]
         return tuple(sig)
 
-    def _reduce(self, blocks):
-        out = {}
-        for z, B in blocks.items():
-            zf = tuple(z[c - 1] for c in self.free)
-            if zf in out:
-                out[zf] = out[zf] + B
-            else:
-                out[zf] = B.copy()
-        return out
-
     def p_blocks(self, sig_free):
-        sig_free = tuple(int(v) for v in sig_free)
-        hit = self._p_cache.get(sig_free)
-        if hit is None:
-            hit = self._reduce(self.kernel.p_blocks(self.full_signature(sig_free)))
-            self._p_cache[sig_free] = hit
-        return hit
-
-    def q_blocks(self, sig_free):
-        sig_free = tuple(int(v) for v in sig_free)
-        hit = self._q_cache.get(sig_free)
-        if hit is None:
-            hit = self._reduce(self.kernel.q_blocks(self.full_signature(sig_free)))
-            self._q_cache[sig_free] = hit
-        return hit
+        """Uniformized blocks over the free coordinates: the kernel's
+        blocks at the full signature, summed over saturated moves."""
+        out = {}
+        for z, B in self.kernel.p_blocks(self.full_signature(sig_free)).items():
+            zf = tuple(z[c - 1] for c in self.free)
+            out[zf] = out[zf] + B if zf in out else B
+        return out
 
 
 def build_induced_chain(kernel: BlockKernel, A) -> InducedChain:
@@ -377,42 +357,24 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
     )
 
 
-def _lift(dims, idx, w):
-    parts = [np.ones(k) for k in dims]
-    parts[idx] = w
-    return reduce(np.kron, parts)
-
-
-def output_rates(model: NetworkModel, chain: InducedChain,
-                 sol: InducedChainSolution) -> np.ndarray:
+def output_rates(chain: InducedChain, sol: InducedChainSolution) -> np.ndarray:
     """Long-run completion rate of each queue (events per unit time).
 
-    Weighs the continuous-time completion matrices of the regime each
-    face point sits in by the stationary mass there.  The saturated
-    coordinates count as interior (>= 2).
+    Weighs the row sums of the kernel's completion blocks (z[i] < 0) in
+    the regime each face point sits in by the stationary mass there.
+    The saturated coordinates count as interior (>= 2).
     """
     if not sol.converged:
         raise NotConverged(
             f"induced chain {subset_name(chain.A)} did not converge: {sol.note or sol.history}"
         )
-    t1, t2 = model.msp1.t, model.msp2.t
-    dims = chain.kernel.dims
     mu = np.zeros(4)
     for sig_free, pi in sol.group_masses().items():
         full = chain.full_signature(sig_free)
-        c1, c2, c3, c4 = full
-        if c1 >= 1:
-            key = ("1*" if c1 == 1 else "2*") + _sym(c4)
-            mu[0] += pi @ _lift(dims, 2, t1[key].sum(axis=1))
-        if c2 >= 1:
-            key = _sym(c3) + ("1*" if c2 == 1 else "2*")
-            mu[1] += pi @ _lift(dims, 3, t2[key].sum(axis=1))
-        if c3 >= 1:
-            key = ("1*" if c3 == 1 else "2*") + _sym(c2)
-            mu[2] += pi @ _lift(dims, 3, t2[key].sum(axis=1))
-        if c4 >= 1:
-            key = _sym(c1) + ("1*" if c4 == 1 else "2*")
-            mu[3] += pi @ _lift(dims, 2, t1[key].sum(axis=1))
+        for z, B in chain.kernel.q_blocks(full).items():
+            for i in range(4):
+                if z[i] < 0:
+                    mu[i] += pi @ B.sum(axis=1)
     return mu
 
 
@@ -587,20 +549,28 @@ def _limited_closed(lam1, lam3, p, mu, K):
     return entries
 
 
-def closed_form_table(model: NetworkModel, lam1=None, lam3=None):
+def nominal_condition(model: NetworkModel):
+    """Utilization vector and the load-per-station feasibility flag."""
+    lam1 = map_arrival_rate(model.map1)
+    lam3 = map_arrival_rate(model.map3)
+    h = [ph_mean(ph) for ph in model.ph]
+    rho = np.array([
+        lam1 * h[0],
+        lam1 * h[1],
+        (model.p * lam1 + lam3) * h[2],
+        (model.p * lam1 + lam3) * h[3],
+    ])
+    holds = bool(rho[0] + rho[3] < 1.0 and rho[1] + rho[2] < 1.0)
+    return rho, holds
+
+
+def closed_form_table(model: NetworkModel):
     """Closed-form drift entries, or raise when outside their scope."""
-    if lam1 is None:
-        lam1 = map_arrival_rate(model.map1)
-    if lam3 is None:
-        lam3 = map_arrival_rate(model.map3)
+    lam1 = map_arrival_rate(model.map1)
+    lam3 = map_arrival_rate(model.map3)
     mu = model.service_rates
-    rho = (
-        lam1 / mu[0],
-        lam1 / mu[1],
-        (model.p * lam1 + lam3) / mu[2],
-        (model.p * lam1 + lam3) / mu[3],
-    )
-    if not (rho[0] + rho[3] < 1.0 and rho[1] + rho[2] < 1.0):
+    rho, holds = nominal_condition(model)
+    if not holds:
         raise AssumptionViolated(
             f"nominal condition fails: station loads are {rho[0] + rho[3]:.6g} "
             f"and {rho[1] + rho[2]:.6g}"
@@ -627,8 +597,7 @@ def closed_form_table(model: NetworkModel, lam1=None, lam3=None):
             )
         if not mu[0] > mu[1]:
             raise AssumptionViolated("limited closed form needs mu1 > mu2")
-        rho1, rho2 = lam1 / mu[0], lam1 / mu[1]
-        kstar = max(1.0, (1.0 - rho1) / rho2, rho1 / (1.0 - rho2))
+        kstar = max(1.0, (1.0 - rho[0]) / rho[1], rho[0] / (1.0 - rho[1]))
         if not model.K > kstar:
             raise AssumptionViolated(
                 f"visit budget K={model.K} must exceed K*={kstar:.6g}"
@@ -640,10 +609,9 @@ def closed_form_table(model: NetworkModel, lam1=None, lam3=None):
 
 
 def numeric_table(model: NetworkModel, levels=8, cap=512,
-                  max_states=3_000_000, kernel=None):
+                  max_states=3_000_000):
     """Numeric drift entries for the canonical subsets."""
-    if kernel is None:
-        kernel = uniformize(model)
+    kernel = kernel_of(model)
     entries = {}
     for A in CANONICAL_SUBSETS:
         chain = build_induced_chain(kernel, A)
@@ -661,7 +629,7 @@ def numeric_table(model: NetworkModel, levels=8, cap=512,
         if not sol.converged:
             entries[A] = DriftEntry(A, None, None, None, "Numeric", diag)
             continue
-        mu_bar = output_rates(model, chain, sol)
+        mu_bar = output_rates(chain, sol)
         inp = input_rates(model, mu_bar)
         drifts = inp - mu_bar
         off = [abs(drifts[i - 1]) for i in range(1, 5) if i not in A]
@@ -687,7 +655,7 @@ def drift_table(model: NetworkModel, mode="both", levels=8, cap=512,
     closed = None
     if mode in ("closed", "both"):
         try:
-            closed = closed_form_table(model, lam1, lam3)
+            closed = closed_form_table(model)
         except (ClosedFormUnavailable, AssumptionViolated) as exc:
             if mode == "closed":
                 raise

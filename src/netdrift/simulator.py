@@ -1,10 +1,11 @@
 """Trajectory simulation of the continuous-time network chain.
 
-Event rates are read straight from the cached regime blocks of
-`generator`, so simulated dynamics and the assembled generator cannot
-drift apart.  Clocks use a counter-based 64-bit PRNG (Philox) with
-exponential inversion for event times, making trajectories reproducible
-bit for bit from (model, seed, horizon, initial).
+Event rates are the competing clocks of the model's shared kernel
+(`generator.kernel_of`), read off the same regime blocks as the
+assembled generator, so the two cannot drift apart.  Clocks use a
+counter-based 64-bit PRNG (Philox) with exponential inversion for event
+times, making trajectories reproducible bit for bit from (model, seed,
+horizon, initial).
 
 Saturated runs pin a subset of queues at an interior level and count
 virtual arrivals and departures, realizing the induced-chain law
@@ -23,47 +24,12 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import EmptySubset, InsufficientData
-from .generator import SUBSET_ALL, regime_signature, uniformize
+from .generator import SUBSET_ALL, kernel_of, regime_signature
 from .service_disciplines import NetworkModel
 
 SAMPLE_CAP = 4096
 EMPTY_TIMES_CAP = 100_000
 PIN_LEVEL = 3
-RATE_TOL = 1e-14
-
-
-class _TransitionCache:
-    """Per-signature competing-clock tables derived from the generator
-    blocks: cumulative rates, displacements and background targets."""
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self._tables = {}
-
-    def get(self, sig):
-        hit = self._tables.get(sig)
-        if hit is None:
-            hit = self._build(sig)
-            self._tables[sig] = hit
-        return hit
-
-    def _build(self, sig):
-        S0 = self.kernel.S0
-        rates = [[] for _ in range(S0)]
-        moves = [[] for _ in range(S0)]
-        diag = np.zeros(S0)
-        for z, B in self.kernel.q_blocks(sig).items():
-            B = np.asarray(B)
-            if z == (0, 0, 0, 0):
-                diag = -np.diag(B)
-            rr, cc = np.nonzero(B > RATE_TOL)
-            for j, j2 in zip(rr.tolist(), cc.tolist()):
-                if z == (0, 0, 0, 0) and j == j2:
-                    continue
-                rates[j].append(B[j, j2])
-                moves[j].append((z, j2))
-        cums = [np.cumsum(np.array(r)) if r else np.zeros(0) for r in rates]
-        return cums, moves, diag
 
 
 class Trajectory:
@@ -107,8 +73,7 @@ class Trajectory:
 def _run(model, horizon, seed, initial, pinned):
     if horizon <= 0:
         raise InsufficientData("horizon must be positive to collect samples")
-    kernel = uniformize(model)
-    cache = _TransitionCache(kernel)
+    kernel = kernel_of(model)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     if initial is None:
@@ -119,7 +84,7 @@ def _run(model, horizon, seed, initial, pinned):
         x0 = tuple(int(v) for v in x0)
         if any(v < 0 for v in x0):
             raise ValueError("initial queue lengths must be nonnegative")
-        j0 = int(j0)
+        j0 = kernel.background_index(j0)
     # virtual levels move freely on pinned coordinates; the regime is
     # always read from the clamped vector
     x = list(x0)
@@ -143,7 +108,7 @@ def _run(model, horizon, seed, initial, pinned):
 
     while True:
         sig = regime_signature(clamped())
-        cums, moves, _ = cache.get(sig)
+        cums, moves = kernel.clocks(sig)
         cum = cums[j]
         if cum.size == 0 or cum[-1] <= 0.0:
             t = horizon
@@ -209,7 +174,10 @@ def _run(model, horizon, seed, initial, pinned):
 
 
 def simulate(model: NetworkModel, horizon, seed, initial=None) -> Trajectory:
-    """Exact trajectory of the network chain up to the horizon."""
+    """Exact trajectory of the network chain up to the horizon.
+
+    `initial` is (x, j), with the background j as
+    `BlockKernel.background_index` takes it; None starts empty in j = 0."""
     return _run(model, horizon, seed, initial, frozenset())
 
 

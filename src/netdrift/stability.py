@@ -28,9 +28,9 @@ from .induced_chains import (
     _json_safe,
     check_sign_conditions,
     drift_table,
+    nominal_condition,
     subset_name,
 )
-from .primitives import map_arrival_rate, ph_mean
 from .service_disciplines import NetworkModel
 
 DECISION_MARGIN = 1e-9
@@ -51,21 +51,6 @@ SUBSET_14 = frozenset((1, 4))
 SUBSET_23 = frozenset((2, 3))
 SUBSET_123 = frozenset((1, 2, 3))
 SUBSET_134 = frozenset((1, 3, 4))
-
-
-def nominal_condition(model: NetworkModel):
-    """Utilization vector and the load-per-station feasibility flag."""
-    lam1 = map_arrival_rate(model.map1)
-    lam3 = map_arrival_rate(model.map3)
-    h = [ph_mean(ph) for ph in model.ph]
-    rho = np.array([
-        lam1 * h[0],
-        lam1 * h[1],
-        (model.p * lam1 + lam3) * h[2],
-        (model.p * lam1 + lam3) * h[3],
-    ])
-    holds = bool(rho[0] + rho[3] < 1.0 and rho[1] + rho[2] < 1.0)
-    return rho, holds
 
 
 def _strictly_violated(sign_report):

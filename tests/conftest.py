@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from netdrift import build_network, exponential_ph, poisson_map
+from netdrift import BlockKernel, build_network, exponential_ph, poisson_map
 
 
 def exp_model(discipline="non_preemptive", K=None, lam1=0.8, lam3=0.4,
@@ -52,3 +52,17 @@ def priority_sample(rng):
 @pytest.fixture
 def np_model():
     return exp_model()
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """The BlockKernel instances constructed while the test runs."""
+    built = []
+    init = BlockKernel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockKernel, "__init__", counting)
+    return built

@@ -20,11 +20,11 @@ from netdrift import (
     drift_table,
     estimate_drift,
     generator_block,
+    kernel_of,
     lyapunov_certificate,
     simulate,
     simulate_saturated,
     spiral_path,
-    uniformize,
 )
 from netdrift.generator import assemble_lattice
 from netdrift.cli import main
@@ -147,7 +147,7 @@ def test_criterion_3_numeric_matches_closed(both_mode_tables):
 
 
 def test_criterion_4_generator_soundness(np_model):
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     L, S0 = 4, kernel.S0
     Q = assemble_lattice(lambda s: kernel.q_blocks(s), 4, L, S0, fold=True)
     P = assemble_lattice(lambda s: kernel.p_blocks(s), 4, L, S0, fold=True)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from netdrift import (
+    BlockKernel,
     boundary_face,
     build_induced_chain,
     build_network,
@@ -15,11 +16,10 @@ from netdrift import (
     exponential_ph,
     generator_block,
     hyperexponential_ph,
+    kernel_of,
     mmpp_map,
     poisson_map,
     regime_signature,
-    uniformization_constant,
-    uniformize,
     validate_map,
     write_generator_triplets,
 )
@@ -69,14 +69,22 @@ def test_regime_signature_collapses_counts():
 # --- generator soundness --------------------------------------------------------
 
 def test_q_rows_sum_to_zero_everywhere(np_model):
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     for sig in ALL_SIGS:
         total = sum(B.sum(axis=1) for B in kernel.q_blocks(sig).values())
         assert np.max(np.abs(total)) <= 1e-10, sig
 
 
+def test_shared_q_blocks_are_read_only(np_model):
+    blocks = kernel_of(np_model).q_blocks((1, 1, 1, 1))
+    for B in blocks.values():
+        with pytest.raises(ValueError):
+            B[0, 0] = 1.0
+    assert kernel_of(np_model).q_blocks((1, 1, 1, 1)) is blocks
+
+
 def test_p_rows_are_stochastic(np_model):
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     for sig in ALL_SIGS:
         blocks = kernel.p_blocks(sig)
         total = sum(B.sum(axis=1) for B in blocks.values())
@@ -86,7 +94,7 @@ def test_p_rows_are_stochastic(np_model):
 
 
 def test_mean_increments_respect_skip_free_bound(np_model):
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     for sig in ALL_SIGS:
         alpha = np.zeros(4)
         for z, B in kernel.p_blocks(sig).items():
@@ -146,18 +154,18 @@ def test_uniformization_constant_value():
     # per-component maxima: C1 and C3 contribute 1 each, each station's
     # worst diagonal is max(service rate, dummy drain rate 1) = 1
     assert max_exit_rate(model) == pytest.approx(4.0)
-    assert uniformization_constant(model) == pytest.approx(4.2)
+    assert kernel_of(model).nu == pytest.approx(4.2)
 
 
 def test_uniformization_scales_with_rates():
-    base = uniformization_constant(exp_model())
-    scaled = uniformization_constant(
-        exp_model(lam1=0.8 * 3, lam3=0.4 * 3, mus=(12.0, 7.2, 12.6, 6.6)))
+    base = kernel_of(exp_model()).nu
+    scaled = kernel_of(
+        exp_model(lam1=0.8 * 3, lam3=0.4 * 3, mus=(12.0, 7.2, 12.6, 6.6))).nu
     assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
 
 def test_nu_bounds_every_diagonal(np_model):
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     for sig in ALL_SIGS:
         Q0 = kernel.q_blocks(sig)[(0, 0, 0, 0)]
         assert kernel.nu >= np.max(-np.diag(Q0)) - 1e-12
@@ -165,12 +173,12 @@ def test_nu_bounds_every_diagonal(np_model):
 
 def test_nu_too_small_rejected(np_model):
     with pytest.raises(NuTooSmall):
-        uniformize(np_model, nu=0.5 * max_exit_rate(np_model))
+        BlockKernel(np_model, nu=0.5 * max_exit_rate(np_model))
 
 
 def test_doubling_nu_halves_offdiagonal_blocks(np_model):
-    k1 = uniformize(np_model)
-    k2 = uniformize(np_model, nu=2.0 * k1.nu)
+    k1 = kernel_of(np_model)
+    k2 = BlockKernel(np_model, nu=2.0 * k1.nu)
     sig = (2, 2, 2, 2)
     for z, B in k1.p_blocks(sig).items():
         if z == (0, 0, 0, 0):
@@ -180,7 +188,7 @@ def test_doubling_nu_halves_offdiagonal_blocks(np_model):
 
 def test_ctmc_and_uniformized_chain_share_stationary_vector(np_model):
     # on the all-saturated induced chain the two descriptions coincide
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     QN = sum(kernel.q_blocks((2, 2, 2, 2)).values())
     PN = np.eye(kernel.S0) + QN / kernel.nu
     A = QN.T.copy()
@@ -220,10 +228,26 @@ def test_probe_outside_box_is_unknown(np_model):
                                   radius=2) == UNKNOWN
 
 
+def test_background_index_is_checked(np_model):
+    kernel = kernel_of(np_model)
+    assert kernel.dims == (1, 1, 3, 3)
+    assert kernel.background_index(8) == 8
+    assert kernel.background_index((0, 0, 2, 1)) == 7
+    for bad in (-1, 9, (0, 0, 3, 0), (0, 0, -1, 0), (0, 0, 0)):
+        with pytest.raises(ValueError):
+            kernel.background_index(bad)
+    # both ends of the range: the probe neither wraps into the next cell
+    # nor hands a negative index to the search
+    for j in (-1, kernel.S0):
+        with pytest.raises(ValueError):
+            check_semi_irreducible(np_model, probe_state=((0, 0, 0, 0), j),
+                                   radius=1)
+
+
 def _reference_probe(model, radius, probe):
     """check_semi_irreducible's verdict by a plain BFS over the
     predecessor lists of every state of the box, read off the blocks."""
-    kernel = uniformize(model)
+    kernel = kernel_of(model)
     S0, side = kernel.S0, 4 * radius + 2
     cells = list(itertools.product(range(side), repeat=4))
     index = {x: i for i, x in enumerate(cells)}
@@ -314,7 +338,7 @@ def _kron_lattice(block_fn, d, L, S0, fold):
 @pytest.mark.parametrize("which", ["np", "phmap"])
 def test_assembly_matches_kronecker_reference(which, fold):
     model = exp_model() if which == "np" else phmap_model()
-    kernel = uniformize(model)
+    kernel = kernel_of(model)
     S0 = kernel.S0
     cases = [
         (build_induced_chain(kernel, (1, 2, 3)).p_blocks, 1, 4),

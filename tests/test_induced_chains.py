@@ -1,6 +1,8 @@
 """Induced saturated chains: stationary solves, drift vectors, and the
 closed-form / numeric cross-check."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -16,13 +18,13 @@ from netdrift import (
     erlang_ph,
     exponential_ph,
     hyperexponential_ph,
+    kernel_of,
     mean_displacement,
     mmpp_map,
     numeric_table,
     output_rates,
     poisson_map,
     solve_stationary,
-    uniformize,
 )
 from netdrift.errors import (
     AssumptionViolated,
@@ -39,7 +41,7 @@ N = frozenset({1, 2, 3, 4})
 
 
 def test_subset_validation():
-    kernel = uniformize(exp_model())
+    kernel = kernel_of(exp_model())
     with pytest.raises(EmptySubset):
         build_induced_chain(kernel, [])
     with pytest.raises(UnsupportedSubset):
@@ -48,7 +50,7 @@ def test_subset_validation():
 
 def test_fully_saturated_chain_solves_exactly(np_model):
     # no free coordinate: a single finite background chain, solved directly
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, N)
     sol = solve_stationary(chain)
     assert sol.converged
@@ -63,7 +65,7 @@ def test_virtual_station_chain_reduces_to_single_server_queue(np_model):
     # queue 4 receives nothing and drains; queue 1 is then a plain
     # single-server queue with load lam1/mu1 = 0.2 and its stationary
     # level marginal is geometric.
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {2, 3})
     assert chain.free == (1, 4)
     sol = solve_stationary(chain)
@@ -84,7 +86,7 @@ def test_virtual_station_chain_reduces_to_single_server_queue(np_model):
 
 
 def test_alternate_virtual_station_chain_converges(np_model):
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {1, 4})
     assert chain.free == (2, 3)
     sol = solve_stationary(chain)
@@ -98,20 +100,20 @@ def test_noncanonical_transient_subset_is_flagged(np_model):
     # Saturating {1,2,4} feeds queue 3 at rate lam3 + p*mu2 while class 2
     # monopolizes station 2, so queue 3 never completes and the free
     # chain is transient.  The solver must refuse to converge.
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {1, 2, 4})
     sol = solve_stationary(chain, levels=4, cap=16)
     assert not sol.converged
     assert sol.tail_mass > 1e-3
     assert sol.note
     with pytest.raises(NotConverged):
-        output_rates(np_model, chain, sol)
+        output_rates(chain, sol)
 
 
 def test_start_level_over_state_budget_solves_at_largest_fitting_level(np_model):
     # 32 levels squared times S0 = 9 is over the budget, 20 squared fits;
     # the {2,3} face (geometric, ratio 0.2) converges there
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {2, 3})
     sol = solve_stationary(chain, levels=32, max_states=20 ** 2 * kernel.S0 + 5)
     assert sol.converged
@@ -121,7 +123,7 @@ def test_start_level_over_state_budget_solves_at_largest_fitting_level(np_model)
 
     # a face that needs more levels than the budget holds fails with a
     # named reason after solving at the largest level that fits
-    limited = uniformize(symmetric_limited_model(3))
+    limited = kernel_of(symmetric_limited_model(3))
     chain = build_induced_chain(limited, {1, 4})
     sol = solve_stationary(chain, max_states=12 ** 2 * limited.S0)
     assert not sol.converged
@@ -134,7 +136,7 @@ def test_solver_path_is_recorded_and_only_solver_errors_fall_through(np_model, m
     for e in entries.values():
         assert len(e.diagnostics["solver"]) == len(e.diagnostics["history"])
     # 8 x 8 cells x 9 background states is past the dense solve's 400
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {2, 3})
     assert set(solve_stationary(chain).solvers) == {"ilu-gmres"}
 
@@ -187,7 +189,7 @@ def phmap_priority_models(draw):
 @given(st.one_of(st.integers(min_value=3, max_value=6).map(symmetric_limited_model),
                  phmap_priority_models()))
 def test_decay_sized_truncation_matches_fixed_level(model):
-    kernel = uniformize(model)
+    kernel = kernel_of(model)
     for A in CANONICAL_SUBSETS:
         chain = build_induced_chain(kernel, A)
         sized = solve_stationary(chain)
@@ -199,8 +201,8 @@ def test_decay_sized_truncation_matches_fixed_level(model):
         # a rate's truncation error is about the boundary mass times that
         # rate's boundary-to-mean ratio; MMPP bursts push the ratio above
         # one (up to 1.2 seen), so rates agree within 2 * TAIL_TOL
-        np.testing.assert_allclose(output_rates(model, chain, sized),
-                                   output_rates(model, chain, fixed),
+        np.testing.assert_allclose(output_rates(chain, sized),
+                                   output_rates(chain, fixed),
                                    rtol=2 * TAIL_TOL, atol=1e-12)
     if model.discipline != "limited":
         # class 2 has priority at station 2: saturating {1,2,4} starves
@@ -210,13 +212,72 @@ def test_decay_sized_truncation_matches_fixed_level(model):
         assert sol.note
 
 
+def _lift(dims, idx, w):
+    parts = [np.ones(k) for k in dims]
+    parts[idx] = w
+    return reduce(np.kron, parts)
+
+
+def _reference_output_rates(model, chain, sol):
+    """Completion rates read off the station MSPs: each completion
+    matrix's row sums, lifted to the background and weighed by the
+    stationary mass of the regime they apply in."""
+    t1, t2 = model.msp1.t, model.msp2.t
+    dims = chain.kernel.dims
+
+    def sym(c):
+        return "0" if c == 0 else "+"
+
+    def star(c):
+        return "1*" if c == 1 else "2*"
+
+    mu = np.zeros(4)
+    for sig_free, pi in sol.group_masses().items():
+        c1, c2, c3, c4 = chain.full_signature(sig_free)
+        if c1 >= 1:
+            mu[0] += pi @ _lift(dims, 2, t1[star(c1) + sym(c4)].sum(axis=1))
+        if c2 >= 1:
+            mu[1] += pi @ _lift(dims, 3, t2[sym(c3) + star(c2)].sum(axis=1))
+        if c3 >= 1:
+            mu[2] += pi @ _lift(dims, 3, t2[star(c3) + sym(c2)].sum(axis=1))
+        if c4 >= 1:
+            mu[3] += pi @ _lift(dims, 2, t1[sym(c1) + star(c4)].sum(axis=1))
+    return mu
+
+
+@pytest.mark.parametrize("which", ["np", "pr", "limited3", "phmap"])
+def test_output_rates_match_msp_reference(which):
+    if which == "phmap":
+        model = build_network(
+            mmpp_map([[-1.0, 1.0], [1.0, -1.0]], [0.5, 1.1]),
+            poisson_map(0.4),
+            erlang_ph(2, 8.0),
+            hyperexponential_ph([0.4, 0.6], [6.0, 2.0]),
+            exponential_ph(4.2),
+            exponential_ph(2.2),
+            0.3,
+            "preemptive_resume",
+        )
+    elif which == "limited3":
+        model = symmetric_limited_model(3)
+    else:
+        model = exp_model("non_preemptive" if which == "np" else "preemptive_resume")
+    kernel = kernel_of(model)
+    for A in CANONICAL_SUBSETS:
+        chain = build_induced_chain(kernel, A)
+        sol = solve_stationary(chain)
+        np.testing.assert_allclose(output_rates(chain, sol),
+                                   _reference_output_rates(model, chain, sol),
+                                   rtol=1e-13, atol=0.0, err_msg=str(sorted(A)))
+
+
 @pytest.mark.parametrize("subset", [N, frozenset({2, 3}), frozenset({1, 4})])
 def test_drift_equals_uniformization_rate_times_step_mean(np_model, subset):
     # rate-time drift and per-step mean displacement differ exactly by nu
-    kernel = uniformize(np_model)
+    kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, subset)
     sol = solve_stationary(chain)
-    mu_bar = output_rates(np_model, chain, sol)
+    mu_bar = output_rates(chain, sol)
     drift = input_rates(np_model, mu_bar) - mu_bar
     step = kernel.nu * mean_displacement(chain, sol)
     assert np.max(np.abs(drift - step)) <= 1e-8

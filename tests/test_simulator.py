@@ -2,18 +2,20 @@
 drift corroboration on saturated regimes."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from netdrift import (
     estimate_drift,
+    kernel_of,
     simulate,
     simulate_saturated,
-    uniformize,
 )
+from netdrift.cli import main
 from netdrift.errors import EmptySubset, InsufficientData
-from netdrift.simulator import SAMPLE_CAP, _TransitionCache, replication_seeds
+from netdrift.simulator import SAMPLE_CAP, replication_seeds
 
 from tests.conftest import exp_model, symmetric_limited_model
 
@@ -52,10 +54,10 @@ def test_moves_are_skip_free_at_event_resolution(np_model):
 
 
 def test_event_rates_match_generator_diagonal(np_model):
-    kernel = uniformize(np_model)
-    cache = _TransitionCache(kernel)
+    kernel = kernel_of(np_model)
     for sig in itertools.product((0, 1, 2), repeat=4):
-        cums, moves, diag = cache.get(sig)
+        cums, moves = kernel.clocks(sig)
+        diag = -np.diag(kernel.q_blocks(sig)[(0, 0, 0, 0)])
         for j in range(kernel.S0):
             total = cums[j][-1] if cums[j].size else 0.0
             assert abs(total - diag[j]) <= 1e-12 * max(1.0, diag[j])
@@ -195,5 +197,26 @@ def test_initial_state_is_respected(np_model):
     traj = simulate(np_model, 5.0, seed=9, initial=((2, 1, 0, 3), 4))
     assert tuple(traj.sample_states[0]) == (2, 1, 0, 3)
     assert traj.sample_background[0] == 4
+    traj = simulate(np_model, 5.0, seed=9, initial=((2, 1, 0, 3), (0, 0, 2, 2)))
+    assert traj.sample_background[0] == 8
     with pytest.raises(ValueError):
         simulate(np_model, 5.0, seed=9, initial=((-1, 0, 0, 0), 0))
+    # both ends of the background range are rejected, not wrapped or
+    # left to an IndexError mid-run
+    for j in (-1, 9, 99, (0, 0, 3, 0)):
+        with pytest.raises(ValueError):
+            simulate(np_model, 5.0, seed=9, initial=((0, 0, 0, 0), j))
+
+
+def test_replications_share_one_kernel(tmp_path, capsys, kernel_builds):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "arrivals": [{"poisson": 0.8}, {"poisson": 0.4}],
+        "services": [{"exponential": m} for m in (4.0, 2.4, 4.2, 2.2)],
+        "discipline": "non_preemptive",
+        "p": 0.3,
+    }))
+    assert main(["simulate", str(model), "--replications", "4",
+                 "--horizon", "50"]) == 0
+    capsys.readouterr()
+    assert len(kernel_builds) == 1

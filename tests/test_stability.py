@@ -119,6 +119,13 @@ def test_classification_both_sides(np_model):
     assert report.r1r2 > 1.0
 
 
+def test_probe_and_numeric_table_share_one_kernel(np_model, kernel_builds):
+    report = classify(np_model, mode="both")
+    assert report.semi_irreducibility == "ConfirmedSemiIrreducible"
+    assert report.table.numeric is not None
+    assert len(kernel_builds) == 1
+
+
 def test_silent_first_stream_is_inconclusive():
     report = classify(exp_model(lam1=0.0), mode="closed",
                       assume_semi_irreducible=True)
