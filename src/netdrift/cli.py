@@ -554,12 +554,10 @@ def cmd_simulate(args):
             entry["note"] = str(exc)
         replication_reports.append(entry)
         if out_dir:
-            name = out_dir / f"trajectory_{idx:03d}.csv"
-            with open(name, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["t", "x1", "x2", "x3", "x4"])
-                for row in traj.sample_rows():
-                    writer.writerow([_fmt(row[0])] + [str(v) for v in row[1:]])
+            rows = [f"{t!r},{x1},{x2},{x3},{x4}" for t, (x1, x2, x3, x4) in
+                    zip(traj.sample_times.tolist(), traj.sample_states.tolist())]
+            with open(out_dir / f"trajectory_{idx:03d}.csv", "w", newline="") as fh:
+                fh.write("t,x1,x2,x3,x4\n" + "\n".join(rows) + "\n")
     summary = {
         "horizon": args.horizon,
         "seed": args.seed,

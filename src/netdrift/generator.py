@@ -154,22 +154,34 @@ class BlockKernel:
 
     def clocks(self, sig):
         """Competing clocks out of each background state j in regime
-        `sig`: the cumulative rates of its moves and the moves (z, j2),
-        in block order, then column.  `sig` must be a tuple of ints."""
+        `sig`, as step tables: the cumulative rates of its moves as a
+        float list, and the moves as (pairs, j2), where pairs are the
+        (coordinate, change) of the displacement's nonzero entries; in
+        block order, then column.  `sig` must be a tuple of ints."""
         hit = self._clocks.get(sig)
         if hit is None:
             rates = [[] for _ in range(self.S0)]
             moves = [[] for _ in range(self.S0)]
             for z, B in self.q_blocks(sig).items():
+                pairs = tuple((i, dz) for i, dz in enumerate(z) if dz)
                 rr, cc = np.nonzero(B > RATE_TOL)
                 for j, j2 in zip(rr.tolist(), cc.tolist()):
-                    if z == (0, 0, 0, 0) and j == j2:
+                    if not pairs and j == j2:
                         continue
                     rates[j].append(B[j, j2])
-                    moves[j].append((z, j2))
-            cums = [np.cumsum(np.array(r)) if r else np.zeros(0) for r in rates]
+                    moves[j].append((pairs, j2))
+            cums = [np.cumsum(r).tolist() for r in rates]
             hit = self._clocks[sig] = (cums, moves)
         return hit
+
+    def check_state(self, state):
+        """(x, j) as (four nonnegative ints, `background_index(j)`);
+        raises ValueError when x or j names no state."""
+        x, j = state
+        x = tuple(int(v) for v in x)
+        if len(x) != 4 or min(x) < 0:
+            raise ValueError(f"queue lengths {x} must be four nonnegative counts")
+        return x, self.background_index(j)
 
     def background_index(self, j):
         """Flat index of background state j, given as an int or as the
@@ -326,11 +338,7 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
     """
     kernel = kernel_of(model)
     S0 = kernel.S0
-    if probe_state is None:
-        probe = (0, 0, 0, 0), 0
-    else:
-        x, j = probe_state
-        probe = tuple(int(v) for v in x), kernel.background_index(j)
+    probe = kernel.check_state(probe_state or ((0, 0, 0, 0), 0))
     L = radius + 1
     if any(v >= L for v in probe[0]):
         return UNKNOWN

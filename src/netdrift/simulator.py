@@ -19,16 +19,18 @@ decision procedure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 from scipy.special import stdtrit
 
 from .errors import EmptySubset, InsufficientData
-from .generator import SUBSET_ALL, kernel_of, regime_signature
+from .generator import SUBSET_ALL, kernel_of
 from .service_disciplines import NetworkModel
 
 SAMPLE_CAP = 4096
 EMPTY_TIMES_CAP = 100_000
+DRAW_BLOCK = 4096
 PIN_LEVEL = 3
 
 
@@ -44,11 +46,6 @@ class Trajectory:
             setattr(self, name, kw.pop(name))
         if kw:
             raise TypeError(f"unexpected trajectory fields {sorted(kw)}")
-
-    def sample_rows(self):
-        """Rows (t, x1, x2, x3, x4) for CSV export."""
-        for t, x in zip(self.sample_times, self.sample_states):
-            yield (float(t), int(x[0]), int(x[1]), int(x[2]), int(x[3]))
 
     def summary(self):
         span = self.horizon if self.horizon > 0 else 1.0
@@ -70,28 +67,28 @@ class Trajectory:
         }
 
 
+def _uniforms(rng):
+    """The generator's uniforms in stream order, drawn DRAW_BLOCK at a
+    time: the same floats as one `rng.random()` call each."""
+    while True:
+        yield from rng.random(DRAW_BLOCK).tolist()
+
+
 def _run(model, horizon, seed, initial, pinned):
     if horizon <= 0:
         raise InsufficientData("horizon must be positive to collect samples")
     kernel = kernel_of(model)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
+    uniforms = _uniforms(
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))))
     if initial is None:
-        x0 = tuple(PIN_LEVEL if i in pinned else 0 for i in range(1, 5))
-        j0 = 0
-    else:
-        x0, j0 = initial
-        x0 = tuple(int(v) for v in x0)
-        if any(v < 0 for v in x0):
-            raise ValueError("initial queue lengths must be nonnegative")
-        j0 = kernel.background_index(j0)
-    # virtual levels move freely on pinned coordinates; the regime is
-    # always read from the clamped vector
+        initial = tuple(PIN_LEVEL if i in pinned else 0 for i in range(1, 5)), 0
+    x0, j = kernel.check_state(initial)
+    # pinned coordinates hold virtual levels in the interior regime; the
+    # signature of the free ones follows x move by move
     x = list(x0)
-    j = j0
-
-    def clamped():
-        return tuple(PIN_LEVEL if (i + 1) in pinned else x[i] for i in range(4))
+    free = [i + 1 not in pinned for i in range(4)]
+    sig = [min(v, 2) if f else 2 for v, f in zip(x, free)]
+    cums, moves = kernel.clocks(tuple(sig))
 
     times = [0.0]
     states = [tuple(x)]
@@ -107,37 +104,34 @@ def _run(model, horizon, seed, initial, pinned):
     n_events = 0
 
     while True:
-        sig = regime_signature(clamped())
-        cums, moves = kernel.clocks(sig)
         cum = cums[j]
-        if cum.size == 0 or cum[-1] <= 0.0:
+        if not cum:
             t = horizon
             break
         total = cum[-1]
-        u = rng.random()
-        t_next = t + (-math.log(1.0 - u) / total)
+        t_next = t + (-math.log(1.0 - next(uniforms)) / total)
         if t_next >= horizon:
             t = horizon
             break
         t = t_next
-        pick = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        if pick >= len(moves[j]):
-            pick = len(moves[j]) - 1
-        z, j2 = moves[j][pick]
-        for i in range(4):
-            if z[i] > 0:
-                arrivals[i] += 1
-            elif z[i] < 0:
-                departures[i] += 1
-            x[i] += z[i]
-        j = j2
+        # searching cum[:-1] clamps a draw rounded up to the total
+        pairs, j = moves[j][bisect_right(cum, next(uniforms) * total, 0, len(cum) - 1)]
+        regime_moved = False
+        for i, dz in pairs:
+            x[i] += dz
+            (arrivals if dz > 0 else departures)[i] += 1
+            if free[i] and x[i] <= 2:
+                sig[i] = x[i]
+                regime_moved = True
         n_events += 1
-        if not pinned and x[0] == 0 and x[1] == 0 and x[2] == 0 and x[3] == 0 \
-                and any(z):
-            if len(empty_times) < EMPTY_TIMES_CAP:
-                empty_times.append(t)
-            else:
-                truncated = True
+        if regime_moved:
+            cums, moves = kernel.clocks(tuple(sig))
+            # only a move that changes the regime can empty the network
+            if not pinned and not any(x):
+                if len(empty_times) < EMPTY_TIMES_CAP:
+                    empty_times.append(t)
+                else:
+                    truncated = True
         since_sample += 1
         if since_sample >= stride:
             since_sample = 0

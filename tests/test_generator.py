@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import deque
 from functools import reduce
 
@@ -242,6 +243,13 @@ def test_background_index_is_checked(np_model):
         with pytest.raises(ValueError):
             check_semi_irreducible(np_model, probe_state=((0, 0, 0, 0), j),
                                    radius=1)
+
+
+def test_probe_queue_lengths_are_checked(np_model):
+    # a named ValueError, not numpy's complaint about coordinates
+    for x in ((-1, 0, 0, 0), (1, 2, 3), (0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(str(x))):
+            check_semi_irreducible(np_model, probe_state=(x, 0), radius=1)
 
 
 def _reference_probe(model, radius, probe):

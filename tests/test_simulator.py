@@ -3,19 +3,29 @@ drift corroboration on saturated regimes."""
 
 import itertools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
 from netdrift import (
+    build_network,
+    erlang_ph,
     estimate_drift,
+    exponential_ph,
+    hyperexponential_ph,
     kernel_of,
+    mmpp_map,
+    poisson_map,
+    regime_signature,
     simulate,
     simulate_saturated,
 )
+from netdrift import simulator
 from netdrift.cli import main
 from netdrift.errors import EmptySubset, InsufficientData
-from netdrift.simulator import SAMPLE_CAP, replication_seeds
+from netdrift.simulator import PIN_LEVEL, SAMPLE_CAP, Trajectory, replication_seeds
 
 from tests.conftest import exp_model, symmetric_limited_model
 
@@ -59,9 +69,187 @@ def test_event_rates_match_generator_diagonal(np_model):
         cums, moves = kernel.clocks(sig)
         diag = -np.diag(kernel.q_blocks(sig)[(0, 0, 0, 0)])
         for j in range(kernel.S0):
-            total = cums[j][-1] if cums[j].size else 0.0
+            total = cums[j][-1] if cums[j] else 0.0
             assert abs(total - diag[j]) <= 1e-12 * max(1.0, diag[j])
-            assert len(moves[j]) == cums[j].size
+            assert len(moves[j]) == len(cums[j])
+
+
+def _reference_clocks(kernel, sig):
+    """Clocks as arrays: numpy cumulative rates and (z, j2) moves."""
+    rates = [[] for _ in range(kernel.S0)]
+    moves = [[] for _ in range(kernel.S0)]
+    for z, B in kernel.q_blocks(sig).items():
+        rr, cc = np.nonzero(B > 1e-14)
+        for j, j2 in zip(rr.tolist(), cc.tolist()):
+            if z == (0, 0, 0, 0) and j == j2:
+                continue
+            rates[j].append(B[j, j2])
+            moves[j].append((z, j2))
+    cums = [np.cumsum(np.array(r)) if r else np.zeros(0) for r in rates]
+    return cums, moves
+
+
+def _reference_run(model, horizon, seed, initial, pinned):
+    """The event loop as first written: the signature rebuilt from the
+    clamped state, a numpy search and two scalar draws per event."""
+    kernel = kernel_of(model)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    if initial is None:
+        x0 = tuple(PIN_LEVEL if i in pinned else 0 for i in range(1, 5))
+        j0 = 0
+    else:
+        x0, j0 = initial
+        x0 = tuple(int(v) for v in x0)
+        j0 = kernel.background_index(j0)
+    x = list(x0)
+    j = j0
+    clock_tables = {}
+
+    def clamped():
+        return tuple(PIN_LEVEL if (i + 1) in pinned else x[i] for i in range(4))
+
+    times = [0.0]
+    states = [tuple(x)]
+    backgrounds = [j]
+    dep_samples = [(0, 0, 0, 0)]
+    departures = [0, 0, 0, 0]
+    arrivals = [0, 0, 0, 0]
+    empty_times = []
+    truncated = False
+    stride = 1
+    since_sample = 0
+    t = 0.0
+    n_events = 0
+
+    while True:
+        sig = regime_signature(clamped())
+        if sig not in clock_tables:
+            clock_tables[sig] = _reference_clocks(kernel, sig)
+        cums, moves = clock_tables[sig]
+        cum = cums[j]
+        if cum.size == 0 or cum[-1] <= 0.0:
+            t = horizon
+            break
+        total = cum[-1]
+        u = rng.random()
+        t_next = t + (-math.log(1.0 - u) / total)
+        if t_next >= horizon:
+            t = horizon
+            break
+        t = t_next
+        pick = int(np.searchsorted(cum, rng.random() * total, side="right"))
+        if pick >= len(moves[j]):
+            pick = len(moves[j]) - 1
+        z, j2 = moves[j][pick]
+        for i in range(4):
+            if z[i] > 0:
+                arrivals[i] += 1
+            elif z[i] < 0:
+                departures[i] += 1
+            x[i] += z[i]
+        j = j2
+        n_events += 1
+        if not pinned and x[0] == 0 and x[1] == 0 and x[2] == 0 and x[3] == 0 \
+                and any(z):
+            if len(empty_times) < simulator.EMPTY_TIMES_CAP:
+                empty_times.append(t)
+            else:
+                truncated = True
+        since_sample += 1
+        if since_sample >= stride:
+            since_sample = 0
+            times.append(t)
+            states.append(tuple(x))
+            backgrounds.append(j)
+            dep_samples.append(tuple(departures))
+            if len(times) >= SAMPLE_CAP:
+                times = times[::2]
+                states = states[::2]
+                backgrounds = backgrounds[::2]
+                dep_samples = dep_samples[::2]
+                stride *= 2
+
+    times.append(t)
+    states.append(tuple(x))
+    backgrounds.append(j)
+    dep_samples.append(tuple(departures))
+    return Trajectory(
+        seed=int(seed),
+        horizon=float(horizon),
+        sample_times=np.array(times),
+        sample_states=np.array(states, dtype=np.int64),
+        sample_background=np.array(backgrounds, dtype=np.int64),
+        sample_departures=np.array(dep_samples, dtype=np.int64),
+        empty_return_times=empty_times,
+        empty_times_truncated=truncated,
+        final_state=(tuple(x), j),
+        n_events=n_events,
+        departures=list(departures),
+        arrivals=list(arrivals),
+        saturated=frozenset(pinned) if pinned else None,
+    )
+
+
+def _phmap_priority_model():
+    return build_network(
+        mmpp_map([[-1.0, 1.0], [1.0, -1.0]], [0.5, 1.1]),
+        poisson_map(0.4),
+        erlang_ph(2, 8.0),
+        hyperexponential_ph([0.4, 0.6], [6.0, 2.0]),
+        exponential_ph(4.2),
+        exponential_ph(2.2),
+        0.3,
+        "preemptive_resume",
+    )
+
+
+def _assert_same_trajectory(got, want):
+    for name in Trajectory.__slots__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert type(a) is type(b) and a == b, name
+
+
+@pytest.mark.parametrize("case", [
+    "plain", "saturated_N", "saturated_14", "phmap", "phase_tuple", "short",
+    "drain", "empty_cap",
+])
+def test_event_loop_matches_reference(case, np_model, monkeypatch):
+    model, horizon, seed, initial, pinned = {
+        # long enough for the sample stride to double at least once
+        "plain": (np_model, 2500.0, 4, None, frozenset()),
+        "saturated_N": (np_model, 800.0, 5, None, N),
+        "saturated_14": (np_model, 800.0, 6, None, frozenset({1, 4})),
+        "phmap": (_phmap_priority_model(), 800.0, 7, ((1, 0, 2, 1), 5),
+                  frozenset()),
+        "phase_tuple": (np_model, 300.0, 8, ((2, 1, 0, 3), (0, 0, 2, 1)),
+                        frozenset()),
+        # a handful of events before the horizon cuts the run off
+        "short": (np_model, 0.7, 9, ((1, 1, 1, 1), 3), frozenset()),
+        # no arrivals: the network empties and its clocks stop
+        "drain": (exp_model(lam1=0.0, lam3=0.0), 50.0, 10, ((2, 0, 1, 0), 0),
+                  frozenset()),
+        # a lowered cap sets the truncation flag within a short run
+        "empty_cap": (np_model, 300.0, 11, None, frozenset()),
+    }[case]
+    if case == "empty_cap":
+        monkeypatch.setattr(simulator, "EMPTY_TIMES_CAP", 5)
+    want = _reference_run(model, horizon, seed, initial, pinned)
+    if pinned:
+        got = simulate_saturated(model, pinned, horizon, seed)
+    else:
+        got = simulate(model, horizon, seed, initial)
+    _assert_same_trajectory(got, want)
+    if case == "plain":
+        assert got.n_events > 2 * SAMPLE_CAP
+    if case == "empty_cap":
+        assert got.empty_times_truncated and len(got.empty_return_times) == 5
+    if case in ("short", "drain"):
+        assert got.sample_times[-1] == horizon and got.n_events < 20
+    if case == "drain":
+        assert got.final_state[0] == (0, 0, 0, 0)
 
 
 def test_single_queue_busy_fraction():
@@ -206,6 +394,13 @@ def test_initial_state_is_respected(np_model):
     for j in (-1, 9, 99, (0, 0, 3, 0)):
         with pytest.raises(ValueError):
             simulate(np_model, 5.0, seed=9, initial=((0, 0, 0, 0), j))
+
+
+def test_initial_queue_lengths_are_checked(np_model):
+    # a named ValueError, not an IndexError from inside the event loop
+    for x in ((1, 2, 3), (0, 0, 0, 0, 1), (0, -2, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(str(x))):
+            simulate(np_model, 5.0, seed=9, initial=(x, 0))
 
 
 def test_replications_share_one_kernel(tmp_path, capsys, kernel_builds):
