@@ -13,7 +13,6 @@ validation failure, 3 parse or usage error, 5 internal error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import csv
 import json
@@ -461,6 +460,8 @@ def cmd_sweep(args):
     payloads = [(model_dict, path, v, args.mode, args.levels, args.cap)
                 for v in values]
     if args.jobs > 1 and len(payloads) > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:

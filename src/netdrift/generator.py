@@ -31,8 +31,6 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import NuTooSmall, SkipFreeViolation
 from .service_disciplines import NetworkModel
@@ -275,6 +273,10 @@ def assemble_lattice(block_fn, d, L, S0, fold=True):
     With fold=True, entries folded onto one state are summed in the
     order they were emitted: signature, then displacement, then cell.
     """
+    # scipy loads here and in the probe, not at module level, so that
+    # parsing and simulation import numpy alone
+    import scipy.sparse as sp
+
     if d == 0:
         blocks = block_fn(())
         return sp.csr_matrix(sum(blocks.values()))
@@ -336,6 +338,8 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
     above 1e-14 between distinct states.  The probe state is (x, j), with
     j as `BlockKernel.background_index` takes it.
     """
+    from scipy.sparse.csgraph import breadth_first_order
+
     kernel = kernel_of(model)
     S0 = kernel.S0
     probe = kernel.check_state(probe_state or ((0, 0, 0, 0), 0))

@@ -20,8 +20,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     AssumptionViolated,
@@ -164,6 +162,8 @@ _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
 
 def _ilu_gmres(A, b):
+    import scipy.sparse.linalg as spla
+
     # incomplete LU settings measured on the 2-D faces at n = 9k-26k: the
     # coarse factor is the cheapest, and GMRES still reaches ~1e-15
     ilu = spla.spilu(A, drop_tol=1e-2, fill_factor=5)
@@ -184,6 +184,11 @@ def _stationary_of(P):
     through to the next path, and power iteration ("power") ends the
     chain (multiple closed classes, conditioning).
     """
+    # imported per call, like the lattice assembly that builds P, so
+    # that importing this module loads no scipy
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = P.shape[0]
     b = np.zeros(n)
     b[0] = 1.0

@@ -14,8 +14,6 @@ at the bottom build those plus Erlang and hyperexponential variants.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BetaSumNotOne,
@@ -130,11 +128,13 @@ def validate_map(C, D):
             f"rows of C + D must sum to 0, worst residual {np.max(np.abs(rowsum)):.3e}"
         )
     if m > 1:
-        G = C + D
-        adj = (G > ZERO_TOL).astype(np.int8)
-        np.fill_diagonal(adj, 0)
-        ncomp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
-        if ncomp != 1:
+        # strongly connected iff every phase reaches every other: square
+        # the one-step reachability (self-loops added) until it spans
+        # paths of m - 1 steps, then ask for an all-true closure
+        reach = ((C + D) > ZERO_TOL) | np.eye(m, dtype=bool)
+        for _ in range(m.bit_length()):
+            reach = reach @ reach
+        if not reach.all():
             raise ReducibleGenerator("C + D is not irreducible")
     return MAPSpec(C.copy(), D.copy(), m)
 

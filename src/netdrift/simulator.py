@@ -22,7 +22,6 @@ import math
 from bisect import bisect_right
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import EmptySubset, InsufficientData
 from .generator import SUBSET_ALL, kernel_of
@@ -210,10 +209,29 @@ class DriftEstimate:
         }
 
 
+# scipy.special.stdtrit(df, 0.975) for df = 1..19: estimate_drift's
+# default of 20 batches never needs more, so simulation loads no scipy
+T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087,
+)
+
+
 def _batch_ci(values):
     values = np.asarray(values, float)
     n = len(values)
-    half = stdtrit(n - 1, 0.975) * values.std(ddof=1) / math.sqrt(n)
+    df = n - 1
+    if 1 <= df <= len(T975):
+        t = T975[df - 1]
+    else:
+        from scipy.special import stdtrit
+        t = stdtrit(df, 0.975)
+    half = t * values.std(ddof=1) / math.sqrt(n)
     # invariant floor: half-widths are strictly positive even for
     # constant batches
     return float(max(half, np.finfo(float).tiny))

@@ -1,0 +1,71 @@
+"""Parsing and simulation load numpy alone; scipy waits for the first
+lattice assembly, probe or face solve."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import netdrift
+
+README_MODEL = {
+    "arrivals": [{"poisson": 0.8}, {"poisson": 0.4}],
+    "services": [
+        {"exponential": 5.0},
+        {"exponential": 2.4},
+        {"exponential": 5.0},
+        {"exponential": 2.2},
+    ],
+    "p": 0.3,
+    "discipline": "non_preemptive",
+}
+
+# two-phase arrivals, so the MAP connectivity check runs
+MMPP_MODEL = dict(README_MODEL, arrivals=[
+    {"mmpp": {"switch": [[-0.5, 0.5], [1.0, -1.0]], "rates": [1.2, 0.4]}},
+    {"poisson": 0.4},
+])
+
+# runs in a fresh interpreter: other tests in this process import scipy
+SCRIPT = """
+import json, sys
+
+def no_scipy(step):
+    loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+    assert not loaded, f"{step} loaded {loaded[:5]}"
+
+model, mmpp, out = sys.argv[1:4]
+import netdrift
+no_scipy("import netdrift")
+from netdrift.cli import load_model, main
+no_scipy("import netdrift.cli")
+load_model(model)
+load_model(mmpp)
+no_scipy("load_model")
+assert main(["simulate", model, "--saturate", "N", "--horizon", "400",
+             "--seed", "3", "--replications", "2", "--out", out + "/sat"]) == 0
+summary = json.load(open(out + "/sat/summary.json"))
+assert summary["agreement"] is not None
+no_scipy("simulate --saturate N")
+assert main(["simulate", model, "--horizon", "200", "--seed", "3",
+             "--out", out + "/plain"]) == 0
+no_scipy("simulate")
+assert main(["analyze", model, "--out", out + "/report.json"]) == 0
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_parse_and_simulate_load_no_scipy(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(README_MODEL))
+    mmpp = tmp_path / "mmpp.json"
+    mmpp.write_text(json.dumps(MMPP_MODEL))
+    src = str(Path(netdrift.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(model), str(mmpp), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -86,6 +86,48 @@ def test_map_rejects_reducible_pair():
         validate_map([[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]])
 
 
+def _map_on_graph(rng, adj):
+    """A MAP whose rate graph is adj: each edge's rate goes to C or D at
+    random, self-loops to D, and C's diagonal closes the rows."""
+    rates = adj * rng.uniform(0.5, 2.0, adj.shape)
+    in_d = rng.random(adj.shape) < 0.5
+    np.fill_diagonal(in_d, True)
+    C = np.where(in_d, 0.0, rates)
+    D = np.where(in_d, rates, 0.0)
+    np.fill_diagonal(C, -rates.sum(axis=1))
+    return C, D
+
+
+def test_map_irreducibility_matches_csgraph():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(20261018)
+    graphs = []
+    for m in range(1, 9):
+        graphs.append(np.eye(m, dtype=bool))  # self-loops only
+        graphs.append(np.eye(m, k=1, dtype=bool))  # one-way chain
+        graphs.append(np.eye(m, k=1, dtype=bool) | np.eye(m, k=1 - m, dtype=bool))
+        for density in (0.15, 0.3, 0.5, 0.7):
+            graphs.extend(rng.random((m, m)) < density for _ in range(10))
+    verdicts = []
+    for adj in graphs:
+        ref = adj.copy()
+        np.fill_diagonal(ref, False)
+        ncomp, _ = connected_components(csr_matrix(ref), directed=True,
+                                        connection="strong")
+        C, D = _map_on_graph(rng, adj)
+        try:
+            validate_map(C, D)
+            irreducible = True
+        except ReducibleGenerator:
+            irreducible = False
+        assert irreducible == (ncomp == 1), adj.astype(int)
+        verdicts.append(irreducible)
+    assert len(verdicts) == 344
+    assert 50 < sum(verdicts) < 294
+
+
 def test_map_rejects_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         validate_map([[-1.0]], [[0.5, 0.5], [0.5, 0.5]])

@@ -366,6 +366,24 @@ def test_insufficient_data_paths(np_model):
         estimate_drift(simulate(np_model, 100.0, seed=1), burn_in=1.0)
 
 
+def test_t_table_matches_stdtrit():
+    from scipy.special import stdtrit
+
+    assert len(simulator.T975) == 19
+    for df, t in enumerate(simulator.T975, start=1):
+        assert t == stdtrit(df, 0.975), df
+
+
+@pytest.mark.parametrize("n", [2, 20, 21, 25])
+def test_batch_ci_matches_stdtrit_formula(n):
+    # 2 and 20 read the table; 21 and 25 take the scipy path
+    from scipy.special import stdtrit
+
+    values = np.random.default_rng(n).normal(1.0, 0.3, n)
+    old = stdtrit(n - 1, 0.975) * values.std(ddof=1) / math.sqrt(n)
+    assert simulator._batch_ci(values) == float(max(old, np.finfo(float).tiny))
+
+
 def test_saturation_subset_validation(np_model):
     with pytest.raises(EmptySubset):
         simulate_saturated(np_model, [], 10.0, seed=1)
