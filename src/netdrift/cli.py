@@ -43,7 +43,7 @@ from .errors import (
     SingularH,
     UnsupportedSubset,
 )
-from .generator import check_semi_irreducible
+from .generator import check_semi_irreducible, kernel_of
 from .induced_chains import CANONICAL_SUBSETS, drift_table, subset_name
 from .primitives import (
     erlang_ph,
@@ -397,8 +397,7 @@ def cmd_validate(args):
         "p": model.p,
         "arrivalRates": [map_arrival_rate(model.map1), map_arrival_rate(model.map3)],
         "serviceRates": list(model.service_rates),
-        "backgroundStates": model.map1.dim * model.map3.dim
-        * model.msp1.n * model.msp2.n,
+        "backgroundStates": kernel_of(model).S0,
         "semiIrreducibility": status,
     }
     _emit_json(report, args.out)

@@ -108,11 +108,11 @@ class InducedChainSolution:
 
     __slots__ = (
         "A", "free", "levels", "dist", "residual", "tail_mass",
-        "converged", "history", "solvers", "note",
+        "converged", "history", "note",
     )
 
     def __init__(self, A, free, levels, dist, residual, tail_mass, converged,
-                 history, solvers, note):
+                 history, note):
         self.A = A
         self.free = free
         self.levels = levels
@@ -121,7 +121,6 @@ class InducedChainSolution:
         self.tail_mass = tail_mass
         self.converged = converged
         self.history = history
-        self.solvers = solvers
         self.note = note
 
     def group_masses(self):
@@ -157,78 +156,67 @@ class InducedChainSolution:
 
 
 # a failed linear solve raises one of these; warnings count because the
-# solves run with warnings raised as errors
+# solve runs with warnings raised as errors
 _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
 
-def _ilu_gmres(A, b):
-    import scipy.sparse.linalg as spla
-
-    # incomplete LU settings measured on the 2-D faces at n = 9k-26k: the
-    # coarse factor is the cheapest, and GMRES still reaches ~1e-15
-    ilu = spla.spilu(A, drop_tol=1e-2, fill_factor=5)
-    M = spla.LinearOperator(A.shape, ilu.solve)
-    pi, info = spla.gmres(A, b, M=M, rtol=1e-13, atol=0.0, maxiter=300,
-                          restart=80)
-    return pi if info == 0 else None
-
-
 def _stationary_of(P):
-    """Stationary row vector of a finite stochastic matrix, and the name
-    of the path that found it.
+    """Stationary row vector of a finite stochastic CSR matrix and a
+    note, or None and the reason the solve failed.
 
-    Solves the balance equations with one equation replaced by
-    normalization: densely ("dense") up to 400 states, else by
-    ILU-preconditioned GMRES ("ilu-gmres") and then sparse LU
-    ("spsolve").  A result that fails the 1e-9 stationarity check falls
-    through to the next path, and power iteration ("power") ends the
-    chain (multiple closed classes, conditioning).
+    The balance equations have a unique solution on each closed
+    communicating class of P's stored nonzeros.  This solves them on
+    the class holding the lowest-indexed recurrent state, one equation
+    replaced by normalization, by ILU-preconditioned GMRES, and puts
+    zero mass everywhere else.  The note names the class solved when P
+    has several.  A solver error, a GMRES stop short of its tolerance,
+    or a result that fails the 1e-9 stationarity check on the whole of
+    P is a failure.
     """
     # imported per call, like the lattice assembly that builds P, so
     # that importing this module loads no scipy
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
+    from scipy.sparse.csgraph import connected_components
 
     n = P.shape[0]
-    b = np.zeros(n)
+    count, labels = connected_components(P, directed=True, connection="strong")
+    # a class is closed when none of its states has an edge out of it
+    source = labels[np.repeat(np.arange(n), np.diff(P.indptr))]
+    exits = np.zeros(count, dtype=bool)
+    exits[source[source != labels[P.indices]]] = True
+    first = int(np.argmax(~exits[labels]))
+    keep = np.flatnonzero(labels == labels[first])
+    closed = count - int(exits.sum())
+    note = (f"{closed} closed classes; solved the one holding state {first} "
+            f"({keep.size} states)" if closed > 1 else "")
+
+    m = keep.size
+    A = (P[keep][:, keep].T - sp.identity(m, format="csr")).tocsr()
+    A = sp.vstack([sp.csr_matrix(np.ones((1, m))), A[1:, :]], format="csc")
+    b = np.zeros(m)
     b[0] = 1.0
-    if n <= 400:
-        A = (P.toarray() if sp.issparse(P) else np.asarray(P)).T - np.eye(n)
-        A[0, :] = 1.0
-        paths = (("dense", np.linalg.solve),)
-    else:
-        A = (P.T - sp.identity(n, format="csr")).tocsr()
-        A = sp.vstack([sp.csr_matrix(np.ones((1, n))), A[1:, :]], format="csc")
-        # preconditioned iterative solve first: direct LU fill-in is
-        # prohibitive on the lattice-times-background graphs
-        paths = (("ilu-gmres", _ilu_gmres), ("spsolve", spla.spsolve))
-    for name, solve in paths:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                pi = solve(A, b)
-        except _SOLVE_ERRORS:
-            continue
-        if pi is None or not np.all(np.isfinite(pi)) or pi.min() < -1e-8 or pi.sum() <= 0:
-            continue
-        pi = np.clip(pi, 0.0, None)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # incomplete LU settings measured on the 2-D faces at n =
+            # 9k-26k: the coarse factor is the cheapest, and GMRES still
+            # reaches ~1e-15
+            ilu = spla.spilu(A, drop_tol=1e-2, fill_factor=5)
+            M = spla.LinearOperator(A.shape, ilu.solve)
+            x, info = spla.gmres(A, b, M=M, rtol=1e-13, atol=0.0, maxiter=300,
+                                 restart=80)
+    except _SOLVE_ERRORS as exc:
+        return None, f"ilu-gmres failed: {type(exc).__name__}: {exc}"
+    pi = np.zeros(n)
+    pi[keep] = np.clip(x, 0.0, None)
+    if pi.sum() > 0:
         pi /= pi.sum()
-        if np.max(np.abs(pi @ P - pi)) <= 1e-9:
-            return pi, name
-    # power iteration: P has strictly positive diagonal, so this converges
-    pi = np.full(n, 1.0 / n)
-    for _ in range(200000):
-        nxt = pi @ P
-        nxt = np.asarray(nxt).ravel()
-        s = nxt.sum()
-        if s <= 0:
-            break
-        nxt /= s
-        delta = np.max(np.abs(nxt - pi))
-        pi = nxt
-        if delta <= 1e-14:
-            break
-    return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum(), "power"
+    residual = float(np.max(np.abs(pi @ P - pi)))
+    if info != 0 or not (x.min() >= -1e-8 and residual <= 1e-9):
+        return None, (f"ilu-gmres failed: GMRES info {info}, least entry "
+                      f"{x.min():.3g}, stationarity residual {residual:.3g}")
+    return pi, note
 
 
 # per-level decay of the boundary mass at or above which a face is taken
@@ -293,35 +281,40 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
     signature of a transient chain) and stops the growth, as does the
     cap.  A level over the `max_states` budget is replaced by the largest
     level that fits; the growth stops only when that level is no larger
-    than the current one.
+    than the current one.  A failed solve (see `_stationary_of`) stops
+    the growth too, with the failure in the note.
     """
     d = len(chain.free)
     S0 = chain.kernel.S0
 
+    def failed(L, history, note):
+        return InducedChainSolution(chain.A, chain.free, L, None, np.inf,
+                                    np.inf, False, history, note)
+
     if d == 0:
         P = assemble_lattice(chain.p_blocks, 0, 1, S0, fold=True)
-        pi, solver = _stationary_of(P)
+        pi, note = _stationary_of(P)
+        if pi is None:
+            return failed(0, [], note)
         residual = float(np.max(np.abs(pi @ P - pi)))
-        dist = pi.reshape((S0,))
         return InducedChainSolution(
-            chain.A, chain.free, 0, dist, residual, 0.0,
-            residual <= RESIDUAL_TOL, [(0, residual, 0.0)], [solver], "",
+            chain.A, chain.free, 0, pi, residual, 0.0,
+            residual <= RESIDUAL_TOL, [(0, residual, 0.0)], note,
         )
 
     fits = _largest_fitting_level(d, S0, max_states)
     if fits < 1:
-        return InducedChainSolution(
-            chain.A, chain.free, 0, None, np.inf, np.inf, False, [], [],
-            f"state budget {max_states} is below {S0} background states",
-        )
+        return failed(0, [], f"state budget {max_states} is below {S0} "
+                             "background states")
     L = min(int(levels), fits)
     budget_note = (f"level {int(levels)} exceeds the state budget; "
                    f"started at level {L}" if L < int(levels) else "")
     history = []
-    solvers = []
     while True:
         P = assemble_lattice(chain.p_blocks, d, L, S0, fold=True)
-        pi, solver = _stationary_of(P)
+        pi, note = _stationary_of(P)
+        if pi is None:
+            return failed(L, history, f"level {L}: {note}")
         resid_vec = np.abs(pi @ P - pi)
         grid = resid_vec.reshape((L,) * d + (S0,))
         interior = grid[(slice(0, L - 1),) * d]
@@ -334,11 +327,10 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
             on_boundary[tuple(idx)] = True
         tail = float(dist[on_boundary].sum())
         history.append((L, residual, tail))
-        solvers.append(solver)
         if residual <= RESIDUAL_TOL and tail <= TAIL_TOL:
             return InducedChainSolution(
                 chain.A, chain.free, L, dist, residual, tail, True, history,
-                solvers, budget_note,
+                "; ".join(filter(None, (budget_note, note))),
             )
         if len(history) >= 2 and history[-2][2] > 0.0:
             prev_L, _, prev_tail = history[-2]
@@ -357,8 +349,7 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
             break
         L = nxt
     return InducedChainSolution(
-        chain.A, chain.free, L, dist, residual, tail, False, history, solvers,
-        note,
+        chain.A, chain.free, L, dist, residual, tail, False, history, note,
     )
 
 
@@ -516,42 +507,30 @@ class DriftTable:
         }
 
 
-def _priority_closed(lam1, lam3, p, mu):
+def _priority_closed(lam1, lam3, mu):
     mu1, mu2, mu3, mu4 = mu
-    out = {
+    return {
         SUBSET_ALL: (0.0, mu2, 0.0, mu4),
         frozenset((1, 2, 3)): (mu1, mu2, 0.0, 0.0),
         frozenset((1, 3, 4)): (0.0, 0.0, mu3, mu4),
         frozenset((1, 4)): (0.0, 0.0, lam3, mu4),
         frozenset((2, 3)): (lam1, mu2, 0.0, 0.0),
     }
-    entries = {}
-    for A, rates in out.items():
-        rates = np.array(rates)
-        inp = np.array([lam1, rates[0], lam3 + p * rates[1], rates[2]])
-        entries[A] = DriftEntry(A, inp, rates, inp - rates, "ClosedForm")
-    return entries
 
 
-def _limited_closed(lam1, lam3, p, mu, K):
+def _limited_closed(lam1, lam3, mu, K):
     mu1, mu2 = mu[0], mu[1]
     D = 1.0 / mu1 + K / mu2
     g = 1.0 / D
     gK = K / D
     m_active = (1.0 + (K - 1) * mu1 / mu2) / D
-    out = {
+    return {
         SUBSET_ALL: (g, gK, g, gK),
         frozenset((1, 2, 3)): (m_active, gK, g, g),
         frozenset((1, 3, 4)): (g, g, m_active, gK),
         frozenset((1, 4)): (g, g, lam3, gK),
         frozenset((2, 3)): (lam1, gK, g, g),
     }
-    entries = {}
-    for A, rates in out.items():
-        rates = np.array(rates)
-        inp = np.array([lam1, rates[0], lam3 + p * rates[1], rates[2]])
-        entries[A] = DriftEntry(A, inp, rates, inp - rates, "ClosedForm")
-    return entries
 
 
 def nominal_condition(model: NetworkModel):
@@ -586,8 +565,8 @@ def closed_form_table(model: NetworkModel):
                 "closed form needs mu1 > mu2 and mu3 > mu4 "
                 f"(got mu={tuple(round(v, 6) for v in mu)})"
             )
-        return _priority_closed(lam1, lam3, model.p, mu)
-    if model.discipline == "limited":
+        out = _priority_closed(lam1, lam3, mu)
+    elif model.discipline == "limited":
         scale = max(abs(lam1), abs(lam3), *mu)
         symmetric = (
             abs(lam1 - lam3) <= 1e-9 * scale
@@ -607,10 +586,17 @@ def closed_form_table(model: NetworkModel):
             raise AssumptionViolated(
                 f"visit budget K={model.K} must exceed K*={kstar:.6g}"
             )
-        return _limited_closed(lam1, lam3, model.p, mu, model.K)
-    raise ClosedFormUnavailable(
-        f"no closed-form drift table for discipline {model.discipline!r}"
-    )
+        out = _limited_closed(lam1, lam3, mu, model.K)
+    else:
+        raise ClosedFormUnavailable(
+            f"no closed-form drift table for discipline {model.discipline!r}"
+        )
+    entries = {}
+    for A, rates in out.items():
+        rates = np.array(rates)
+        inp = input_rates(model, rates)
+        entries[A] = DriftEntry(A, inp, rates, inp - rates, "ClosedForm")
+    return entries
 
 
 def numeric_table(model: NetworkModel, levels=8, cap=512,
@@ -627,7 +613,6 @@ def numeric_table(model: NetworkModel, levels=8, cap=512,
             "tailMass": sol.tail_mass,
             "converged": sol.converged,
             "history": sol.history,
-            "solver": sol.solvers,
         }
         if sol.note:
             diag["note"] = sol.note

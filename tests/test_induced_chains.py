@@ -6,13 +6,15 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from scipy.sparse.csgraph import connected_components
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdrift import (
     CANONICAL_SUBSETS,
     build_induced_chain,
     build_network,
+    classify,
     closed_form_table,
     drift_table,
     erlang_ph,
@@ -25,6 +27,7 @@ from netdrift import (
     output_rates,
     poisson_map,
     solve_stationary,
+    subset_name,
 )
 from netdrift.errors import (
     AssumptionViolated,
@@ -32,7 +35,8 @@ from netdrift.errors import (
     NotConverged,
     UnsupportedSubset,
 )
-from netdrift.induced_chains import TAIL_TOL, input_rates
+from netdrift.generator import assemble_lattice
+from netdrift.induced_chains import TAIL_TOL, InducedChainSolution, input_rates
 
 from tests.conftest import exp_model, symmetric_limited_model
 
@@ -131,20 +135,48 @@ def test_start_level_over_state_budget_solves_at_largest_fitting_level(np_model)
     assert "state budget" in sol.note
 
 
-def test_solver_path_is_recorded_and_only_solver_errors_fall_through(np_model, monkeypatch):
-    entries, _ = numeric_table(np_model)
-    for e in entries.values():
-        assert len(e.diagnostics["solver"]) == len(e.diagnostics["history"])
-    # 8 x 8 cells x 9 background states is past the dense solve's 400
+def test_failed_solves_fail_loudly(np_model, monkeypatch):
+    # 8 x 8 cells x 9 background states; this face grows to level 11
     kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {2, 3})
-    assert set(solve_stationary(chain).solvers) == {"ilu-gmres"}
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(spla, "spilu", singular)
-    assert set(solve_stationary(chain).solvers) == {"spsolve"}
+    sol = solve_stationary(chain)
+    assert not sol.converged and sol.history == []
+    assert "ilu-gmres" in sol.note
+    assert "RuntimeError: Factor is exactly singular" in sol.note
+    with pytest.raises(NotConverged, match="ilu-gmres"):
+        output_rates(chain, sol)
+
+    # every face fails, and each one is named among the reasons
+    for model in (np_model, FROZEN_PHASE_MODEL):
+        report = classify(model, mode="numeric", assume_semi_irreducible=True)
+        assert report.classification == "Inconclusive"
+        for A in CANONICAL_SUBSETS:
+            assert any(f"on face {subset_name(A)} unavailable" in r
+                       and "ilu-gmres" in r for r in report.reasons), \
+                (subset_name(A), report.reasons)
+    monkeypatch.undo()
+
+    # GMRES stopping short at the second level keeps the first level's
+    # history
+    gmres = spla.gmres
+    calls = []
+
+    def stalled(*args, **kwargs):
+        calls.append(None)
+        x, info = gmres(*args, **kwargs)
+        return x, 300 if len(calls) > 1 else info
+
+    monkeypatch.setattr(spla, "gmres", stalled)
+    sol = solve_stationary(chain)
+    assert not sol.converged
+    assert [L for L, _, _ in sol.history] == [8]
+    assert sol.note.startswith("level 11: ilu-gmres")
+    assert "info 300" in sol.note and "residual" in sol.note
 
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -154,12 +186,7 @@ def test_solver_path_is_recorded_and_only_solver_errors_fall_through(np_model, m
         solve_stationary(chain)
 
 
-@st.composite
-def phmap_priority_models(draw):
-    """Priority models with MMPP class-1 arrivals, Erlang-2 and
-    hyperexponential services, every class load at most 0.45 so that a
-    32-level truncation converges on every face."""
-    u = [draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(9)]
+def _phmap_priority_model(u, discipline):
     lam1 = 0.3 + 0.3 * u[0]
     switch = 0.5 + 1.5 * u[1]
     spread = 0.1 + 0.4 * u[2]
@@ -181,13 +208,64 @@ def phmap_priority_models(draw):
         exponential_ph(2.0 * mu4),
         exponential_ph(mu4),
         p,
-        draw(st.sampled_from(("non_preemptive", "preemptive_resume"))),
+        discipline,
     )
+
+
+@st.composite
+def phmap_priority_models(draw):
+    """Priority models with MMPP class-1 arrivals, Erlang-2 and
+    hyperexponential services, every class load at most 0.45 so that a
+    32-level truncation converges on every face."""
+    u = [draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(9)]
+    return _phmap_priority_model(
+        u, draw(st.sampled_from(("non_preemptive", "preemptive_resume"))))
+
+
+# the all-zeros draw under preemptive resume (S0 = 40): while class 4 is
+# saturated, class 1 is never served and the phase of its interrupted
+# Erlang-2 service is frozen, so faces N, {1,3,4} and {1,4} have two
+# closed classes
+FROZEN_PHASE_MODEL = _phmap_priority_model([0.0] * 9, "preemptive_resume")
+
+
+def test_faces_with_two_closed_classes_converge():
+    kernel = kernel_of(FROZEN_PHASE_MODEL)
+    for A in (N, frozenset({1, 3, 4}), frozenset({1, 4})):
+        chain = build_induced_chain(kernel, A)
+        sol = solve_stationary(chain)
+        assert sol.converged
+        assert "2 closed classes" in sol.note
+        # the reference: the other closed class of the same truncation,
+        # solved densely
+        d = len(chain.free)
+        P = assemble_lattice(chain.p_blocks, d, max(sol.levels, 1), kernel.S0)
+        count, labels = connected_components(P, connection="strong")
+        rows, cols = P.nonzero()
+        closed = set(range(count)) - set(labels[rows[labels[rows] != labels[cols]]])
+        assert len(closed) == 2
+        solved = labels[np.argmax(sol.dist.ravel() > 0)]
+        assert solved in closed
+        other = labels == (closed - {solved}).pop()
+        B = P.toarray()[np.ix_(other, other)].T - np.eye(other.sum())
+        B[0, :] = 1.0
+        rhs = np.zeros(other.sum())
+        rhs[0] = 1.0
+        pi = np.zeros(P.shape[0])
+        pi[other] = np.linalg.solve(B, rhs)
+        assert np.max(np.abs(pi @ P - pi)) <= 1e-12
+        ref = InducedChainSolution(A, chain.free, sol.levels,
+                                   pi.reshape(sol.dist.shape), 0.0, 0.0, True,
+                                   [], "")
+        np.testing.assert_allclose(output_rates(chain, sol),
+                                   output_rates(chain, ref),
+                                   rtol=1e-10, atol=0.0, err_msg=subset_name(A))
 
 
 @settings(max_examples=5, deadline=None)
 @given(st.one_of(st.integers(min_value=3, max_value=6).map(symmetric_limited_model),
                  phmap_priority_models()))
+@example(FROZEN_PHASE_MODEL)
 def test_decay_sized_truncation_matches_fixed_level(model):
     kernel = kernel_of(model)
     for A in CANONICAL_SUBSETS:
