@@ -253,17 +253,20 @@ def parse_model_dict(data):
         raise ModelFileError("discipline", str(exc)) from exc
 
 
-def load_model(path):
-    """Parse and validate the model file at `path`."""
+def _load_json(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
+        raise ModelParseError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelParseError(f"malformed JSON in {path}: {exc}") from exc
-    return parse_model_dict(data)
+
+
+def load_model(path):
+    """Parse and validate the model file at `path`."""
+    return parse_model_dict(_load_json(path))
 
 
 def canonical_model_dict(model):
@@ -351,7 +354,8 @@ def apply_parameter(model_dict, path, value):
 # --- output helpers -----------------------------------------------------------
 
 def _dump_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # a non-finite number is not JSON: fail rather than write Infinity
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_meta(target: Path):
@@ -477,17 +481,6 @@ def cmd_sweep(args):
             target.close()
             _write_meta(Path(args.out).with_name(Path(args.out).name + ".meta.json"))
     return 0
-
-
-def _load_json(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ModelParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _parse_subset(text):

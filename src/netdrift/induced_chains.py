@@ -599,18 +599,18 @@ def closed_form_table(model: NetworkModel):
     return entries
 
 
-def numeric_table(model: NetworkModel, levels=8, cap=512,
-                  max_states=3_000_000):
+def numeric_table(model: NetworkModel, levels=8, cap=512):
     """Numeric drift entries for the canonical subsets."""
     kernel = kernel_of(model)
     entries = {}
     for A in CANONICAL_SUBSETS:
         chain = build_induced_chain(kernel, A)
-        sol = solve_stationary(chain, levels=levels, cap=cap, max_states=max_states)
+        sol = solve_stationary(chain, levels=levels, cap=cap)
+        # a failed solve reports inf for both, which JSON cannot hold: null
         diag = {
             "levels": sol.levels,
-            "residual": sol.residual,
-            "tailMass": sol.tail_mass,
+            "residual": sol.residual if math.isfinite(sol.residual) else None,
+            "tailMass": sol.tail_mass if math.isfinite(sol.tail_mass) else None,
             "converged": sol.converged,
             "history": sol.history,
         }
@@ -628,8 +628,8 @@ def numeric_table(model: NetworkModel, levels=8, cap=512,
     return entries, kernel.nu
 
 
-def drift_table(model: NetworkModel, mode="both", levels=8, cap=512,
-                max_states=3_000_000) -> DriftTable:
+def drift_table(model: NetworkModel, mode="both", levels=8,
+                cap=512) -> DriftTable:
     """Assemble the drift table in the requested mode.
 
     "both" computes closed and numeric tables and cross-checks them at
@@ -653,8 +653,7 @@ def drift_table(model: NetworkModel, mode="both", levels=8, cap=512,
     numeric = None
     nu = None
     if mode in ("numeric", "both"):
-        numeric, nu = numeric_table(model, levels=levels, cap=cap,
-                                    max_states=max_states)
+        numeric, nu = numeric_table(model, levels=levels, cap=cap)
     cross = None
     if closed is not None and numeric is not None:
         cross = {"tolerance": CROSS_CHECK_TOL, "subsets": {}, "ok": True}

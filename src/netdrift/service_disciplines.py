@@ -77,8 +77,45 @@ class MSPSpec:
         return f"MSPSpec(kind={self.kind!r}, n={self.n})"
 
 
-def _outer(col, row):
-    return np.outer(col, row)
+def _layout(ph_lo: PHSpec, ph_hi: PHSpec, blocks: int):
+    """The state layout every built-in discipline shares, [idle |
+    background phases | `blocks` blocks of other-class phases], with the
+    rules all of them obey already written in.
+
+    Returns (n, lo, blk, t, u): `lo` slices the background phases and
+    `blk(j)` the j-th other-class block.  The caller adds its own rules.
+    """
+    s1, s4 = ph_lo.dim, ph_hi.dim
+    n = 1 + s1 + blocks * s4
+    lo = slice(1, 1 + s1)
+    b1 = ph_lo.beta
+
+    def blk(j):
+        a = 1 + s1 + j * s4
+        return slice(a, a + s4)
+
+    t = {k: np.zeros((n, n)) for k in T_KEYS}
+    # both queues empty: every busy phase is a placeholder draining to idle
+    t["00"][1:, 0] = 1.0
+    t["00"][1:, 1:] = -np.eye(n - 1)
+    # idle is a placeholder whenever a queue is non-empty
+    for key in ("+0", "0+", "++"):
+        t[key][0, 0] = -1.0
+    # background busy, other queue empty
+    t["+0"][0, lo] = b1
+    t["+0"][lo, lo] = ph_lo.H
+    t["1*0"][lo, 0] = ph_lo.h
+    t["2*0"][lo, lo] = np.outer(ph_lo.h, b1)
+    # background queue empty: its phases are placeholders
+    t["0+"][lo, lo] = -np.eye(s1)
+
+    # a background arrival to an empty system starts service at once; an
+    # arrival that finds the server busy leaves its state alone
+    u = {key: np.eye(n) for key in ("+*0", "+0*", "0*+", "0+*", "+*+", "++*")}
+    u["0*0"] = np.zeros((n, n))
+    u["0*0"][:, lo] = b1
+    u["00*"] = np.zeros((n, n))
+    return n, lo, blk, t, u
 
 
 def build_nonpreemptive_msp(ph_lo: PHSpec, ph_hi: PHSpec) -> MSPSpec:
@@ -87,66 +124,33 @@ def build_nonpreemptive_msp(ph_lo: PHSpec, ph_hi: PHSpec) -> MSPSpec:
 
     State layout: [idle | background phases | other phases].
     """
-    s1, s4 = ph_lo.dim, ph_hi.dim
-    n = 1 + s1 + s4
-    lo = slice(1, 1 + s1)
-    hi = slice(1 + s1, n)
+    n, lo, blk, t, u = _layout(ph_lo, ph_hi, 1)
+    hi = blk(0)
     b1, H1, h1 = ph_lo.beta, ph_lo.H, ph_lo.h
     b4, H4, h4 = ph_hi.beta, ph_hi.H, ph_hi.h
-    I1, I4 = np.eye(s1), np.eye(s4)
-    one1, one4 = np.ones(s1), np.ones(s4)
 
-    t = {k: np.zeros((n, n)) for k in T_KEYS}
-    u = {}
+    # other queue empty: its phases are placeholders
+    t["+0"][hi, lo] = b1
+    t["+0"][hi, hi] = -np.eye(ph_hi.dim)
 
-    # both queues empty: every busy phase is a placeholder draining to idle
-    t["00"][lo, 0] = 1.0
-    t["00"][lo, lo] = -I1
-    t["00"][hi, 0] = 1.0
-    t["00"][hi, hi] = -I4
-
-    # background busy, other queue empty
-    t["+0"][0, 0] = -1.0
-    t["+0"][0, lo] = b1
-    t["+0"][lo, lo] = H1
-    t["+0"][hi, lo] = _outer(one4, b1)
-    t["+0"][hi, hi] = -I4
-    t["1*0"][lo, 0] = h1
-    t["2*0"][lo, lo] = _outer(h1, b1)
-
-    # background queue empty, other busy
-    t["0+"][0, 0] = -1.0
-    t["0+"][0, hi] = b4
-    t["0+"][lo, lo] = -I1
-    t["0+"][lo, hi] = _outer(one1, b4)
+    # background queue empty, other busy: idle and the background
+    # placeholders start an other-class service
+    t["0+"][:hi.start, hi] = b4
     t["0+"][hi, hi] = H4
     t["01*"][hi, 0] = h4
-    t["02*"][hi, hi] = _outer(h4, b4)
+    t["02*"][hi, hi] = np.outer(h4, b4)
 
     # both busy: an ongoing background service finishes, otherwise the
     # other class holds the server
-    t["++"][0, 0] = -1.0
     t["++"][0, hi] = b4
     t["++"][lo, lo] = H1
     t["++"][hi, hi] = H4
-    t["1*+"][lo, hi] = _outer(h1, b4)
-    t["2*+"][lo, hi] = _outer(h1, b4)
-    t["+1*"][hi, lo] = _outer(h4, b1)
-    t["+2*"][hi, hi] = _outer(h4, b4)
+    t["1*+"][lo, hi] = t["2*+"][lo, hi] = np.outer(h1, b4)
+    t["+1*"][hi, lo] = np.outer(h4, b1)
+    t["+2*"][hi, hi] = np.outer(h4, b4)
 
-    # arrival to an empty system starts service immediately
-    u["0*0"] = np.zeros((n, n))
-    u["0*0"][0, lo] = b1
-    u["0*0"][lo, lo] = _outer(one1, b1)
-    u["0*0"][hi, lo] = _outer(one4, b1)
-    u["00*"] = np.zeros((n, n))
-    u["00*"][0, hi] = b4
-    u["00*"][lo, hi] = _outer(one1, b4)
-    u["00*"][hi, hi] = _outer(one4, b4)
-    for key in ("+*0", "+0*", "0*+", "0+*", "+*+", "++*"):
-        u[key] = np.eye(n)
-
-    return validate_msp(MSPSpec(n, s1, s4, t, u, "non_preemptive"))
+    u["00*"][:, hi] = b4
+    return validate_msp(MSPSpec(n, ph_lo.dim, ph_hi.dim, t, u, "non_preemptive"))
 
 
 def build_preemptive_resume_msp(ph_lo: PHSpec, ph_hi: PHSpec) -> MSPSpec:
@@ -158,79 +162,38 @@ def build_preemptive_resume_msp(ph_lo: PHSpec, ph_hi: PHSpec) -> MSPSpec:
     interrupted background phase k].  Block k means "serving the other
     class, background service frozen in phase k".
     """
-    s1, s4 = ph_lo.dim, ph_hi.dim
-    n = 1 + s1 + s1 * s4
-    lo = slice(1, 1 + s1)
-    b1, H1, h1 = ph_lo.beta, ph_lo.H, ph_lo.h
+    s1 = ph_lo.dim
+    n, lo, blk, t, u = _layout(ph_lo, ph_hi, s1)
+    b1 = ph_lo.beta
     b4, H4, h4 = ph_hi.beta, ph_hi.H, ph_hi.h
-    I1, I4 = np.eye(s1), np.eye(s4)
-    one1, one4 = np.ones(s1), np.ones(s4)
 
-    def blk(k):
-        a = 1 + s1 + k * s4
-        return slice(a, a + s4)
-
-    t = {k: np.zeros((n, n)) for k in T_KEYS}
-    u = {}
-
-    t["00"][1:, 0] = 1.0
-    t["00"][1:, 1:] = -np.eye(n - 1)
-
-    t["+0"][0, 0] = -1.0
-    t["+0"][0, lo] = b1
-    t["+0"][lo, lo] = H1
-    for k in range(s1):
-        # placeholder interrupted blocks resume background phase k
-        t["+0"][blk(k), 1 + k] = 1.0
-        t["+0"][blk(k), blk(k)] = -I4
-    t["1*0"][lo, 0] = h1
-    t["2*0"][lo, lo] = _outer(h1, b1)
-
-    t["0+"][0, 0] = -1.0
-    t["0+"][lo, lo] = -I1
-    for k in range(s1):
-        # with no background job present the frozen phase is drawn fresh
-        t["0+"][0, blk(k)] = b1[k] * b4
-        t["0+"][lo, blk(k)] = b1[k] * _outer(one1, b4)
-        t["0+"][blk(k), blk(k)] = H4
-        t["01*"][blk(k), 0] = h4
-        t["02*"][blk(k), blk(k)] = _outer(h4, b4)
-
-    t["++"][0, 0] = -1.0
-    t["++"][lo, lo] = -I1
-    for k in range(s1):
-        t["++"][0, blk(k)] = b1[k] * b4
-        t["++"][lo, blk(k)] = b1[k] * _outer(one1, b4)
-        t["++"][blk(k), blk(k)] = H4
-        # background service cannot complete while interrupted
-        t["+1*"][blk(k), 1 + k] = h4
-        t["+2*"][blk(k), blk(k)] = _outer(h4, b4)
-    # t["1*+"] and t["2*+"] stay zero
-
-    u["0*0"] = np.zeros((n, n))
-    u["0*0"][0, lo] = b1
-    u["0*0"][lo, lo] = _outer(one1, b1)
-    for k in range(s1):
-        u["0*0"][blk(k), lo] = _outer(one4, b1)
-
-    u["00*"] = np.zeros((n, n))
-    row = np.zeros(n)
-    for k in range(s1):
-        row[blk(k)] = b1[k] * b4
-    u["00*"][:] = row
-
-    # an other-class arrival during a background service interrupts it at
-    # the current phase
+    # both busy: the other class holds the server, so the background
+    # phases are placeholders
+    t["++"][lo, lo] = -np.eye(s1)
     u["+0*"] = np.zeros((n, n))
     for k in range(s1):
-        u["+0*"][0, blk(k)] = b1[k] * b4
-        u["+0*"][1 + k, blk(k)] = b4
-        u["+0*"][blk(k), blk(k)] = I4
+        b = blk(k)
+        # placeholder interrupted blocks resume background phase k
+        t["+0"][b, 1 + k] = 1.0
+        t["+0"][b, b] = -np.eye(ph_hi.dim)
+        for key in ("0+", "++"):
+            # with no background service in progress the frozen phase is
+            # drawn fresh
+            t[key][:1 + s1, b] = b1[k] * b4
+            t[key][b, b] = H4
+        t["01*"][b, 0] = h4
+        t["02*"][b, b] = t["+2*"][b, b] = np.outer(h4, b4)
+        # background service cannot complete while interrupted, so
+        # t["1*+"] and t["2*+"] stay zero
+        t["+1*"][b, 1 + k] = h4
+        u["00*"][:, b] = b1[k] * b4
+        # an other-class arrival during a background service interrupts
+        # it at the current phase
+        u["+0*"][0, b] = b1[k] * b4
+        u["+0*"][1 + k, b] = b4
+        u["+0*"][b, b] = np.eye(ph_hi.dim)
 
-    for key in ("+*0", "0*+", "0+*", "+*+", "++*"):
-        u[key] = np.eye(n)
-
-    return validate_msp(MSPSpec(n, s1, s4, t, u, "preemptive_resume"))
+    return validate_msp(MSPSpec(n, s1, ph_hi.dim, t, u, "preemptive_resume"))
 
 
 def build_limited_msp(ph_lo: PHSpec, ph_hi: PHSpec, K: int) -> MSPSpec:
@@ -245,72 +208,35 @@ def build_limited_msp(ph_lo: PHSpec, ph_hi: PHSpec, K: int) -> MSPSpec:
     if not isinstance(K, (int, np.integer)) or isinstance(K, bool) or K < 1:
         raise InvalidK(f"K must be an integer >= 1, got {K!r}")
     K = int(K)
-    s1, s4 = ph_lo.dim, ph_hi.dim
-    n = 1 + s1 + K * s4
-    lo = slice(1, 1 + s1)
+    n, lo, slot, t, u = _layout(ph_lo, ph_hi, K)
+    first = slot(0)
     b1, H1, h1 = ph_lo.beta, ph_lo.H, ph_lo.h
     b4, H4, h4 = ph_hi.beta, ph_hi.H, ph_hi.h
-    I1, I4 = np.eye(s1), np.eye(s4)
-    one1, one4 = np.ones(s1), np.ones(s4)
 
-    def slot(j):
-        a = 1 + s1 + j * s4
-        return slice(a, a + s4)
-
-    t = {k: np.zeros((n, n)) for k in T_KEYS}
-    u = {}
-
-    t["00"][1:, 0] = 1.0
-    t["00"][1:, 1:] = -np.eye(n - 1)
-
-    t["+0"][0, 0] = -1.0
-    t["+0"][0, lo] = b1
-    t["+0"][lo, lo] = H1
+    # a visit starts at slot 1: from idle or a background placeholder, or
+    # when a background service ends with the other queue busy
+    t["0+"][:first.start, first] = b4
+    t["++"][0, first] = b4
+    t["++"][lo, lo] = H1
+    t["1*+"][lo, first] = t["2*+"][lo, first] = np.outer(h1, b4)
     for j in range(K):
-        t["+0"][slot(j), lo] = _outer(one4, b1)
-        t["+0"][slot(j), slot(j)] = -I4
-    t["1*0"][lo, 0] = h1
-    t["2*0"][lo, lo] = _outer(h1, b1)
-
-    t["0+"][0, 0] = -1.0
-    t["0+"][0, slot(0)] = b4
-    t["0+"][lo, lo] = -I1
-    t["0+"][lo, slot(0)] = _outer(one1, b4)
-    for j in range(K):
-        t["0+"][slot(j), slot(j)] = H4
+        # other queue empty: the slots are placeholders
+        t["+0"][slot(j), lo] = b1
+        t["+0"][slot(j), slot(j)] = -np.eye(ph_hi.dim)
+        t["0+"][slot(j), slot(j)] = t["++"][slot(j), slot(j)] = H4
         # last job of this class leaving: back to idle from any slot
         t["01*"][slot(j), 0] = h4
-    for j in range(K - 1):
-        t["02*"][slot(j), slot(j + 1)] = _outer(h4, b4)
-    # after the K-th service the (empty) background queue is visited and
-    # skipped, so the cycle restarts at slot 1
-    t["02*"][slot(K - 1), slot(0)] = _outer(h4, b4)
-
-    t["++"][0, 0] = -1.0
-    t["++"][0, slot(0)] = b4
-    t["++"][lo, lo] = H1
-    for j in range(K):
-        t["++"][slot(j), slot(j)] = H4
-    t["1*+"][lo, slot(0)] = _outer(h1, b4)
-    t["2*+"][lo, slot(0)] = _outer(h1, b4)
-    for j in range(K):
-        t["+1*"][slot(j), lo] = _outer(h4, b1)
-    for j in range(K - 1):
-        t["+2*"][slot(j), slot(j + 1)] = _outer(h4, b4)
+        t["+1*"][slot(j), lo] = np.outer(h4, b1)
+        # after the K-th service the (empty) background queue is visited
+        # and skipped, so the cycle restarts at slot 1
+        t["02*"][slot(j), slot((j + 1) % K)] = np.outer(h4, b4)
+        if j + 1 < K:
+            t["+2*"][slot(j), slot(j + 1)] = np.outer(h4, b4)
     # visit budget exhausted: switch to the background class
-    t["+2*"][slot(K - 1), lo] = _outer(h4, b1)
+    t["+2*"][slot(K - 1), lo] = np.outer(h4, b1)
 
-    u["0*0"] = np.zeros((n, n))
-    u["0*0"][0, lo] = b1
-    u["0*0"][lo, lo] = _outer(one1, b1)
-    for j in range(K):
-        u["0*0"][slot(j), lo] = _outer(one4, b1)
-    u["00*"] = np.zeros((n, n))
-    u["00*"][:, slot(0)] = np.broadcast_to(b4, (n, s4))
-    for key in ("+*0", "+0*", "0*+", "0+*", "+*+", "++*"):
-        u[key] = np.eye(n)
-
-    return validate_msp(MSPSpec(n, s1, s4, t, u, f"limited:{K}"))
+    u["00*"][:, first] = b4
+    return validate_msp(MSPSpec(n, ph_lo.dim, ph_hi.dim, t, u, f"limited:{K}"))
 
 
 def validate_msp(spec: MSPSpec) -> MSPSpec:
@@ -366,9 +292,6 @@ def validate_msp(spec: MSPSpec) -> MSPSpec:
                 f"t[{base!r}] + {'+'.join(completions)} row sums reach {worst:.3e}"
             )
     return spec
-
-
-BUILTIN_DISCIPLINES = ("non_preemptive", "preemptive_resume", "limited", "custom")
 
 
 class NetworkModel:

@@ -209,8 +209,11 @@ class DriftEstimate:
         }
 
 
-# scipy.special.stdtrit(df, 0.975) for df = 1..19: estimate_drift's
-# default of 20 batches never needs more, so simulation loads no scipy
+# batch-means batches per estimate: at most 19 degrees of freedom
+BATCHES = 20
+
+# Student t 0.975 quantiles for df = 1..BATCHES-1 (stdtrit's values, bit
+# for bit), so a simulation loads numpy alone
 T975 = (
     12.706204736174694, 4.302652729749462, 3.1824463052837078,
     2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
@@ -225,19 +228,13 @@ T975 = (
 def _batch_ci(values):
     values = np.asarray(values, float)
     n = len(values)
-    df = n - 1
-    if 1 <= df <= len(T975):
-        t = T975[df - 1]
-    else:
-        from scipy.special import stdtrit
-        t = stdtrit(df, 0.975)
-    half = t * values.std(ddof=1) / math.sqrt(n)
+    half = T975[n - 2] * values.std(ddof=1) / math.sqrt(n)
     # invariant floor: half-widths are strictly positive even for
     # constant batches
     return float(max(half, np.finfo(float).tiny))
 
 
-def estimate_drift(traj: Trajectory, burn_in=0.2, batches=20) -> DriftEstimate:
+def estimate_drift(traj: Trajectory, burn_in=0.2) -> DriftEstimate:
     """Least-squares queue-length slopes after burn-in, with batch-means
     confidence half-widths, plus windowed departure rates."""
     if not 0.0 <= burn_in < 1.0:
@@ -257,10 +254,10 @@ def estimate_drift(traj: Trajectory, burn_in=0.2, batches=20) -> DriftEstimate:
     slopes = [float(np.polyfit(t, X[:, i], 1)[0]) for i in range(4)]
     span = t[-1] - t[0]
     dep_rates = [float((D[-1, i] - D[0, i]) / span) for i in range(4)]
-    edges = np.linspace(0, n, batches + 1, dtype=int)
+    edges = np.linspace(0, n, BATCHES + 1, dtype=int)
     slope_batches = [[] for _ in range(4)]
     rate_batches = [[] for _ in range(4)]
-    for b in range(batches):
+    for b in range(BATCHES):
         lo, hi = edges[b], edges[b + 1]
         if hi - lo < 2 or t[hi - 1] <= t[lo]:
             continue

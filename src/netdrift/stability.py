@@ -36,6 +36,8 @@ from .service_disciplines import NetworkModel
 DECISION_MARGIN = 1e-9
 EQUALITY_TOL = 1e-9
 RATIO_FORM_TOL = 1e-10
+# epsilon steps c 2^-1 .. c 2^-64 tried by the certificate search
+CERTIFICATE_GRID = 64
 
 POSITIVE_RECURRENT = "PositiveRecurrent"
 TRANSIENT = "Transient"
@@ -53,39 +55,30 @@ SUBSET_123 = frozenset((1, 2, 3))
 SUBSET_134 = frozenset((1, 3, 4))
 
 
-def _strictly_violated(sign_report):
-    return [
-        c for c in sign_report["conditions"]
-        if not c["ok"] and not c.get("marginal", False)
-    ]
+def _failure(c):
+    """Why one sign condition of a `check_sign_conditions` report fails."""
+    where = f"queue {c['queue']} on face {c['subset']}"
+    if c["value"] is None:
+        return f"drift for {where} unavailable: {c['note']}"
+    if c["marginal"]:
+        return (f"ratio conditions degenerate: drift of {where} is within "
+                f"{EQUALITY_TOL:g} of zero")
+    return f"sign condition failed: {where} needs {c['required']}, got {c['value']:.6g}"
 
 
-def _marginal(sign_report):
-    return [c for c in sign_report["conditions"] if c.get("marginal", False)]
-
-
-def _raise_on_strict(sign_report):
-    bad = _strictly_violated(sign_report)
+def _require_signs(table, count_marginal=False):
+    """Raise SignConditionViolated naming every failed sign condition;
+    marginal ones count only with `count_marginal`."""
+    bad = [_failure(c) for c in check_sign_conditions(table)["conditions"]
+           if not c["ok"] and (count_marginal or not c["marginal"])]
     if bad:
-        parts = []
-        for c in bad:
-            if c["value"] is None:
-                parts.append(
-                    f"drift for queue {c['queue']} on face {c['subset']} unavailable"
-                )
-            else:
-                parts.append(
-                    f"queue {c['queue']} on face {c['subset']} needs "
-                    f"{c['required']}, got {c['value']:.6g}"
-                )
-        raise SignConditionViolated("; ".join(parts))
+        raise SignConditionViolated("; ".join(bad))
 
 
 def compute_r1_r2(table: DriftTable):
     """The two contraction ratios, with the determinant and ratio forms
     cross-checked against each other."""
-    sign_report = check_sign_conditions(table)
-    _raise_on_strict(sign_report)
+    _require_signs(table)
     d123 = table.drifts(SUBSET_123)
     d134 = table.drifts(SUBSET_134)
     d14 = table.drifts(SUBSET_14)
@@ -115,8 +108,7 @@ def _compare(lhs, rhs):
 def check_ratio_conditions(table: DriftTable):
     """Compare the saturated-interior drift ratios against the two-face
     ones and report which inequality variant holds."""
-    sign_report = check_sign_conditions(table)
-    _raise_on_strict(sign_report)
+    _require_signs(table)
     dN = table.drifts(SUBSET_ALL)
     d14 = table.drifts(SUBSET_14)
     d23 = table.drifts(SUBSET_23)
@@ -208,7 +200,7 @@ def _minor_formulas(diag, shrink):
     return out
 
 
-def lyapunov_certificate(table: DriftTable, max_grid=64) -> LyapunovCertificate:
+def lyapunov_certificate(table: DriftTable) -> LyapunovCertificate:
     """Search the construction grid for a verified certificate.
 
     The diagonal comes from the contraction ratios (geometric-mean
@@ -229,7 +221,7 @@ def lyapunov_certificate(table: DriftTable, max_grid=64) -> LyapunovCertificate:
     u22 = (r32 * math.sqrt(r2 / r1)) ** 2
     directions = {A: table.direction(A) for A in CANONICAL_SUBSETS}
     last_eps, last_delta = None, None
-    for k in range(1, max_grid + 1):
+    for k in range(1, CERTIFICATE_GRID + 1):
         shrink = 2.0 ** -k
         delta = 0.0
         feasible = True
@@ -306,10 +298,7 @@ class SpiralPath:
 def spiral_path(table: DriftTable, start=1.0) -> SpiralPath:
     """Trace the piecewise-linear boundary path from the first axis
     around to itself; the return point contracts by exactly r1 * r2."""
-    sign_report = check_sign_conditions(table)
-    _raise_on_strict(sign_report)
-    if _marginal(sign_report):
-        raise SignConditionViolated("a drift is within margin of zero; path degenerate")
+    _require_signs(table, count_marginal=True)
     s = float(start)
     if not s > 0.0:
         raise AssumptionViolated("spiral start must be positive")
@@ -361,10 +350,9 @@ class StabilityReport:
 
 
 def classify(model: NetworkModel, *, mode="both", levels=8, cap=512,
-             max_states=3_000_000, margin=DECISION_MARGIN,
-             assume_semi_irreducible=False, probe_radius=3,
-             with_certificate=False, with_spiral=False,
-             spiral_start=1.0) -> StabilityReport:
+             margin=DECISION_MARGIN, assume_semi_irreducible=False,
+             probe_radius=3, with_certificate=False,
+             with_spiral=False) -> StabilityReport:
     """Full decision pipeline on one model."""
     rho, nominal = nominal_condition(model)
     reasons = []
@@ -378,8 +366,7 @@ def classify(model: NetworkModel, *, mode="both", levels=8, cap=512,
                 "semi-irreducibility not confirmed by the reachability probe; "
                 "rerun with a larger probe radius or assert it explicitly"
             )
-    table = drift_table(model, mode=mode, levels=levels, cap=cap,
-                        max_states=max_states)
+    table = drift_table(model, mode=mode, levels=levels, cap=cap)
     notes.extend(table.notes)
     if table.cross_check is not None and not table.cross_check["ok"]:
         notes.append(
@@ -387,25 +374,7 @@ def classify(model: NetworkModel, *, mode="both", levels=8, cap=512,
             f"{table.cross_check['tolerance']:g} relative"
         )
     sign_report = check_sign_conditions(table)
-    for cond in sign_report["conditions"]:
-        if cond["ok"]:
-            continue
-        if cond["value"] is None:
-            reasons.append(
-                f"drift for queue {cond['queue']} on face {cond['subset']} "
-                f"unavailable: {cond.get('note', 'solve did not converge')}"
-            )
-        elif cond.get("marginal", False):
-            reasons.append(
-                "ratio conditions degenerate: drift of queue "
-                f"{cond['queue']} on face {cond['subset']} is within "
-                f"{EQUALITY_TOL:g} of zero"
-            )
-        else:
-            reasons.append(
-                f"sign condition failed: queue {cond['queue']} on face "
-                f"{cond['subset']} needs {cond['required']}, got {cond['value']:.6g}"
-            )
+    reasons.extend(_failure(c) for c in sign_report["conditions"] if not c["ok"])
     r1 = r2 = r1r2 = None
     ratio_res = None
     verdict = INCONCLUSIVE
@@ -413,9 +382,8 @@ def classify(model: NetworkModel, *, mode="both", levels=8, cap=512,
         ratio_res = check_ratio_conditions(table)
         r1, r2 = compute_r1_r2(table)
         r1r2 = r1 * r2
-        if ratio_res["degenerate"]:
-            reasons.append("ratio conditions degenerate")
-        elif ratio_res["variant"] == VARIANT_NEITHER:
+        # never degenerate here: its 8 drifts are among the 14 that hold
+        if ratio_res["variant"] == VARIANT_NEITHER:
             reasons.append("neither ratio-condition variant holds")
         elif r1r2 < 1.0 - margin:
             verdict = POSITIVE_RECURRENT
@@ -439,7 +407,7 @@ def classify(model: NetworkModel, *, mode="both", levels=8, cap=512,
             notes.append(str(exc))
     spiral = None
     if with_spiral and sign_report["allHold"]:
-        spiral = spiral_path(table, spiral_start)
+        spiral = spiral_path(table)
     return StabilityReport(
         rho=rho, nominal_holds=nominal, semi_irreducibility=irreducibility,
         sign_conditions=sign_report, ratio_conditions=ratio_res,

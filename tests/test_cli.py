@@ -186,6 +186,33 @@ def test_analyze_numeric_fallback_for_asymmetric_limited(tmp_path, capsys):
     assert report["driftTable"]["numeric"] is not None
 
 
+def test_failed_faces_write_standard_json(tmp_path, capsys, monkeypatch):
+    # a face whose solve fails has no residual or tail mass: the report
+    # says null, not the non-standard Infinity
+    import scipy.sparse.linalg as spla
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "spilu", singular)
+    readme = dict(BASE_MODEL, services=[{"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)])
+    model = write_json(tmp_path, "readme.json", readme)
+    out = tmp_path / "report.json"
+    code, _, _ = run(capsys, ["analyze", model, "--mode", "numeric",
+                              "--assume-semi-irreducible", "--out", str(out)])
+    assert code == 4
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    faces = report["driftTable"]["numeric"]
+    assert len(faces) == 5
+    for face in faces:
+        assert face["diagnostics"]["residual"] is None
+        assert face["diagnostics"]["tailMass"] is None
+
+
 def test_analyze_reports_failed_sign_premises(tmp_path, capsys):
     # queue 3 drains faster than it fills even when saturated, so the
     # ratio framework's sign premises fail and the verdict is withheld

@@ -222,3 +222,239 @@ def test_build_network_rejects_bad_probability():
     with pytest.raises(NegativeProbability):
         build_network(poisson_map(1.0), poisson_map(1.0), *phs, 1.5,
                       "non_preemptive")
+
+
+# --- builders against a written-out reference ----------------------------------
+#
+# Reference builders that each write the whole [idle | background |
+# other-class blocks] layout by hand; the builders on the shared layout
+# must reproduce every matrix exactly.
+
+def _reference_nonpreemptive(ph_lo, ph_hi):
+    s1, s4 = ph_lo.dim, ph_hi.dim
+    n = 1 + s1 + s4
+    lo = slice(1, 1 + s1)
+    hi = slice(1 + s1, n)
+    b1, H1, h1 = ph_lo.beta, ph_lo.H, ph_lo.h
+    b4, H4, h4 = ph_hi.beta, ph_hi.H, ph_hi.h
+    I1, I4 = np.eye(s1), np.eye(s4)
+    one1, one4 = np.ones(s1), np.ones(s4)
+
+    t = {k: np.zeros((n, n)) for k in T_KEYS}
+    u = {}
+
+    # both queues empty: every busy phase is a placeholder draining to idle
+    t["00"][lo, 0] = 1.0
+    t["00"][lo, lo] = -I1
+    t["00"][hi, 0] = 1.0
+    t["00"][hi, hi] = -I4
+
+    # background busy, other queue empty
+    t["+0"][0, 0] = -1.0
+    t["+0"][0, lo] = b1
+    t["+0"][lo, lo] = H1
+    t["+0"][hi, lo] = np.outer(one4, b1)
+    t["+0"][hi, hi] = -I4
+    t["1*0"][lo, 0] = h1
+    t["2*0"][lo, lo] = np.outer(h1, b1)
+
+    # background queue empty, other busy
+    t["0+"][0, 0] = -1.0
+    t["0+"][0, hi] = b4
+    t["0+"][lo, lo] = -I1
+    t["0+"][lo, hi] = np.outer(one1, b4)
+    t["0+"][hi, hi] = H4
+    t["01*"][hi, 0] = h4
+    t["02*"][hi, hi] = np.outer(h4, b4)
+
+    # both busy: an ongoing background service finishes, otherwise the
+    # other class holds the server
+    t["++"][0, 0] = -1.0
+    t["++"][0, hi] = b4
+    t["++"][lo, lo] = H1
+    t["++"][hi, hi] = H4
+    t["1*+"][lo, hi] = np.outer(h1, b4)
+    t["2*+"][lo, hi] = np.outer(h1, b4)
+    t["+1*"][hi, lo] = np.outer(h4, b1)
+    t["+2*"][hi, hi] = np.outer(h4, b4)
+
+    # arrival to an empty system starts service immediately
+    u["0*0"] = np.zeros((n, n))
+    u["0*0"][0, lo] = b1
+    u["0*0"][lo, lo] = np.outer(one1, b1)
+    u["0*0"][hi, lo] = np.outer(one4, b1)
+    u["00*"] = np.zeros((n, n))
+    u["00*"][0, hi] = b4
+    u["00*"][lo, hi] = np.outer(one1, b4)
+    u["00*"][hi, hi] = np.outer(one4, b4)
+    for key in ("+*0", "+0*", "0*+", "0+*", "+*+", "++*"):
+        u[key] = np.eye(n)
+
+    return MSPSpec(n, s1, s4, t, u, "non_preemptive")
+
+
+def _reference_preemptive_resume(ph_lo, ph_hi):
+    s1, s4 = ph_lo.dim, ph_hi.dim
+    n = 1 + s1 + s1 * s4
+    lo = slice(1, 1 + s1)
+    b1, H1, h1 = ph_lo.beta, ph_lo.H, ph_lo.h
+    b4, H4, h4 = ph_hi.beta, ph_hi.H, ph_hi.h
+    I1, I4 = np.eye(s1), np.eye(s4)
+    one1, one4 = np.ones(s1), np.ones(s4)
+
+    def blk(k):
+        a = 1 + s1 + k * s4
+        return slice(a, a + s4)
+
+    t = {k: np.zeros((n, n)) for k in T_KEYS}
+    u = {}
+
+    t["00"][1:, 0] = 1.0
+    t["00"][1:, 1:] = -np.eye(n - 1)
+
+    t["+0"][0, 0] = -1.0
+    t["+0"][0, lo] = b1
+    t["+0"][lo, lo] = H1
+    for k in range(s1):
+        # placeholder interrupted blocks resume background phase k
+        t["+0"][blk(k), 1 + k] = 1.0
+        t["+0"][blk(k), blk(k)] = -I4
+    t["1*0"][lo, 0] = h1
+    t["2*0"][lo, lo] = np.outer(h1, b1)
+
+    t["0+"][0, 0] = -1.0
+    t["0+"][lo, lo] = -I1
+    for k in range(s1):
+        # with no background job present the frozen phase is drawn fresh
+        t["0+"][0, blk(k)] = b1[k] * b4
+        t["0+"][lo, blk(k)] = b1[k] * np.outer(one1, b4)
+        t["0+"][blk(k), blk(k)] = H4
+        t["01*"][blk(k), 0] = h4
+        t["02*"][blk(k), blk(k)] = np.outer(h4, b4)
+
+    t["++"][0, 0] = -1.0
+    t["++"][lo, lo] = -I1
+    for k in range(s1):
+        t["++"][0, blk(k)] = b1[k] * b4
+        t["++"][lo, blk(k)] = b1[k] * np.outer(one1, b4)
+        t["++"][blk(k), blk(k)] = H4
+        # background service cannot complete while interrupted
+        t["+1*"][blk(k), 1 + k] = h4
+        t["+2*"][blk(k), blk(k)] = np.outer(h4, b4)
+    # t["1*+"] and t["2*+"] stay zero
+
+    u["0*0"] = np.zeros((n, n))
+    u["0*0"][0, lo] = b1
+    u["0*0"][lo, lo] = np.outer(one1, b1)
+    for k in range(s1):
+        u["0*0"][blk(k), lo] = np.outer(one4, b1)
+
+    u["00*"] = np.zeros((n, n))
+    row = np.zeros(n)
+    for k in range(s1):
+        row[blk(k)] = b1[k] * b4
+    u["00*"][:] = row
+
+    # an other-class arrival during a background service interrupts it at
+    # the current phase
+    u["+0*"] = np.zeros((n, n))
+    for k in range(s1):
+        u["+0*"][0, blk(k)] = b1[k] * b4
+        u["+0*"][1 + k, blk(k)] = b4
+        u["+0*"][blk(k), blk(k)] = I4
+
+    for key in ("+*0", "0*+", "0+*", "+*+", "++*"):
+        u[key] = np.eye(n)
+
+    return MSPSpec(n, s1, s4, t, u, "preemptive_resume")
+
+
+def _reference_limited(ph_lo, ph_hi, K):
+    s1, s4 = ph_lo.dim, ph_hi.dim
+    n = 1 + s1 + K * s4
+    lo = slice(1, 1 + s1)
+    b1, H1, h1 = ph_lo.beta, ph_lo.H, ph_lo.h
+    b4, H4, h4 = ph_hi.beta, ph_hi.H, ph_hi.h
+    I1, I4 = np.eye(s1), np.eye(s4)
+    one1, one4 = np.ones(s1), np.ones(s4)
+
+    def slot(j):
+        a = 1 + s1 + j * s4
+        return slice(a, a + s4)
+
+    t = {k: np.zeros((n, n)) for k in T_KEYS}
+    u = {}
+
+    t["00"][1:, 0] = 1.0
+    t["00"][1:, 1:] = -np.eye(n - 1)
+
+    t["+0"][0, 0] = -1.0
+    t["+0"][0, lo] = b1
+    t["+0"][lo, lo] = H1
+    for j in range(K):
+        t["+0"][slot(j), lo] = np.outer(one4, b1)
+        t["+0"][slot(j), slot(j)] = -I4
+    t["1*0"][lo, 0] = h1
+    t["2*0"][lo, lo] = np.outer(h1, b1)
+
+    t["0+"][0, 0] = -1.0
+    t["0+"][0, slot(0)] = b4
+    t["0+"][lo, lo] = -I1
+    t["0+"][lo, slot(0)] = np.outer(one1, b4)
+    for j in range(K):
+        t["0+"][slot(j), slot(j)] = H4
+        # last job of this class leaving: back to idle from any slot
+        t["01*"][slot(j), 0] = h4
+    for j in range(K - 1):
+        t["02*"][slot(j), slot(j + 1)] = np.outer(h4, b4)
+    # after the K-th service the (empty) background queue is visited and
+    # skipped, so the cycle restarts at slot 1
+    t["02*"][slot(K - 1), slot(0)] = np.outer(h4, b4)
+
+    t["++"][0, 0] = -1.0
+    t["++"][0, slot(0)] = b4
+    t["++"][lo, lo] = H1
+    for j in range(K):
+        t["++"][slot(j), slot(j)] = H4
+    t["1*+"][lo, slot(0)] = np.outer(h1, b4)
+    t["2*+"][lo, slot(0)] = np.outer(h1, b4)
+    for j in range(K):
+        t["+1*"][slot(j), lo] = np.outer(h4, b1)
+    for j in range(K - 1):
+        t["+2*"][slot(j), slot(j + 1)] = np.outer(h4, b4)
+    # visit budget exhausted: switch to the background class
+    t["+2*"][slot(K - 1), lo] = np.outer(h4, b1)
+
+    u["0*0"] = np.zeros((n, n))
+    u["0*0"][0, lo] = b1
+    u["0*0"][lo, lo] = np.outer(one1, b1)
+    for j in range(K):
+        u["0*0"][slot(j), lo] = np.outer(one4, b1)
+    u["00*"] = np.zeros((n, n))
+    u["00*"][:, slot(0)] = np.broadcast_to(b4, (n, s4))
+    for key in ("+*0", "+0*", "0*+", "0+*", "+*+", "++*"):
+        u[key] = np.eye(n)
+
+    return MSPSpec(n, s1, s4, t, u, f"limited:{K}")
+
+
+REFERENCE_CASES = (
+    ("nonpreemptive", build_nonpreemptive_msp, _reference_nonpreemptive, ()),
+    ("preemptive", build_preemptive_resume_msp, _reference_preemptive_resume, ()),
+    ("limited1", build_limited_msp, _reference_limited, (1,)),
+    ("limited2", build_limited_msp, _reference_limited, (2,)),
+    ("limited3", build_limited_msp, _reference_limited, (3,)),
+)
+
+
+@pytest.mark.parametrize("name,build,reference,extra", REFERENCE_CASES,
+                         ids=[case[0] for case in REFERENCE_CASES])
+@pytest.mark.parametrize("pair", range(len(PH_PAIRS)))
+def test_builders_match_reference(name, build, reference, extra, pair):
+    lo, hi = PH_PAIRS[pair]
+    got, want = build(lo, hi, *extra), reference(lo, hi, *extra)
+    assert (got.n, got.s_lo, got.s_hi, got.kind) == (want.n, want.s_lo, want.s_hi, want.kind)
+    for key in T_KEYS:
+        assert np.array_equal(got.t[key], want.t[key]), (name, key)
+    for key in U_KEYS:
+        assert np.array_equal(got.u[key], want.u[key]), (name, key)

@@ -374,9 +374,10 @@ def test_t_table_matches_stdtrit():
         assert t == stdtrit(df, 0.975), df
 
 
-@pytest.mark.parametrize("n", [2, 20, 21, 25])
+@pytest.mark.parametrize("n", [2, 20])
 def test_batch_ci_matches_stdtrit_formula(n):
-    # 2 and 20 read the table; 21 and 25 take the scipy path
+    # the first and last table entries: estimate_drift never has more
+    # than BATCHES batches
     from scipy.special import stdtrit
 
     values = np.random.default_rng(n).normal(1.0, 0.3, n)

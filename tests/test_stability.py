@@ -85,6 +85,25 @@ def test_strict_sign_violation_is_refused(np_model):
         compute_r1_r2(table)
 
 
+def test_sign_guards_speak_as_the_report(np_model):
+    table = closed_table(np_model)
+    table.closed[S23].drifts = np.array([0.0, 0.5, 1.12, 0.0])
+    with pytest.raises(SignConditionViolated) as err:
+        compute_r1_r2(table)
+    assert str(err.value) == "sign condition failed: queue 2 on face 23 needs <0, got 0.5"
+
+    # a drift within the margin of zero: the ratios tolerate it, the
+    # spiral path does not
+    table = closed_table(np_model)
+    table.closed[S23].drifts = table.closed[S23].drifts.copy()
+    table.closed[S23].drifts[2] = 1e-12
+    compute_r1_r2(table)
+    with pytest.raises(SignConditionViolated) as err:
+        spiral_path(table)
+    assert str(err.value) == ("ratio conditions degenerate: drift of queue 3 on "
+                              "face 23 is within 1e-09 of zero")
+
+
 def test_ratio_condition_variants(np_model):
     assert check_ratio_conditions(closed_table(np_model))["variant"] == "Both"
 
