@@ -43,13 +43,12 @@ from .errors import (
     SingularH,
     UnsupportedSubset,
 )
-from .generator import check_semi_irreducible, kernel_of
+from .generator import SUBSET_ALL, check_semi_irreducible, kernel_of, saturated_subset
 from .induced_chains import CANONICAL_SUBSETS, drift_table, subset_name
 from .primitives import (
     erlang_ph,
     exponential_ph,
     hyperexponential_ph,
-    map_arrival_rate,
     mmpp_map,
     poisson_map,
     validate_map,
@@ -399,7 +398,7 @@ def cmd_validate(args):
         "discipline": model.discipline,
         "K": model.K,
         "p": model.p,
-        "arrivalRates": [map_arrival_rate(model.map1), map_arrival_rate(model.map3)],
+        "arrivalRates": list(model.arrival_rates),
         "serviceRates": list(model.service_rates),
         "backgroundStates": kernel_of(model).S0,
         "semiIrreducibility": status,
@@ -483,18 +482,6 @@ def cmd_sweep(args):
     return 0
 
 
-def _parse_subset(text):
-    if text.strip().upper() == "N":
-        return frozenset((1, 2, 3, 4))
-    try:
-        items = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ModelParseError(
-            f"bad subset {text!r}; expected comma-separated queue indices"
-        ) from None
-    return frozenset(items)
-
-
 def _analytic_reference(model, subset):
     """Closed-form drift entry for the saturated subset, when in scope."""
     try:
@@ -510,22 +497,8 @@ def _analytic_reference(model, subset):
 
 def cmd_simulate(args):
     model = load_model(args.model)
-    subset = _parse_subset(args.saturate) if args.saturate else None
-    if subset is not None and args.initial:
-        sys.stderr.write("netdrift simulate: --initial cannot combine with "
-                         "--saturate\n")
-        return 3
-    initial = None
-    if args.initial:
-        try:
-            coords = [int(tok) for tok in args.initial.split(",")]
-        except ValueError:
-            coords = []
-        if len(coords) != 4:
-            sys.stderr.write("netdrift simulate: --initial needs four "
-                             "comma-separated queue lengths\n")
-            return 3
-        initial = (tuple(coords), 0)
+    subset = args.saturate
+    initial = (args.initial, 0) if args.initial else None
     seeds = replication_seeds(args.seed, args.replications)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
@@ -604,6 +577,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, want, ok=lambda value: True):
+    """argparse type: `convert(text)` when it raises no ValueError or
+    NetdriftError and `ok` holds for the result; `want` says what the
+    option takes."""
+    def check(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, NetdriftError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+    return check
+
+
+def _subset(text):
+    if text.strip().upper() == "N":
+        return SUBSET_ALL
+    return saturated_subset(int(tok) for tok in text.split(",") if tok.strip())
+
+
 def build_parser():
     parser = _Parser(prog="netdrift",
                      description="Stability analysis of a two-station "
@@ -611,19 +605,21 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    positive = _checked(int, "an integer of at least 1", lambda v: v >= 1)
+    count = _checked(int, "an integer of at least 0", lambda v: v >= 0)
 
     def add_common(p):
         p.add_argument("--mode", choices=("both", "closed", "numeric"),
                        default="both", help="drift table mode")
-        p.add_argument("--levels", type=int, default=8,
+        p.add_argument("--levels", type=positive, default=8,
                        help="first truncation level tried per free coordinate")
-        p.add_argument("--cap", type=int, default=512,
+        p.add_argument("--cap", type=positive, default=512,
                        help="truncation level cap")
         p.add_argument("--out", help="write output to this path")
 
     p = sub.add_parser("validate", help="validate a model file")
     p.add_argument("model")
-    p.add_argument("--probe-radius", type=int, default=3)
+    p.add_argument("--probe-radius", type=count, default=3)
     p.add_argument("--canonical-out", help="also write the canonical model form")
     p.add_argument("--out", help="write the report to this path")
     p.set_defaults(func=cmd_validate)
@@ -643,26 +639,26 @@ def build_parser():
     p = sub.add_parser("sweep", help="classify across a parameter sweep")
     p.add_argument("model")
     p.add_argument("sweep", help="JSON file: {parameter, values}")
-    p.add_argument("--mode", choices=("both", "closed", "numeric"),
-                   default="closed",
-                   help="drift table mode per point (closed is fastest)")
-    p.add_argument("--levels", type=int, default=8,
-                   help="first truncation level tried per free coordinate")
-    p.add_argument("--cap", type=int, default=512)
+    add_common(p)
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel worker processes")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_sweep)
+    # closed is the fastest mode per point
+    p.set_defaults(func=cmd_sweep, mode="closed")
 
     p = sub.add_parser("simulate", help="simulate trajectories")
     p.add_argument("model")
     p.add_argument("--horizon", type=float, default=10000.0)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--replications", type=int, default=1)
-    p.add_argument("--saturate",
-                   help="comma-separated queues to pin (or N for all)")
-    p.add_argument("--initial", help="four comma-separated initial queue lengths")
-    p.add_argument("--burn-in", type=float, default=0.2)
+    p.add_argument("--seed", type=count, default=12345)
+    p.add_argument("--replications", type=count, default=1)
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--saturate", type=_checked(_subset, "N or queues in 1..4"),
+                       help="comma-separated queues to pin (or N for all)")
+    start.add_argument("--initial", help="four comma-separated initial queue lengths",
+                       type=_checked(lambda t: tuple(int(v) for v in t.split(",")),
+                                     "four nonnegative comma-separated queue lengths",
+                                     lambda x: len(x) == 4 and min(x) >= 0))
+    p.add_argument("--burn-in", type=_checked(float, "a fraction in [0, 1)",
+                                              lambda v: 0.0 <= v < 1.0), default=0.2)
     p.add_argument("--out", help="directory for trajectory CSVs and summary")
     p.set_defaults(func=cmd_simulate)
 

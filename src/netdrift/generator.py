@@ -32,7 +32,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import NuTooSmall, SkipFreeViolation
+from .errors import EmptySubset, NuTooSmall, SkipFreeViolation, UnsupportedSubset
 from .service_disciplines import NetworkModel
 
 SUBSET_ALL = frozenset((1, 2, 3, 4))
@@ -50,6 +50,17 @@ def boundary_face(x):
     if len(x) != 4:
         raise SkipFreeViolation(f"state must have 4 coordinates, got {len(x)}")
     return frozenset(i + 1 for i, v in enumerate(x) if v > 0)
+
+
+def saturated_subset(A):
+    """A as a frozenset of queue indices; raises EmptySubset when it is
+    empty and UnsupportedSubset when it names a queue outside 1..4."""
+    A = frozenset(int(i) for i in A)
+    if not A:
+        raise EmptySubset("the saturated subset must be nonempty")
+    if not A <= SUBSET_ALL:
+        raise UnsupportedSubset(f"subset {sorted(A)} is not within {{1,2,3,4}}")
+    return A
 
 
 def regime_signature(x):
@@ -150,6 +161,13 @@ class BlockKernel:
             for z, B in self.q_blocks(sig).items()
         }
 
+    def move_pattern(self, sig):
+        """The moves out of regime `sig`: per block, where its rate
+        exceeds RATE_TOL, without the no-move block's diagonal."""
+        out = {z: B > RATE_TOL for z, B in self.q_blocks(sig).items()}
+        np.fill_diagonal(out[(0, 0, 0, 0)], False)
+        return out
+
     def clocks(self, sig):
         """Competing clocks out of each background state j in regime
         `sig`, as step tables: the cumulative rates of its moves as a
@@ -160,13 +178,12 @@ class BlockKernel:
         if hit is None:
             rates = [[] for _ in range(self.S0)]
             moves = [[] for _ in range(self.S0)]
-            for z, B in self.q_blocks(sig).items():
+            blocks = self.q_blocks(sig)
+            for z, on in self.move_pattern(sig).items():
                 pairs = tuple((i, dz) for i, dz in enumerate(z) if dz)
-                rr, cc = np.nonzero(B > RATE_TOL)
-                for j, j2 in zip(rr.tolist(), cc.tolist()):
-                    if not pairs and j == j2:
-                        continue
-                    rates[j].append(B[j, j2])
+                rr, cc = np.nonzero(on)
+                for j, j2, rate in zip(rr.tolist(), cc.tolist(), blocks[z][rr, cc]):
+                    rates[j].append(rate)
                     moves[j].append((pairs, j2))
             cums = [np.cumsum(r).tolist() for r in rates]
             hit = self._clocks[sig] = (cums, moves)
@@ -256,7 +273,9 @@ def generator_block(model: NetworkModel, x, xp):
 # the stationary solver) or are dropped (used for reachability probes
 # and debug exports).
 
-def _signature_ranges(sig_component, L):
+def signature_ranges(sig_component, L):
+    """The levels 0..L-1 of one coordinate whose signature entry is
+    `sig_component` (0, 1, or 2 for two or more)."""
     if sig_component == 0:
         return np.array([0])
     if sig_component == 1:
@@ -285,7 +304,7 @@ def assemble_lattice(block_fn, d, L, S0, fold=True):
     idx = np.int32 if n < 2 ** 31 else np.int64
     rows, cols, data = [], [], []
     for sig in np.ndindex(*(3,) * d):
-        axes = [_signature_ranges(c, L) for c in sig]
+        axes = [signature_ranges(c, L) for c in sig]
         if any(a.size == 0 for a in axes):
             continue
         grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
@@ -347,16 +366,7 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
     if any(v >= L for v in probe[0]):
         return UNKNOWN
     Lout = 4 * radius + 2
-
-    def pattern_fn(sig):
-        out = {}
-        for z, B in kernel.q_blocks(sig).items():
-            out[z] = B > RATE_TOL
-            if z == (0, 0, 0, 0):
-                np.fill_diagonal(out[z], False)
-        return out
-
-    adj = assemble_lattice(pattern_fn, 4, Lout, S0, fold=False)
+    adj = assemble_lattice(kernel.move_pattern, 4, Lout, S0, fold=False)
     target = np.ravel_multi_index(probe[0], (Lout,) * 4) * S0 + probe[1]
     # reverse edges: the states that can reach the target
     order = breadth_first_order(
@@ -364,10 +374,7 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
     )
     seen = np.zeros(adj.shape[0], dtype=bool)
     seen[order] = True
-    grids = np.meshgrid(*(np.arange(L),) * 4, indexing="ij")
-    inner = np.ravel_multi_index([g.ravel() for g in grids], (Lout,) * 4)
-    states = (inner[:, None] * S0 + np.arange(S0)).ravel()
-    if seen[states].all():
+    if seen.reshape((Lout,) * 4 + (S0,))[(slice(0, L),) * 4].all():
         return CONFIRMED
     return UNKNOWN
 

@@ -24,12 +24,18 @@ import numpy as np
 from .errors import (
     AssumptionViolated,
     ClosedFormUnavailable,
-    EmptySubset,
     NotConverged,
     UnsupportedSubset,
 )
-from .generator import BlockKernel, SUBSET_ALL, assemble_lattice, kernel_of
-from .primitives import map_arrival_rate, ph_mean
+from .generator import (
+    BlockKernel,
+    SUBSET_ALL,
+    assemble_lattice,
+    kernel_of,
+    saturated_subset,
+    signature_ranges,
+)
+from .primitives import ph_mean
 from .service_disciplines import NetworkModel
 
 # the five saturated subsets whose induced chains are positive recurrent
@@ -74,13 +80,8 @@ class InducedChain:
     """Reduced kernel over the free coordinates of a saturated subset."""
 
     def __init__(self, kernel: BlockKernel, A):
-        A = frozenset(int(i) for i in A)
-        if not A:
-            raise EmptySubset("the saturated subset must be nonempty")
-        if not A <= SUBSET_ALL:
-            raise UnsupportedSubset(f"subset {sorted(A)} is not within {{1,2,3,4}}")
         self.kernel = kernel
-        self.A = A
+        self.A = A = saturated_subset(A)
         self.free = tuple(sorted(SUBSET_ALL - A))
 
     def full_signature(self, sig_free):
@@ -125,33 +126,13 @@ class InducedChainSolution:
 
     def group_masses(self):
         """Probability mass per free-coordinate signature, as a vector
-        over background states."""
-        d = len(self.free)
+        over background states; signatures with no level are left out."""
         S0 = self.dist.shape[-1]
-        if d == 0:
-            return {(): self.dist.reshape(S0)}
-        L = self.dist.shape[0]
         out = {}
-        for sig in np.ndindex(*(3,) * d):
-            slices = []
-            empty = False
-            for c in sig:
-                if c == 0:
-                    slices.append(slice(0, 1))
-                elif c == 1:
-                    if L < 2:
-                        empty = True
-                        break
-                    slices.append(slice(1, 2))
-                else:
-                    if L < 3:
-                        empty = True
-                        break
-                    slices.append(slice(2, L))
-            if empty:
-                continue
-            block = self.dist[tuple(slices)]
-            out[tuple(sig)] = block.reshape(-1, S0).sum(axis=0)
+        for sig in np.ndindex(*(3,) * len(self.free)):
+            axes = [signature_ranges(c, self.levels) for c in sig]
+            if all(a.size for a in axes):
+                out[sig] = self.dist[np.ix_(*axes)].reshape(-1, S0).sum(axis=0)
         return out
 
 
@@ -161,8 +142,9 @@ _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
 
 def _stationary_of(P):
-    """Stationary row vector of a finite stochastic CSR matrix and a
-    note, or None and the reason the solve failed.
+    """Stationary row vector of a finite stochastic CSR matrix, its
+    residual vector |pi P - pi| and a note, or None, None and the reason
+    the solve failed.
 
     The balance equations have a unique solution on each closed
     communicating class of P's stored nonzeros.  This solves them on
@@ -207,16 +189,16 @@ def _stationary_of(P):
             x, info = spla.gmres(A, b, M=M, rtol=1e-13, atol=0.0, maxiter=300,
                                  restart=80)
     except _SOLVE_ERRORS as exc:
-        return None, f"ilu-gmres failed: {type(exc).__name__}: {exc}"
+        return None, None, f"ilu-gmres failed: {type(exc).__name__}: {exc}"
     pi = np.zeros(n)
     pi[keep] = np.clip(x, 0.0, None)
     if pi.sum() > 0:
         pi /= pi.sum()
-    residual = float(np.max(np.abs(pi @ P - pi)))
-    if info != 0 or not (x.min() >= -1e-8 and residual <= 1e-9):
-        return None, (f"ilu-gmres failed: GMRES info {info}, least entry "
-                      f"{x.min():.3g}, stationarity residual {residual:.3g}")
-    return pi, note
+    resid = np.abs(pi @ P - pi)
+    if info != 0 or not (x.min() >= -1e-8 and resid.max() <= 1e-9):
+        return None, None, (f"ilu-gmres failed: GMRES info {info}, least entry "
+                            f"{x.min():.3g}, stationarity residual {resid.max():.3g}")
+    return pi, resid, note
 
 
 # per-level decay of the boundary mass at or above which a face is taken
@@ -293,10 +275,10 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
 
     if d == 0:
         P = assemble_lattice(chain.p_blocks, 0, 1, S0, fold=True)
-        pi, note = _stationary_of(P)
+        pi, resid, note = _stationary_of(P)
         if pi is None:
             return failed(0, [], note)
-        residual = float(np.max(np.abs(pi @ P - pi)))
+        residual = float(resid.max())
         return InducedChainSolution(
             chain.A, chain.free, 0, pi, residual, 0.0,
             residual <= RESIDUAL_TOL, [(0, residual, 0.0)], note,
@@ -312,19 +294,15 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
     history = []
     while True:
         P = assemble_lattice(chain.p_blocks, d, L, S0, fold=True)
-        pi, note = _stationary_of(P)
+        pi, resid, note = _stationary_of(P)
         if pi is None:
             return failed(L, history, f"level {L}: {note}")
-        resid_vec = np.abs(pi @ P - pi)
-        grid = resid_vec.reshape((L,) * d + (S0,))
-        interior = grid[(slice(0, L - 1),) * d]
-        residual = float(interior.max()) if interior.size else float(resid_vec.max())
+        interior = (slice(0, L - 1),) * d
+        inner = resid.reshape((L,) * d + (S0,))[interior]
+        residual = float(inner.max()) if inner.size else float(resid.max())
         dist = pi.reshape((L,) * d + (S0,))
-        on_boundary = np.zeros((L,) * d, dtype=bool)
-        for axis in range(d):
-            idx = [slice(None)] * d
-            idx[axis] = L - 1
-            on_boundary[tuple(idx)] = True
+        on_boundary = np.ones((L,) * d, dtype=bool)
+        on_boundary[interior] = False
         tail = float(dist[on_boundary].sum())
         history.append((L, residual, tail))
         if residual <= RESIDUAL_TOL and tail <= TAIL_TOL:
@@ -353,6 +331,14 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
     )
 
 
+def _flows(chain: InducedChain, sol: InducedChainSolution, blocks):
+    """(z, rate of the moves z) for each block of `blocks(signature)` in
+    each regime of the face, weighed by the stationary mass there."""
+    for sig_free, pi in sol.group_masses().items():
+        for z, B in blocks(chain.full_signature(sig_free)).items():
+            yield z, pi @ B.sum(axis=1)
+
+
 def output_rates(chain: InducedChain, sol: InducedChainSolution) -> np.ndarray:
     """Long-run completion rate of each queue (events per unit time).
 
@@ -365,20 +351,17 @@ def output_rates(chain: InducedChain, sol: InducedChainSolution) -> np.ndarray:
             f"induced chain {subset_name(chain.A)} did not converge: {sol.note or sol.history}"
         )
     mu = np.zeros(4)
-    for sig_free, pi in sol.group_masses().items():
-        full = chain.full_signature(sig_free)
-        for z, B in chain.kernel.q_blocks(full).items():
-            for i in range(4):
-                if z[i] < 0:
-                    mu[i] += pi @ B.sum(axis=1)
+    for z, flow in _flows(chain, sol, chain.kernel.q_blocks):
+        for i in range(4):
+            if z[i] < 0:
+                mu[i] += flow
     return mu
 
 
 def input_rates(model: NetworkModel, mu_bar) -> np.ndarray:
     """Effective input rates given the output rates: exogenous streams
     plus internal transfers (Q1 -> Q2, feedback into Q3, Q3 -> Q4)."""
-    lam1 = map_arrival_rate(model.map1)
-    lam3 = map_arrival_rate(model.map3)
+    lam1, lam3 = model.arrival_rates
     return np.array([lam1, mu_bar[0], lam3 + model.p * mu_bar[1], mu_bar[2]])
 
 
@@ -386,14 +369,9 @@ def mean_displacement(chain: InducedChain, sol: InducedChainSolution) -> np.ndar
     """Per-step mean displacement of the uniformized chain, all four
     coordinates (saturated ones use the full, unreduced moves)."""
     a = np.zeros(4)
-    for sig_free, pi in sol.group_masses().items():
-        full = chain.full_signature(sig_free)
-        for z, B in chain.kernel.p_blocks(full).items():
-            if z == (0, 0, 0, 0):
-                continue
-            w = float(pi @ B.sum(axis=1))
-            for i in range(4):
-                a[i] += z[i] * w
+    for z, flow in _flows(chain, sol, chain.kernel.p_blocks):
+        for i in range(4):
+            a[i] += z[i] * flow
     return a
 
 
@@ -535,8 +513,7 @@ def _limited_closed(lam1, lam3, mu, K):
 
 def nominal_condition(model: NetworkModel):
     """Utilization vector and the load-per-station feasibility flag."""
-    lam1 = map_arrival_rate(model.map1)
-    lam3 = map_arrival_rate(model.map3)
+    lam1, lam3 = model.arrival_rates
     h = [ph_mean(ph) for ph in model.ph]
     rho = np.array([
         lam1 * h[0],
@@ -550,8 +527,7 @@ def nominal_condition(model: NetworkModel):
 
 def closed_form_table(model: NetworkModel):
     """Closed-form drift entries, or raise when outside their scope."""
-    lam1 = map_arrival_rate(model.map1)
-    lam3 = map_arrival_rate(model.map3)
+    lam1, lam3 = model.arrival_rates
     mu = model.service_rates
     rho, holds = nominal_condition(model)
     if not holds:
@@ -639,8 +615,7 @@ def drift_table(model: NetworkModel, mode="both", levels=8,
     """
     if mode not in ("closed", "numeric", "both"):
         raise ValueError(f"unknown drift table mode {mode!r}")
-    lam1 = map_arrival_rate(model.map1)
-    lam3 = map_arrival_rate(model.map3)
+    lam1, lam3 = model.arrival_rates
     notes = []
     closed = None
     if mode in ("closed", "both"):

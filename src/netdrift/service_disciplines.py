@@ -39,7 +39,7 @@ from .errors import (
     NetdriftError,
     NonStochasticU,
 )
-from .primitives import MAPSpec, PHSpec, ph_mean
+from .primitives import MAPSpec, PHSpec, map_arrival_rate, ph_mean
 
 T_KEYS = ("00", "+0", "0+", "++", "1*0", "2*0", "01*", "02*", "1*+", "2*+", "+1*", "+2*")
 U_KEYS = ("0*0", "00*", "+*0", "+0*", "0*+", "0+*", "+*+", "++*")
@@ -315,6 +315,10 @@ class NetworkModel:
         self.K = K
         self.msp1 = msp1
         self.msp2 = msp2
+
+    @property
+    def arrival_rates(self):
+        return map_arrival_rate(self.map1), map_arrival_rate(self.map3)
 
     @property
     def service_rates(self):

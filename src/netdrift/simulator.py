@@ -23,8 +23,8 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .errors import EmptySubset, InsufficientData
-from .generator import SUBSET_ALL, kernel_of
+from .errors import InsufficientData
+from .generator import kernel_of, saturated_subset
 from .service_disciplines import NetworkModel
 
 SAMPLE_CAP = 4096
@@ -74,8 +74,9 @@ def _uniforms(rng):
 
 
 def _run(model, horizon, seed, initial, pinned):
-    if horizon <= 0:
-        raise InsufficientData("horizon must be positive to collect samples")
+    # no event time reaches a nan or infinite horizon
+    if not 0 < horizon < math.inf:
+        raise InsufficientData(f"horizon must be positive and finite, got {horizon}")
     kernel = kernel_of(model)
     uniforms = _uniforms(
         np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))))
@@ -179,12 +180,7 @@ def simulate_saturated(model: NetworkModel, A, horizon, seed) -> Trajectory:
 
     Pinned coordinates report virtual levels (start plus net flow), so
     their sample slopes estimate the face drift directly."""
-    A = frozenset(int(i) for i in A)
-    if not A:
-        raise EmptySubset("the saturated subset must be nonempty")
-    if not A <= SUBSET_ALL:
-        raise EmptySubset(f"subset {sorted(A)} is not within {{1,2,3,4}}")
-    return _run(model, horizon, seed, None, A)
+    return _run(model, horizon, seed, None, saturated_subset(A))
 
 
 class DriftEstimate:

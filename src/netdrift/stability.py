@@ -207,6 +207,10 @@ def lyapunov_certificate(table: DriftTable) -> LyapunovCertificate:
     choice for u22, two-face ratios for u33 and u44); epsilon walks
     down {c 2^-k} with delta = sqrt(epsilon) until every leading minor
     is positive and every recorded drift inner product is negative.
+    With u33 = (u22 - delta) / r32^2 and u44 = r14^2 (u11 + delta),
+    delta^2 = 2^-k c is the quadratic (1 + a) delta^2 - b delta
+    - a u11 u22 = 0, where a = 2^-k u11 u22 r14^2 / r32^2 and
+    b = a (u22 - u11); its one root in (0, u22) is taken in closed form.
     """
     r1, r2 = compute_r1_r2(table)
     if not r1 * r2 < 1.0:
@@ -223,24 +227,12 @@ def lyapunov_certificate(table: DriftTable) -> LyapunovCertificate:
     last_eps, last_delta = None, None
     for k in range(1, CERTIFICATE_GRID + 1):
         shrink = 2.0 ** -k
-        delta = 0.0
-        feasible = True
-        u33 = u44 = c = eps = None
-        for _ in range(200):
-            if u22 - delta <= 0.0:
-                feasible = False
-                break
-            u33 = (u22 - delta) / r32 ** 2
-            u44 = r14 ** 2 * (u11 + delta)
-            c = u11 * u22 * u33 * u44
-            eps = c * shrink
-            delta_new = math.sqrt(eps)
-            if abs(delta_new - delta) <= 1e-15 * max(1.0, delta_new):
-                delta = delta_new
-                break
-            delta = delta_new
-        if not feasible or u22 - delta <= 0.0:
-            continue
+        a = shrink * u11 * u22 * (r14 / r32) ** 2
+        b = a * (u22 - u11)
+        root = math.sqrt(b * b + 4.0 * (1.0 + a) * a * u11 * u22)
+        # the positive root, in the form that subtracts no close numbers
+        delta = ((b + root) / (2.0 * (1.0 + a)) if b >= 0.0
+                 else 2.0 * a * u11 * u22 / (root - b))
         u33 = (u22 - delta) / r32 ** 2
         u44 = r14 ** 2 * (u11 + delta)
         c = u11 * u22 * u33 * u44
@@ -260,9 +252,8 @@ def lyapunov_certificate(table: DriftTable) -> LyapunovCertificate:
         inner = []
         ok = True
         for A in CANONICAL_SUBSETS:
-            a = directions[A]
             for j in sorted(A):
-                value = float(a @ U[:, j - 1])
+                value = float(directions[A] @ U[:, j - 1])
                 inner.append({"subset": subset_name(A), "column": j, "value": value})
                 if not value < 0.0:
                     ok = False

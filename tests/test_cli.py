@@ -369,8 +369,33 @@ def test_simulate_argument_errors(tmp_path, capsys):
         "simulate", model, "--initial", "1,2,3,4", "--saturate", "N"])
     assert code == 3
 
-    code, _, err = run(capsys, ["simulate", model, "--horizon", "0"])
-    assert code == 4 and "InsufficientData" in err
+    for horizon in ("0", "nan", "inf"):
+        code, _, err = run(capsys, ["simulate", model, "--horizon", horizon])
+        assert code == 4 and "InsufficientData" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--burn-in", "1.5"], "--burn-in: expected a fraction in [0, 1)"),
+    (["simulate", "--burn-in", "nan"], "--burn-in: expected a fraction in [0, 1)"),
+    (["simulate", "--replications", "-1"], "--replications: expected an integer of at least 0"),
+    (["simulate", "--seed", "-1"], "--seed: expected an integer of at least 0"),
+    (["simulate", "--initial=-1,0,0,0"], "--initial: expected four nonnegative"),
+    (["simulate", "--saturate", "5"], "--saturate: expected N or queues in 1..4"),
+    (["simulate", "--saturate", "0,1"], "--saturate: expected N or queues in 1..4"),
+    (["simulate", "--saturate", ","], "--saturate: expected N or queues in 1..4"),
+    (["simulate", "--initial", "1,2,3,4", "--saturate", "N"],
+     "--saturate: not allowed with argument --initial"),
+    (["analyze", "--levels", "0"], "--levels: expected an integer of at least 1"),
+    (["analyze", "--levels", "-3"], "--levels: expected an integer of at least 1"),
+    (["certificate", "--cap", "0"], "--cap: expected an integer of at least 1"),
+    (["sweep", "sweep.json", "--levels", "0"], "--levels: expected an integer of at least 1"),
+    (["validate", "--probe-radius", "-1"], "--probe-radius: expected an integer of at least 0"),
+])
+def test_bad_numeric_options_are_exit_3(tmp_path, capsys, argv, message):
+    model = write_json(tmp_path, "model.json", BASE_MODEL)
+    code, out, err = run(capsys, [argv[0], model, *argv[1:]])
+    assert code == 3 and out == ""
+    assert message in err and err.count("\n") == 1, err
 
 
 def test_certificate_command(tmp_path, capsys):

@@ -25,7 +25,13 @@ from netdrift import (
     write_generator_triplets,
 )
 from netdrift.errors import NuTooSmall, SkipFreeViolation
-from netdrift.generator import CONFIRMED, UNKNOWN, assemble_lattice, max_exit_rate
+from netdrift.generator import (
+    CONFIRMED,
+    RATE_TOL,
+    UNKNOWN,
+    assemble_lattice,
+    max_exit_rate,
+)
 from tests.conftest import exp_model, symmetric_limited_model
 
 ALL_SIGS = list(itertools.product((0, 1, 2), repeat=4))
@@ -53,6 +59,36 @@ def _kronsum(mats):
 
 
 # --- faces and signatures -----------------------------------------------------
+
+@pytest.mark.parametrize("which", ["np", "phmap"])
+def test_move_pattern_is_the_clocks_moves(which, np_model):
+    kernel = BlockKernel(np_model if which == "np" else phmap_model())
+    for sig in ALL_SIGS:
+        pattern = kernel.move_pattern(sig)
+        from_pattern = []
+        for z, B in kernel.q_blocks(sig).items():
+            expected = B > RATE_TOL
+            if not any(z):
+                np.fill_diagonal(expected, False)
+            assert np.array_equal(pattern[z], expected), (sig, z)
+            pairs = tuple((i, dz) for i, dz in enumerate(z) if dz)
+            rows, cols = np.nonzero(pattern[z])
+            from_pattern += [(j, pairs, j2) for j, j2 in zip(rows.tolist(), cols.tolist())]
+        _, moves = kernel.clocks(sig)
+        from_clocks = [(j, pairs, j2) for j in range(kernel.S0) for pairs, j2 in moves[j]]
+        assert sorted(from_clocks) == sorted(from_pattern), sig
+
+
+def test_no_move_diagonal_is_never_a_move(np_model):
+    # validation lets a diagonal rate reach +1e-12, above RATE_TOL
+    kernel = BlockKernel(np_model)
+    blocks = {z: B.copy() for z, B in kernel.q_blocks((1, 1, 1, 1)).items()}
+    np.fill_diagonal(blocks[(0, 0, 0, 0)], 1e-13)
+    kernel.q_blocks = lambda sig: blocks
+    assert not kernel.move_pattern((1, 1, 1, 1))[(0, 0, 0, 0)].diagonal().any()
+    _, moves = kernel.clocks((1, 1, 1, 1))
+    assert all(pairs or j2 != j for j in range(kernel.S0) for pairs, j2 in moves[j])
+
 
 def test_boundary_face_examples():
     assert boundary_face((0, 0, 0, 0)) == frozenset()

@@ -35,7 +35,7 @@ from netdrift.errors import (
     NotConverged,
     UnsupportedSubset,
 )
-from netdrift.generator import assemble_lattice
+from netdrift.generator import SUBSET_ALL, assemble_lattice
 from netdrift.induced_chains import TAIL_TOL, InducedChainSolution, input_rates
 
 from tests.conftest import exp_model, symmetric_limited_model
@@ -87,6 +87,52 @@ def test_virtual_station_chain_reduces_to_single_server_queue(np_model):
     groups = sol.group_masses()
     total = sum(float(v.sum()) for v in groups.values())
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def _slice_group_masses(sol):
+    """Group masses cut out by per-axis slices: the layout the lattice
+    rule (`generator.signature_ranges`) must reproduce."""
+    d = len(sol.free)
+    S0 = sol.dist.shape[-1]
+    if d == 0:
+        return {(): sol.dist.reshape(S0)}
+    L = sol.dist.shape[0]
+    out = {}
+    for sig in np.ndindex(*(3,) * d):
+        slices = []
+        empty = False
+        for c in sig:
+            if c == 0:
+                slices.append(slice(0, 1))
+            elif c == 1:
+                if L < 2:
+                    empty = True
+                    break
+                slices.append(slice(1, 2))
+            else:
+                if L < 3:
+                    empty = True
+                    break
+                slices.append(slice(2, L))
+        if empty:
+            continue
+        block = sol.dist[tuple(slices)]
+        out[tuple(sig)] = block.reshape(-1, S0).sum(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 8])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_group_masses_match_slice_reference(d, L):
+    S0 = 5
+    dist = np.random.default_rng(10 * d + L).random((L,) * d + (S0,))
+    free = tuple(range(5 - d, 5))
+    sol = InducedChainSolution(SUBSET_ALL - set(free), free, L if d else 0, dist,
+                               0.0, 0.0, True, [], "")
+    got, ref = sol.group_masses(), _slice_group_masses(sol)
+    assert got.keys() == ref.keys()
+    for sig, mass in ref.items():
+        assert np.array_equal(got[sig], mass), sig
 
 
 def test_alternate_virtual_station_chain_converges(np_model):

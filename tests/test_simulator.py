@@ -24,7 +24,7 @@ from netdrift import (
 )
 from netdrift import simulator
 from netdrift.cli import main
-from netdrift.errors import EmptySubset, InsufficientData
+from netdrift.errors import EmptySubset, InsufficientData, UnsupportedSubset
 from netdrift.simulator import PIN_LEVEL, SAMPLE_CAP, Trajectory, replication_seeds
 
 from tests.conftest import exp_model, symmetric_limited_model
@@ -366,6 +366,14 @@ def test_insufficient_data_paths(np_model):
         estimate_drift(simulate(np_model, 100.0, seed=1), burn_in=1.0)
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+def test_non_finite_horizon_is_refused(np_model, horizon):
+    with pytest.raises(InsufficientData):
+        simulate(np_model, horizon, seed=1)
+    with pytest.raises(InsufficientData):
+        simulate_saturated(np_model, {1, 4}, horizon, seed=1)
+
+
 def test_t_table_matches_stdtrit():
     from scipy.special import stdtrit
 
@@ -388,7 +396,7 @@ def test_batch_ci_matches_stdtrit_formula(n):
 def test_saturation_subset_validation(np_model):
     with pytest.raises(EmptySubset):
         simulate_saturated(np_model, [], 10.0, seed=1)
-    with pytest.raises(EmptySubset):
+    with pytest.raises(UnsupportedSubset):
         simulate_saturated(np_model, {0, 1}, 10.0, seed=1)
 
 

@@ -201,6 +201,16 @@ def test_certificate_is_verifiable_evidence(np_model):
             float(a @ U[:, item["column"] - 1]), rel=1e-12)
 
 
+def test_certificate_delta_is_the_exact_root():
+    # delta = sqrt(2^-k c(delta)) iterated from 0 passes u22 at steps 1-5 of
+    # this model, so an iteration skips them and first verifies at step 6
+    model = exp_model("non_preemptive", lam1=0.499136, lam3=0.524591, p=0.035291,
+                      mus=(8.148074, 7.957751, 4.556429, 1.111081))
+    cert = lyapunov_certificate(closed_table(model))
+    assert cert.grid_index == 4
+    assert cert.delta ** 2 == pytest.approx(cert.epsilon, rel=1e-13)
+
+
 def test_certificate_requires_contracting_ratios():
     transient = exp_model(lam1=1.0, lam3=0.55, p=0.0,
                           mus=(4.0, 2.0, 2.1, 0.55 / 0.6))
