@@ -647,7 +647,9 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="simulate trajectories")
     p.add_argument("model")
-    p.add_argument("--horizon", type=float, default=10000.0)
+    p.add_argument("--horizon", default=10000.0,
+                   type=_checked(float, "a positive finite number",
+                                 lambda v: 0.0 < v < math.inf))
     p.add_argument("--seed", type=count, default=12345)
     p.add_argument("--replications", type=count, default=1)
     start = p.add_mutually_exclusive_group()

@@ -91,8 +91,9 @@ class BlockKernel:
     """Signature-indexed transition blocks for one model: the model's one
     rate table, read by the probe, the induced chains and the simulator.
 
-    The q blocks are built lazily, cached per signature and read-only;
-    the uniformized blocks and the simulator's clocks are derived from
+    The q blocks are built lazily, cached per signature and read-only,
+    and a block that several signatures share is one array; the
+    uniformized blocks and the simulator's clocks are derived from
     them.  The caches are not locked: a kernel belongs to one thread
     (`sweep --jobs` runs its points in worker processes).
     """
@@ -108,6 +109,7 @@ class BlockKernel:
             raise NuTooSmall(f"nu={nu} is below the maximum exit rate {max_exit}")
         self.nu = float(nu)
         self._q_cache = {}
+        self._shared = {}
         self._clocks = {}
 
     # -- continuous-time blocks ------------------------------------------
@@ -117,39 +119,52 @@ class BlockKernel:
         hit = self._q_cache.get(sig)
         if hit is None:
             hit = self._q_cache[sig] = self._build_q(sig)
-            for B in hit.values():
-                B.flags.writeable = False
         return hit
 
     def _build_q(self, sig):
+        """The blocks of regime `sig`.  A block depends on the signature
+        only through the regime symbols it reads, so each distinct block
+        is built once per kernel, keyed on (z, those symbols), and shared
+        read-only across signatures."""
         m = self.model
         a1, a3, m1, m2 = self.dims
         Ia1, Ia3, Im1, Im2 = np.eye(a1), np.eye(a3), np.eye(m1), np.eye(m2)
         t1, u1 = m.msp1.t, m.msp1.u
         t2, u2 = m.msp2.t, m.msp2.u
         g1, g2, g3, g4 = (_sym(c) for c in sig)
+        c1, c2, c3, c4 = ("1*" if c == 1 else "2*" for c in sig)
         p = m.p
         blocks = {}
-        blocks[(1, 0, 0, 0)] = _kron4(m.map1.D, Ia3, u1[f"{g1}*{g4}"], Im2)
-        blocks[(0, 0, 1, 0)] = _kron4(Ia1, m.map3.D, Im1, u2[f"{g3}*{g2}"])
+
+        def share(z, key, build):
+            B = self._shared.get((z, key))
+            if B is None:
+                B = self._shared[(z, key)] = build()
+                B.flags.writeable = False
+            blocks[z] = B
+
+        share((1, 0, 0, 0), (g1, g4),
+              lambda: _kron4(m.map1.D, Ia3, u1[f"{g1}*{g4}"], Im2))
+        share((0, 0, 1, 0), (g3, g2),
+              lambda: _kron4(Ia1, m.map3.D, Im1, u2[f"{g3}*{g2}"]))
         if sig[0] >= 1:
-            c = "1*" if sig[0] == 1 else "2*"
-            blocks[(-1, 1, 0, 0)] = _kron4(Ia1, Ia3, t1[f"{c}{g4}"], u2[f"{g3}{g2}*"])
+            share((-1, 1, 0, 0), (c1, g4, g3, g2),
+                  lambda: _kron4(Ia1, Ia3, t1[f"{c1}{g4}"], u2[f"{g3}{g2}*"]))
         if sig[1] >= 1:
-            c = "1*" if sig[1] == 1 else "2*"
-            T2c = t2[f"{g3}{c}"]
-            blocks[(0, -1, 0, 0)] = _kron4(Ia1, Ia3, Im1, (1.0 - p) * T2c)
+            T2c = t2[f"{g3}{c2}"]
+            share((0, -1, 0, 0), (g3, c2),
+                  lambda: _kron4(Ia1, Ia3, Im1, (1.0 - p) * T2c))
             g2post = "0" if sig[1] == 1 else "+"
-            blocks[(0, -1, 1, 0)] = _kron4(Ia1, Ia3, Im1, p * (T2c @ u2[f"{g3}*{g2post}"]))
+            share((0, -1, 1, 0), (g3, c2),
+                  lambda: _kron4(Ia1, Ia3, Im1, p * (T2c @ u2[f"{g3}*{g2post}"])))
         if sig[2] >= 1:
-            c = "1*" if sig[2] == 1 else "2*"
-            blocks[(0, 0, -1, 1)] = _kron4(Ia1, Ia3, u1[f"{g1}{g4}*"], t2[f"{c}{g2}"])
+            share((0, 0, -1, 1), (g1, g4, c3, g2),
+                  lambda: _kron4(Ia1, Ia3, u1[f"{g1}{g4}*"], t2[f"{c3}{g2}"]))
         if sig[3] >= 1:
-            c = "1*" if sig[3] == 1 else "2*"
-            blocks[(0, 0, 0, -1)] = _kron4(Ia1, Ia3, t1[f"{g1}{c}"], Im2)
-        blocks[(0, 0, 0, 0)] = _kronsum4(
-            [m.map1.C, m.map3.C, t1[f"{g1}{g4}"], t2[f"{g3}{g2}"]]
-        )
+            share((0, 0, 0, -1), (g1, c4),
+                  lambda: _kron4(Ia1, Ia3, t1[f"{g1}{c4}"], Im2))
+        share((0, 0, 0, 0), (g1, g2, g3, g4), lambda: _kronsum4(
+            [m.map1.C, m.map3.C, t1[f"{g1}{g4}"], t2[f"{g3}{g2}"]]))
         return blocks
 
     # -- derived views -----------------------------------------------------
@@ -270,8 +285,7 @@ def generator_block(model: NetworkModel, x, xp):
 # the entry (s*S0 + bi, t*S0 + bj).  Every entry is written by this
 # index arithmetic into one COO, converted to CSR once.  Out-of-box
 # moves either fold onto the boundary (reflecting truncation, used by
-# the stationary solver) or are dropped (used for reachability probes
-# and debug exports).
+# the stationary solver) or are dropped (used by the debug export).
 
 def signature_ranges(sig_component, L):
     """The levels 0..L-1 of one coordinate whose signature entry is
@@ -292,8 +306,8 @@ def assemble_lattice(block_fn, d, L, S0, fold=True):
     With fold=True, entries folded onto one state are summed in the
     order they were emitted: signature, then displacement, then cell.
     """
-    # scipy loads here and in the probe, not at module level, so that
-    # parsing and simulation import numpy alone
+    # scipy loads here, not at module level, so that parsing, simulation
+    # and the probe import numpy alone
     import scipy.sparse as sp
 
     if d == 0:
@@ -326,7 +340,7 @@ def assemble_lattice(block_fn, d, L, S0, fold=True):
     if not rows:
         return sp.csr_matrix((n, n))
     # one array at a time, so each list of pieces is freed before the next
-    # copy: the probe box holds millions of entries
+    # copy is made
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     data = np.concatenate(data)
@@ -343,7 +357,7 @@ UNKNOWN = "Unknown"
 
 
 def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
-    """BFS probe for semi-irreducibility.
+    """Reverse BFS probe for semi-irreducibility.
 
     Checks that the probe state is reachable from every state of the
     box {0..radius}^4 x S0.  Paths are searched inside a larger box of
@@ -352,31 +366,58 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
     4*radius along such a path, and the level above it is slack for one
     in-flight customer while walking the arrival phase.  Any path found
     is a genuine path of the chain, so success is a proof; failure only
-    returns Unknown, because paths may still need more room.  The search
-    runs on the zero pattern of the generator: an edge for every rate
-    above 1e-14 between distinct states.  The probe state is (x, j), with
-    j as `BlockKernel.background_index` takes it.
+    returns Unknown, because paths may still need more room.  The edges
+    are the kernel's move patterns (rates above RATE_TOL between distinct
+    states) with both ends in the box.  The search runs backwards from
+    the probe state one layer at a time, generating predecessors from
+    per-displacement tables, and stops once the inner box is covered:
+    the reachable set only grows, so the verdict is the full search's.
+    The probe state is (x, j), with j as `BlockKernel.background_index`
+    takes it.
     """
-    from scipy.sparse.csgraph import breadth_first_order
-
     kernel = kernel_of(model)
     S0 = kernel.S0
     probe = kernel.check_state(probe_state or ((0, 0, 0, 0), 0))
     L = radius + 1
     if any(v >= L for v in probe[0]):
         return UNKNOWN
-    Lout = 4 * radius + 2
-    adj = assemble_lattice(kernel.move_pattern, 4, Lout, S0, fold=False)
-    target = np.ravel_multi_index(probe[0], (Lout,) * 4) * S0 + probe[1]
-    # reverse edges: the states that can reach the target
-    order = breadth_first_order(
-        adj.T, target, directed=True, return_predecessors=False
-    )
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[order] = True
-    if seen.reshape((Lout,) * 4 + (S0,))[(slice(0, L),) * 4].all():
-        return CONFIRMED
-    return UNKNOWN
+    side = 4 * radius + 2
+    # per displacement z: the backgrounds j with a move (sig, j) -> z, j2,
+    # as CSR rows keyed sig_index * S0 + j2 (signatures in ndindex order)
+    pieces = {}
+    for s, sig in enumerate(np.ndindex(3, 3, 3, 3)):
+        for z, on in kernel.move_pattern(sig).items():
+            j2, j = np.nonzero(on.T)
+            pieces.setdefault(z, []).append((s * S0 + j2, j))
+    tables = {}
+    for z, parts in pieces.items():
+        keys, js = (np.concatenate(v) for v in zip(*parts))
+        tables[z] = (np.searchsorted(keys, np.arange(81 * S0 + 1)), js)
+    shape = (side,) * 4 + (S0,)
+    seen = np.zeros(shape, dtype=bool)
+    inner = seen[(slice(0, L),) * 4]
+    frontier = np.array([np.ravel_multi_index(probe[0] + (probe[1],), shape)])
+    seen.flat[frontier] = True
+    while frontier.size and not inner.all():
+        *y, j2 = np.unravel_index(frontier, shape)
+        found = []
+        for z, (indptr, js) in tables.items():
+            x = [a - dz for a, dz in zip(y, z)]
+            ok = np.logical_and.reduce([(a >= 0) & (a < side) for a in x])
+            x = [a[ok] for a in x]
+            sig = sum(np.minimum(a, 2) * 3 ** (3 - i) for i, a in enumerate(x))
+            key = sig * S0 + j2[ok]
+            start, count = indptr[key], indptr[key + 1] - indptr[key]
+            # the predecessor lists of the layer, one after another
+            at = np.repeat(start - np.cumsum(count) + count, count)
+            at += np.arange(at.size)
+            base = np.ravel_multi_index(x, shape[:4]) * S0
+            found.append(np.repeat(base, count) + js[at])
+        found = np.concatenate(found)
+        found = np.sort(found[~seen.flat[found]])
+        frontier = found[np.diff(found, prepend=-1) != 0]
+        seen.flat[frontier] = True
+    return CONFIRMED if inner.all() else UNKNOWN
 
 
 def write_generator_triplets(model: NetworkModel, radius, path):

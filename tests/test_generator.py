@@ -33,6 +33,7 @@ from netdrift.generator import (
     max_exit_rate,
 )
 from tests.conftest import exp_model, symmetric_limited_model
+from tests.test_service_disciplines import PH_PAIRS
 
 ALL_SIGS = list(itertools.product((0, 1, 2), repeat=4))
 
@@ -327,17 +328,88 @@ def test_probe_agrees_with_reference_bfs(np_model):
     phs = [exponential_ph(m) for m in (4.0, 2.4, 4.2, 2.2)]
     silent = validate_map([[0.0]], [[0.0]])
     no_arrivals = build_network(silent, silent, *phs, 0.3, "non_preemptive")
+    readme = exp_model(mus=(5.0, 2.4, 5.0, 2.2))
+    empty = ((0, 0, 0, 0), (0, 0, 0, 0))
     cases = [
-        (np_model, ((0, 0, 0, 0), (0, 0, 0, 0)), CONFIRMED),
-        (symmetric_limited_model(3), ((0, 0, 0, 0), (0, 0, 0, 0)), CONFIRMED),
-        (phmap_model(), ((0, 0, 0, 0), (0, 0, 0, 0)), CONFIRMED),
-        (no_arrivals, ((1, 0, 0, 0), (0, 0, 0, 0)), UNKNOWN),
+        (np_model, empty, 1, CONFIRMED),
+        (symmetric_limited_model(3), empty, 1, CONFIRMED),
+        (phmap_model(), empty, 1, CONFIRMED),
+        (no_arrivals, ((1, 0, 0, 0), (0, 0, 0, 0)), 1, UNKNOWN),
         # a background given as a tuple of (arrival, arrival, server, server)
-        (np_model, ((0, 1, 0, 0), (0, 0, 0, 2)), CONFIRMED),
+        (np_model, ((0, 1, 0, 0), (0, 0, 0, 2)), 1, CONFIRMED),
+        # radius 0: the inner box is the empty cell alone
+        (readme, empty, 0, CONFIRMED),
+        (phmap_model(), ((0, 0, 0, 0), (1, 0, 0, 0)), 0, CONFIRMED),
+        (no_arrivals, empty, 0, CONFIRMED),
+        # no arrival ever wakes a server, so a busy-server target is unreachable
+        (no_arrivals, ((0, 0, 0, 0), (0, 0, 1, 0)), 0, UNKNOWN),
+        (readme, empty, 2, CONFIRMED),
+        (readme, ((1, 2, 0, 1), (0, 0, 1, 2)), 2, CONFIRMED),
+        (phmap_model(), ((2, 0, 1, 0), (1, 0, 2, 1)), 2, CONFIRMED),
+        (no_arrivals, ((1, 0, 0, 0), (0, 0, 0, 0)), 2, UNKNOWN),
     ]
-    for model, probe, want in cases:
-        got = check_semi_irreducible(model, probe_state=probe, radius=1)
-        assert got == _reference_probe(model, 1, probe) == want, probe
+    for model, probe, radius, want in cases:
+        got = check_semi_irreducible(model, probe_state=probe, radius=radius)
+        assert got == _reference_probe(model, radius, probe) == want, (probe, radius)
+
+
+def _reference_q(model, sig):
+    """The q blocks of one signature, built from the model's matrices
+    with no sharing across signatures."""
+    def kron4(*mats):
+        return reduce(np.kron, mats)
+
+    def kronsum4(mats):
+        dims = [m.shape[0] for m in mats]
+        out = np.zeros((int(np.prod(dims)),) * 2)
+        for i, m in enumerate(mats):
+            left, right = int(np.prod(dims[:i])), int(np.prod(dims[i + 1:]))
+            out += kron4(np.eye(left), m, np.eye(right), np.eye(1))
+        return out
+
+    m = model
+    Ia1, Ia3 = np.eye(m.map1.dim), np.eye(m.map3.dim)
+    Im1, Im2 = np.eye(m.msp1.n), np.eye(m.msp2.n)
+    t1, u1, t2, u2 = m.msp1.t, m.msp1.u, m.msp2.t, m.msp2.u
+    g1, g2, g3, g4 = ("0" if c == 0 else "+" for c in sig)
+    c1, c2, c3, c4 = ("1*" if c == 1 else "2*" for c in sig)
+    blocks = {
+        (1, 0, 0, 0): kron4(m.map1.D, Ia3, u1[f"{g1}*{g4}"], Im2),
+        (0, 0, 1, 0): kron4(Ia1, m.map3.D, Im1, u2[f"{g3}*{g2}"]),
+    }
+    if sig[0]:
+        blocks[(-1, 1, 0, 0)] = kron4(Ia1, Ia3, t1[f"{c1}{g4}"], u2[f"{g3}{g2}*"])
+    if sig[1]:
+        T2c = t2[f"{g3}{c2}"]
+        blocks[(0, -1, 0, 0)] = kron4(Ia1, Ia3, Im1, (1.0 - m.p) * T2c)
+        after = "0" if sig[1] == 1 else "+"
+        blocks[(0, -1, 1, 0)] = kron4(Ia1, Ia3, Im1, m.p * (T2c @ u2[f"{g3}*{after}"]))
+    if sig[2]:
+        blocks[(0, 0, -1, 1)] = kron4(Ia1, Ia3, u1[f"{g1}{g4}*"], t2[f"{c3}{g2}"])
+    if sig[3]:
+        blocks[(0, 0, 0, -1)] = kron4(Ia1, Ia3, t1[f"{g1}{c4}"], Im2)
+    blocks[(0, 0, 0, 0)] = kronsum4([m.map1.C, m.map3.C, t1[f"{g1}{g4}"], t2[f"{g3}{g2}"]])
+    return blocks
+
+
+@pytest.mark.parametrize("pair", range(len(PH_PAIRS)))
+def test_shared_blocks_match_per_signature_build(pair):
+    lo, hi = PH_PAIRS[pair]
+    arrivals = (mmpp_map([[-1.0, 1.0], [1.0, -1.0]], [0.5, 1.1]), poisson_map(0.4))
+    disciplines = [("non_preemptive", None), ("preemptive_resume", None),
+                   ("limited", 1), ("limited", 2), ("limited", 3)]
+    for discipline, K in disciplines:
+        model = build_network(*arrivals, lo, hi, lo, hi, 0.3, discipline, K=K)
+        kernel = BlockKernel(model)
+        distinct = set()
+        for sig in ALL_SIGS:
+            got, want = kernel.q_blocks(sig), _reference_q(model, sig)
+            assert list(got) == list(want), (discipline, K, sig)
+            for z, B in got.items():
+                assert B.tobytes() == want[z].tobytes(), (discipline, K, sig, z)
+                distinct.add(id(B))
+        # one array per distinct (displacement, regime symbols)
+        assert len(distinct) == 68, (discipline, K)
 
 
 # --- lattice assembly ------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Parsing and simulation load numpy alone; scipy waits for the first
-lattice assembly, probe or face solve."""
+"""Parsing, simulation, validation and closed-mode sweeps load numpy
+alone; scipy waits for the first lattice assembly or face solve."""
 
 import json
 import os
@@ -51,6 +51,15 @@ no_scipy("simulate --saturate N")
 assert main(["simulate", model, "--horizon", "200", "--seed", "3",
              "--out", out + "/plain"]) == 0
 no_scipy("simulate")
+assert main(["validate", model, "--out", out + "/valid.json"]) == 0
+assert json.load(open(out + "/valid.json"))["semiIrreducibility"] == "ConfirmedSemiIrreducible"
+no_scipy("validate")
+with open(out + "/sweep.json", "w") as fh:
+    json.dump({"parameter": "services.4.rate", "values": [0.9, 1.5]}, fh)
+assert main(["sweep", model, out + "/sweep.json", "--mode", "closed",
+             "--out", out + "/sweep.csv"]) == 0
+assert len(open(out + "/sweep.csv").read().splitlines()) == 3
+no_scipy("sweep --mode closed")
 assert main(["analyze", model, "--out", out + "/report.json"]) == 0
 assert "scipy.sparse" in sys.modules
 """

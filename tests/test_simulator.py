@@ -11,6 +11,7 @@ import pytest
 
 from netdrift import (
     build_network,
+    drift_table,
     erlang_ph,
     estimate_drift,
     exponential_ph,
@@ -308,6 +309,19 @@ def test_alternating_service_throughput():
     for i in range(4):
         assert abs(est.departure_rates[i] - target[i]) <= \
             3.0 * est.departure_rate_half_widths[i], (i, est.to_json_dict())
+
+
+@pytest.mark.parametrize("face", [N, frozenset({1, 4})])
+def test_asymmetric_limited_table_matches_saturated_runs(face):
+    # the README rates under the (1,4)-limited discipline: no closed form,
+    # so simulation is the independent check of the numeric table, by the
+    # rule of the CLI's `agreement` report
+    model = exp_model("limited", K=4, mus=(5.0, 2.4, 5.0, 2.2))
+    table = drift_table(model, mode="numeric").entry(face).output_rates
+    est = estimate_drift(simulate_saturated(model, face, horizon=20_000.0, seed=7))
+    for i in range(4):
+        assert abs(est.departure_rates[i] - table[i]) <= \
+            3.0 * max(est.departure_rate_half_widths[i], 1e-12), (i, est.to_json_dict())
 
 
 def test_two_face_regime_keeps_free_queues_flat(np_model):
