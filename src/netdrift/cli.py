@@ -614,7 +614,7 @@ def build_parser():
         p.add_argument("--levels", type=positive, default=8,
                        help="first truncation level tried per free coordinate")
         p.add_argument("--cap", type=positive, default=512,
-                       help="truncation level cap")
+                       help="truncation level cap per free coordinate")
         p.add_argument("--out", help="write output to this path")
 
     p = sub.add_parser("validate", help="validate a model file")

@@ -279,13 +279,13 @@ def generator_block(model: NetworkModel, x, xp):
 
 # -- lattice assembly --------------------------------------------------------
 #
-# STRATEGY: a truncated chain on {0..L-1}^d x S0 repeats each
-# (signature, displacement) block over the cells of its signature: a
-# nonzero (bi, bj) of the block at source cell s with target cell t is
-# the entry (s*S0 + bi, t*S0 + bj).  Every entry is written by this
-# index arithmetic into one COO, converted to CSR once.  Out-of-box
-# moves either fold onto the boundary (reflecting truncation, used by
-# the stationary solver) or are dropped (used by the debug export).
+# STRATEGY: a truncated chain on {0..L_1-1} x ... x {0..L_d-1} x S0
+# repeats each (signature, displacement) block over the cells of its
+# signature: a nonzero (bi, bj) of the block at source cell s with target
+# cell t is the entry (s*S0 + bi, t*S0 + bj).  Every entry is written by
+# this index arithmetic into one COO, converted to CSR once.  Out-of-box
+# moves either fold onto the boundary (reflecting truncation, used by the
+# stationary solver) or are dropped (used by the debug export).
 
 def signature_ranges(sig_component, L):
     """The levels 0..L-1 of one coordinate whose signature entry is
@@ -297,28 +297,27 @@ def signature_ranges(sig_component, L):
     return np.arange(2, L)
 
 
-def assemble_lattice(block_fn, d, L, S0, fold=True):
-    """Sparse matrix of the truncated chain, as canonical CSR (sorted
-    indices, no duplicates).
+def assemble_lattice(block_fn, shape, S0, fold=True):
+    """Sparse matrix of the chain truncated to the box `shape`, one level
+    per free coordinate, as canonical CSR (sorted indices, no duplicates).
 
-    block_fn(sig_free) -> dict mapping z_free (d-tuple) to an S0 x S0
-    block.  State order: lattice cell (C order) major, background minor.
-    With fold=True, entries folded onto one state are summed in the
-    order they were emitted: signature, then displacement, then cell.
+    block_fn(sig_free) -> dict mapping z_free to an S0 x S0 block.  State
+    order: lattice cell (C order) major, background minor.  With
+    fold=True, entries folded onto one state are summed in the order
+    they were emitted: signature, then displacement, then cell.
     """
     # scipy loads here, not at module level, so that parsing, simulation
     # and the probe import numpy alone
     import scipy.sparse as sp
 
-    if d == 0:
+    if not shape:
         blocks = block_fn(())
         return sp.csr_matrix(sum(blocks.values()))
-    shape = (L,) * d
-    n = L ** d * S0
+    n = int(np.prod(shape)) * S0
     idx = np.int32 if n < 2 ** 31 else np.int64
     rows, cols, data = [], [], []
-    for sig in np.ndindex(*(3,) * d):
-        axes = [signature_ranges(c, L) for c in sig]
+    for sig in np.ndindex(*(3,) * len(shape)):
+        axes = [signature_ranges(c, L) for c, L in zip(sig, shape)]
         if any(a.size == 0 for a in axes):
             continue
         grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
@@ -327,10 +326,10 @@ def assemble_lattice(block_fn, d, L, S0, fold=True):
             bi, bj = np.nonzero(B)
             tgt = [g + dz for g, dz in zip(grids, z)]
             if fold:
-                tgt = [np.clip(t, 0, L - 1) for t in tgt]
+                tgt = [np.clip(t, 0, L - 1) for t, L in zip(tgt, shape)]
                 src = cells
             else:
-                ok = np.logical_and.reduce([(t >= 0) & (t < L) for t in tgt])
+                ok = np.logical_and.reduce([(t >= 0) & (t < L) for t, L in zip(tgt, shape)])
                 tgt = [t[ok] for t in tgt]
                 src = cells[ok]
             tgt = np.ravel_multi_index(tgt, shape)
@@ -425,7 +424,7 @@ def write_generator_triplets(model: NetworkModel, radius, path):
     "row col rate" line per nonzero, row-major order."""
     kernel = kernel_of(model)
     L = radius + 1
-    Q = assemble_lattice(kernel.q_blocks, 4, L, kernel.S0, fold=False)
+    Q = assemble_lattice(kernel.q_blocks, (L,) * 4, kernel.S0, fold=False)
     rows = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# truncated generator, box {L}^4 x {kernel.S0}, nu={float(kernel.nu)!r}\n")

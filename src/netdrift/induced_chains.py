@@ -7,9 +7,9 @@ the long-run output rate of every queue and hence the drift vector
 Delta q^A: input rate minus output rate, per unit time.
 
 Numeric tables solve the induced chains on a reflecting truncation of
-the free lattice (out-of-box moves folded onto the boundary).  Each face
-starts at a small truncation level and grows it to the level its own
-measured decay calls for, until the distribution has provably
+the free lattice (out-of-box moves folded onto the boundary), one level
+per free coordinate.  Each face grows each coordinate to the level its
+own measured decay calls for, until the distribution has provably
 negligible boundary mass.  Closed-form tables cover the priority
 disciplines and the symmetric (1,K)-limited case.
 """
@@ -105,7 +105,8 @@ def build_induced_chain(kernel: BlockKernel, A) -> InducedChain:
 
 
 class InducedChainSolution:
-    """Stationary distribution of a truncated induced chain."""
+    """Stationary distribution of a truncated induced chain; `levels` and
+    each `history` entry hold one truncation level per free coordinate."""
 
     __slots__ = (
         "A", "free", "levels", "dist", "residual", "tail_mass",
@@ -130,7 +131,7 @@ class InducedChainSolution:
         S0 = self.dist.shape[-1]
         out = {}
         for sig in np.ndindex(*(3,) * len(self.free)):
-            axes = [signature_ranges(c, self.levels) for c in sig]
+            axes = [signature_ranges(c, L) for c, L in zip(sig, self.levels)]
             if all(a.size for a in axes):
                 out[sig] = self.dist[np.ix_(*axes)].reshape(-1, S0).sum(axis=0)
         return out
@@ -207,128 +208,128 @@ NON_DECAY_RATE = 0.9 ** (1 / 32)
 
 
 def _marginal_decay(dist):
-    """Per-level decay of the stationary mass, read off one solve: the
-    geometric ratio of each axis's level marginal between levels 1 and
-    L-2, on the slowest axis.  None when no axis has mass there or the
-    truncation is too short to tell."""
+    """Per-level decay of the stationary mass on each free axis, read off
+    one solve: the geometric ratio of the axis's level marginal between
+    levels 1 and L-2.  None for an axis with no mass at level 1 or too
+    short to tell."""
     d = dist.ndim - 1
-    L = dist.shape[0]
-    if L < 4:
-        return None
     rates = []
-    for axis in range(d):
-        others = tuple(a for a in range(d + 1) if a != axis)
-        marginal = dist.sum(axis=others)
-        if marginal[1] <= 0.0:
-            continue
-        rates.append((marginal[L - 2] / marginal[1]) ** (1.0 / (L - 3)))
-    return max(rates) if rates else None
+    for axis, L in enumerate(dist.shape[:d]):
+        marginal = dist.sum(axis=tuple(a for a in range(d + 1) if a != axis))
+        if L < 4 or marginal[1] <= 0.0:
+            rates.append(None)
+        else:
+            rates.append((marginal[L - 2] / marginal[1]) ** (1.0 / (L - 3)))
+    return rates
 
 
 def _next_level(L, tail, rate, cap):
     """The level at which `tail` decaying by `rate` per level reaches a
     quarter of TAIL_TOL, kept within [L+1, min(2L, cap)].  Doubles when
     the rate is unknown or not below 1, or when the tail already meets
-    TAIL_TOL (then the residual failed, and the tail says nothing)."""
+    that target (then the residual failed, and the tail says nothing)."""
     top = min(2 * L, cap)
-    if rate is None or rate >= 1.0 or tail <= TAIL_TOL:
+    if rate is None or rate >= 1.0 or tail <= TAIL_TOL / 4:
         return top
     if rate <= 0.0:
         return L + 1
     steps = math.ceil(math.log(TAIL_TOL / 4 / tail) / math.log(rate))
-    return min(max(L + steps, L + 1), top)
+    return min(L + steps, top)
 
 
-def _largest_fitting_level(d, S0, max_states):
-    L = int((max_states / S0) ** (1.0 / d)) + 1
-    while L > 0 and L ** d * S0 > max_states:
-        L -= 1
-    return L
+def _fit_budget(shape, floor, S0, max_states):
+    """`shape` with its axes above `floor` cut back, the largest first,
+    until the box holds at most `max_states` states; None when `floor`
+    itself does not fit."""
+    shape = list(shape)
+    while math.prod(shape) * S0 > max_states:
+        over = [a for a in range(len(shape)) if shape[a] > floor[a]]
+        if not over:
+            return None
+        shape[max(over, key=lambda a: shape[a])] -= 1
+    return tuple(shape)
 
 
 def solve_stationary(chain: InducedChain, levels=8, cap=512,
                      max_states=3_000_000) -> InducedChainSolution:
-    """Stationary distribution with reflecting truncation.
+    """Stationary distribution with reflecting truncation, one level per
+    free coordinate.
 
-    Solves at `levels` per free coordinate first, then grows the
-    truncation until the residual of the untruncated balance equations
-    on interior states is at most RESIDUAL_TOL and the boundary mass at
-    most TAIL_TOL.  Each step goes to the level where the boundary mass,
-    decaying at its measured per-level rate, reaches TAIL_TOL/4, but by
-    at least one level and at most to double the current one or `cap`.
-    The first rate is the slowest axis's geometric decay of the level
-    marginal over levels 1..L-2 of the first solution; later rates come
-    from the boundary masses of the last two levels.  A later rate at or
-    above NON_DECAY_RATE means the boundary mass is not decaying (the
-    signature of a transient chain) and stops the growth, as does the
-    cap.  A level over the `max_states` budget is replaced by the largest
-    level that fits; the growth stops only when that level is no larger
-    than the current one.  A failed solve (see `_stationary_of`) stops
-    the growth too, with the failure in the note.
+    Solves at `levels` on every axis first, then grows the box until the
+    residual of the untruncated balance equations on interior states is
+    at most RESIDUAL_TOL and the boundary mass (the cells where any axis
+    sits at its top level) at most TAIL_TOL.  Each step grows only the
+    axes whose own top level holds more than TAIL_TOL / d, each to the
+    level where that mass, decaying at the axis's measured per-level
+    rate, reaches TAIL_TOL/4, but by at least one level and at most to
+    double the current one or `cap`.  An axis that grew in the last step
+    takes its rate from its top-level masses at its last two levels; at
+    or above NON_DECAY_RATE on a growing axis, that rate means the mass
+    is not decaying (the signature of a transient chain) and stops the
+    growth, as does a growing axis at the cap.  Any other axis takes the
+    decay of its level marginal in the current solution.  `max_states`
+    bounds the product of the levels times the background states: a box
+    over it has its growing axes cut back, the largest first, and the
+    growth stops when none of them can grow.  A failed solve (see
+    `_stationary_of`) stops the growth too, with the failure in the note.
     """
     d = len(chain.free)
     S0 = chain.kernel.S0
 
-    def failed(L, history, note):
-        return InducedChainSolution(chain.A, chain.free, L, None, np.inf,
+    def failed(shape, history, note):
+        return InducedChainSolution(chain.A, chain.free, shape, None, np.inf,
                                     np.inf, False, history, note)
 
-    if d == 0:
-        P = assemble_lattice(chain.p_blocks, 0, 1, S0, fold=True)
-        pi, resid, note = _stationary_of(P)
-        if pi is None:
-            return failed(0, [], note)
-        residual = float(resid.max())
-        return InducedChainSolution(
-            chain.A, chain.free, 0, pi, residual, 0.0,
-            residual <= RESIDUAL_TOL, [(0, residual, 0.0)], note,
-        )
-
-    fits = _largest_fitting_level(d, S0, max_states)
-    if fits < 1:
-        return failed(0, [], f"state budget {max_states} is below {S0} "
-                             "background states")
-    L = min(int(levels), fits)
-    budget_note = (f"level {int(levels)} exceeds the state budget; "
-                   f"started at level {L}" if L < int(levels) else "")
+    start = (int(levels),) * d
+    shape = _fit_budget(start, (1,) * d, S0, max_states)
+    if shape is None:
+        return failed((), [], f"state budget {max_states} is below {S0} background states")
+    budget_note = (f"levels {start} exceed the state budget; started at "
+                   f"{shape}" if shape != start else "")
     history = []
     while True:
-        P = assemble_lattice(chain.p_blocks, d, L, S0, fold=True)
+        P = assemble_lattice(chain.p_blocks, shape, S0, fold=True)
         pi, resid, note = _stationary_of(P)
         if pi is None:
-            return failed(L, history, f"level {L}: {note}")
-        interior = (slice(0, L - 1),) * d
-        inner = resid.reshape((L,) * d + (S0,))[interior]
+            return failed(shape, history, f"levels {shape}: {note}")
+        interior = tuple(slice(0, L - 1) for L in shape)
+        inner = resid.reshape(shape + (S0,))[interior]
         residual = float(inner.max()) if inner.size else float(resid.max())
-        dist = pi.reshape((L,) * d + (S0,))
-        on_boundary = np.ones((L,) * d, dtype=bool)
+        dist = pi.reshape(shape + (S0,))
+        on_boundary = np.ones(shape, dtype=bool)
         on_boundary[interior] = False
         tail = float(dist[on_boundary].sum())
-        history.append((L, residual, tail))
+        tails = [float(dist.take(L - 1, axis=a).sum()) for a, L in enumerate(shape)]
+        history.append((shape, residual, tail))
         if residual <= RESIDUAL_TOL and tail <= TAIL_TOL:
             return InducedChainSolution(
-                chain.A, chain.free, L, dist, residual, tail, True, history,
+                chain.A, chain.free, shape, dist, residual, tail, True, history,
                 "; ".join(filter(None, (budget_note, note))),
             )
-        if len(history) >= 2 and history[-2][2] > 0.0:
-            prev_L, _, prev_tail = history[-2]
-            rate = (tail / prev_tail) ** (1.0 / (L - prev_L))
-            if rate >= NON_DECAY_RATE:
+        # with no axis over its share, only the residual failed: grow all
+        grow = [a for a in range(d) if tails[a] > TAIL_TOL / d] or range(d)
+        rates = _marginal_decay(dist)
+        if len(history) > 1:
+            measured = [a for a in range(d)
+                        if shape[a] > prev_shape[a] and prev_tails[a] > 0.0]
+            for a in measured:
+                rates[a] = (tails[a] / prev_tails[a]) ** (1.0 / (shape[a] - prev_shape[a]))
+            if any(rates[a] >= NON_DECAY_RATE for a in measured if a in grow):
                 note = "boundary mass is not decaying; chain is likely transient"
                 break
-        else:
-            rate = _marginal_decay(dist)
-        if L >= cap:
+        if any(shape[a] >= cap for a in grow):
             note = f"truncation cap {cap} reached"
             break
-        nxt = min(_next_level(L, tail, rate, cap), fits)
-        if nxt <= L:
-            note = f"state budget exceeded beyond level {L}"
+        target = list(shape)
+        for a in grow:
+            target[a] = _next_level(shape[a], tails[a], rates[a], cap)
+        nxt = _fit_budget(target, shape, S0, max_states)
+        if nxt == shape:
+            note = f"state budget exceeded beyond levels {shape}"
             break
-        L = nxt
-    return InducedChainSolution(
-        chain.A, chain.free, L, dist, residual, tail, False, history, note,
-    )
+        prev_shape, prev_tails, shape = shape, tails, nxt
+    return InducedChainSolution(chain.A, chain.free, shape, dist, residual, tail,
+                                False, history, note)
 
 
 def _flows(chain: InducedChain, sol: InducedChainSolution, blocks):

@@ -414,15 +414,14 @@ def test_shared_blocks_match_per_signature_build(pair):
 
 # --- lattice assembly ------------------------------------------------------------
 
-def _kron_lattice(block_fn, d, L, S0, fold):
+def _kron_lattice(block_fn, shape, S0, fold):
     """Reference assembly: one 0/1 lattice map per (signature,
     displacement), Kronecker-multiplied by its block and summed."""
-    shape = (L,) * d
-    ncells = L ** d
+    ncells = int(np.prod(shape))
     rows, cols, data = [], [], []
-    for sig in np.ndindex(*(3,) * d):
+    for sig in np.ndindex(*(3,) * len(shape)):
         axes = [np.array([0]) if c == 0 else np.array([1]) if c == 1
-                else np.arange(2, L) for c in sig]
+                else np.arange(2, L) for c, L in zip(sig, shape)]
         grids = np.meshgrid(*axes, indexing="ij")
         cells = np.ravel_multi_index([g.ravel() for g in grids], shape)
         if cells.size == 0:
@@ -430,10 +429,11 @@ def _kron_lattice(block_fn, d, L, S0, fold):
         for z, B in block_fn(tuple(sig)).items():
             tgt = [g.ravel() + dz for g, dz in zip(grids, z)]
             if fold:
-                tgt = [np.clip(t, 0, L - 1) for t in tgt]
+                tgt = [np.clip(t, 0, L - 1) for t, L in zip(tgt, shape)]
                 src = cells
             else:
-                ok = reduce(np.logical_and, [(t >= 0) & (t < L) for t in tgt])
+                ok = reduce(np.logical_and,
+                            [(t >= 0) & (t < L) for t, L in zip(tgt, shape)])
                 tgt = [t[ok] for t in tgt]
                 src = cells[ok]
             lattice = sp.coo_matrix(
@@ -457,18 +457,20 @@ def test_assembly_matches_kronecker_reference(which, fold):
     kernel = kernel_of(model)
     S0 = kernel.S0
     cases = [
-        (build_induced_chain(kernel, (1, 2, 3)).p_blocks, 1, 4),
-        (build_induced_chain(kernel, (1, 4)).p_blocks, 2, 4),
-        (kernel.q_blocks, 4, 3),
-        (kernel.p_blocks, 4, 4 if which == "np" else 2),
+        (build_induced_chain(kernel, (1, 2, 3)).p_blocks, (4,)),
+        (build_induced_chain(kernel, (1, 4)).p_blocks, (4, 4)),
+        (build_induced_chain(kernel, (1, 4)).p_blocks, (3, 6)),
+        (kernel.q_blocks, (3,) * 4),
+        (kernel.q_blocks, (2, 4, 3, 2)),
+        (kernel.p_blocks, (4 if which == "np" else 2,) * 4),
     ]
-    for block_fn, d, L in cases:
-        got = assemble_lattice(block_fn, d, L, S0, fold=fold)
-        want = _kron_lattice(block_fn, d, L, S0, fold)
-        assert got.shape == want.shape == (L ** d * S0,) * 2
-        assert np.array_equal(got.indptr, want.indptr), (d, L)
-        assert np.array_equal(got.indices, want.indices), (d, L)
-        assert np.array_equal(got.data, want.data), (d, L)
+    for block_fn, shape in cases:
+        got = assemble_lattice(block_fn, shape, S0, fold=fold)
+        want = _kron_lattice(block_fn, shape, S0, fold)
+        assert got.shape == want.shape == (int(np.prod(shape)) * S0,) * 2
+        assert np.array_equal(got.indptr, want.indptr), shape
+        assert np.array_equal(got.indices, want.indices), shape
+        assert np.array_equal(got.data, want.data), shape
 
 
 # --- debug export ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Induced saturated chains: stationary solves, drift vectors, and the
 closed-form / numeric cross-check."""
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -36,7 +37,12 @@ from netdrift.errors import (
     UnsupportedSubset,
 )
 from netdrift.generator import SUBSET_ALL, assemble_lattice
-from netdrift.induced_chains import TAIL_TOL, InducedChainSolution, input_rates
+from netdrift.induced_chains import (
+    CROSS_CHECK_TOL,
+    TAIL_TOL,
+    InducedChainSolution,
+    input_rates,
+)
 
 from tests.conftest import exp_model, symmetric_limited_model
 
@@ -96,12 +102,11 @@ def _slice_group_masses(sol):
     S0 = sol.dist.shape[-1]
     if d == 0:
         return {(): sol.dist.reshape(S0)}
-    L = sol.dist.shape[0]
     out = {}
     for sig in np.ndindex(*(3,) * d):
         slices = []
         empty = False
-        for c in sig:
+        for c, L in zip(sig, sol.dist.shape):
             if c == 0:
                 slices.append(slice(0, 1))
             elif c == 1:
@@ -125,14 +130,17 @@ def _slice_group_masses(sol):
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_group_masses_match_slice_reference(d, L):
     S0 = 5
-    dist = np.random.default_rng(10 * d + L).random((L,) * d + (S0,))
     free = tuple(range(5 - d, 5))
-    sol = InducedChainSolution(SUBSET_ALL - set(free), free, L if d else 0, dist,
-                               0.0, 0.0, True, [], "")
-    got, ref = sol.group_masses(), _slice_group_masses(sol)
-    assert got.keys() == ref.keys()
-    for sig, mass in ref.items():
-        assert np.array_equal(got[sig], mass), sig
+    # a square box and one whose last axis is longer than the others
+    shapes = {(L,) * d, (L,) * (d - 1) + (L + 2,)} if d else {()}
+    for shape in shapes:
+        dist = np.random.default_rng(10 * d + L).random(shape + (S0,))
+        sol = InducedChainSolution(SUBSET_ALL - set(free), free, shape, dist,
+                                   0.0, 0.0, True, [], "")
+        got, ref = sol.group_masses(), _slice_group_masses(sol)
+        assert got.keys() == ref.keys()
+        for sig, mass in ref.items():
+            assert np.array_equal(got[sig], mass), (shape, sig)
 
 
 def test_alternate_virtual_station_chain_converges(np_model):
@@ -161,28 +169,31 @@ def test_noncanonical_transient_subset_is_flagged(np_model):
 
 
 def test_start_level_over_state_budget_solves_at_largest_fitting_level(np_model):
-    # 32 levels squared times S0 = 9 is over the budget, 20 squared fits;
-    # the {2,3} face (geometric, ratio 0.2) converges there
+    # 32 x 32 cells times S0 = 9 is over the budget, 20 x 20 fits; the
+    # {2,3} face (geometric, ratio 0.2) converges there
     kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {2, 3})
     sol = solve_stationary(chain, levels=32, max_states=20 ** 2 * kernel.S0 + 5)
     assert sol.converged
-    assert sol.history[0][0] == 20
-    assert sol.levels == 20
+    assert sol.history[0][0] == (20, 20)
+    assert sol.levels == (20, 20)
     assert "state budget" in sol.note
 
-    # a face that needs more levels than the budget holds fails with a
-    # named reason after solving at the largest level that fits
+    # a face that needs more states than the budget holds fails with a
+    # named reason after solving at the largest box that fits: at 12^2
+    # cells, the decay calls for 9 x 16, which fits exactly; at 10 x 12
+    # cells, the slow axis (queue 3) is cut back to 13
     limited = kernel_of(symmetric_limited_model(3))
     chain = build_induced_chain(limited, {1, 4})
-    sol = solve_stationary(chain, max_states=12 ** 2 * limited.S0)
-    assert not sol.converged
-    assert [L for L, _, _ in sol.history] == [8, 12]
-    assert "state budget" in sol.note
+    for cells, boxes in ((12 ** 2, [(8, 8), (9, 16)]), (10 * 12, [(8, 8), (9, 13)])):
+        sol = solve_stationary(chain, max_states=cells * limited.S0)
+        assert not sol.converged
+        assert [shape for shape, _, _ in sol.history] == boxes
+        assert "state budget" in sol.note
 
 
 def test_failed_solves_fail_loudly(np_model, monkeypatch):
-    # 8 x 8 cells x 9 background states; this face grows to level 11
+    # 8 x 8 cells x 9 background states; this face grows queue 1 to 11
     kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {2, 3})
 
@@ -220,8 +231,8 @@ def test_failed_solves_fail_loudly(np_model, monkeypatch):
     monkeypatch.setattr(spla, "gmres", stalled)
     sol = solve_stationary(chain)
     assert not sol.converged
-    assert [L for L, _, _ in sol.history] == [8]
-    assert sol.note.startswith("level 11: ilu-gmres")
+    assert [shape for shape, _, _ in sol.history] == [(8, 8)]
+    assert sol.note.startswith("levels (11, 8): ilu-gmres")
     assert "info 300" in sol.note and "residual" in sol.note
 
     def exhausted(*args, **kwargs):
@@ -284,8 +295,7 @@ def test_faces_with_two_closed_classes_converge():
         assert "2 closed classes" in sol.note
         # the reference: the other closed class of the same truncation,
         # solved densely
-        d = len(chain.free)
-        P = assemble_lattice(chain.p_blocks, d, max(sol.levels, 1), kernel.S0)
+        P = assemble_lattice(chain.p_blocks, sol.levels, kernel.S0)
         count, labels = connected_components(P, connection="strong")
         rows, cols = P.nonzero()
         closed = set(range(count)) - set(labels[rows[labels[rows] != labels[cols]]])
@@ -319,9 +329,10 @@ def test_decay_sized_truncation_matches_fixed_level(model):
         sized = solve_stationary(chain)
         fixed = solve_stationary(chain, levels=32, cap=32)
         assert sized.converged and fixed.converged
-        if chain.free:
-            assert sized.history[0][0] == 8
-            assert [L for L, _, _ in fixed.history] == [32]
+        d = len(chain.free)
+        if d:
+            assert sized.history[0][0] == (8,) * d
+            assert [shape for shape, _, _ in fixed.history] == [(32,) * d]
         # a rate's truncation error is about the boundary mass times that
         # rate's boundary-to-mean ratio; MMPP bursts push the ratio above
         # one (up to 1.2 seen), so rates agree within 2 * TAIL_TOL
@@ -437,6 +448,36 @@ def test_numeric_matches_closed_form_limited():
     cross = table.cross_check
     assert cross["ok"], cross
     assert cross["worst"] <= 1e-4
+
+
+def test_limited_face_grows_only_its_slow_axis():
+    # on face {1,4} of the symmetric K=3 model, queue 2 decays by about
+    # 0.12 per level and queue 3 by about 0.56, so only queue 3's axis
+    # grows far; a square box sized by queue 3 would hold 26 x 26 cells
+    model = symmetric_limited_model(3)
+    kernel = kernel_of(model)
+    chain = build_induced_chain(kernel, {1, 4})
+    sol = solve_stationary(chain)
+    assert sol.converged
+    q2, q3 = sol.levels
+    assert q2 <= 12 and q3 >= 24
+    assert math.prod(sol.levels) <= 0.4 * 26 ** 2
+    closed = closed_form_table(model)[frozenset({1, 4})]
+    np.testing.assert_allclose(output_rates(chain, sol), closed.output_rates,
+                               rtol=CROSS_CHECK_TOL, atol=0.0)
+
+
+def test_limited_k2_faces_need_a_quarter_of_a_square_box():
+    # the slow queue of each 2-D face of the symmetric K=2 model needs
+    # about 38 levels and the fast one about 14, so each face ends well
+    # inside a quarter of a 64 x 64 box
+    model = symmetric_limited_model(2)
+    table = drift_table(model, mode="both")
+    assert table.cross_check["ok"], table.cross_check
+    for A in (frozenset({1, 4}), frozenset({2, 3})):
+        diag = table.numeric[A].diagnostics
+        assert diag["converged"]
+        assert math.prod(diag["levels"]) < 64 ** 2 / 4, diag["levels"]
 
 
 def test_off_subset_drift_vanishes(np_model):
