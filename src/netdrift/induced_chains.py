@@ -66,7 +66,6 @@ SIGN_CONDITIONS = (
     (frozenset((2, 3)), 3, +1),
 )
 
-RESIDUAL_TOL = 1e-8
 TAIL_TOL = 1e-6
 SIGN_MARGIN = 1e-9
 CROSS_CHECK_TOL = 1e-4
@@ -144,8 +143,8 @@ _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
 def _stationary_of(P):
     """Stationary row vector of a finite stochastic CSR matrix, its
-    residual vector |pi P - pi| and a note, or None, None and the reason
-    the solve failed.
+    stationarity residual max |pi P - pi| and a note, or None, None and
+    the reason the solve failed.
 
     The balance equations have a unique solution on each closed
     communicating class of P's stored nonzeros.  This solves them on
@@ -154,7 +153,7 @@ def _stationary_of(P):
     zero mass everywhere else.  The note names the class solved when P
     has several.  A solver error, a GMRES stop short of its tolerance,
     or a result that fails the 1e-9 stationarity check on the whole of
-    P is a failure.
+    P is a failure, so a returned residual is at most 1e-9.
     """
     # imported per call, like the lattice assembly that builds P, so
     # that importing this module loads no scipy
@@ -195,10 +194,10 @@ def _stationary_of(P):
     pi[keep] = np.clip(x, 0.0, None)
     if pi.sum() > 0:
         pi /= pi.sum()
-    resid = np.abs(pi @ P - pi)
-    if info != 0 or not (x.min() >= -1e-8 and resid.max() <= 1e-9):
+    resid = float(np.abs(pi @ P - pi).max())
+    if info != 0 or not (x.min() >= -1e-8 and resid <= 1e-9):
         return None, None, (f"ilu-gmres failed: GMRES info {info}, least entry "
-                            f"{x.min():.3g}, stationarity residual {resid.max():.3g}")
+                            f"{x.min():.3g}, stationarity residual {resid:.3g}")
     return pi, resid, note
 
 
@@ -225,11 +224,11 @@ def _marginal_decay(dist):
 
 def _next_level(L, tail, rate, cap):
     """The level at which `tail` decaying by `rate` per level reaches a
-    quarter of TAIL_TOL, kept within [L+1, min(2L, cap)].  Doubles when
-    the rate is unknown or not below 1, or when the tail already meets
-    that target (then the residual failed, and the tail says nothing)."""
+    quarter of TAIL_TOL, kept within [L+1, min(2L, cap)].  `tail` must
+    be above that target.  Doubles when the rate is unknown or not
+    below 1."""
     top = min(2 * L, cap)
-    if rate is None or rate >= 1.0 or tail <= TAIL_TOL / 4:
+    if rate is None or rate >= 1.0:
         return top
     if rate <= 0.0:
         return L + 1
@@ -256,29 +255,34 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
     free coordinate.
 
     Solves at `levels` on every axis first, then grows the box until the
-    residual of the untruncated balance equations on interior states is
-    at most RESIDUAL_TOL and the boundary mass (the cells where any axis
-    sits at its top level) at most TAIL_TOL.  Each step grows only the
-    axes whose own top level holds more than TAIL_TOL / d, each to the
-    level where that mass, decaying at the axis's measured per-level
-    rate, reaches TAIL_TOL/4, but by at least one level and at most to
-    double the current one or `cap`.  An axis that grew in the last step
-    takes its rate from its top-level masses at its last two levels; at
-    or above NON_DECAY_RATE on a growing axis, that rate means the mass
-    is not decaying (the signature of a transient chain) and stops the
-    growth, as does a growing axis at the cap.  Any other axis takes the
-    decay of its level marginal in the current solution.  `max_states`
-    bounds the product of the levels times the background states: a box
-    over it has its growing axes cut back, the largest first, and the
-    growth stops when none of them can grow.  A failed solve (see
-    `_stationary_of`) stops the growth too, with the failure in the note.
+    boundary mass (the cells where any axis sits at its top level) is at
+    most TAIL_TOL; nothing else decides when a face is done.  The
+    boundary is the union of the axes' top levels, so a boundary mass
+    over TAIL_TOL puts more than TAIL_TOL / d on some axis's top level.
+    Each step grows only the axes whose own top level holds more than
+    TAIL_TOL / d, each to the level where that mass, decaying at the
+    axis's measured per-level rate, reaches TAIL_TOL/4, but by at least
+    one level and at most to double the current one or `cap`.  An axis
+    that grew in the last step takes its rate from its top-level masses
+    at its last two levels; at or above NON_DECAY_RATE on a growing axis,
+    that rate means the mass is not decaying (the signature of a
+    transient chain) and stops the growth, as does a growing axis at the
+    cap.  Any other axis takes the decay of its level marginal in the
+    current solution.  `max_states` bounds the product of the levels
+    times the background states: a box over it has its growing axes cut
+    back, the largest first, and the growth stops when none of them can
+    grow.  A failed solve (see `_stationary_of`) stops the growth too,
+    with the failure in the note and no residual or tail mass.
+    `residual` and each `history` entry report the level's largest
+    stationarity residual, which `_stationary_of` has checked to be at
+    most 1e-9.
     """
     d = len(chain.free)
     S0 = chain.kernel.S0
 
     def failed(shape, history, note):
-        return InducedChainSolution(chain.A, chain.free, shape, None, np.inf,
-                                    np.inf, False, history, note)
+        return InducedChainSolution(chain.A, chain.free, shape, None, None,
+                                    None, False, history, note)
 
     start = (int(levels),) * d
     shape = _fit_budget(start, (1,) * d, S0, max_states)
@@ -289,25 +293,21 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
     history = []
     while True:
         P = assemble_lattice(chain.p_blocks, shape, S0, fold=True)
-        pi, resid, note = _stationary_of(P)
+        pi, residual, note = _stationary_of(P)
         if pi is None:
             return failed(shape, history, f"levels {shape}: {note}")
-        interior = tuple(slice(0, L - 1) for L in shape)
-        inner = resid.reshape(shape + (S0,))[interior]
-        residual = float(inner.max()) if inner.size else float(resid.max())
         dist = pi.reshape(shape + (S0,))
         on_boundary = np.ones(shape, dtype=bool)
-        on_boundary[interior] = False
+        on_boundary[tuple(slice(0, L - 1) for L in shape)] = False
         tail = float(dist[on_boundary].sum())
         tails = [float(dist.take(L - 1, axis=a).sum()) for a, L in enumerate(shape)]
         history.append((shape, residual, tail))
-        if residual <= RESIDUAL_TOL and tail <= TAIL_TOL:
+        if tail <= TAIL_TOL:
             return InducedChainSolution(
                 chain.A, chain.free, shape, dist, residual, tail, True, history,
                 "; ".join(filter(None, (budget_note, note))),
             )
-        # with no axis over its share, only the residual failed: grow all
-        grow = [a for a in range(d) if tails[a] > TAIL_TOL / d] or range(d)
+        grow = [a for a in range(d) if tails[a] > TAIL_TOL / d]
         rates = _marginal_decay(dist)
         if len(history) > 1:
             measured = [a for a in range(d)
@@ -583,11 +583,10 @@ def numeric_table(model: NetworkModel, levels=8, cap=512):
     for A in CANONICAL_SUBSETS:
         chain = build_induced_chain(kernel, A)
         sol = solve_stationary(chain, levels=levels, cap=cap)
-        # a failed solve reports inf for both, which JSON cannot hold: null
         diag = {
             "levels": sol.levels,
-            "residual": sol.residual if math.isfinite(sol.residual) else None,
-            "tailMass": sol.tail_mass if math.isfinite(sol.tail_mass) else None,
+            "residual": sol.residual,
+            "tailMass": sol.tail_mass,
             "converged": sol.converged,
             "history": sol.history,
         }
@@ -610,9 +609,11 @@ def drift_table(model: NetworkModel, mode="both", levels=8,
     """Assemble the drift table in the requested mode.
 
     "both" computes closed and numeric tables and cross-checks them at
-    1e-4 relative per entry; classification downstream reads the closed
-    table when present.  A closed form that is out of scope degrades
-    "both" to numeric-only with a note instead of failing.
+    1e-4 relative per entry, with notes naming the faces that have no
+    numeric drift and those beyond the tolerance; classification
+    downstream reads the closed table when present.  A closed form that
+    is out of scope degrades "both" to numeric-only with a note instead
+    of failing.
     """
     if mode not in ("closed", "numeric", "both"):
         raise ValueError(f"unknown drift table mode {mode!r}")
@@ -632,25 +633,24 @@ def drift_table(model: NetworkModel, mode="both", levels=8,
         numeric, nu = numeric_table(model, levels=levels, cap=cap)
     cross = None
     if closed is not None and numeric is not None:
-        cross = {"tolerance": CROSS_CHECK_TOL, "subsets": {}, "ok": True}
-        worst = 0.0
+        rels = {}
         for A in CANONICAL_SUBSETS:
-            num = numeric.get(A)
-            if num is None or num.drifts is None:
-                cross["subsets"][subset_name(A)] = None
-                cross["ok"] = False
-                continue
-            clo = closed[A]
-            rel = max(
-                abs(num.drifts[i - 1] - clo.drifts[i - 1])
-                / max(abs(clo.drifts[i - 1]), 1e-8)
-                for i in sorted(A)
-            )
-            cross["subsets"][subset_name(A)] = rel
-            worst = max(worst, rel)
-            if rel > CROSS_CHECK_TOL:
-                cross["ok"] = False
-        cross["worst"] = worst
+            num, clo = numeric[A].drifts, closed[A].drifts
+            rels[subset_name(A)] = None if num is None else max(
+                abs(num[i - 1] - clo[i - 1]) / max(abs(clo[i - 1]), 1e-8)
+                for i in sorted(A))
+        missing = [name for name, rel in rels.items() if rel is None]
+        over = [name for name, rel in rels.items()
+                if rel is not None and rel > CROSS_CHECK_TOL]
+        if missing:
+            notes.append("no numeric drift to cross-check on faces " + ", ".join(missing))
+        if over:
+            notes.append("numeric drift table disagrees with the closed form beyond "
+                         f"{CROSS_CHECK_TOL:g} relative on faces " + ", ".join(over))
+        cross = {"tolerance": CROSS_CHECK_TOL, "subsets": rels,
+                 "ok": not (missing or over),
+                 "worst": max((rel for rel in rels.values() if rel is not None),
+                              default=0.0)}
     return DriftTable(mode, lam1, lam3, model.p, model.service_rates,
                       closed, numeric, cross, notes, nu)
 

@@ -24,6 +24,7 @@ from .errors import (
 from .generator import CONFIRMED, SUBSET_ALL, check_semi_irreducible
 from .induced_chains import (
     CANONICAL_SUBSETS,
+    SIGN_MARGIN,
     DriftTable,
     _json_safe,
     check_sign_conditions,
@@ -62,7 +63,7 @@ def _failure(c):
         return f"drift for {where} unavailable: {c['note']}"
     if c["marginal"]:
         return (f"ratio conditions degenerate: drift of {where} is within "
-                f"{EQUALITY_TOL:g} of zero")
+                f"{SIGN_MARGIN:g} of zero")
     return f"sign condition failed: {where} needs {c['required']}, got {c['value']:.6g}"
 
 
@@ -85,7 +86,7 @@ def compute_r1_r2(table: DriftTable):
     d23 = table.drifts(SUBSET_23)
     for name, value in (("q1 on face 123", d123[0]), ("q2 on face 23", d23[1]),
                         ("q3 on face 134", d134[2]), ("q4 on face 14", d14[3])):
-        if abs(value) <= EQUALITY_TOL:
+        if abs(value) <= SIGN_MARGIN:
             raise SignConditionViolated(f"denominator drift {name} is degenerate")
     r1_det = (d123[1] * d23[2] - d123[2] * d23[1]) / (d123[0] * d23[1])
     r2_det = (d134[3] * d14[0] - d134[0] * d14[3]) / (d134[2] * d14[3])
@@ -113,7 +114,7 @@ def check_ratio_conditions(table: DriftTable):
     d14 = table.drifts(SUBSET_14)
     d23 = table.drifts(SUBSET_23)
     used = (dN[0], dN[3], d14[0], d14[3], dN[2], dN[1], d23[2], d23[1])
-    degenerate = any(abs(v) <= EQUALITY_TOL for v in used)
+    degenerate = any(abs(v) <= SIGN_MARGIN for v in used)
     result = {
         "degenerate": bool(degenerate),
         "variant": VARIANT_NEITHER,
@@ -359,11 +360,6 @@ def classify(model: NetworkModel, *, mode="both", levels=8, cap=512,
             )
     table = drift_table(model, mode=mode, levels=levels, cap=cap)
     notes.extend(table.notes)
-    if table.cross_check is not None and not table.cross_check["ok"]:
-        notes.append(
-            "numeric drift table disagrees with the closed form beyond "
-            f"{table.cross_check['tolerance']:g} relative"
-        )
     sign_report = check_sign_conditions(table)
     reasons.extend(_failure(c) for c in sign_report["conditions"] if not c["ok"])
     r1 = r2 = r1r2 = None

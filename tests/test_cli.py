@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from netdrift import classify
+from netdrift import classify, erlang_ph, hyperexponential_ph, mmpp_map
 from netdrift.cli import apply_parameter, canonical_model_dict, load_model, main
 from netdrift.errors import BadParameterPath
 
@@ -84,6 +84,59 @@ def test_validate_canonical_round_trip(tmp_path, capsys):
     a = classify(original, mode="closed", assume_semi_irreducible=True)
     b = classify(reparsed, mode="closed", assume_semi_irreducible=True)
     assert a.r1r2 == b.r1r2
+
+
+def _numeric_r1r2(capsys, path):
+    code, out, err = run(capsys, ["analyze", path, "--mode", "numeric",
+                                  "--assume-semi-irreducible"])
+    assert code == 0, err
+    return json.loads(out)["r1r2"]
+
+
+def test_custom_discipline_and_shorthands_round_trip(tmp_path, capsys):
+    readme = dict(BASE_MODEL, services=[{"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)])
+    path = write_json(tmp_path, "readme.json", readme)
+    model = load_model(path)
+
+    # the README model, written as a custom discipline with its own MSPs
+    def msp(m):
+        return {"sLo": m.s_lo, "sHi": m.s_hi,
+                "t": {k: v.tolist() for k, v in m.t.items()},
+                "u": {k: v.tolist() for k, v in m.u.items()}}
+
+    custom = write_json(tmp_path, "custom.json", dict(
+        readme, discipline={"custom": {"msp1": msp(model.msp1),
+                                       "msp2": msp(model.msp2)}}))
+    r1r2 = _numeric_r1r2(capsys, path)
+    assert r1r2 == pytest.approx(0.7 * 0.8 / 1.8, abs=1e-7)
+    assert _numeric_r1r2(capsys, custom) == r1r2
+
+    canon = tmp_path / "canonical.json"
+    code, _, err = run(capsys, ["validate", custom, "--canonical-out", str(canon)])
+    assert code == 0, err
+    assert json.loads(canon.read_text())["discipline"].keys() == {"custom"}
+    assert _numeric_r1r2(capsys, str(canon)) == r1r2
+
+    limited = write_json(tmp_path, "limited.json", dict(LIMITED_MODEL, discipline={
+        "limited": {"K": 3}}))
+    assert canonical_model_dict(load_model(limited))["discipline"] == {"limited": {"K": 3}}
+
+    # MAP/PH shorthands parse to the matrices of their builders
+    shorthand = write_json(tmp_path, "phmap.json", dict(BASE_MODEL, arrivals=[
+        {"mmpp": {"switch": [[-1.0, 1.0], [2.0, -2.0]], "rates": [0.5, 1.1]}},
+        {"poisson": 0.4},
+    ], services=[
+        {"erlang": {"phases": 2, "rate": 8.0}},
+        {"hyperexponential": {"weights": [0.4, 0.6], "rates": [6.0, 2.0]}},
+        {"exponential": 4.2},
+        {"exponential": 2.2},
+    ]))
+    canonical = canonical_model_dict(load_model(shorthand))
+    arrival = mmpp_map([[-1.0, 1.0], [2.0, -2.0]], [0.5, 1.1])
+    assert canonical["arrivals"][0] == {"C": arrival.C.tolist(), "D": arrival.D.tolist()}
+    for got, ph in zip(canonical["services"][:2],
+                       (erlang_ph(2, 8.0), hyperexponential_ph([0.4, 0.6], [6.0, 2.0]))):
+        assert got == {"beta": ph.beta.tolist(), "H": ph.H.tolist()}
 
 
 def test_invalid_model_field_is_exit_2(tmp_path, capsys):

@@ -179,6 +179,12 @@ def test_start_level_over_state_budget_solves_at_largest_fitting_level(np_model)
     assert sol.levels == (20, 20)
     assert "state budget" in sol.note
 
+    # a budget below the S0 = 9 background states fails before any solve
+    sol = solve_stationary(chain, max_states=kernel.S0 - 1)
+    assert not sol.converged and sol.history == []
+    assert sol.residual is None and sol.tail_mass is None
+    assert sol.note == "state budget 8 is below 9 background states"
+
     # a face that needs more states than the budget holds fails with a
     # named reason after solving at the largest box that fits: at 12^2
     # cells, the decay calls for 9 x 16, which fits exactly; at 10 x 12
@@ -329,6 +335,8 @@ def test_decay_sized_truncation_matches_fixed_level(model):
         sized = solve_stationary(chain)
         fixed = solve_stationary(chain, levels=32, cap=32)
         assert sized.converged and fixed.converged
+        # each level reports the residual its solve was checked against
+        assert all(0.0 <= r <= 1e-9 for _, r, _ in sized.history + fixed.history)
         d = len(chain.free)
         if d:
             assert sized.history[0][0] == (8,) * d

@@ -16,6 +16,7 @@ from netdrift import (
     nominal_condition,
     spiral_path,
 )
+from netdrift import induced_chains
 from netdrift.errors import (
     AssumptionViolated,
     CertificateNotFound,
@@ -143,6 +144,35 @@ def test_probe_and_numeric_table_share_one_kernel(np_model, kernel_builds):
     assert report.semi_irreducibility == "ConfirmedSemiIrreducible"
     assert report.table.numeric is not None
     assert len(kernel_builds) == 1
+
+
+def test_cross_check_note_separates_missing_faces_from_disagreement(monkeypatch):
+    # capped at level 2, faces 14 and 23 have no numeric drift: nothing
+    # disagreed, and the note must not say so
+    report = classify(exp_model(), mode="both", levels=2, cap=2,
+                      assume_semi_irreducible=True)
+    cross = report.table.cross_check
+    assert not cross["ok"] and cross["worst"] == 0.0
+    assert cross["subsets"]["14"] is None and cross["subsets"]["23"] is None
+    assert report.notes == ["no numeric drift to cross-check on faces 14, 23"]
+
+    # a closed form off by 1% on face N disagrees beyond the tolerance
+    closed = induced_chains._priority_closed
+
+    def off_by_one_percent(lam1, lam3, mu):
+        out = closed(lam1, lam3, mu)
+        m1, m2, m3, m4 = out[frozenset({1, 2, 3, 4})]
+        out[frozenset({1, 2, 3, 4})] = (m1, 1.01 * m2, m3, m4)
+        return out
+
+    monkeypatch.setattr(induced_chains, "_priority_closed", off_by_one_percent)
+    report = classify(exp_model(), mode="both", assume_semi_irreducible=True)
+    cross = report.table.cross_check
+    assert not cross["ok"] and cross["subsets"]["N"] > cross["tolerance"]
+    assert all(rel <= cross["tolerance"] for name, rel in cross["subsets"].items()
+               if name != "N")
+    assert report.notes == ["numeric drift table disagrees with the closed form "
+                            "beyond 0.0001 relative on faces N"]
 
 
 def test_silent_first_stream_is_inconclusive():
