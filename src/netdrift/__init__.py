@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import NetdriftError
 from .generator import (
     BlockKernel,
-    boundary_face,
     check_semi_irreducible,
     generator_block,
     kernel_of,
@@ -42,7 +41,6 @@ from .primitives import (
     map_stationary_phase,
     mmpp_map,
     ph_mean,
-    ph_rate,
     poisson_map,
     validate_map,
     validate_ph,

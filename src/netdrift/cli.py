@@ -640,7 +640,7 @@ def build_parser():
     p.add_argument("model")
     p.add_argument("sweep", help="JSON file: {parameter, values}")
     add_common(p)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=positive, default=1,
                    help="parallel worker processes")
     # closed is the fastest mode per point
     p.set_defaults(func=cmd_sweep, mode="closed")

@@ -71,10 +71,6 @@ class SkipFreeViolation(NetdriftError):
     pass
 
 
-class NuTooSmall(NetdriftError):
-    pass
-
-
 # --- induced chains and drifts -------------------------------------------
 
 class EmptySubset(NetdriftError):

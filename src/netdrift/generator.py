@@ -21,9 +21,9 @@ U regimes are taken just before the triggering arrival (for feedback,
 the class-2 count just after the completion).  Station-1 matrices are
 indexed by (x1, x4) and station-2 matrices by (x3, x2).
 
-Uniformization divides by nu >= max exit rate and adds the identity to
-the diagonal block, giving a discrete kernel with the same stationary
-behavior per face.
+Uniformization divides by nu = NU_MARGIN x the max exit rate and adds
+the identity to the diagonal block, giving a discrete kernel with the
+same stationary behavior per face.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import EmptySubset, NuTooSmall, SkipFreeViolation, UnsupportedSubset
+from .errors import EmptySubset, SkipFreeViolation, UnsupportedSubset
 from .service_disciplines import NetworkModel
 
 SUBSET_ALL = frozenset((1, 2, 3, 4))
@@ -43,13 +43,6 @@ NU_MARGIN = 1.05
 
 # a rate at or below this is absent: no probe edge, clock or triplet
 RATE_TOL = 1e-14
-
-
-def boundary_face(x):
-    """Set of coordinates with at least one customer."""
-    if len(x) != 4:
-        raise SkipFreeViolation(f"state must have 4 coordinates, got {len(x)}")
-    return frozenset(i + 1 for i, v in enumerate(x) if v > 0)
 
 
 def saturated_subset(A):
@@ -98,16 +91,12 @@ class BlockKernel:
     (`sweep --jobs` runs its points in worker processes).
     """
 
-    def __init__(self, model: NetworkModel, nu: float | None = None):
+    def __init__(self, model: NetworkModel):
         self.model = model
         self.dims = (model.map1.dim, model.map3.dim, model.msp1.n, model.msp2.n)
         self.S0 = int(np.prod(self.dims))
         max_exit = max_exit_rate(model)
-        if nu is None:
-            nu = NU_MARGIN * max_exit if max_exit > 0 else 1.0
-        if max_exit > 0 and nu < max_exit * (1 - 1e-12):
-            raise NuTooSmall(f"nu={nu} is below the maximum exit rate {max_exit}")
-        self.nu = float(nu)
+        self.nu = NU_MARGIN * max_exit if max_exit > 0 else 1.0
         self._q_cache = {}
         self._shared = {}
         self._clocks = {}
@@ -229,7 +218,7 @@ class BlockKernel:
 
 @lru_cache(maxsize=1)
 def kernel_of(model: NetworkModel) -> BlockKernel:
-    """The kernel of `model` at the default nu, shared by every reader.
+    """The kernel of `model`, shared by every reader.
     Holds one model, so moving on to the next frees the last one's
     blocks.  Models compare by identity: do not change a model after
     its kernel is built."""
@@ -284,8 +273,7 @@ def generator_block(model: NetworkModel, x, xp):
 # signature: a nonzero (bi, bj) of the block at source cell s with target
 # cell t is the entry (s*S0 + bi, t*S0 + bj).  Every entry is written by
 # this index arithmetic into one COO, converted to CSR once.  Out-of-box
-# moves either fold onto the boundary (reflecting truncation, used by the
-# stationary solver) or are dropped (used by the debug export).
+# moves fold onto the boundary (reflecting truncation).
 
 def signature_ranges(sig_component, L):
     """The levels 0..L-1 of one coordinate whose signature entry is
@@ -297,14 +285,16 @@ def signature_ranges(sig_component, L):
     return np.arange(2, L)
 
 
-def assemble_lattice(block_fn, shape, S0, fold=True):
+def assemble_lattice(block_fn, shape, S0):
     """Sparse matrix of the chain truncated to the box `shape`, one level
     per free coordinate, as canonical CSR (sorted indices, no duplicates).
 
     block_fn(sig_free) -> dict mapping z_free to an S0 x S0 block.  State
-    order: lattice cell (C order) major, background minor.  With
-    fold=True, entries folded onto one state are summed in the order
-    they were emitted: signature, then displacement, then cell.
+    order: lattice cell (C order) major, background minor.  A move out of
+    the box folds onto its boundary: each coordinate is clipped to
+    0..L-1, so rows keep the blocks' row sums.  Entries folded onto one
+    state are summed in the order they were emitted: signature, then
+    displacement, then cell.
     """
     # scipy loads here, not at module level, so that parsing, simulation
     # and the probe import numpy alone
@@ -324,18 +314,11 @@ def assemble_lattice(block_fn, shape, S0, fold=True):
         cells = np.ravel_multi_index(grids, shape)
         for z, B in block_fn(tuple(sig)).items():
             bi, bj = np.nonzero(B)
-            tgt = [g + dz for g, dz in zip(grids, z)]
-            if fold:
-                tgt = [np.clip(t, 0, L - 1) for t, L in zip(tgt, shape)]
-                src = cells
-            else:
-                ok = np.logical_and.reduce([(t >= 0) & (t < L) for t, L in zip(tgt, shape)])
-                tgt = [t[ok] for t in tgt]
-                src = cells[ok]
-            tgt = np.ravel_multi_index(tgt, shape)
-            rows.append(((src * S0).astype(idx)[:, None] + bi.astype(idx)).ravel())
+            tgt = np.ravel_multi_index(
+                [np.clip(g + dz, 0, L - 1) for g, dz, L in zip(grids, z, shape)], shape)
+            rows.append(((cells * S0).astype(idx)[:, None] + bi.astype(idx)).ravel())
             cols.append(((tgt * S0).astype(idx)[:, None] + bj.astype(idx)).ravel())
-            data.append(np.tile(B[bi, bj], src.size))
+            data.append(np.tile(B[bi, bj], cells.size))
     if not rows:
         return sp.csr_matrix((n, n))
     # one array at a time, so each list of pieces is freed before the next
@@ -344,8 +327,7 @@ def assemble_lattice(block_fn, shape, S0, fold=True):
     cols = np.concatenate(cols)
     data = np.concatenate(data)
     total = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-    if fold:
-        total.sum_duplicates()
+    total.sum_duplicates()
     return total.tocsr()
 
 
@@ -420,11 +402,12 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
 
 
 def write_generator_triplets(model: NetworkModel, radius, path):
-    """Debug export: the generator restricted to {0..radius}^4, one
+    """Debug export: the generator of the reflecting truncation to
+    {0..radius}^4 (see `assemble_lattice`), whose rows sum to zero, one
     "row col rate" line per nonzero, row-major order."""
     kernel = kernel_of(model)
     L = radius + 1
-    Q = assemble_lattice(kernel.q_blocks, (L,) * 4, kernel.S0, fold=False)
+    Q = assemble_lattice(kernel.q_blocks, (L,) * 4, kernel.S0)
     rows = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# truncated generator, box {L}^4 x {kernel.S0}, nu={float(kernel.nu)!r}\n")

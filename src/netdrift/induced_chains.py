@@ -205,6 +205,9 @@ def _stationary_of(P):
 # to be transient: a tail falling by less than 10% over 32 levels
 NON_DECAY_RATE = 0.9 ** (1 / 32)
 
+# bound on the product of a face's levels times its background states
+MAX_STATES = 3_000_000
+
 
 def _marginal_decay(dist):
     """Per-level decay of the stationary mass on each free axis, read off
@@ -236,12 +239,12 @@ def _next_level(L, tail, rate, cap):
     return min(L + steps, top)
 
 
-def _fit_budget(shape, floor, S0, max_states):
+def _fit_budget(shape, floor, S0):
     """`shape` with its axes above `floor` cut back, the largest first,
-    until the box holds at most `max_states` states; None when `floor`
+    until the box holds at most MAX_STATES states; None when `floor`
     itself does not fit."""
     shape = list(shape)
-    while math.prod(shape) * S0 > max_states:
+    while math.prod(shape) * S0 > MAX_STATES:
         over = [a for a in range(len(shape)) if shape[a] > floor[a]]
         if not over:
             return None
@@ -249,8 +252,7 @@ def _fit_budget(shape, floor, S0, max_states):
     return tuple(shape)
 
 
-def solve_stationary(chain: InducedChain, levels=8, cap=512,
-                     max_states=3_000_000) -> InducedChainSolution:
+def solve_stationary(chain: InducedChain, levels=8, cap=512) -> InducedChainSolution:
     """Stationary distribution with reflecting truncation, one level per
     free coordinate.
 
@@ -268,7 +270,7 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
     that rate means the mass is not decaying (the signature of a
     transient chain) and stops the growth, as does a growing axis at the
     cap.  Any other axis takes the decay of its level marginal in the
-    current solution.  `max_states` bounds the product of the levels
+    current solution.  MAX_STATES bounds the product of the levels
     times the background states: a box over it has its growing axes cut
     back, the largest first, and the growth stops when none of them can
     grow.  A failed solve (see `_stationary_of`) stops the growth too,
@@ -285,14 +287,14 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
                                     None, False, history, note)
 
     start = (int(levels),) * d
-    shape = _fit_budget(start, (1,) * d, S0, max_states)
+    shape = _fit_budget(start, (1,) * d, S0)
     if shape is None:
-        return failed((), [], f"state budget {max_states} is below {S0} background states")
+        return failed((), [], f"state budget {MAX_STATES} is below {S0} background states")
     budget_note = (f"levels {start} exceed the state budget; started at "
                    f"{shape}" if shape != start else "")
     history = []
     while True:
-        P = assemble_lattice(chain.p_blocks, shape, S0, fold=True)
+        P = assemble_lattice(chain.p_blocks, shape, S0)
         pi, residual, note = _stationary_of(P)
         if pi is None:
             return failed(shape, history, f"levels {shape}: {note}")
@@ -323,7 +325,7 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512,
         target = list(shape)
         for a in grow:
             target[a] = _next_level(shape[a], tails[a], rates[a], cap)
-        nxt = _fit_budget(target, shape, S0, max_states)
+        nxt = _fit_budget(target, shape, S0)
         if nxt == shape:
             note = f"state budget exceeded beyond levels {shape}"
             break
@@ -610,10 +612,11 @@ def drift_table(model: NetworkModel, mode="both", levels=8,
 
     "both" computes closed and numeric tables and cross-checks them at
     1e-4 relative per entry, with notes naming the faces that have no
-    numeric drift and those beyond the tolerance; classification
-    downstream reads the closed table when present.  A closed form that
-    is out of scope degrades "both" to numeric-only with a note instead
-    of failing.
+    numeric drift and those beyond the tolerance; its `worst` is the
+    largest relative difference, or None when some face has no numeric
+    drift to compare.  Classification downstream reads the closed table
+    when present.  A closed form that is out of scope degrades "both" to
+    numeric-only with a note instead of failing.
     """
     if mode not in ("closed", "numeric", "both"):
         raise ValueError(f"unknown drift table mode {mode!r}")
@@ -649,8 +652,7 @@ def drift_table(model: NetworkModel, mode="both", levels=8,
                          f"{CROSS_CHECK_TOL:g} relative on faces " + ", ".join(over))
         cross = {"tolerance": CROSS_CHECK_TOL, "subsets": rels,
                  "ok": not (missing or over),
-                 "worst": max((rel for rel in rels.values() if rel is not None),
-                              default=0.0)}
+                 "worst": None if missing else max(rels.values())}
     return DriftTable(mode, lam1, lam3, model.p, model.service_rates,
                       closed, numeric, cross, notes, nu)
 

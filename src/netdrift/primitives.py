@@ -222,11 +222,6 @@ def ph_mean(ph):
     return float(ph.beta @ x)
 
 
-def ph_rate(ph):
-    """Reciprocal mean service time."""
-    return 1.0 / ph_mean(ph)
-
-
 # --- convenience builders -------------------------------------------------
 
 def poisson_map(rate):

@@ -287,14 +287,11 @@ class SpiralPath:
         })
 
 
-def spiral_path(table: DriftTable, start=1.0) -> SpiralPath:
-    """Trace the piecewise-linear boundary path from the first axis
-    around to itself; the return point contracts by exactly r1 * r2."""
+def spiral_path(table: DriftTable) -> SpiralPath:
+    """Trace the piecewise-linear boundary path from (1, 0, 0, 0) around
+    to the first axis; the return point contracts by exactly r1 * r2."""
     _require_signs(table, count_marginal=True)
-    s = float(start)
-    if not s > 0.0:
-        raise AssumptionViolated("spiral start must be positive")
-    point = np.array([s, 0.0, 0.0, 0.0])
+    point = np.array([1.0, 0.0, 0.0, 0.0])
     points = [point.copy()]
     times = []
     for A, stop in ((SUBSET_123, 1), (SUBSET_23, 2), (SUBSET_134, 3), (SUBSET_14, 4)):
@@ -306,7 +303,7 @@ def spiral_path(table: DriftTable, start=1.0) -> SpiralPath:
         point[np.abs(point) < 1e-15] = 0.0
         points.append(point.copy())
         times.append(float(t))
-    return SpiralPath(points, times, float(points[-1][0] / s))
+    return SpiralPath(points, times, float(points[-1][0]))
 
 
 # --- classification -----------------------------------------------------------
@@ -342,9 +339,8 @@ class StabilityReport:
 
 
 def classify(model: NetworkModel, *, mode="both", levels=8, cap=512,
-             margin=DECISION_MARGIN, assume_semi_irreducible=False,
-             probe_radius=3, with_certificate=False,
-             with_spiral=False) -> StabilityReport:
+             assume_semi_irreducible=False, probe_radius=3,
+             with_certificate=False, with_spiral=False) -> StabilityReport:
     """Full decision pipeline on one model."""
     rho, nominal = nominal_condition(model)
     reasons = []
@@ -372,12 +368,12 @@ def classify(model: NetworkModel, *, mode="both", levels=8, cap=512,
         # never degenerate here: its 8 drifts are among the 14 that hold
         if ratio_res["variant"] == VARIANT_NEITHER:
             reasons.append("neither ratio-condition variant holds")
-        elif r1r2 < 1.0 - margin:
+        elif r1r2 < 1.0 - DECISION_MARGIN:
             verdict = POSITIVE_RECURRENT
-        elif r1r2 > 1.0 + margin:
+        elif r1r2 > 1.0 + DECISION_MARGIN:
             verdict = TRANSIENT
         else:
-            reasons.append(f"r1*r2 = {r1r2:.12g} lies within {margin:g} of 1")
+            reasons.append(f"r1*r2 = {r1r2:.12g} lies within {DECISION_MARGIN:g} of 1")
     else:
         try:
             r1, r2 = compute_r1_r2(table)

@@ -149,8 +149,8 @@ def test_criterion_3_numeric_matches_closed(both_mode_tables):
 def test_criterion_4_generator_soundness(np_model):
     kernel = kernel_of(np_model)
     L, S0 = 4, kernel.S0
-    Q = assemble_lattice(lambda s: kernel.q_blocks(s), (L,) * 4, S0, fold=True)
-    P = assemble_lattice(lambda s: kernel.p_blocks(s), (L,) * 4, S0, fold=True)
+    Q = assemble_lattice(lambda s: kernel.q_blocks(s), (L,) * 4, S0)
+    P = assemble_lattice(lambda s: kernel.p_blocks(s), (L,) * 4, S0)
     q_rows = np.abs(np.asarray(Q.sum(axis=1)).ravel())
     p_rows = np.abs(np.asarray(P.sum(axis=1)).ravel() - 1.0)
     ok = q_rows.max() <= 1e-10 and p_rows.max() <= 1e-10 and P.min() >= -1e-15

@@ -443,6 +443,8 @@ def test_simulate_argument_errors(tmp_path, capsys):
     (["simulate", "--horizon", "-1"], "--horizon: expected a positive finite number"),
     (["simulate", "--horizon", "nan"], "--horizon: expected a positive finite number"),
     (["simulate", "--horizon", "inf"], "--horizon: expected a positive finite number"),
+    (["sweep", "sweep.json", "--jobs", "0"], "--jobs: expected an integer of at least 1"),
+    (["sweep", "sweep.json", "--jobs", "-3"], "--jobs: expected an integer of at least 1"),
 ])
 def test_bad_numeric_options_are_exit_3(tmp_path, capsys, argv, message):
     model = write_json(tmp_path, "model.json", BASE_MODEL)

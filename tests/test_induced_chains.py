@@ -30,6 +30,7 @@ from netdrift import (
     solve_stationary,
     subset_name,
 )
+from netdrift import induced_chains
 from netdrift.errors import (
     AssumptionViolated,
     EmptySubset,
@@ -168,19 +169,22 @@ def test_noncanonical_transient_subset_is_flagged(np_model):
         output_rates(chain, sol)
 
 
-def test_start_level_over_state_budget_solves_at_largest_fitting_level(np_model):
+def test_start_level_over_state_budget_solves_at_largest_fitting_level(
+        np_model, monkeypatch):
     # 32 x 32 cells times S0 = 9 is over the budget, 20 x 20 fits; the
     # {2,3} face (geometric, ratio 0.2) converges there
     kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {2, 3})
-    sol = solve_stationary(chain, levels=32, max_states=20 ** 2 * kernel.S0 + 5)
+    monkeypatch.setattr(induced_chains, "MAX_STATES", 20 ** 2 * kernel.S0 + 5)
+    sol = solve_stationary(chain, levels=32)
     assert sol.converged
     assert sol.history[0][0] == (20, 20)
     assert sol.levels == (20, 20)
     assert "state budget" in sol.note
 
     # a budget below the S0 = 9 background states fails before any solve
-    sol = solve_stationary(chain, max_states=kernel.S0 - 1)
+    monkeypatch.setattr(induced_chains, "MAX_STATES", kernel.S0 - 1)
+    sol = solve_stationary(chain)
     assert not sol.converged and sol.history == []
     assert sol.residual is None and sol.tail_mass is None
     assert sol.note == "state budget 8 is below 9 background states"
@@ -192,7 +196,8 @@ def test_start_level_over_state_budget_solves_at_largest_fitting_level(np_model)
     limited = kernel_of(symmetric_limited_model(3))
     chain = build_induced_chain(limited, {1, 4})
     for cells, boxes in ((12 ** 2, [(8, 8), (9, 16)]), (10 * 12, [(8, 8), (9, 13)])):
-        sol = solve_stationary(chain, max_states=cells * limited.S0)
+        monkeypatch.setattr(induced_chains, "MAX_STATES", cells * limited.S0)
+        sol = solve_stationary(chain)
         assert not sol.converged
         assert [shape for shape, _, _ in sol.history] == boxes
         assert "state budget" in sol.note

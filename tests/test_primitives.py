@@ -11,7 +11,6 @@ from netdrift import (
     map_stationary_phase,
     mmpp_map,
     ph_mean,
-    ph_rate,
     poisson_map,
     validate_map,
     validate_ph,
@@ -140,7 +139,6 @@ def test_exponential_ph_mean_and_rate():
     assert ph.dim == 1
     assert np.array_equal(ph.h, [3.0])
     assert ph_mean(ph) == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert ph_rate(ph) == pytest.approx(3.0, rel=1e-14)
 
 
 def test_erlang_two_mean():
