@@ -7,7 +7,7 @@ fixed inputs and seeds: data files carry no timestamps (a sidecar
 
 Exit codes are a stable contract: 0 positive recurrent, 1 transient,
 4 inconclusive (including degenerate or unavailable analyses), 2 model
-validation failure, 3 parse or usage error, 5 internal error.
+validation failure, 3 parse, usage or output-path error, 5 internal error.
 """
 
 from __future__ import annotations
@@ -651,7 +651,7 @@ def build_parser():
                    type=_checked(float, "a positive finite number",
                                  lambda v: 0.0 < v < math.inf))
     p.add_argument("--seed", type=count, default=12345)
-    p.add_argument("--replications", type=count, default=1)
+    p.add_argument("--replications", type=positive, default=1)
     start = p.add_mutually_exclusive_group()
     start.add_argument("--saturate", type=_checked(_subset, "N or queues in 1..4"),
                        help="comma-separated queues to pin (or N for all)")
@@ -692,6 +692,10 @@ def main(argv=None):
     except NetdriftError as exc:
         sys.stderr.write(f"netdrift: {type(exc).__name__}: {exc}\n")
         return 2
+    except OSError as exc:
+        # a failed input read is a parse error, so this is a failed write
+        sys.stderr.write(f"netdrift: cannot write {exc.filename}: {exc.strerror}\n")
+        return 3
     except Exception:
         traceback.print_exc()
         return 5

@@ -21,9 +21,9 @@ U regimes are taken just before the triggering arrival (for feedback,
 the class-2 count just after the completion).  Station-1 matrices are
 indexed by (x1, x4) and station-2 matrices by (x3, x2).
 
-Uniformization divides by nu = NU_MARGIN x the max exit rate and adds
-the identity to the diagonal block, giving a discrete kernel with the
-same stationary behavior per face.
+The induced chains are solved on Q itself: the paper's uniformization
+I + Q/nu has exactly Q's stationary vectors, and serves only to show that
+the discrete chain and the CTMC are positive recurrent together.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ from .errors import EmptySubset, SkipFreeViolation, UnsupportedSubset
 from .service_disciplines import NetworkModel
 
 SUBSET_ALL = frozenset((1, 2, 3, 4))
-
-# safety margin on the uniformization rate; keeps the discrete chain
-# aperiodic (strictly positive diagonal) on every face
-NU_MARGIN = 1.05
 
 # a rate at or below this is absent: no probe edge, clock or triplet
 RATE_TOL = 1e-14
@@ -86,17 +82,15 @@ class BlockKernel:
 
     The q blocks are built lazily, cached per signature and read-only,
     and a block that several signatures share is one array; the
-    uniformized blocks and the simulator's clocks are derived from
-    them.  The caches are not locked: a kernel belongs to one thread
-    (`sweep --jobs` runs its points in worker processes).
+    simulator's clocks are derived from them.  The caches are not
+    locked: a kernel belongs to one thread (`sweep --jobs` runs its
+    points in worker processes).
     """
 
     def __init__(self, model: NetworkModel):
         self.model = model
         self.dims = (model.map1.dim, model.map3.dim, model.msp1.n, model.msp2.n)
         self.S0 = int(np.prod(self.dims))
-        max_exit = max_exit_rate(model)
-        self.nu = NU_MARGIN * max_exit if max_exit > 0 else 1.0
         self._q_cache = {}
         self._shared = {}
         self._clocks = {}
@@ -158,13 +152,6 @@ class BlockKernel:
 
     # -- derived views -----------------------------------------------------
 
-    def p_blocks(self, sig):
-        """Uniformized blocks, computed from the q blocks on each call."""
-        return {
-            z: np.eye(self.S0) + B / self.nu if z == (0, 0, 0, 0) else B / self.nu
-            for z, B in self.q_blocks(sig).items()
-        }
-
     def move_pattern(self, sig):
         """The moves out of regime `sig`: per block, where its rate
         exceeds RATE_TOL, without the no-move block's diagonal."""
@@ -223,23 +210,6 @@ def kernel_of(model: NetworkModel) -> BlockKernel:
     blocks.  Models compare by identity: do not change a model after
     its kernel is built."""
     return BlockKernel(model)
-
-
-def max_exit_rate(model: NetworkModel) -> float:
-    """Largest total exit rate over all states and signatures.
-
-    The diagonal of the no-move block is the sum of the four local
-    diagonals, so the maximum factorizes over regime pairs.
-    """
-    best1 = max(
-        float(np.max(-np.diag(model.msp1.t[k]))) for k in ("00", "+0", "0+", "++")
-    )
-    best2 = max(
-        float(np.max(-np.diag(model.msp2.t[k]))) for k in ("00", "+0", "0+", "++")
-    )
-    bestC1 = float(np.max(-np.diag(model.map1.C)))
-    bestC3 = float(np.max(-np.diag(model.map3.C)))
-    return bestC1 + bestC3 + best1 + best2
 
 
 def generator_block(model: NetworkModel, x, xp):
@@ -410,7 +380,7 @@ def write_generator_triplets(model: NetworkModel, radius, path):
     Q = assemble_lattice(kernel.q_blocks, (L,) * 4, kernel.S0)
     rows = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# truncated generator, box {L}^4 x {kernel.S0}, nu={float(kernel.nu)!r}\n")
+        fh.write(f"# truncated generator, box {L}^4 x {kernel.S0}\n")
         for r, c, v in zip(rows, Q.indices, Q.data):
             if abs(v) <= RATE_TOL:
                 continue

@@ -89,11 +89,11 @@ class InducedChain:
             sig[coord - 1] = sig_free[pos]
         return tuple(sig)
 
-    def p_blocks(self, sig_free):
-        """Uniformized blocks over the free coordinates: the kernel's
-        blocks at the full signature, summed over saturated moves."""
+    def q_blocks(self, sig_free):
+        """Rate blocks over the free coordinates: the kernel's blocks at
+        the full signature, summed over saturated moves."""
         out = {}
-        for z, B in self.kernel.p_blocks(self.full_signature(sig_free)).items():
+        for z, B in self.kernel.q_blocks(self.full_signature(sig_free)).items():
             zf = tuple(z[c - 1] for c in self.free)
             out[zf] = out[zf] + B if zf in out else B
         return out
@@ -141,32 +141,33 @@ class InducedChainSolution:
 _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
 
-def _stationary_of(P):
-    """Stationary row vector of a finite stochastic CSR matrix, its
-    stationarity residual max |pi P - pi| and a note, or None, None and
-    the reason the solve failed.
+def _stationary_of(Q):
+    """Stationary row vector of a finite generator Q in CSR form, its
+    stationarity residual max |pi Q| / r, with r = -min diag(Q), and a
+    note, or None, None and the reason the solve failed.
 
     The balance equations have a unique solution on each closed
-    communicating class of P's stored nonzeros.  This solves them on
-    the class holding the lowest-indexed recurrent state, one equation
-    replaced by normalization, by ILU-preconditioned GMRES, and puts
-    zero mass everywhere else.  The note names the class solved when P
-    has several.  A solver error, a GMRES stop short of its tolerance,
-    or a result that fails the 1e-9 stationarity check on the whole of
-    P is a failure, so a returned residual is at most 1e-9.
+    communicating class of Q's stored nonzeros.  This solves them, over
+    r, on the class holding the lowest-indexed recurrent state, one
+    equation replaced by normalization, by ILU-preconditioned GMRES,
+    and puts zero mass everywhere else.  The note names the class
+    solved when Q has several.  A solver error, a GMRES stop short of
+    its tolerance, or a result that fails the 1e-9 stationarity check
+    on the whole of Q is a failure, so a returned residual is at most
+    1e-9.
     """
-    # imported per call, like the lattice assembly that builds P, so
+    # imported per call, like the lattice assembly that builds Q, so
     # that importing this module loads no scipy
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     from scipy.sparse.csgraph import connected_components
 
-    n = P.shape[0]
-    count, labels = connected_components(P, directed=True, connection="strong")
+    n = Q.shape[0]
+    count, labels = connected_components(Q, directed=True, connection="strong")
     # a class is closed when none of its states has an edge out of it
-    source = labels[np.repeat(np.arange(n), np.diff(P.indptr))]
+    source = labels[np.repeat(np.arange(n), np.diff(Q.indptr))]
     exits = np.zeros(count, dtype=bool)
-    exits[source[source != labels[P.indices]]] = True
+    exits[source[source != labels[Q.indices]]] = True
     first = int(np.argmax(~exits[labels]))
     keep = np.flatnonzero(labels == labels[first])
     closed = count - int(exits.sum())
@@ -174,7 +175,10 @@ def _stationary_of(P):
             f"({keep.size} states)" if closed > 1 else "")
 
     m = keep.size
-    A = (P[keep][:, keep].T - sp.identity(m, format="csr")).tocsr()
+    # r spans the whole chain, as the kept class's rates may all be
+    # round-off (one absorbing state); dividing by it saves GMRES steps
+    r = -Q.diagonal().min()
+    A = (Q[keep][:, keep].T / r).tocsr()
     A = sp.vstack([sp.csr_matrix(np.ones((1, m))), A[1:, :]], format="csc")
     b = np.zeros(m)
     b[0] = 1.0
@@ -194,7 +198,7 @@ def _stationary_of(P):
     pi[keep] = np.clip(x, 0.0, None)
     if pi.sum() > 0:
         pi /= pi.sum()
-    resid = float(np.abs(pi @ P - pi).max())
+    resid = float(np.abs(pi @ Q).max()) / r
     if info != 0 or not (x.min() >= -1e-8 and resid <= 1e-9):
         return None, None, (f"ilu-gmres failed: GMRES info {info}, least entry "
                             f"{x.min():.3g}, stationarity residual {resid:.3g}")
@@ -275,9 +279,9 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512) -> InducedChainSolu
     back, the largest first, and the growth stops when none of them can
     grow.  A failed solve (see `_stationary_of`) stops the growth too,
     with the failure in the note and no residual or tail mass.
-    `residual` and each `history` entry report the level's largest
-    stationarity residual, which `_stationary_of` has checked to be at
-    most 1e-9.
+    `residual` and each `history` entry report the level's
+    stationarity residual max |pi Q| / r, which `_stationary_of` has
+    checked to be at most 1e-9.  A `levels` above `cap` starts at `cap`.
     """
     d = len(chain.free)
     S0 = chain.kernel.S0
@@ -286,7 +290,7 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512) -> InducedChainSolu
         return InducedChainSolution(chain.A, chain.free, shape, None, None,
                                     None, False, history, note)
 
-    start = (int(levels),) * d
+    start = (min(int(levels), int(cap)),) * d
     shape = _fit_budget(start, (1,) * d, S0)
     if shape is None:
         return failed((), [], f"state budget {MAX_STATES} is below {S0} background states")
@@ -294,8 +298,8 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512) -> InducedChainSolu
                    f"{shape}" if shape != start else "")
     history = []
     while True:
-        P = assemble_lattice(chain.p_blocks, shape, S0)
-        pi, residual, note = _stationary_of(P)
+        Q = assemble_lattice(chain.q_blocks, shape, S0)
+        pi, residual, note = _stationary_of(Q)
         if pi is None:
             return failed(shape, history, f"levels {shape}: {note}")
         dist = pi.reshape(shape + (S0,))
@@ -334,11 +338,11 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512) -> InducedChainSolu
                                 False, history, note)
 
 
-def _flows(chain: InducedChain, sol: InducedChainSolution, blocks):
-    """(z, rate of the moves z) for each block of `blocks(signature)` in
-    each regime of the face, weighed by the stationary mass there."""
+def _flows(chain: InducedChain, sol: InducedChainSolution):
+    """(z, rate of the moves z) for each of the kernel's blocks in each
+    regime of the face, weighed by the stationary mass there."""
     for sig_free, pi in sol.group_masses().items():
-        for z, B in blocks(chain.full_signature(sig_free)).items():
+        for z, B in chain.kernel.q_blocks(chain.full_signature(sig_free)).items():
             yield z, pi @ B.sum(axis=1)
 
 
@@ -354,7 +358,7 @@ def output_rates(chain: InducedChain, sol: InducedChainSolution) -> np.ndarray:
             f"induced chain {subset_name(chain.A)} did not converge: {sol.note or sol.history}"
         )
     mu = np.zeros(4)
-    for z, flow in _flows(chain, sol, chain.kernel.q_blocks):
+    for z, flow in _flows(chain, sol):
         for i in range(4):
             if z[i] < 0:
                 mu[i] += flow
@@ -369,10 +373,10 @@ def input_rates(model: NetworkModel, mu_bar) -> np.ndarray:
 
 
 def mean_displacement(chain: InducedChain, sol: InducedChainSolution) -> np.ndarray:
-    """Per-step mean displacement of the uniformized chain, all four
-    coordinates (saturated ones use the full, unreduced moves)."""
+    """Mean displacement per unit time, all four coordinates (saturated
+    ones use the full, unreduced moves)."""
     a = np.zeros(4)
-    for z, flow in _flows(chain, sol, chain.kernel.p_blocks):
+    for z, flow in _flows(chain, sol):
         for i in range(4):
             a[i] += z[i] * flow
     return a
@@ -426,7 +430,7 @@ class DriftTable:
     available)."""
 
     def __init__(self, mode, lam1, lam3, p, service_rates, closed, numeric,
-                 cross_check, notes, nu):
+                 cross_check, notes):
         self.mode = mode
         self.lam1 = lam1
         self.lam3 = lam3
@@ -436,7 +440,6 @@ class DriftTable:
         self.numeric = numeric
         self.cross_check = cross_check
         self.notes = notes
-        self.nu = nu
 
     @property
     def primary(self):
@@ -480,7 +483,6 @@ class DriftTable:
             "lambda3": self.lam3,
             "p": self.p,
             "serviceRates": list(self.service_rates),
-            "nu": self.nu,
             "closed": table_json(self.closed),
             "numeric": table_json(self.numeric),
             "crossCheck": _json_safe(self.cross_check),
@@ -603,7 +605,7 @@ def numeric_table(model: NetworkModel, levels=8, cap=512):
         off = [abs(drifts[i - 1]) for i in range(1, 5) if i not in A]
         diag["offSubsetDriftMax"] = max(off) if off else 0.0
         entries[A] = DriftEntry(A, inp, mu_bar, drifts, "Numeric", diag)
-    return entries, kernel.nu
+    return entries
 
 
 def drift_table(model: NetworkModel, mode="both", levels=8,
@@ -631,9 +633,8 @@ def drift_table(model: NetworkModel, mode="both", levels=8,
                 raise
             notes.append(f"closed form unavailable: {exc}")
     numeric = None
-    nu = None
     if mode in ("numeric", "both"):
-        numeric, nu = numeric_table(model, levels=levels, cap=cap)
+        numeric = numeric_table(model, levels=levels, cap=cap)
     cross = None
     if closed is not None and numeric is not None:
         rels = {}
@@ -654,7 +655,7 @@ def drift_table(model: NetworkModel, mode="both", levels=8,
                  "ok": not (missing or over),
                  "worst": None if missing else max(rels.values())}
     return DriftTable(mode, lam1, lam3, model.p, model.service_rates,
-                      closed, numeric, cross, notes, nu)
+                      closed, numeric, cross, notes)
 
 
 def check_sign_conditions(table: DriftTable):

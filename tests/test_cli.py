@@ -426,7 +426,7 @@ def test_simulate_argument_errors(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--burn-in", "1.5"], "--burn-in: expected a fraction in [0, 1)"),
     (["simulate", "--burn-in", "nan"], "--burn-in: expected a fraction in [0, 1)"),
-    (["simulate", "--replications", "-1"], "--replications: expected an integer of at least 0"),
+    (["simulate", "--replications", "-1"], "--replications: expected an integer of at least 1"),
     (["simulate", "--seed", "-1"], "--seed: expected an integer of at least 0"),
     (["simulate", "--initial=-1,0,0,0"], "--initial: expected four nonnegative"),
     (["simulate", "--saturate", "5"], "--saturate: expected N or queues in 1..4"),
@@ -445,12 +445,30 @@ def test_simulate_argument_errors(tmp_path, capsys):
     (["simulate", "--horizon", "inf"], "--horizon: expected a positive finite number"),
     (["sweep", "sweep.json", "--jobs", "0"], "--jobs: expected an integer of at least 1"),
     (["sweep", "sweep.json", "--jobs", "-3"], "--jobs: expected an integer of at least 1"),
+    (["simulate", "--replications", "0"], "--replications: expected an integer of at least 1"),
 ])
 def test_bad_numeric_options_are_exit_3(tmp_path, capsys, argv, message):
     model = write_json(tmp_path, "model.json", BASE_MODEL)
     code, out, err = run(capsys, [argv[0], model, *argv[1:]])
     assert code == 3 and out == ""
     assert message in err and err.count("\n") == 1, err
+
+
+def test_unwritable_out_is_exit_3(tmp_path, capsys):
+    model = write_json(tmp_path, "model.json", BASE_MODEL)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, ["analyze", model, "--mode", "closed",
+                                  "--assume-semi-irreducible", "--out", str(target)])
+    assert code == 3 and out == ""
+    assert f"cannot write {target}" in err and err.count("\n") == 1, err
+
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    target = regular / "runs"
+    code, out, err = run(capsys, ["simulate", model, "--horizon", "10",
+                                  "--out", str(target)])
+    assert code == 3 and out == ""
+    assert f"cannot write {target}" in err and err.count("\n") == 1, err
 
 
 def test_certificate_command(tmp_path, capsys):

@@ -169,6 +169,14 @@ def test_noncanonical_transient_subset_is_flagged(np_model):
         output_rates(chain, sol)
 
 
+def test_start_level_above_cap_starts_at_cap(np_model):
+    chain = build_induced_chain(kernel_of(np_model), {2, 3})
+    sol = solve_stationary(chain, levels=40, cap=16)
+    assert sol.converged
+    assert sol.history[0][0] == (16, 16)
+    assert max(max(shape) for shape, _, _ in sol.history) <= 16
+
+
 def test_start_level_over_state_budget_solves_at_largest_fitting_level(
         np_model, monkeypatch):
     # 32 x 32 cells times S0 = 9 is over the budget, 20 x 20 fits; the
@@ -306,21 +314,22 @@ def test_faces_with_two_closed_classes_converge():
         assert "2 closed classes" in sol.note
         # the reference: the other closed class of the same truncation,
         # solved densely
-        P = assemble_lattice(chain.p_blocks, sol.levels, kernel.S0)
-        count, labels = connected_components(P, connection="strong")
-        rows, cols = P.nonzero()
+        Q = assemble_lattice(chain.q_blocks, sol.levels, kernel.S0)
+        R = Q / -Q.diagonal().min()
+        count, labels = connected_components(R, connection="strong")
+        rows, cols = R.nonzero()
         closed = set(range(count)) - set(labels[rows[labels[rows] != labels[cols]]])
         assert len(closed) == 2
         solved = labels[np.argmax(sol.dist.ravel() > 0)]
         assert solved in closed
         other = labels == (closed - {solved}).pop()
-        B = P.toarray()[np.ix_(other, other)].T - np.eye(other.sum())
+        B = R.toarray()[np.ix_(other, other)].T
         B[0, :] = 1.0
         rhs = np.zeros(other.sum())
         rhs[0] = 1.0
-        pi = np.zeros(P.shape[0])
+        pi = np.zeros(R.shape[0])
         pi[other] = np.linalg.solve(B, rhs)
-        assert np.max(np.abs(pi @ P - pi)) <= 1e-12
+        assert np.max(np.abs(pi @ R)) <= 1e-12
         ref = InducedChainSolution(A, chain.free, sol.levels,
                                    pi.reshape(sol.dist.shape), 0.0, 0.0, True,
                                    [], "")
@@ -421,13 +430,14 @@ def test_output_rates_match_msp_reference(which):
 
 @pytest.mark.parametrize("subset", [N, frozenset({2, 3}), frozenset({1, 4})])
 def test_drift_equals_uniformization_rate_times_step_mean(np_model, subset):
-    # rate-time drift and per-step mean displacement differ exactly by nu
+    # the drift from output rates and the routing identity equals the
+    # mean displacement per unit time of every move
     kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, subset)
     sol = solve_stationary(chain)
     mu_bar = output_rates(chain, sol)
     drift = input_rates(np_model, mu_bar) - mu_bar
-    step = kernel.nu * mean_displacement(chain, sol)
+    step = mean_displacement(chain, sol)
     assert np.max(np.abs(drift - step)) <= 1e-8
 
 
@@ -607,7 +617,7 @@ def test_numeric_table_reports_unstable_subset_without_drifts():
     # lam1 > mu1 makes the {2,3} chain itself transient; the entry must
     # carry no drift vector and downstream access must fail loudly
     model = exp_model(lam1=5.0, mus=(4.0, 2.4, 4.2, 2.2))
-    entries, _ = numeric_table(model, levels=4, cap=8)
+    entries = numeric_table(model, levels=4, cap=8)
     e = entries[frozenset({2, 3})]
     assert e.drifts is None
     assert not e.diagnostics["converged"]

@@ -15,6 +15,7 @@ from netdrift import (
     lyapunov_certificate,
     nominal_condition,
     spiral_path,
+    subset_name,
 )
 from netdrift import induced_chains
 from netdrift.errors import (
@@ -205,13 +206,23 @@ def test_verdict_tracks_station_two_load():
 
 
 def test_classification_is_scale_invariant(np_model):
-    base = classify(np_model, mode="closed", assume_semi_irreducible=True)
-    for c in (0.1, 10.0):
-        scaled = exp_model(lam1=0.8 * c, lam3=0.4 * c,
-                           mus=(4.0 * c, 2.4 * c, 4.2 * c, 2.2 * c))
-        report = classify(scaled, mode="closed", assume_semi_irreducible=True)
-        assert report.classification == base.classification
-        assert report.r1r2 == pytest.approx(base.r1r2, rel=1e-12)
+    # scaling every rate scales time alone: in numeric mode the faces
+    # also grow through the same levels
+    def histories(report):
+        if report.table.numeric is None:
+            return None
+        return {subset_name(A): [h[0] for h in e.diagnostics["history"]]
+                for A, e in report.table.numeric.items()}
+
+    for mode in ("closed", "numeric"):
+        base = classify(np_model, mode=mode, assume_semi_irreducible=True)
+        for c in (0.1, 10.0):
+            scaled = exp_model(lam1=0.8 * c, lam3=0.4 * c,
+                               mus=(4.0 * c, 2.4 * c, 4.2 * c, 2.2 * c))
+            report = classify(scaled, mode=mode, assume_semi_irreducible=True)
+            assert report.classification == base.classification, mode
+            assert report.r1r2 == pytest.approx(base.r1r2, rel=1e-12), mode
+            assert histories(report) == histories(base), mode
 
 
 def test_certificate_is_verifiable_evidence(np_model):
