@@ -255,27 +255,24 @@ def signature_ranges(sig_component, L):
     return np.arange(2, L)
 
 
-def assemble_lattice(block_fn, shape, S0):
-    """Sparse matrix of the chain truncated to the box `shape`, one level
-    per free coordinate, as canonical CSR (sorted indices, no duplicates).
+def lattice_triplets(block_fn, shape, S0):
+    """The chain truncated to the box `shape`, one level per free
+    coordinate, as canonical COO triplets (rows, cols, data, n): sorted
+    by row, then column, with no duplicates.
 
     block_fn(sig_free) -> dict mapping z_free to an S0 x S0 block.  State
     order: lattice cell (C order) major, background minor.  A move out of
     the box folds onto its boundary: each coordinate is clipped to
     0..L-1, so rows keep the blocks' row sums.  Entries folded onto one
     state are summed in the order they were emitted: signature, then
-    displacement, then cell.
+    displacement, then cell.  Each off-diagonal entry is an edge: a rate.
     """
-    # scipy loads here, not at module level, so that parsing, simulation
-    # and the probe import numpy alone
-    import scipy.sparse as sp
-
     if not shape:
-        blocks = block_fn(())
-        return sp.csr_matrix(sum(blocks.values()))
+        B = sum(block_fn(()).values())
+        rows, cols = np.nonzero(B)
+        return rows, cols, B[rows, cols], S0
     n = int(np.prod(shape)) * S0
-    idx = np.int32 if n < 2 ** 31 else np.int64
-    rows, cols, data = [], [], []
+    keys, data = [], []
     for sig in np.ndindex(*(3,) * len(shape)):
         axes = [signature_ranges(c, L) for c, L in zip(sig, shape)]
         if any(a.size == 0 for a in axes):
@@ -286,19 +283,26 @@ def assemble_lattice(block_fn, shape, S0):
             bi, bj = np.nonzero(B)
             tgt = np.ravel_multi_index(
                 [np.clip(g + dz, 0, L - 1) for g, dz, L in zip(grids, z, shape)], shape)
-            rows.append(((cells * S0).astype(idx)[:, None] + bi.astype(idx)).ravel())
-            cols.append(((tgt * S0).astype(idx)[:, None] + bj.astype(idx)).ravel())
+            keys.append(((cells * S0)[:, None] + bi).ravel() * n
+                        + ((tgt * S0)[:, None] + bj).ravel())
             data.append(np.tile(B[bi, bj], cells.size))
-    if not rows:
-        return sp.csr_matrix((n, n))
-    # one array at a time, so each list of pieces is freed before the next
-    # copy is made
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    total = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-    total.sum_duplicates()
-    return total.tocsr()
+    # stable, so the entries folded onto one state sum in emission order
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    data = np.add.reduceat(np.concatenate(data)[order], first)
+    rows, cols = np.divmod(keys[first], n)
+    return rows, cols, data, n
+
+
+def assemble_lattice(block_fn, shape, S0):
+    """`lattice_triplets` as canonical CSR."""
+    # scipy loads here, not at module level, so that most runs import numpy alone
+    import scipy.sparse as sp
+
+    rows, cols, data, n = lattice_triplets(block_fn, shape, S0)
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 # -- reachability ------------------------------------------------------------

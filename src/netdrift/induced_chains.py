@@ -30,8 +30,8 @@ from .errors import (
 from .generator import (
     BlockKernel,
     SUBSET_ALL,
-    assemble_lattice,
     kernel_of,
+    lattice_triplets,
     saturated_subset,
     signature_ranges,
 )
@@ -140,69 +140,103 @@ class InducedChainSolution:
 # solve runs with warnings raised as errors
 _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
+# a kept class of at most this many states is solved by dense LU: each
+# level of the small bench models keeps at most 76, 2-D limited faces 900+
+DENSE_STATES = 400
 
-def _stationary_of(Q):
-    """Stationary row vector of a finite generator Q in CSR form, its
-    stationarity residual max |pi Q| / r, with r = -min diag(Q), and a
-    note, or None, None and the reason the solve failed.
 
-    The balance equations have a unique solution on each closed
-    communicating class of Q's stored nonzeros.  This solves them, over
-    r, on the class holding the lowest-indexed recurrent state, one
-    equation replaced by normalization, by ILU-preconditioned GMRES,
-    and puts zero mass everywhere else.  The note names the class
-    solved when Q has several.  A solver error, a GMRES stop short of
-    its tolerance, or a result that fails the 1e-9 stationarity check
-    on the whole of Q is a failure, so a returned residual is at most
-    1e-9.
+def _closed_classes(rows, cols, n):
+    """The number of closed classes of the digraph rows -> cols on n
+    states (rows sorted) and the states of the one holding the least
+    recurrent state: what the least a with low[a] == a == hi[a] reaches,
+    where low[v] is the least state v reaches and hi[v] the largest low
+    over those.  Both are min/max fixpoints over the edges; a label is a
+    state its holder reaches, so each sweep also jumps to its label."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    has = rows[starts]
+
+    def fixpoint(label, op):
+        while True:
+            new = label.copy()
+            new[has] = op(new[has], op.reduceat(label[cols], starts))
+            new = op(new, new[new])
+            if np.array_equal(new, label):
+                return label
+            label = new
+
+    low = fixpoint(np.arange(n), np.minimum)
+    heads = np.flatnonzero((low == np.arange(n)) & (fixpoint(low, np.maximum) == low))
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    seen = np.arange(n) == heads[0]
+    front = heads[:1]
+    while front.size:
+        start, deg = indptr[front], indptr[front + 1] - indptr[front]
+        reached = cols[np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
+        front = np.unique(reached[~seen[reached]])
+        seen[front] = True
+    return heads.size, np.flatnonzero(seen)
+
+
+def _stationary_of(rows, cols, data, n):
+    """Stationary row vector of the finite generator Q given by canonical
+    triplets, its stationarity residual max |pi Q| / r, r = -min diag(Q),
+    the solver path and a note; or None, None, the path and the reason
+    the solve failed.
+
+    Solves the balance equations, unique on each closed class, over r on
+    the class holding the lowest-indexed recurrent state, one equation
+    replaced by normalization, with zero mass elsewhere: by dense LU
+    ("dense-lu") up to DENSE_STATES states, else by ILU-preconditioned
+    GMRES ("ilu-gmres").  The note names the class when Q has several.
+    A solver error, a GMRES stop short of its tolerance, or a result off
+    the 1e-9 stationarity check on the whole of Q fails.
     """
-    # imported per call, like the lattice assembly that builds Q, so
-    # that importing this module loads no scipy
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    from scipy.sparse.csgraph import connected_components
-
-    n = Q.shape[0]
-    count, labels = connected_components(Q, directed=True, connection="strong")
-    # a class is closed when none of its states has an edge out of it
-    source = labels[np.repeat(np.arange(n), np.diff(Q.indptr))]
-    exits = np.zeros(count, dtype=bool)
-    exits[source[source != labels[Q.indices]]] = True
-    first = int(np.argmax(~exits[labels]))
-    keep = np.flatnonzero(labels == labels[first])
-    closed = count - int(exits.sum())
-    note = (f"{closed} closed classes; solved the one holding state {first} "
+    closed, keep = _closed_classes(rows, cols, n)
+    note = (f"{closed} closed classes; solved the one holding state {keep[0]} "
             f"({keep.size} states)" if closed > 1 else "")
-
     m = keep.size
     # r spans the whole chain, as the kept class's rates may all be
     # round-off (one absorbing state); dividing by it saves GMRES steps
-    r = -Q.diagonal().min()
-    A = (Q[keep][:, keep].T / r).tocsr()
-    A = sp.vstack([sp.csr_matrix(np.ones((1, m))), A[1:, :]], format="csc")
+    r = -data[rows == cols].min(initial=0.0)
     b = np.zeros(m)
     b[0] = 1.0
+    path = "dense-lu" if m <= DENSE_STATES else "ilu-gmres"
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # incomplete LU settings measured on the 2-D faces at n =
-            # 9k-26k: the coarse factor is the cheapest, and GMRES still
-            # reaches ~1e-15
-            ilu = spla.spilu(A, drop_tol=1e-2, fill_factor=5)
-            M = spla.LinearOperator(A.shape, ilu.solve)
-            x, info = spla.gmres(A, b, M=M, rtol=1e-13, atol=0.0, maxiter=300,
-                                 restart=80)
+            if path == "dense-lu":
+                # a closed class's rows have all their entries inside it
+                inside = np.isin(rows, keep)
+                A = np.zeros((m, m))
+                A[np.searchsorted(keep, cols[inside]),
+                  np.searchsorted(keep, rows[inside])] = data[inside] / r
+                A[0] = 1.0
+                x, info = np.linalg.solve(A, b), 0
+            else:
+                import scipy.sparse as sp
+                import scipy.sparse.linalg as spla
+                Q = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+                A = (Q[keep][:, keep].T / r).tocsr()
+                A = sp.vstack([sp.csr_matrix(np.ones((1, m))), A[1:, :]], format="csc")
+                # incomplete LU settings measured on the 2-D faces at n =
+                # 9k-26k: the coarse factor is the cheapest, and GMRES
+                # still reaches ~1e-15
+                ilu = spla.spilu(A, drop_tol=1e-2, fill_factor=5)
+                M = spla.LinearOperator(A.shape, ilu.solve)
+                x, info = spla.gmres(A, b, M=M, rtol=1e-13, atol=0.0, maxiter=300,
+                                     restart=80)
     except _SOLVE_ERRORS as exc:
-        return None, None, f"ilu-gmres failed: {type(exc).__name__}: {exc}"
+        return None, None, path, f"{path} failed: {type(exc).__name__}: {exc}"
     pi = np.zeros(n)
     pi[keep] = np.clip(x, 0.0, None)
     if pi.sum() > 0:
         pi /= pi.sum()
-    resid = float(np.abs(pi @ Q).max()) / r
+    resid = float(np.abs(np.bincount(cols, pi[rows] * data, minlength=n)).max()) / r
     if info != 0 or not (x.min() >= -1e-8 and resid <= 1e-9):
-        return None, None, (f"ilu-gmres failed: GMRES info {info}, least entry "
-                            f"{x.min():.3g}, stationarity residual {resid:.3g}")
-    return pi, resid, note
+        stop = f"GMRES info {info}, " if path == "ilu-gmres" else ""
+        return None, None, path, (f"{path} failed: {stop}least entry {x.min():.3g}, "
+                                  f"stationarity residual {resid:.3g}")
+    return pi, resid, path, note
 
 
 # per-level decay of the boundary mass at or above which a face is taken
@@ -278,10 +312,12 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512) -> InducedChainSolu
     times the background states: a box over it has its growing axes cut
     back, the largest first, and the growth stops when none of them can
     grow.  A failed solve (see `_stationary_of`) stops the growth too,
-    with the failure in the note and no residual or tail mass.
-    `residual` and each `history` entry report the level's
-    stationarity residual max |pi Q| / r, which `_stationary_of` has
-    checked to be at most 1e-9.  A `levels` above `cap` starts at `cap`.
+    with no residual or tail mass.  The note keeps a cut-back start, the
+    last level's closed classes and why the growth stopped.  A `history`
+    entry is (levels, residual, boundary mass, solver path); `residual`
+    is the level's stationarity residual max |pi Q| / r, which
+    `_stationary_of` has checked to be at most 1e-9.  A `levels` above
+    `cap` starts at `cap`.
     """
     d = len(chain.free)
     S0 = chain.kernel.S0
@@ -298,16 +334,16 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512) -> InducedChainSolu
                    f"{shape}" if shape != start else "")
     history = []
     while True:
-        Q = assemble_lattice(chain.q_blocks, shape, S0)
-        pi, residual, note = _stationary_of(Q)
+        pi, residual, path, note = _stationary_of(*lattice_triplets(chain.q_blocks, shape, S0))
         if pi is None:
-            return failed(shape, history, f"levels {shape}: {note}")
+            return failed(shape, history, "; ".join(filter(None, (
+                budget_note, f"levels {shape}: {note}"))))
         dist = pi.reshape(shape + (S0,))
         on_boundary = np.ones(shape, dtype=bool)
         on_boundary[tuple(slice(0, L - 1) for L in shape)] = False
         tail = float(dist[on_boundary].sum())
         tails = [float(dist.take(L - 1, axis=a).sum()) for a, L in enumerate(shape)]
-        history.append((shape, residual, tail))
+        history.append((shape, residual, tail, path))
         if tail <= TAIL_TOL:
             return InducedChainSolution(
                 chain.A, chain.free, shape, dist, residual, tail, True, history,
@@ -321,21 +357,21 @@ def solve_stationary(chain: InducedChain, levels=8, cap=512) -> InducedChainSolu
             for a in measured:
                 rates[a] = (tails[a] / prev_tails[a]) ** (1.0 / (shape[a] - prev_shape[a]))
             if any(rates[a] >= NON_DECAY_RATE for a in measured if a in grow):
-                note = "boundary mass is not decaying; chain is likely transient"
+                stop = "boundary mass is not decaying; chain is likely transient"
                 break
         if any(shape[a] >= cap for a in grow):
-            note = f"truncation cap {cap} reached"
+            stop = f"truncation cap {cap} reached"
             break
         target = list(shape)
         for a in grow:
             target[a] = _next_level(shape[a], tails[a], rates[a], cap)
         nxt = _fit_budget(target, shape, S0)
         if nxt == shape:
-            note = f"state budget exceeded beyond levels {shape}"
+            stop = f"state budget exceeded beyond levels {shape}"
             break
         prev_shape, prev_tails, shape = shape, tails, nxt
-    return InducedChainSolution(chain.A, chain.free, shape, dist, residual, tail,
-                                False, history, note)
+    return InducedChainSolution(chain.A, chain.free, shape, dist, residual, tail, False,
+                                history, "; ".join(filter(None, (budget_note, note, stop))))
 
 
 def _flows(chain: InducedChain, sol: InducedChainSolution):

@@ -1,5 +1,7 @@
 """Shared model builders for the test suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,13 @@ def kernel_builds(monkeypatch):
 
     monkeypatch.setattr(BlockKernel, "__init__", counting)
     return built
+
+
+def face_solves_only(fake, real):
+    """A stand-in for `real` that calls `fake` when the face solver
+    (`netdrift.induced_chains`) calls it and `real` for every other
+    caller, such as the phase solves of the model build."""
+    def patched(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__")
+        return (fake if caller == "netdrift.induced_chains" else real)(*args, **kwargs)
+    return patched

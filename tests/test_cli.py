@@ -3,11 +3,14 @@ byte-for-byte reproducibility of reports."""
 
 import json
 
+import numpy as np
 import pytest
 
 from netdrift import classify, erlang_ph, hyperexponential_ph, mmpp_map
 from netdrift.cli import apply_parameter, canonical_model_dict, load_model, main
 from netdrift.errors import BadParameterPath
+
+from tests.conftest import face_solves_only
 
 
 BASE_MODEL = {
@@ -241,13 +244,17 @@ def test_analyze_numeric_fallback_for_asymmetric_limited(tmp_path, capsys):
 
 def test_failed_faces_write_standard_json(tmp_path, capsys, monkeypatch):
     # a face whose solve fails has no residual or tail mass: the report
-    # says null, not the non-standard Infinity
+    # says null, not the non-standard Infinity.  Both face solvers fail.
     import scipy.sparse.linalg as spla
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
+    def singular_lu(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
     monkeypatch.setattr(spla, "spilu", singular)
+    monkeypatch.setattr(np.linalg, "solve", face_solves_only(singular_lu, np.linalg.solve))
     readme = dict(BASE_MODEL, services=[{"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)])
     model = write_json(tmp_path, "readme.json", readme)
     out = tmp_path / "report.json"
@@ -264,6 +271,7 @@ def test_failed_faces_write_standard_json(tmp_path, capsys, monkeypatch):
     for face in faces:
         assert face["diagnostics"]["residual"] is None
         assert face["diagnostics"]["tailMass"] is None
+        assert "dense-lu failed: LinAlgError" in face["diagnostics"]["note"]
 
 
 def test_analyze_reports_failed_sign_premises(tmp_path, capsys):

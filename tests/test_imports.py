@@ -1,5 +1,6 @@
-"""Parsing, simulation, validation and closed-mode sweeps load numpy
-alone; scipy waits for the first lattice assembly or face solve."""
+"""Parsing, simulation, validation, closed-mode sweeps and the small
+models' face solves load numpy alone; scipy waits for the first face
+whose kept class is solved by ILU-GMRES."""
 
 import json
 import os
@@ -27,6 +28,11 @@ MMPP_MODEL = dict(README_MODEL, arrivals=[
     {"poisson": 0.4},
 ])
 
+# symmetric (1,3)-limited: its 2-D faces keep classes of 900 states and up
+LIMITED_MODEL = dict(README_MODEL, arrivals=[{"poisson": 1.0}, {"poisson": 1.0}],
+                     services=[{"exponential": m} for m in (5.0, 1.8, 5.0, 1.8)],
+                     p=0.0, discipline={"limited": {"K": 3}})
+
 # runs in a fresh interpreter: other tests in this process import scipy
 SCRIPT = """
 import json, sys
@@ -35,7 +41,7 @@ def no_scipy(step):
     loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
     assert not loaded, f"{step} loaded {loaded[:5]}"
 
-model, mmpp, out = sys.argv[1:4]
+model, mmpp, limited, out = sys.argv[1:5]
 import netdrift
 no_scipy("import netdrift")
 from netdrift.cli import load_model, main
@@ -60,7 +66,11 @@ assert main(["sweep", model, out + "/sweep.json", "--mode", "closed",
              "--out", out + "/sweep.csv"]) == 0
 assert len(open(out + "/sweep.csv").read().splitlines()) == 3
 no_scipy("sweep --mode closed")
-assert main(["analyze", model, "--out", out + "/report.json"]) == 0
+assert main(["analyze", model, "--certificate", "--spiral",
+             "--out", out + "/report.json"]) == 0
+no_scipy("analyze")
+assert main(["analyze", limited, "--assume-semi-irreducible",
+             "--out", out + "/limited.json"]) == 0
 assert "scipy.sparse" in sys.modules
 """
 
@@ -70,11 +80,13 @@ def test_parse_and_simulate_load_no_scipy(tmp_path):
     model.write_text(json.dumps(README_MODEL))
     mmpp = tmp_path / "mmpp.json"
     mmpp.write_text(json.dumps(MMPP_MODEL))
+    limited = tmp_path / "limited.json"
+    limited.write_text(json.dumps(LIMITED_MODEL))
     src = str(Path(netdrift.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(model), str(mmpp), str(tmp_path)],
+        [sys.executable, "-c", SCRIPT, str(model), str(mmpp), str(limited), str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,7 +38,7 @@ from netdrift.errors import (
     NotConverged,
     UnsupportedSubset,
 )
-from netdrift.generator import SUBSET_ALL, assemble_lattice
+from netdrift.generator import SUBSET_ALL, assemble_lattice, lattice_triplets
 from netdrift.induced_chains import (
     CROSS_CHECK_TOL,
     TAIL_TOL,
@@ -45,7 +46,7 @@ from netdrift.induced_chains import (
     input_rates,
 )
 
-from tests.conftest import exp_model, symmetric_limited_model
+from tests.conftest import exp_model, face_solves_only, symmetric_limited_model
 
 
 N = frozenset({1, 2, 3, 4})
@@ -174,7 +175,7 @@ def test_start_level_above_cap_starts_at_cap(np_model):
     sol = solve_stationary(chain, levels=40, cap=16)
     assert sol.converged
     assert sol.history[0][0] == (16, 16)
-    assert max(max(shape) for shape, _, _ in sol.history) <= 16
+    assert max(max(shape) for shape, *_ in sol.history) <= 16
 
 
 def test_start_level_over_state_budget_solves_at_largest_fitting_level(
@@ -207,38 +208,48 @@ def test_start_level_over_state_budget_solves_at_largest_fitting_level(
         monkeypatch.setattr(induced_chains, "MAX_STATES", cells * limited.S0)
         sol = solve_stationary(chain)
         assert not sol.converged
-        assert [shape for shape, _, _ in sol.history] == boxes
+        assert [shape for shape, *_ in sol.history] == boxes
         assert "state budget" in sol.note
 
 
+def _singular_ilu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _singular_lu(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def test_failed_solves_fail_loudly(np_model, monkeypatch):
-    # 8 x 8 cells x 9 background states; this face grows queue 1 to 11
+    # 8 x 8 cells x 9 background states; this face grows queue 1 to 11.
+    # Both solvers fail here, so a failure that fell through to the other
+    # path would show.
     kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {2, 3})
+    monkeypatch.setattr(spla, "spilu", _singular_ilu)
+    monkeypatch.setattr(np.linalg, "solve", face_solves_only(_singular_lu, np.linalg.solve))
+    for dense, path, reason in ((0, "ilu-gmres", "RuntimeError: Factor is exactly singular"),
+                                (10 ** 9, "dense-lu", "LinAlgError: Singular matrix")):
+        monkeypatch.setattr(induced_chains, "DENSE_STATES", dense)
+        sol = solve_stationary(chain)
+        assert not sol.converged and sol.history == []
+        assert sol.note == f"levels (8, 8): {path} failed: {reason}"
+        with pytest.raises(NotConverged, match=path):
+            output_rates(chain, sol)
 
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(spla, "spilu", singular)
-    sol = solve_stationary(chain)
-    assert not sol.converged and sol.history == []
-    assert "ilu-gmres" in sol.note
-    assert "RuntimeError: Factor is exactly singular" in sol.note
-    with pytest.raises(NotConverged, match="ilu-gmres"):
-        output_rates(chain, sol)
-
-    # every face fails, and each one is named among the reasons
-    for model in (np_model, FROZEN_PHASE_MODEL):
-        report = classify(model, mode="numeric", assume_semi_irreducible=True)
-        assert report.classification == "Inconclusive"
-        for A in CANONICAL_SUBSETS:
-            assert any(f"on face {subset_name(A)} unavailable" in r
-                       and "ilu-gmres" in r for r in report.reasons), \
-                (subset_name(A), report.reasons)
+        # every face fails, and each one is named among the reasons
+        for model in (np_model, FROZEN_PHASE_MODEL):
+            report = classify(model, mode="numeric", assume_semi_irreducible=True)
+            assert report.classification == "Inconclusive"
+            for A in CANONICAL_SUBSETS:
+                assert any(f"on face {subset_name(A)} unavailable" in r
+                           and f"{path} failed: {reason}" in r for r in report.reasons), \
+                    (subset_name(A), report.reasons)
     monkeypatch.undo()
 
     # GMRES stopping short at the second level keeps the first level's
     # history
+    monkeypatch.setattr(induced_chains, "DENSE_STATES", 0)
     gmres = spla.gmres
     calls = []
 
@@ -250,16 +261,36 @@ def test_failed_solves_fail_loudly(np_model, monkeypatch):
     monkeypatch.setattr(spla, "gmres", stalled)
     sol = solve_stationary(chain)
     assert not sol.converged
-    assert [shape for shape, _, _ in sol.history] == [(8, 8)]
+    assert [shape for shape, *_ in sol.history] == [(8, 8)]
     assert sol.note.startswith("levels (11, 8): ilu-gmres")
     assert "info 300" in sol.note and "residual" in sol.note
+
+    # so does an LU result off stationarity, with no GMRES to fall back on
+    monkeypatch.undo()
+    monkeypatch.setattr(spla, "spilu", _singular_ilu)
+    lu = np.linalg.solve
+    calls = []
+
+    def off(*args, **kwargs):
+        calls.append(None)
+        x = lu(*args, **kwargs)
+        return x if len(calls) == 1 else x - 0.1
+
+    monkeypatch.setattr(np.linalg, "solve", face_solves_only(off, lu))
+    sol = solve_stationary(chain)
+    assert not sol.converged
+    assert [(shape, path) for shape, _, _, path in sol.history] == [((8, 8), "dense-lu")]
+    assert sol.note.startswith("levels (11, 8): dense-lu failed: least entry")
+    assert "GMRES" not in sol.note and "residual" in sol.note
 
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(spla, "spilu", exhausted)
-    with pytest.raises(MemoryError):
-        solve_stationary(chain)
+    for dense, module, name in ((0, spla, "spilu"), (10 ** 9, np.linalg, "solve")):
+        monkeypatch.setattr(induced_chains, "DENSE_STATES", dense)
+        monkeypatch.setattr(module, name, face_solves_only(exhausted, getattr(module, name)))
+        with pytest.raises(MemoryError):
+            solve_stationary(chain)
 
 
 def _phmap_priority_model(u, discipline):
@@ -338,6 +369,99 @@ def test_faces_with_two_closed_classes_converge():
                                    rtol=1e-10, atol=0.0, err_msg=subset_name(A))
 
 
+def _reference_closed_classes(rows, cols, n):
+    """csgraph's strong components: the closed-class count and the class
+    of the lowest-indexed state in a closed class."""
+    Q = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    count, labels = connected_components(Q, directed=True, connection="strong")
+    exits = np.zeros(count, dtype=bool)
+    exits[labels[rows[labels[rows] != labels[cols]]]] = True
+    first = int(np.argmax(~exits[labels]))
+    return count - int(exits.sum()), np.flatnonzero(labels == labels[first])
+
+
+@st.composite
+def digraphs(draw):
+    """Edge lists on up to 40 states in canonical order: up to three
+    groups closed by a cycle, and free states whose edges go anywhere,
+    so that some are transient, some closed on their own and some have
+    no edge at all."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    group = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    edges = set()
+    for g in range(1, 4):
+        members = [v for v in range(n) if group[v] == g]
+        edges |= set(zip(members, members[1:] + members[:1]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    # an edge out of a group must stay in it, or the group is not closed
+    edges |= {(u, v) for u, v in pairs if group[u] in (0, group[v])}
+    key = np.unique(np.array(sorted(edges), dtype=np.int64).reshape(-1, 2) @ [n, 1])
+    return key // n, key % n, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs())
+# a transient cycle below the closed class; a transient state below two
+# closed classes
+@example((np.array([0, 1, 1, 2, 3, 4]), np.array([1, 0, 3, 3, 4, 3]), 5))
+@example((np.array([0, 0, 1, 2, 3, 4]), np.array([1, 3, 2, 1, 4, 3]), 5))
+def test_closed_class_finder_matches_strong_components(graph):
+    rows, cols, n = graph
+    count, keep = induced_chains._closed_classes(rows, cols, n)
+    ref_count, ref_keep = _reference_closed_classes(rows, cols, n)
+    assert count == ref_count
+    np.testing.assert_array_equal(keep, ref_keep)
+
+
+@pytest.mark.parametrize("model", [exp_model(), FROZEN_PHASE_MODEL], ids=["np", "frozen"])
+def test_closed_class_finder_matches_on_every_face_level(model):
+    kernel = kernel_of(model)
+    counts = []
+    for A in CANONICAL_SUBSETS:
+        chain = build_induced_chain(kernel, A)
+        for shape, *_ in solve_stationary(chain).history:
+            rows, cols, _, n = lattice_triplets(chain.q_blocks, shape, kernel.S0)
+            count, keep = induced_chains._closed_classes(rows, cols, n)
+            ref_count, ref_keep = _reference_closed_classes(rows, cols, n)
+            assert count == ref_count, (subset_name(A), shape)
+            np.testing.assert_array_equal(keep, ref_keep)
+            counts.append(count)
+    assert max(counts) == (2 if model is FROZEN_PHASE_MODEL else 1)
+
+
+@pytest.mark.parametrize("model, A", [
+    (exp_model(mus=(5.0, 2.4, 5.0, 2.2)), frozenset({2, 3})),
+    (symmetric_limited_model(3), frozenset({1, 2, 3})),
+], ids=["readme-23", "limited3-123"])
+def test_dense_and_iterative_solves_agree(model, A, monkeypatch):
+    chain = build_induced_chain(kernel_of(model), A)
+    sols = {}
+    for dense, path in ((10 ** 9, "dense-lu"), (0, "ilu-gmres")):
+        monkeypatch.setattr(induced_chains, "DENSE_STATES", dense)
+        sol = solve_stationary(chain)
+        assert sol.converged and {h[3] for h in sol.history} == {path}
+        sols[path] = sol
+    lu, ilu = sols["dense-lu"], sols["ilu-gmres"]
+    assert [h[0] for h in lu.history] == [h[0] for h in ilu.history]
+    drift = {path: input_rates(model, output_rates(chain, sol)) - output_rates(chain, sol)
+             for path, sol in sols.items()}
+    np.testing.assert_allclose(drift["dense-lu"], drift["ilu-gmres"], rtol=0.0, atol=1e-12)
+
+
+def test_failed_face_keeps_every_note(monkeypatch):
+    # a start cut back by the budget, and two closed classes on the last
+    # level, are still named when the face then fails to converge
+    kernel = kernel_of(FROZEN_PHASE_MODEL)
+    chain = build_induced_chain(kernel, {1, 4})
+    monkeypatch.setattr(induced_chains, "MAX_STATES", 3 * 4 * kernel.S0)
+    sol = solve_stationary(chain, levels=4)
+    assert not sol.converged
+    assert sol.note.startswith("levels (4, 4) exceed the state budget; started at (3, 4); "
+                               "2 closed classes; solved the one holding state ")
+    assert sol.note.endswith("; state budget exceeded beyond levels (3, 4)")
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.one_of(st.integers(min_value=3, max_value=6).map(symmetric_limited_model),
                  phmap_priority_models()))
@@ -350,11 +474,11 @@ def test_decay_sized_truncation_matches_fixed_level(model):
         fixed = solve_stationary(chain, levels=32, cap=32)
         assert sized.converged and fixed.converged
         # each level reports the residual its solve was checked against
-        assert all(0.0 <= r <= 1e-9 for _, r, _ in sized.history + fixed.history)
+        assert all(0.0 <= r <= 1e-9 for _, r, *_ in sized.history + fixed.history)
         d = len(chain.free)
         if d:
             assert sized.history[0][0] == (8,) * d
-            assert [shape for shape, _, _ in fixed.history] == [(32,) * d]
+            assert [shape for shape, *_ in fixed.history] == [(32,) * d]
         # a rate's truncation error is about the boundary mass times that
         # rate's boundary-to-mean ratio; MMPP bursts push the ratio above
         # one (up to 1.2 seen), so rates agree within 2 * TAIL_TOL
