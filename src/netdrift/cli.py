@@ -611,10 +611,10 @@ def build_parser():
     def add_common(p):
         p.add_argument("--mode", choices=("both", "closed", "numeric"),
                        default="both", help="drift table mode")
-        p.add_argument("--levels", type=positive, default=8,
-                       help="first truncation level tried per free coordinate")
+        p.add_argument("--levels", type=positive, default=4,
+                       help="first level of each truncated coordinate (QBD fast queue, box axis)")
         p.add_argument("--cap", type=positive, default=512,
-                       help="truncation level cap per free coordinate")
+                       help="truncation level cap per truncated coordinate")
         p.add_argument("--out", help="write output to this path")
 
     p = sub.add_parser("validate", help="validate a model file")

@@ -268,11 +268,11 @@ def lattice_triplets(block_fn, shape, S0):
     displacement, then cell.  Each off-diagonal entry is an edge: a rate.
     """
     if not shape:
-        B = sum(block_fn(()).values())
+        B = sum(block_fn(()).values(), np.zeros((S0, S0)))
         rows, cols = np.nonzero(B)
         return rows, cols, B[rows, cols], S0
     n = int(np.prod(shape)) * S0
-    keys, data = [], []
+    keys, data = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for sig in np.ndindex(*(3,) * len(shape)):
         axes = [signature_ranges(c, L) for c, L in zip(sig, shape)]
         if any(a.size == 0 for a in axes):

@@ -6,18 +6,20 @@ coordinates plus the background.  Its stationary distribution yields
 the long-run output rate of every queue and hence the drift vector
 Delta q^A: input rate minus output rate, per unit time.
 
-Numeric tables solve the induced chains on a reflecting truncation of
-the free lattice (out-of-box moves folded onto the boundary), one level
-per free coordinate.  Each face grows each coordinate to the level its
-own measured decay calls for, until the distribution has provably
-negligible boundary mass.  Closed-form tables cover the priority
-disciplines and the symmetric (1,K)-limited case.
+Numeric tables solve small faces as level-independent QBDs (quasi-
+birth-death chains) along one free queue, which is not truncated, and
+larger ones on a reflecting truncation of the free lattice (out-of-box
+moves folded onto the boundary).  Each truncated coordinate grows to the
+level its own measured decay calls for, until the distribution has
+provably negligible boundary mass.  Closed-form tables cover the
+priority disciplines and the symmetric (1,K)-limited case.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,26 +105,23 @@ def build_induced_chain(kernel: BlockKernel, A) -> InducedChain:
     return InducedChain(kernel, A)
 
 
+@dataclass(slots=True, eq=False)
 class InducedChainSolution:
-    """Stationary distribution of a truncated induced chain; `levels` and
-    each `history` entry hold one truncation level per free coordinate."""
+    """Stationary distribution of an induced chain; `levels` and each
+    `history` entry hold one truncation level per free coordinate, None
+    for a QBD's level axis, whose `dist` axis has the cells 0, 1 and >= 2.
+    `qbd` holds a QBD's logarithmic-reduction steps and max |1 - G 1|."""
 
-    __slots__ = (
-        "A", "free", "levels", "dist", "residual", "tail_mass",
-        "converged", "history", "note",
-    )
-
-    def __init__(self, A, free, levels, dist, residual, tail_mass, converged,
-                 history, note):
-        self.A = A
-        self.free = free
-        self.levels = levels
-        self.dist = dist
-        self.residual = residual
-        self.tail_mass = tail_mass
-        self.converged = converged
-        self.history = history
-        self.note = note
+    A: frozenset
+    free: tuple
+    levels: tuple
+    dist: np.ndarray | None
+    residual: float | None
+    tail_mass: float | None
+    converged: bool
+    history: list
+    note: str
+    qbd: dict | None = None
 
     def group_masses(self):
         """Probability mass per free-coordinate signature, as a vector
@@ -130,7 +129,7 @@ class InducedChainSolution:
         S0 = self.dist.shape[-1]
         out = {}
         for sig in np.ndindex(*(3,) * len(self.free)):
-            axes = [signature_ranges(c, L) for c, L in zip(sig, self.levels)]
+            axes = [signature_ranges(c, L) for c, L in zip(sig, self.dist.shape)]
             if all(a.size for a in axes):
                 out[sig] = self.dist[np.ix_(*axes)].reshape(-1, S0).sum(axis=0)
         return out
@@ -140,8 +139,8 @@ class InducedChainSolution:
 # solve runs with warnings raised as errors
 _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
-# a kept class of at most this many states is solved by dense LU: each
-# level of the small bench models keeps at most 76, 2-D limited faces 900+
+# a kept class of at most this many states is solved by dense LU: face N
+# of the bench models keeps at most 64, the 2-D limited faces' boxes 900+
 DENSE_STATES = 400
 
 
@@ -239,6 +238,81 @@ def _stationary_of(rows, cols, data, n):
     return pi, resid, path, note
 
 
+def _qbd_stationary(rows, cols, data, n):
+    """The stationary law of the level-independent QBD whose levels 0..3
+    (m = n/4 phases each, level 3 reflecting) canonical triplets give:
+    its mass at levels 0, 1 and >= 2 as a (3, m) array, the residual,
+    the diagnostics and a note; or None, None, None and the reason.
+
+    Levels >= 2 repeat level 2's up, local and down blocks U, L, D.  The
+    box's kept class (see `_stationary_of`) holds the phases kept at
+    levels 0 and 1, and at 2 and 3 those kept at every level >= 2, on
+    which Neuts' mean drift condition alpha U 1 < alpha D 1, alpha (U +
+    L + D) = 0, must hold.  Logarithmic reduction gives G and R = U (-L
+    - U G)^-1; levels 0..2 are solved densely, and levels >= 2 hold pi_2
+    (I - R)^-1.  The residual, the largest balance residual at levels
+    0..3 and of U + R L + R^2 D = 0 over r, must be at most 1e-9."""
+    m = n // 4
+    closed, keep = _closed_classes(rows, cols, n)
+    note = (f"{closed} closed classes; solved the one holding state {keep[0]} "
+            f"({keep.size} states)" if closed > 1 else "")
+    P = np.unique(keep[keep >= 2 * m] % m)
+    # the kept states at levels 0, 1 and 2, and the rows of those levels
+    kept = np.concatenate([keep[keep < 2 * m], 2 * m + P])
+    q, s = P.size, kept.size - P.size
+    Q = np.zeros((3 * m, n))
+    on = rows < 3 * m
+    Q[rows[on], cols[on]] = data[on]
+    U, L, D = (Q[2 * m + P, k * m:(k + 1) * m] for k in (3, 2, 1))
+    Up, Lp, Dp, I = U[:, P], L[:, P], D[:, P], np.eye(q)
+    r = -data[rows == cols].min(initial=0.0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if q:
+                A = (Up + Lp + Dp).T / r
+                A[0] = 1.0
+                alpha = np.linalg.solve(A, I[0])
+                up, down = alpha @ U.sum(axis=1), alpha @ D.sum(axis=1)
+                if not up < down:
+                    return None, None, None, (
+                        f"qbd refused: mean drift condition fails: up rate {up:.6g} >= "
+                        f"down rate {down:.6g} on the kept phases; not positive recurrent")
+            H, Lo = np.hsplit(np.linalg.solve(-Lp, np.hstack([Up, Dp])), [q])
+            G, T, steps = Lo, H, 0
+            while T.sum(axis=1).max(initial=0.0) > 1e-15:
+                if steps == 64:
+                    return None, None, None, "qbd failed: logarithmic reduction did not converge"
+                H, Lo = np.hsplit(np.linalg.solve(I - H @ Lo - Lo @ H,
+                                                  np.hstack([H @ H, Lo @ Lo])), [q])
+                G, T, steps = G + T @ Lo, T @ H, steps + 1
+            R = np.linalg.solve((-Lp - Up @ G).T, Up.T).T
+            RD = R @ Dp
+            M = Q[np.ix_(kept, kept)]
+            M[s:, s:] += RD
+            M = M.T / r
+            M[0] = np.concatenate([np.ones(s), np.linalg.solve(I - R, np.ones(q))])
+            x = np.linalg.solve(M, np.eye(s + q)[0])
+            above = np.linalg.solve((I - R).T, x[s:])
+    except _SOLVE_ERRORS as exc:
+        return None, None, None, f"qbd failed: {type(exc).__name__}: {exc}"
+    # the mass at levels 0..3, balanced by the box's flows and at level 3 U, L, D
+    pi = np.zeros(n)
+    pi[kept], pi[3 * m + P] = x, x[s:] @ R
+    flows = np.bincount(cols, pi[rows] * data, minlength=n)[:3 * m]
+    top = x[s:] @ U + pi[3 * m + P] @ L + (pi[3 * m + P] @ R) @ D
+    resid = max(np.abs(flows).max(), np.abs(top).max(initial=0.0),
+                np.abs(Up + R @ (Lp + RD)).max(initial=0.0)) / r
+    least = min(x.min(), above.min(initial=0.0))
+    if not (least >= -1e-8 and resid <= 1e-9):
+        return None, None, None, (f"qbd failed: least entry {least:.3g}, "
+                                  f"stationarity residual {resid:.3g}")
+    pi[2 * m + P] = above
+    dist = np.clip(pi[:3 * m], 0.0, None).reshape(3, m)
+    gap = float(np.abs(1.0 - G.sum(axis=1)).max(initial=0.0))
+    return dist / dist.sum(), float(resid), {"lrIterations": steps, "gRowSumError": gap}, note
+
+
 # per-level decay of the boundary mass at or above which a face is taken
 # to be transient: a tail falling by less than 10% over 32 levels
 NON_DECAY_RATE = 0.9 ** (1 / 32)
@@ -263,17 +337,16 @@ def _marginal_decay(dist):
     return rates
 
 
-def _next_level(L, tail, rate, cap):
-    """The level at which `tail` decaying by `rate` per level reaches a
-    quarter of TAIL_TOL, kept within [L+1, min(2L, cap)].  `tail` must
-    be above that target.  Doubles when the rate is unknown or not
-    below 1."""
+def _next_level(L, tail, rate, cap, target=TAIL_TOL / 4):
+    """The level at which `tail` decaying by `rate` per level reaches
+    `target`, kept within [L+1, min(2L, cap)].  `tail` must be above
+    that target.  Doubles when the rate is unknown or not below 1."""
     top = min(2 * L, cap)
     if rate is None or rate >= 1.0:
         return top
     if rate <= 0.0:
         return L + 1
-    steps = math.ceil(math.log(TAIL_TOL / 4 / tail) / math.log(rate))
+    steps = math.ceil(math.log(target / tail) / math.log(rate))
     return min(L + steps, top)
 
 
@@ -290,37 +363,84 @@ def _fit_budget(shape, floor, S0):
     return tuple(shape)
 
 
-def solve_stationary(chain: InducedChain, levels=8, cap=512) -> InducedChainSolution:
-    """Stationary distribution with reflecting truncation, one level per
-    free coordinate.
+# the most phases solved as a QBD: `analyze` of sym K=7 (324) took 0.71 s with
+# QBDs, 0.79 s with boxes; sym K=8 (400) 0.96 and 0.79 s, scipy import included
+QBD_PHASES = 350
 
-    Solves at `levels` on every axis first, then grows the box until the
-    boundary mass (the cells where any axis sits at its top level) is at
-    most TAIL_TOL; nothing else decides when a face is done.  The
-    boundary is the union of the axes' top levels, so a boundary mass
-    over TAIL_TOL puts more than TAIL_TOL / d on some axis's top level.
-    Each step grows only the axes whose own top level holds more than
-    TAIL_TOL / d, each to the level where that mass, decaying at the
-    axis's measured per-level rate, reaches TAIL_TOL/4, but by at least
-    one level and at most to double the current one or `cap`.  An axis
-    that grew in the last step takes its rate from its top-level masses
-    at its last two levels; at or above NON_DECAY_RATE on a growing axis,
-    that rate means the mass is not decaying (the signature of a
-    transient chain) and stops the growth, as does a growing axis at the
-    cap.  Any other axis takes the decay of its level marginal in the
-    current solution.  MAX_STATES bounds the product of the levels
-    times the background states: a box over it has its growing axes cut
-    back, the largest first, and the growth stops when none of them can
-    grow.  A failed solve (see `_stationary_of`) stops the growth too,
-    with no residual or tail mass.  The note keeps a cut-back start, the
-    last level's closed classes and why the growth stopped.  A `history`
-    entry is (levels, residual, boundary mass, solver path); `residual`
-    is the level's stationarity residual max |pi Q| / r, which
-    `_stationary_of` has checked to be at most 1e-9.  A `levels` above
-    `cap` starts at `cap`.
+
+def _solve_qbd(chain: InducedChain, levels, cap) -> InducedChainSolution:
+    """`solve_stationary` as a QBD (`_qbd_stationary`) whose level is the
+    free queue with exogenous arrivals (1 or 3) and whose phase is the
+    background, times the other queue's reflecting truncation on a 2-D
+    face.  That fast axis starts at `levels` and grows as a box axis
+    does, but aims at TAIL_TOL / 2, its cost growing as its level cubed,
+    and keeps (level * S0)^2 within MAX_STATES."""
+    d, S0 = len(chain.free), chain.kernel.S0
+    slow = next((a for a, q in enumerate(chain.free) if q in (1, 3)), 0)
+    # lattice order: (level, fast axis)
+    block_fn = chain.q_blocks if slow == 0 else (
+        lambda sig: {z[::-1]: B for z, B in chain.q_blocks(sig[::-1]).items()})
+
+    L, history = min(levels, cap), []
+    while True:
+        fast = (L,) if d == 2 else ()
+        named = fast + (None,) if slow else (None,) + fast
+        dist, residual, stats, note = _qbd_stationary(*lattice_triplets(block_fn, (4,) + fast, S0))
+        if dist is None:
+            return InducedChainSolution(chain.A, chain.free, named, None, None, None, False,
+                                        history, f"levels {named}: {note}")
+        dist = np.moveaxis(dist.reshape((3,) + fast + (S0,)), 0, slow)
+        tail = float(dist.take(L - 1, axis=1 - slow).sum()) if d == 2 else 0.0
+        history.append((named, residual, tail, "qbd"))
+        stop = ""
+        if tail > TAIL_TOL:
+            rate = (_marginal_decay(dist)[1 - slow] if len(history) == 1
+                    else (tail / prev_tail) ** (1.0 / (L - prev)))
+            nxt = min(_next_level(L, tail, rate, cap, TAIL_TOL / 2), math.isqrt(MAX_STATES) // S0)
+            stop = ("boundary mass is not decaying; chain is likely transient"
+                    if len(history) > 1 and rate >= NON_DECAY_RATE
+                    else f"truncation cap {cap} reached" if L >= cap
+                    else f"state budget exceeded beyond levels {named}" if nxt <= L else "")
+            if not stop:
+                prev, prev_tail, L = L, tail, nxt
+                continue
+        return InducedChainSolution(chain.A, chain.free, named, dist, residual, tail, not stop,
+                                    history, "; ".join(filter(None, (note, stop))), stats)
+
+
+def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolution:
+    """Stationary distribution of a face's induced chain: as a QBD
+    (`_solve_qbd`) when it has a free coordinate and at most QBD_PHASES
+    phases (S0, times `levels` on a 2-D face), else as follows, with
+    reflecting truncation, one level per free coordinate.
+
+    Solves at `levels` on every axis first (at `cap` when above it), then
+    grows the box until its boundary mass (the cells where any axis sits
+    at its top level) is at most TAIL_TOL; nothing else decides when a
+    face is done.  A larger boundary mass puts more than TAIL_TOL / d on
+    some axis's top level, and each step grows only such axes, each to
+    the level where that mass, decaying at the axis's measured per-level
+    rate, reaches TAIL_TOL/4, but by at least one level and at most to
+    double the current one or `cap`.  An axis that grew in the last step
+    takes its rate from its top-level masses at its last two levels; at
+    or above NON_DECAY_RATE on a growing axis, that rate means the mass
+    is not decaying (the signature of a transient chain) and stops the
+    growth, as does a growing axis at the cap.  Any other axis takes the
+    decay of its level marginal in the current solution.  MAX_STATES
+    bounds the product of the levels times the background states: a box
+    over it has its growing axes cut back, the largest first, and the
+    growth stops when none of them can grow.  A failed solve (see
+    `_stationary_of`) stops the growth too, with no residual or tail
+    mass.  The note keeps a cut-back start, the last level's closed
+    classes and why the growth stopped.  A `history` entry is (levels,
+    residual, boundary mass, solver path); `residual` is the level's
+    stationarity residual max |pi Q| / r, at most 1e-9 by the solver's
+    own check.
     """
     d = len(chain.free)
     S0 = chain.kernel.S0
+    if d and S0 * min(int(levels), int(cap)) ** (d - 1) <= QBD_PHASES:
+        return _solve_qbd(chain, int(levels), int(cap))
 
     def failed(shape, history, note):
         return InducedChainSolution(chain.A, chain.free, shape, None, None,
@@ -458,6 +578,7 @@ def _json_safe(obj):
     return obj
 
 
+@dataclass(eq=False)
 class DriftTable:
     """Drift vectors for the canonical saturated subsets.
 
@@ -465,17 +586,15 @@ class DriftTable:
     names the one downstream classification reads (closed form when
     available)."""
 
-    def __init__(self, mode, lam1, lam3, p, service_rates, closed, numeric,
-                 cross_check, notes):
-        self.mode = mode
-        self.lam1 = lam1
-        self.lam3 = lam3
-        self.p = p
-        self.service_rates = service_rates
-        self.closed = closed
-        self.numeric = numeric
-        self.cross_check = cross_check
-        self.notes = notes
+    mode: str
+    lam1: float
+    lam3: float
+    p: float
+    service_rates: tuple
+    closed: dict | None
+    numeric: dict | None
+    cross_check: dict | None
+    notes: list
 
     @property
     def primary(self):
@@ -616,7 +735,7 @@ def closed_form_table(model: NetworkModel):
     return entries
 
 
-def numeric_table(model: NetworkModel, levels=8, cap=512):
+def numeric_table(model: NetworkModel, levels=4, cap=512):
     """Numeric drift entries for the canonical subsets."""
     kernel = kernel_of(model)
     entries = {}
@@ -629,6 +748,7 @@ def numeric_table(model: NetworkModel, levels=8, cap=512):
             "tailMass": sol.tail_mass,
             "converged": sol.converged,
             "history": sol.history,
+            **(sol.qbd or {}),
         }
         if sol.note:
             diag["note"] = sol.note
@@ -644,7 +764,7 @@ def numeric_table(model: NetworkModel, levels=8, cap=512):
     return entries
 
 
-def drift_table(model: NetworkModel, mode="both", levels=8,
+def drift_table(model: NetworkModel, mode="both", levels=4,
                 cap=512) -> DriftTable:
     """Assemble the drift table in the requested mode.
 

@@ -338,7 +338,7 @@ class StabilityReport:
         })
 
 
-def classify(model: NetworkModel, *, mode="both", levels=8, cap=512,
+def classify(model: NetworkModel, *, mode="both", levels=4, cap=512,
              assume_semi_irreducible=False, probe_radius=3,
              with_certificate=False, with_spiral=False) -> StabilityReport:
     """Full decision pipeline on one model."""

@@ -244,7 +244,8 @@ def test_analyze_numeric_fallback_for_asymmetric_limited(tmp_path, capsys):
 
 def test_failed_faces_write_standard_json(tmp_path, capsys, monkeypatch):
     # a face whose solve fails has no residual or tail mass: the report
-    # says null, not the non-standard Infinity.  Both face solvers fail.
+    # says null, not the non-standard Infinity.  Every face solver fails:
+    # face N's dense LU and the other faces' QBD solves.
     import scipy.sparse.linalg as spla
 
     def singular(*args, **kwargs):
@@ -271,7 +272,24 @@ def test_failed_faces_write_standard_json(tmp_path, capsys, monkeypatch):
     for face in faces:
         assert face["diagnostics"]["residual"] is None
         assert face["diagnostics"]["tailMass"] is None
-        assert "dense-lu failed: LinAlgError" in face["diagnostics"]["note"]
+        path = "dense-lu" if face["subset"] == [1, 2, 3, 4] else "qbd"
+        assert f"{path} failed: LinAlgError" in face["diagnostics"]["note"]
+
+
+def test_critical_readme_model_is_inconclusive_in_every_mode(tmp_path, capsys):
+    # mu4 = 0.96 puts the README model on its threshold: the closed form
+    # gives r1*r2 = 1 + 2e-16.  The numeric faces are exact up to
+    # round-off, so numeric mode agrees and withholds the verdict too.
+    critical = dict(BASE_MODEL, services=[{"exponential": m} for m in (5.0, 2.4, 5.0, 0.96)])
+    path = write_json(tmp_path, "critical.json", critical)
+    reports = {}
+    for mode in ("closed", "numeric", "both"):
+        code, out, _ = run(capsys, ["analyze", path, "--mode", mode,
+                                    "--assume-semi-irreducible"])
+        reports[mode] = json.loads(out)
+        assert code == 4, mode
+        assert reports[mode]["classification"] == "Inconclusive", mode
+    assert abs(reports["numeric"]["r1r2"] - reports["closed"]["r1r2"]) <= 1e-12
 
 
 def test_analyze_reports_failed_sign_premises(tmp_path, capsys):

@@ -29,6 +29,7 @@ from netdrift.generator import (
     RATE_TOL,
     UNKNOWN,
     assemble_lattice,
+    lattice_triplets,
 )
 from tests.conftest import exp_model, symmetric_limited_model
 from tests.test_service_disciplines import PH_PAIRS
@@ -398,6 +399,20 @@ def test_assembly_matches_kronecker_reference(which):
         assert np.array_equal(got.indptr, want.indptr), shape
         assert np.array_equal(got.indices, want.indices), shape
         assert np.array_equal(got.data, want.data), shape
+
+
+def test_lattice_triplets_without_blocks_are_empty_and_canonical():
+    # a block_fn that yields no block for any signature of the box, such
+    # as one level's moves down from level 0, gives no entry, not an error
+    for shape in ((), (3,), (2, 4)):
+        rows, cols, data, n = lattice_triplets(lambda sig: {}, shape, 5)
+        assert n == 5 * int(np.prod(shape))
+        assert rows.size == cols.size == data.size == 0
+        assert rows.dtype == cols.dtype == np.int64 and data.dtype == np.float64
+    # blocks at some signatures only: the others add nothing
+    rows, cols, data, n = lattice_triplets(
+        lambda sig: {(1,): np.eye(2)} if sig == (0,) else {}, (3,), 2)
+    assert (rows.tolist(), cols.tolist(), data.tolist(), n) == ([0, 1], [2, 3], [1.0, 1.0], 6)
 
 
 # --- debug export ----------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Parsing, simulation, validation, closed-mode sweeps and the small
-models' face solves load numpy alone; scipy waits for the first face
-whose kept class is solved by ILU-GMRES."""
+"""Parsing, simulation, validation, closed-mode sweeps and the face
+solves of the small and the limited bench models load numpy alone;
+scipy waits for the first face solved on its box by ILU-GMRES."""
 
 import json
 import os
@@ -28,10 +28,14 @@ MMPP_MODEL = dict(README_MODEL, arrivals=[
     {"poisson": 0.4},
 ])
 
-# symmetric (1,3)-limited: its 2-D faces keep classes of 900 states and up
+# symmetric (1,3)-limited: solved as QBDs, its 2-D faces hold 200 phases;
+# on their boxes they keep classes of 900 states and up
 LIMITED_MODEL = dict(README_MODEL, arrivals=[{"poisson": 1.0}, {"poisson": 1.0}],
                      services=[{"exponential": m} for m in (5.0, 1.8, 5.0, 1.8)],
                      p=0.0, discipline={"limited": {"K": 3}})
+
+# asymmetric (1,4)-limited: no closed form, S0 = 36
+ASYM_MODEL = dict(README_MODEL, discipline={"limited": {"K": 4}})
 
 # runs in a fresh interpreter: other tests in this process import scipy
 SCRIPT = """
@@ -41,7 +45,7 @@ def no_scipy(step):
     loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
     assert not loaded, f"{step} loaded {loaded[:5]}"
 
-model, mmpp, limited, out = sys.argv[1:5]
+model, mmpp, limited, asym, out = sys.argv[1:6]
 import netdrift
 no_scipy("import netdrift")
 from netdrift.cli import load_model, main
@@ -69,8 +73,15 @@ no_scipy("sweep --mode closed")
 assert main(["analyze", model, "--certificate", "--spiral",
              "--out", out + "/report.json"]) == 0
 no_scipy("analyze")
+for name, path in (("limited", limited), ("asym", asym)):
+    assert main(["analyze", path, "--mode", "both", "--assume-semi-irreducible",
+                 "--out", f"{out}/{name}-report.json"]) == 0
+    no_scipy(f"analyze {name}")
+# faces over the QBD size rule are solved on their boxes
+import netdrift.induced_chains
+netdrift.induced_chains.QBD_PHASES = 0
 assert main(["analyze", limited, "--assume-semi-irreducible",
-             "--out", out + "/limited.json"]) == 0
+             "--out", out + "/limited-box.json"]) == 0
 assert "scipy.sparse" in sys.modules
 """
 
@@ -82,11 +93,14 @@ def test_parse_and_simulate_load_no_scipy(tmp_path):
     mmpp.write_text(json.dumps(MMPP_MODEL))
     limited = tmp_path / "limited.json"
     limited.write_text(json.dumps(LIMITED_MODEL))
+    asym = tmp_path / "asym.json"
+    asym.write_text(json.dumps(ASYM_MODEL))
     src = str(Path(netdrift.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(model), str(mmpp), str(limited), str(tmp_path)],
+        [sys.executable, "-c", SCRIPT, str(model), str(mmpp), str(limited), str(asym),
+         str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

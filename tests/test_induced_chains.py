@@ -86,11 +86,13 @@ def test_virtual_station_chain_reduces_to_single_server_queue(np_model):
     # all mass sits at x4 = 0
     assert sol.dist[:, 1:, :].sum() <= 1e-9
 
+    # queue 1 is the QBD's level: its cells 0, 1 and >= 2 hold 1 - rho1,
+    # (1 - rho1) rho1 and rho1^2
+    assert sol.levels == (None, 4) and sol.dist.shape[0] == 3
     marg = sol.dist.sum(axis=(1, 2))
     rho1 = 0.8 / 4.0
-    assert abs(marg[0] - (1.0 - rho1)) <= 1e-6
-    for lvl in range(6):
-        assert marg[lvl + 1] / marg[lvl] == pytest.approx(rho1, abs=1e-6)
+    np.testing.assert_allclose(marg, [1.0 - rho1, (1.0 - rho1) * rho1, rho1 ** 2],
+                               rtol=0.0, atol=1e-6)
 
     groups = sol.group_masses()
     total = sum(float(v.sum()) for v in groups.values())
@@ -156,32 +158,51 @@ def test_alternate_virtual_station_chain_converges(np_model):
     assert sol.dist[1:, :, :].sum() <= 1e-9
 
 
-def test_noncanonical_transient_subset_is_flagged(np_model):
+def test_noncanonical_transient_subset_is_flagged(np_model, monkeypatch):
     # Saturating {1,2,4} feeds queue 3 at rate lam3 + p*mu2 while class 2
     # monopolizes station 2, so queue 3 never completes and the free
-    # chain is transient.  The solver must refuse to converge.
+    # chain is transient.  The solver must refuse to converge: as a QBD,
+    # by the mean drift condition, before any reduction step (tier 1
+    # raises RuntimeWarnings as errors); on its box, by the non-decaying
+    # boundary mass.
     kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {1, 2, 4})
     sol = solve_stationary(chain, levels=4, cap=16)
+    assert not sol.converged and sol.history == []
+    assert sol.dist is None and sol.tail_mass is None
+    assert sol.note == ("levels (None,): qbd refused: mean drift condition fails: up rate "
+                        "1.12 >= down rate 0 on the kept phases; not positive recurrent")
+    with pytest.raises(NotConverged, match="mean drift condition fails"):
+        output_rates(chain, sol)
+
+    monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
+    sol = solve_stationary(chain, levels=4, cap=16)
     assert not sol.converged
     assert sol.tail_mass > 1e-3
-    assert sol.note
+    assert "not decaying" in sol.note
     with pytest.raises(NotConverged):
         output_rates(chain, sol)
 
 
-def test_start_level_above_cap_starts_at_cap(np_model):
+def test_start_level_above_cap_starts_at_cap(np_model, monkeypatch):
+    # as a QBD, queue 1 is the untruncated level and only queue 4 is
+    # capped; on the box, both are
     chain = build_induced_chain(kernel_of(np_model), {2, 3})
-    sol = solve_stationary(chain, levels=40, cap=16)
-    assert sol.converged
-    assert sol.history[0][0] == (16, 16)
-    assert max(max(shape) for shape, *_ in sol.history) <= 16
+    for path, start in (("qbd", (None, 16)), ("box", (16, 16))):
+        if path == "box":
+            monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
+        sol = solve_stationary(chain, levels=40, cap=16)
+        assert sol.converged
+        assert sol.history[0][0] == start
+        assert max(max(L for L in shape if L) for shape, *_ in sol.history) <= 16
+        assert ({h[3] for h in sol.history} == {"qbd"}) == (path == "qbd")
 
 
 def test_start_level_over_state_budget_solves_at_largest_fitting_level(
         np_model, monkeypatch):
-    # 32 x 32 cells times S0 = 9 is over the budget, 20 x 20 fits; the
-    # {2,3} face (geometric, ratio 0.2) converges there
+    # the box path: 32 x 32 cells times S0 = 9 is over the budget, 20 x 20
+    # fits; the {2,3} face (geometric, ratio 0.2) converges there
+    monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
     kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {2, 3})
     monkeypatch.setattr(induced_chains, "MAX_STATES", 20 ** 2 * kernel.S0 + 5)
@@ -199,17 +220,26 @@ def test_start_level_over_state_budget_solves_at_largest_fitting_level(
     assert sol.note == "state budget 8 is below 9 background states"
 
     # a face that needs more states than the budget holds fails with a
-    # named reason after solving at the largest box that fits: at 12^2
-    # cells, the decay calls for 9 x 16, which fits exactly; at 10 x 12
-    # cells, the slow axis (queue 3) is cut back to 13
+    # named reason after solving at the largest box that fits: from 8 x 8
+    # at 12^2 cells, the decay calls for 9 x 16, which fits exactly; at
+    # 10 x 12 cells, the slow axis (queue 3) is cut back to 13
     limited = kernel_of(symmetric_limited_model(3))
     chain = build_induced_chain(limited, {1, 4})
     for cells, boxes in ((12 ** 2, [(8, 8), (9, 16)]), (10 * 12, [(8, 8), (9, 13)])):
         monkeypatch.setattr(induced_chains, "MAX_STATES", cells * limited.S0)
-        sol = solve_stationary(chain)
+        sol = solve_stationary(chain, levels=8)
         assert not sol.converged
         assert [shape for shape, *_ in sol.history] == boxes
         assert "state budget" in sol.note
+
+    # as a QBD, the face's dense blocks hold (L * S0)^2 entries: a budget
+    # of (6 * S0)^2 stops queue 2's axis at 6, short of the 8 it needs
+    monkeypatch.undo()
+    monkeypatch.setattr(induced_chains, "MAX_STATES", (6 * limited.S0) ** 2)
+    sol = solve_stationary(chain)
+    assert not sol.converged
+    assert [shape for shape, *_ in sol.history] == [(4, None), (6, None)]
+    assert sol.note == "state budget exceeded beyond levels (6, None)"
 
 
 def _singular_ilu(*args, **kwargs):
@@ -221,34 +251,43 @@ def _singular_lu(*args, **kwargs):
 
 
 def test_failed_solves_fail_loudly(np_model, monkeypatch):
-    # 8 x 8 cells x 9 background states; this face grows queue 1 to 11.
-    # Both solvers fail here, so a failure that fell through to the other
-    # path would show.
+    # on its box from 8 x 8 cells x 9 background states, this face grows
+    # queue 1 to 11; as a QBD it starts with 8 x 9 phases.  Every solver
+    # fails here, so a failure that fell through to another path would
+    # show.
     kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {2, 3})
     monkeypatch.setattr(spla, "spilu", _singular_ilu)
     monkeypatch.setattr(np.linalg, "solve", face_solves_only(_singular_lu, np.linalg.solve))
-    for dense, path, reason in ((0, "ilu-gmres", "RuntimeError: Factor is exactly singular"),
-                                (10 ** 9, "dense-lu", "LinAlgError: Singular matrix")):
+    lu_reason = "LinAlgError: Singular matrix"
+    qbd_phases = induced_chains.QBD_PHASES
+    for qbd, dense, path, reason, levels in (
+            (0, 0, "ilu-gmres", "RuntimeError: Factor is exactly singular", (8, 8)),
+            (0, 10 ** 9, "dense-lu", lu_reason, (8, 8)),
+            (qbd_phases, 400, "qbd", lu_reason, (None, 8))):
+        monkeypatch.setattr(induced_chains, "QBD_PHASES", qbd)
         monkeypatch.setattr(induced_chains, "DENSE_STATES", dense)
-        sol = solve_stationary(chain)
+        sol = solve_stationary(chain, levels=8)
         assert not sol.converged and sol.history == []
-        assert sol.note == f"levels (8, 8): {path} failed: {reason}"
+        assert sol.note == f"levels {levels}: {path} failed: {reason}"
         with pytest.raises(NotConverged, match=path):
             output_rates(chain, sol)
 
-        # every face fails, and each one is named among the reasons
+        # every face fails, and each one is named among the reasons; as
+        # QBDs, all but face N, which has no level
         for model in (np_model, FROZEN_PHASE_MODEL):
             report = classify(model, mode="numeric", assume_semi_irreducible=True)
             assert report.classification == "Inconclusive"
             for A in CANONICAL_SUBSETS:
-                assert any(f"on face {subset_name(A)} unavailable" in r
-                           and f"{path} failed: {reason}" in r for r in report.reasons), \
-                    (subset_name(A), report.reasons)
+                failure = ("dense-lu failed: " + lu_reason if path == "qbd" and A == N
+                           else f"{path} failed: {reason}")
+                assert any(f"on face {subset_name(A)} unavailable" in r and failure in r
+                           for r in report.reasons), (subset_name(A), report.reasons)
     monkeypatch.undo()
 
     # GMRES stopping short at the second level keeps the first level's
     # history
+    monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
     monkeypatch.setattr(induced_chains, "DENSE_STATES", 0)
     gmres = spla.gmres
     calls = []
@@ -259,7 +298,7 @@ def test_failed_solves_fail_loudly(np_model, monkeypatch):
         return x, 300 if len(calls) > 1 else info
 
     monkeypatch.setattr(spla, "gmres", stalled)
-    sol = solve_stationary(chain)
+    sol = solve_stationary(chain, levels=8)
     assert not sol.converged
     assert [shape for shape, *_ in sol.history] == [(8, 8)]
     assert sol.note.startswith("levels (11, 8): ilu-gmres")
@@ -267,6 +306,7 @@ def test_failed_solves_fail_loudly(np_model, monkeypatch):
 
     # so does an LU result off stationarity, with no GMRES to fall back on
     monkeypatch.undo()
+    monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
     monkeypatch.setattr(spla, "spilu", _singular_ilu)
     lu = np.linalg.solve
     calls = []
@@ -277,7 +317,7 @@ def test_failed_solves_fail_loudly(np_model, monkeypatch):
         return x if len(calls) == 1 else x - 0.1
 
     monkeypatch.setattr(np.linalg, "solve", face_solves_only(off, lu))
-    sol = solve_stationary(chain)
+    sol = solve_stationary(chain, levels=8)
     assert not sol.converged
     assert [(shape, path) for shape, _, _, path in sol.history] == [((8, 8), "dense-lu")]
     assert sol.note.startswith("levels (11, 8): dense-lu failed: least entry")
@@ -286,11 +326,29 @@ def test_failed_solves_fail_loudly(np_model, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    for dense, module, name in ((0, spla, "spilu"), (10 ** 9, np.linalg, "solve")):
+    monkeypatch.undo()
+    for qbd, dense, module, name in ((0, 0, spla, "spilu"), (0, 10 ** 9, np.linalg, "solve"),
+                                     (qbd_phases, 400, np.linalg, "solve")):
+        monkeypatch.setattr(induced_chains, "QBD_PHASES", qbd)
         monkeypatch.setattr(induced_chains, "DENSE_STATES", dense)
         monkeypatch.setattr(module, name, face_solves_only(exhausted, getattr(module, name)))
         with pytest.raises(MemoryError):
             solve_stationary(chain)
+        monkeypatch.undo()
+
+
+def test_qbd_whose_levels_do_not_repeat_fails_its_stationarity_check():
+    # level 3 of the box moves down at 1.5 times level 2's rates, so its
+    # levels >= 2 do not repeat, and the balance at level 2 shows it
+    chain = build_induced_chain(kernel_of(symmetric_limited_model(3)), {1, 2, 3})
+    rows, cols, data, n = lattice_triplets(chain.q_blocks, (4,), chain.kernel.S0)
+    dist, residual, stats, note = induced_chains._qbd_stationary(rows, cols, data, n)
+    assert dist.shape == (3, n // 4) and residual <= 1e-12 and stats["lrIterations"] >= 1
+    down = (rows >= 3 * n // 4) & (cols < 3 * n // 4)
+    dist, residual, stats, note = induced_chains._qbd_stationary(
+        rows, cols, np.where(down, 1.5 * data, data), n)
+    assert dist is None and residual is None and stats is None
+    assert note.startswith("qbd failed: least entry") and "stationarity residual" in note
 
 
 def _phmap_priority_model(u, discipline):
@@ -336,14 +394,19 @@ def phmap_priority_models(draw):
 FROZEN_PHASE_MODEL = _phmap_priority_model([0.0] * 9, "preemptive_resume")
 
 
-def test_faces_with_two_closed_classes_converge():
+def test_faces_with_two_closed_classes_converge(monkeypatch):
     kernel = kernel_of(FROZEN_PHASE_MODEL)
     for A in (N, frozenset({1, 3, 4}), frozenset({1, 4})):
         chain = build_induced_chain(kernel, A)
-        sol = solve_stationary(chain)
+        qbd = solve_stationary(chain)
+        assert qbd.converged
+        assert "2 closed classes" in qbd.note
+        with monkeypatch.context() as m:
+            m.setattr(induced_chains, "QBD_PHASES", 0)
+            sol = solve_stationary(chain)
         assert sol.converged
         assert "2 closed classes" in sol.note
-        # the reference: the other closed class of the same truncation,
+        # the reference: the other closed class of the box's truncation,
         # solved densely
         Q = assemble_lattice(chain.q_blocks, sol.levels, kernel.S0)
         R = Q / -Q.diagonal().min()
@@ -367,6 +430,10 @@ def test_faces_with_two_closed_classes_converge():
         np.testing.assert_allclose(output_rates(chain, sol),
                                    output_rates(chain, ref),
                                    rtol=1e-10, atol=0.0, err_msg=subset_name(A))
+        # the QBD solve differs from the box's by the box's truncation
+        np.testing.assert_allclose(output_rates(chain, qbd),
+                                   output_rates(chain, ref),
+                                   rtol=2 * TAIL_TOL, atol=0.0, err_msg=subset_name(A))
 
 
 def _reference_closed_classes(rows, cols, n):
@@ -415,18 +482,27 @@ def test_closed_class_finder_matches_strong_components(graph):
 
 
 @pytest.mark.parametrize("model", [exp_model(), FROZEN_PHASE_MODEL], ids=["np", "frozen"])
-def test_closed_class_finder_matches_on_every_face_level(model):
-    kernel = kernel_of(model)
+def test_closed_class_finder_matches_on_every_face_level(model, monkeypatch):
+    # every call a face solve makes, on its QBD's four levels or on its
+    # box, is checked against csgraph
+    finder = induced_chains._closed_classes
     counts = []
-    for A in CANONICAL_SUBSETS:
-        chain = build_induced_chain(kernel, A)
-        for shape, *_ in solve_stationary(chain).history:
-            rows, cols, _, n = lattice_triplets(chain.q_blocks, shape, kernel.S0)
-            count, keep = induced_chains._closed_classes(rows, cols, n)
-            ref_count, ref_keep = _reference_closed_classes(rows, cols, n)
-            assert count == ref_count, (subset_name(A), shape)
-            np.testing.assert_array_equal(keep, ref_keep)
-            counts.append(count)
+
+    def checked(rows, cols, n):
+        count, keep = finder(rows, cols, n)
+        ref_count, ref_keep = _reference_closed_classes(rows, cols, n)
+        assert count == ref_count, n
+        np.testing.assert_array_equal(keep, ref_keep)
+        counts.append(count)
+        return count, keep
+
+    monkeypatch.setattr(induced_chains, "_closed_classes", checked)
+    kernel = kernel_of(model)
+    for qbd_phases in (induced_chains.QBD_PHASES, 0):
+        monkeypatch.setattr(induced_chains, "QBD_PHASES", qbd_phases)
+        for A in CANONICAL_SUBSETS:
+            assert solve_stationary(build_induced_chain(kernel, A)).converged
+    assert len(counts) >= 10
     assert max(counts) == (2 if model is FROZEN_PHASE_MODEL else 1)
 
 
@@ -435,6 +511,8 @@ def test_closed_class_finder_matches_on_every_face_level(model):
     (symmetric_limited_model(3), frozenset({1, 2, 3})),
 ], ids=["readme-23", "limited3-123"])
 def test_dense_and_iterative_solves_agree(model, A, monkeypatch):
+    # the box path's two solvers
+    monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
     chain = build_induced_chain(kernel_of(model), A)
     sols = {}
     for dense, path in ((10 ** 9, "dense-lu"), (0, "ilu-gmres")):
@@ -454,6 +532,7 @@ def test_failed_face_keeps_every_note(monkeypatch):
     # level, are still named when the face then fails to converge
     kernel = kernel_of(FROZEN_PHASE_MODEL)
     chain = build_induced_chain(kernel, {1, 4})
+    monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
     monkeypatch.setattr(induced_chains, "MAX_STATES", 3 * 4 * kernel.S0)
     sol = solve_stationary(chain, levels=4)
     assert not sol.converged
@@ -462,22 +541,33 @@ def test_failed_face_keeps_every_note(monkeypatch):
     assert sol.note.endswith("; state budget exceeded beyond levels (3, 4)")
 
 
+# the README arrivals and services under the (1,4)-limited discipline
+ASYM_K4_MODEL = exp_model("limited", K=4, mus=(5.0, 2.4, 5.0, 2.2))
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.one_of(st.integers(min_value=3, max_value=6).map(symmetric_limited_model),
                  phmap_priority_models()))
 @example(FROZEN_PHASE_MODEL)
+@example(ASYM_K4_MODEL)
 def test_decay_sized_truncation_matches_fixed_level(model):
+    # the box path's decay-sized boxes, and the QBD faces, against one
+    # fixed box
     kernel = kernel_of(model)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(induced_chains, "QBD_PHASES", 0)
+        solved = {A: (solve_stationary(build_induced_chain(kernel, A)),
+                      solve_stationary(build_induced_chain(kernel, A), levels=32, cap=32))
+                  for A in CANONICAL_SUBSETS}
     for A in CANONICAL_SUBSETS:
         chain = build_induced_chain(kernel, A)
-        sized = solve_stationary(chain)
-        fixed = solve_stationary(chain, levels=32, cap=32)
+        sized, fixed = solved[A]
         assert sized.converged and fixed.converged
         # each level reports the residual its solve was checked against
         assert all(0.0 <= r <= 1e-9 for _, r, *_ in sized.history + fixed.history)
         d = len(chain.free)
         if d:
-            assert sized.history[0][0] == (8,) * d
+            assert sized.history[0][0] == (4,) * d
             assert [shape for shape, *_ in fixed.history] == [(32,) * d]
         # a rate's truncation error is about the boundary mass times that
         # rate's boundary-to-mean ratio; MMPP bursts push the ratio above
@@ -485,6 +575,11 @@ def test_decay_sized_truncation_matches_fixed_level(model):
         np.testing.assert_allclose(output_rates(chain, sized),
                                    output_rates(chain, fixed),
                                    rtol=2 * TAIL_TOL, atol=1e-12)
+        qbd = solve_stationary(chain)
+        assert qbd.converged
+        assert {h[3] for h in qbd.history} == ({"qbd"} if d else {"dense-lu"})
+        np.testing.assert_allclose(output_rates(chain, qbd), output_rates(chain, fixed),
+                                   rtol=2 * TAIL_TOL, atol=1e-12, err_msg=subset_name(A))
     if model.discipline != "limited":
         # class 2 has priority at station 2: saturating {1,2,4} starves
         # queue 3 while it keeps receiving, as in the np_model case above
@@ -597,34 +692,73 @@ def test_numeric_matches_closed_form_limited():
     assert cross["worst"] <= 1e-4
 
 
-def test_limited_face_grows_only_its_slow_axis():
+def test_limited_face_grows_only_its_slow_axis(monkeypatch):
     # on face {1,4} of the symmetric K=3 model, queue 2 decays by about
     # 0.12 per level and queue 3 by about 0.56, so only queue 3's axis
-    # grows far; a square box sized by queue 3 would hold 26 x 26 cells
+    # grows far; a square box sized by queue 3 would hold 26 x 26 cells.
+    # As a QBD, queue 3 is the untruncated level and queue 2 stays short.
     model = symmetric_limited_model(3)
     kernel = kernel_of(model)
     chain = build_induced_chain(kernel, {1, 4})
-    sol = solve_stationary(chain)
-    assert sol.converged
-    q2, q3 = sol.levels
-    assert q2 <= 12 and q3 >= 24
-    assert math.prod(sol.levels) <= 0.4 * 26 ** 2
     closed = closed_form_table(model)[frozenset({1, 4})]
-    np.testing.assert_allclose(output_rates(chain, sol), closed.output_rates,
-                               rtol=CROSS_CHECK_TOL, atol=0.0)
+    for path in ("qbd", "box"):
+        if path == "box":
+            monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
+        sol = solve_stationary(chain, levels=8 if path == "box" else 4)
+        assert sol.converged
+        q2, q3 = sol.levels
+        if path == "box":
+            assert q2 <= 12 and q3 >= 24
+            assert math.prod(sol.levels) <= 0.4 * 26 ** 2
+        else:
+            assert q2 <= 8 and q3 is None
+            assert sol.dist.shape == (q2, 3, kernel.S0)
+        np.testing.assert_allclose(output_rates(chain, sol), closed.output_rates,
+                                   rtol=CROSS_CHECK_TOL, atol=0.0)
 
 
-def test_limited_k2_faces_need_a_quarter_of_a_square_box():
+def test_limited_k2_faces_need_a_quarter_of_a_square_box(monkeypatch):
     # the slow queue of each 2-D face of the symmetric K=2 model needs
-    # about 38 levels and the fast one about 14, so each face ends well
-    # inside a quarter of a 64 x 64 box
+    # about 38 levels and the fast one about 14, so each face's box ends
+    # well inside a quarter of a 64 x 64 box.  As QBDs, the slow queue
+    # is the untruncated level and the fast one stays under 16 levels.
     model = symmetric_limited_model(2)
-    table = drift_table(model, mode="both")
-    assert table.cross_check["ok"], table.cross_check
-    for A in (frozenset({1, 4}), frozenset({2, 3})):
-        diag = table.numeric[A].diagnostics
-        assert diag["converged"]
-        assert math.prod(diag["levels"]) < 64 ** 2 / 4, diag["levels"]
+    for path in ("qbd", "box"):
+        if path == "box":
+            monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
+        table = drift_table(model, mode="both", levels=8 if path == "box" else 4)
+        assert table.cross_check["ok"], table.cross_check
+        for A in (frozenset({1, 4}), frozenset({2, 3})):
+            diag = table.numeric[A].diagnostics
+            assert diag["converged"]
+            if path == "box":
+                assert math.prod(diag["levels"]) < 64 ** 2 / 4, diag["levels"]
+                continue
+            fast = [L for L in diag["levels"] if L is not None]
+            assert len(fast) == 1 and fast[0] < 16, diag["levels"]
+            assert all(len(h) == 4 and None in h[0] and h[3] == "qbd" for h in diag["history"])
+            assert diag["lrIterations"] >= 1 and diag["gRowSumError"] <= 1e-12
+
+
+@pytest.mark.parametrize("K", range(2, 9))
+def test_qbd_faces_match_the_limited_closed_form(K):
+    # the 0-D and 1-D faces carry round-off alone; a 2-D face's error
+    # is its fast axis's truncation, at most about its boundary mass
+    model = symmetric_limited_model(K)
+    kernel = kernel_of(model)
+    closed = closed_form_table(model)
+    for A in CANONICAL_SUBSETS:
+        chain = build_induced_chain(kernel, A)
+        sol = solve_stationary(chain)
+        assert sol.converged
+        got, want = output_rates(chain, sol), closed[A].output_rates
+        if len(chain.free) <= 1:
+            assert {h[3] for h in sol.history} == {"qbd" if chain.free else "dense-lu"}
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=subset_name(A))
+        else:
+            assert sol.tail_mass <= TAIL_TOL
+            np.testing.assert_allclose(got, want, rtol=2 * TAIL_TOL, atol=0.0,
+                                       err_msg=subset_name(A))
 
 
 def test_off_subset_drift_vanishes(np_model):

@@ -148,10 +148,12 @@ def test_probe_and_numeric_table_share_one_kernel(np_model, kernel_builds):
 
 
 def test_cross_check_note_separates_missing_faces_from_disagreement(monkeypatch):
-    # capped at level 2, faces 14 and 23 have no numeric drift: nothing
-    # disagreed, and the note must not say so
-    report = classify(exp_model(), mode="both", levels=2, cap=2,
-                      assume_semi_irreducible=True)
+    # capped at level 2 on their boxes, faces 14 and 23 have no numeric
+    # drift: nothing disagreed, and the note must not say so
+    with monkeypatch.context() as m:
+        m.setattr(induced_chains, "QBD_PHASES", 0)
+        report = classify(exp_model(), mode="both", levels=2, cap=2,
+                          assume_semi_irreducible=True)
     cross = report.table.cross_check
     assert not cross["ok"] and cross["worst"] is None
     assert cross["subsets"]["14"] is None and cross["subsets"]["23"] is None
@@ -176,10 +178,13 @@ def test_cross_check_note_separates_missing_faces_from_disagreement(monkeypatch)
                             "beyond 0.0001 relative on faces N"]
 
 
-def test_cross_check_worst_is_null_unless_every_face_is_checked():
-    # faces 14 and 23 stop at the cap with no numeric drift: the largest
-    # difference over the other three faces is not the worst one
-    capped = drift_table(exp_model(), mode="both", levels=2, cap=2)
+def test_cross_check_worst_is_null_unless_every_face_is_checked(monkeypatch):
+    # on their boxes, faces 14 and 23 stop at the cap with no numeric
+    # drift: the largest difference over the other three faces is not
+    # the worst one
+    with monkeypatch.context() as m:
+        m.setattr(induced_chains, "QBD_PHASES", 0)
+        capped = drift_table(exp_model(), mode="both", levels=2, cap=2)
     assert capped.to_json_dict()["crossCheck"]["worst"] is None
     full = drift_table(exp_model(), mode="both").cross_check
     assert full["worst"] == max(full["subsets"].values())
