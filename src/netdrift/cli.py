@@ -520,10 +520,10 @@ def cmd_simulate(args):
             entry["note"] = str(exc)
         replication_reports.append(entry)
         if out_dir:
-            rows = [f"{t!r},{x1},{x2},{x3},{x4}" for t, (x1, x2, x3, x4) in
-                    zip(traj.sample_times.tolist(), traj.sample_states.tolist())]
+            rows = map("%r,%d,%d,%d,%d\n".__mod__, zip(
+                traj.sample_times.tolist(), *traj.sample_states.T.tolist()))
             with open(out_dir / f"trajectory_{idx:03d}.csv", "w", newline="") as fh:
-                fh.write("t,x1,x2,x3,x4\n" + "\n".join(rows) + "\n")
+                fh.write("t,x1,x2,x3,x4\n" + "".join(rows))
     summary = {
         "horizon": args.horizon,
         "seed": args.seed,

@@ -171,7 +171,9 @@ def _closed_classes(rows, cols, n):
     while front.size:
         start, deg = indptr[front], indptr[front + 1] - indptr[front]
         reached = cols[np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
-        front = np.unique(reached[~seen[reached]])
+        # sorted and deduplicated without np.unique, which loads numpy.ma
+        front = np.sort(reached[~seen[reached]])
+        front = front[np.diff(front, prepend=-1) != 0]
         seen[front] = True
     return heads.size, np.flatnonzero(seen)
 
@@ -256,7 +258,7 @@ def _qbd_stationary(rows, cols, data, n):
     closed, keep = _closed_classes(rows, cols, n)
     note = (f"{closed} closed classes; solved the one holding state {keep[0]} "
             f"({keep.size} states)" if closed > 1 else "")
-    P = np.unique(keep[keep >= 2 * m] % m)
+    P = np.flatnonzero(np.bincount(keep[keep >= 2 * m] % m, minlength=m))
     # the kept states at levels 0, 1 and 2, and the rows of those levels
     kept = np.concatenate([keep[keep < 2 * m], 2 * m + P])
     q, s = P.size, kept.size - P.size

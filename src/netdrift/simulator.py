@@ -73,6 +73,14 @@ def _uniforms(rng):
         yield from rng.random(DRAW_BLOCK).tolist()
 
 
+def _every_other(flat):
+    """Samples 0, 2, 4, ... of a flat list of four counts per sample."""
+    kept = flat[:(len(flat) // 4 + 1) // 2 * 4]
+    for k in range(4):
+        kept[k::4] = flat[k::8]
+    return kept
+
+
 def _run(model, horizon, seed, initial, pinned):
     # no event time reaches a nan or infinite horizon
     if not 0 < horizon < math.inf:
@@ -90,11 +98,12 @@ def _run(model, horizon, seed, initial, pinned):
     sig = [min(v, 2) if f else 2 for v, f in zip(x, free)]
     cums, moves = kernel.clocks(tuple(sig))
 
+    # samples: flat lists, four state and four departure counts per sample
     times = [0.0]
-    states = [tuple(x)]
+    states = x[:]
     backgrounds = [j]
-    dep_samples = [(0, 0, 0, 0)]
     departures = [0, 0, 0, 0]
+    dep_samples = departures[:]
     arrivals = [0, 0, 0, 0]
     empty_times = []
     truncated = False
@@ -136,27 +145,27 @@ def _run(model, horizon, seed, initial, pinned):
         if since_sample >= stride:
             since_sample = 0
             times.append(t)
-            states.append(tuple(x))
+            states += x
             backgrounds.append(j)
-            dep_samples.append(tuple(departures))
+            dep_samples += departures
             if len(times) >= SAMPLE_CAP:
                 times = times[::2]
-                states = states[::2]
+                states = _every_other(states)
                 backgrounds = backgrounds[::2]
-                dep_samples = dep_samples[::2]
+                dep_samples = _every_other(dep_samples)
                 stride *= 2
 
     times.append(t)
-    states.append(tuple(x))
+    states += x
     backgrounds.append(j)
-    dep_samples.append(tuple(departures))
+    dep_samples += departures
     return Trajectory(
         seed=int(seed),
         horizon=float(horizon),
         sample_times=np.array(times),
-        sample_states=np.array(states, dtype=np.int64),
+        sample_states=np.array(states, dtype=np.int64).reshape(-1, 4),
         sample_background=np.array(backgrounds, dtype=np.int64),
-        sample_departures=np.array(dep_samples, dtype=np.int64),
+        sample_departures=np.array(dep_samples, dtype=np.int64).reshape(-1, 4),
         empty_return_times=empty_times,
         empty_times_truncated=truncated,
         final_state=(tuple(x), j),
@@ -230,6 +239,19 @@ def _batch_ci(values):
     return float(max(half, np.finfo(float).tiny))
 
 
+def _slopes(t, X, starts):
+    """Least-squares slopes of X's columns against t over the runs of
+    samples that begin at `starts`: (runs, columns) numerators over
+    (runs, 1) denominators, each run centred on its own means."""
+    counts = np.diff(starts, append=len(t))
+
+    def centred(A):
+        return A - np.repeat(np.add.reduceat(A, starts) / counts[:, None], counts, axis=0)
+
+    tc, Xc = centred(t[:, None]), centred(X)
+    return np.add.reduceat(tc * Xc, starts), np.add.reduceat(tc * tc, starts)
+
+
 def estimate_drift(traj: Trajectory, burn_in=0.2) -> DriftEstimate:
     """Least-squares queue-length slopes after burn-in, with batch-means
     confidence half-widths, plus windowed departure rates."""
@@ -247,26 +269,21 @@ def estimate_drift(traj: Trajectory, burn_in=0.2) -> DriftEstimate:
         )
     if t[-1] <= t[0]:
         raise InsufficientData("sample window has zero width")
-    slopes = [float(np.polyfit(t, X[:, i], 1)[0]) for i in range(4)]
-    span = t[-1] - t[0]
-    dep_rates = [float((D[-1, i] - D[0, i]) / span) for i in range(4)]
+    num, den = _slopes(t, X, np.array([0]))
     edges = np.linspace(0, n, BATCHES + 1, dtype=int)
-    slope_batches = [[] for _ in range(4)]
-    rate_batches = [[] for _ in range(4)]
-    for b in range(BATCHES):
-        lo, hi = edges[b], edges[b + 1]
-        if hi - lo < 2 or t[hi - 1] <= t[lo]:
-            continue
-        tb, xb, db = t[lo:hi], X[lo:hi], D[lo:hi]
-        for i in range(4):
-            slope_batches[i].append(np.polyfit(tb, xb[:, i], 1)[0])
-            rate_batches[i].append((db[-1, i] - db[0, i]) / (tb[-1] - tb[0]))
-    if any(len(b) < 2 for b in slope_batches):
+    lo, hi = edges[:-1], edges[1:]
+    usable = (hi - lo >= 2) & (t[hi - 1] > t[lo])
+    if usable.sum() < 2:
         raise InsufficientData("too few usable batches for confidence intervals")
+    batch_num, batch_den = _slopes(t, X, lo)
+    # (batches, queues) arrays, transposed so each queue's batches are a row
+    slope_batches = (batch_num[usable] / batch_den[usable]).T
+    lo, hi = lo[usable], hi[usable]
+    rate_batches = ((D[hi - 1] - D[lo]) / (t[hi - 1] - t[lo])[:, None]).T
     return DriftEstimate(
-        slopes=slopes,
+        slopes=(num[0] / den[0]).tolist(),
         slope_half_widths=[_batch_ci(b) for b in slope_batches],
-        departure_rates=dep_rates,
+        departure_rates=((D[-1] - D[0]) / (t[-1] - t[0])).tolist(),
         departure_rate_half_widths=[_batch_ci(b) for b in rate_batches],
         regime=traj.saturated,
         n_samples=n,

@@ -9,6 +9,7 @@ import pytest
 from netdrift import classify, erlang_ph, hyperexponential_ph, mmpp_map
 from netdrift.cli import apply_parameter, canonical_model_dict, load_model, main
 from netdrift.errors import BadParameterPath
+from netdrift.simulator import SAMPLE_CAP, replication_seeds, simulate, simulate_saturated
 
 from tests.conftest import face_solves_only
 
@@ -423,6 +424,29 @@ def test_simulate_outputs_are_reproducible(tmp_path, capsys):
     assert len(summary["perReplication"]) == 2
     header = snapshots[0][1].decode().splitlines()[0]
     assert header == "t,x1,x2,x3,x4"
+
+
+@pytest.mark.parametrize("saturate", [None, "N"])
+def test_simulate_csv_format_is_pinned(tmp_path, capsys, saturate):
+    # the rows as first written: repr of the time, then the four queue
+    # lengths, one line per sample of the same trajectory
+    model = write_json(tmp_path, "model.json", BASE_MODEL)
+    argv = ["simulate", model, "--horizon", "2500", "--seed", "4",
+            "--replications", "2", "--out", str(tmp_path / "out")]
+    if saturate:
+        argv += ["--saturate", saturate]
+    assert run(capsys, argv)[0] == 0
+    net = load_model(model)
+    for idx, seed in enumerate(replication_seeds(4, 2), start=1):
+        if saturate:
+            traj = simulate_saturated(net, {1, 2, 3, 4}, 2500.0, seed)
+        else:
+            traj = simulate(net, 2500.0, seed)
+            assert traj.n_events > 2 * SAMPLE_CAP  # the stride has doubled
+        want = "t,x1,x2,x3,x4\n" + "".join(
+            f"{t!r},{x1},{x2},{x3},{x4}\n" for t, (x1, x2, x3, x4) in
+            zip(traj.sample_times.tolist(), traj.sample_states.tolist()))
+        assert (tmp_path / "out" / f"trajectory_{idx:03d}.csv").read_text() == want
 
 
 def test_simulate_saturated_agrees_with_table(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Parsing, simulation, validation, closed-mode sweeps and the face
-solves of the small and the limited bench models load numpy alone;
-scipy waits for the first face solved on its box by ILU-GMRES."""
+solves of the small and the limited bench models load numpy alone, and
+not numpy.ma where numpy leaves it unloaded; scipy waits for the first
+face solved on its box by ILU-GMRES."""
 
 import json
 import os
@@ -46,6 +47,9 @@ def no_scipy(step):
     assert not loaded, f"{step} loaded {loaded[:5]}"
 
 model, mmpp, limited, asym, out = sys.argv[1:6]
+import numpy
+# numpy 1.x imports numpy.ma with numpy; 2.x only on demand (np.unique)
+ma_on_demand = "numpy.ma" not in sys.modules
 import netdrift
 no_scipy("import netdrift")
 from netdrift.cli import load_model, main
@@ -77,6 +81,7 @@ for name, path in (("limited", limited), ("asym", asym)):
     assert main(["analyze", path, "--mode", "both", "--assume-semi-irreducible",
                  "--out", f"{out}/{name}-report.json"]) == 0
     no_scipy(f"analyze {name}")
+assert not (ma_on_demand and "numpy.ma" in sys.modules), "analyze loaded numpy.ma"
 # faces over the QBD size rule are solved on their boxes
 import netdrift.induced_chains
 netdrift.induced_chains.QBD_PHASES = 0

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,6 +192,48 @@ def _reference_run(model, horizon, seed, initial, pinned):
     )
 
 
+def _reference_estimate(traj, burn_in=0.2):
+    """The estimator as first written: one np.polyfit per queue for the
+    window and per queue and batch, with the same dropping rule."""
+    t = traj.sample_times
+    keep = t >= burn_in * traj.horizon
+    t = t[keep]
+    X = traj.sample_states[keep]
+    D = traj.sample_departures[keep]
+    n = len(t)
+    if n < 100:
+        raise InsufficientData(
+            f"{n} sample points after burn-in; at least 100 required"
+        )
+    if t[-1] <= t[0]:
+        raise InsufficientData("sample window has zero width")
+    slopes = [float(np.polyfit(t, X[:, i], 1)[0]) for i in range(4)]
+    span = t[-1] - t[0]
+    dep_rates = [float((D[-1, i] - D[0, i]) / span) for i in range(4)]
+    edges = np.linspace(0, n, simulator.BATCHES + 1, dtype=int)
+    slope_batches = [[] for _ in range(4)]
+    rate_batches = [[] for _ in range(4)]
+    for b in range(simulator.BATCHES):
+        lo, hi = edges[b], edges[b + 1]
+        if hi - lo < 2 or t[hi - 1] <= t[lo]:
+            continue
+        tb, xb, db = t[lo:hi], X[lo:hi], D[lo:hi]
+        for i in range(4):
+            slope_batches[i].append(np.polyfit(tb, xb[:, i], 1)[0])
+            rate_batches[i].append((db[-1, i] - db[0, i]) / (tb[-1] - tb[0]))
+    if any(len(b) < 2 for b in slope_batches):
+        raise InsufficientData("too few usable batches for confidence intervals")
+    return simulator.DriftEstimate(
+        slopes=slopes,
+        slope_half_widths=[simulator._batch_ci(b) for b in slope_batches],
+        departure_rates=dep_rates,
+        departure_rate_half_widths=[simulator._batch_ci(b) for b in rate_batches],
+        regime=traj.saturated,
+        n_samples=n,
+        window=(float(t[0]), float(t[-1])),
+    )
+
+
 def _phmap_priority_model():
     return build_network(
         mmpp_map([[-1.0, 1.0], [1.0, -1.0]], [0.5, 1.1]),
@@ -251,6 +294,74 @@ def test_event_loop_matches_reference(case, np_model, monkeypatch):
         assert got.sample_times[-1] == horizon and got.n_events < 20
     if case == "drain":
         assert got.final_state[0] == (0, 0, 0, 0)
+
+
+def _exact_slope(t, x):
+    """Least-squares slope of x against t in exact rational arithmetic."""
+    t = [Fraction(v) for v in t.tolist()]
+    x = [Fraction(v) for v in x.tolist()]
+    t_mean, x_mean = sum(t) / len(t), sum(x) / len(x)
+    return (sum((a - t_mean) * (b - x_mean) for a, b in zip(t, x))
+            / sum((a - t_mean) ** 2 for a in t))
+
+
+def _stalled(traj, batches):
+    """The trajectory with the sample times of the given batches (of a
+    zero burn-in) held at their first value, so the estimator drops them."""
+    t = traj.sample_times.copy()
+    edges = np.linspace(0, len(t), simulator.BATCHES + 1, dtype=int)
+    for b in batches:
+        t[edges[b]:edges[b + 1]] = t[edges[b]]
+    fields = {name: getattr(traj, name) for name in Trajectory.__slots__}
+    return Trajectory(**dict(fields, sample_times=t))
+
+
+@pytest.mark.parametrize("case", ["plain", "saturated_N", "saturated_14", "dropped"])
+def test_estimator_matches_reference(case, np_model):
+    pinned, horizon, seed = {
+        "plain": (None, 2500.0, 4),
+        "saturated_N": (N, 1250.0, 5),
+        "saturated_14": (frozenset({1, 4}), 800.0, 6),
+        "dropped": (None, 2500.0, 4),
+    }[case]
+    if pinned:
+        traj = simulate_saturated(np_model, pinned, horizon, seed)
+    else:
+        traj = simulate(np_model, horizon, seed)
+    burn_in = 0.2
+    if case == "dropped":
+        traj, burn_in = _stalled(traj, (3, 4, 11)), 0.0
+    got = estimate_drift(traj, burn_in)
+    want = _reference_estimate(traj, burn_in)
+    # rates are the same element-wise arithmetic, so they agree exactly
+    for name in ("departure_rates", "departure_rate_half_widths", "n_samples",
+                 "window", "regime"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("slopes", "slope_half_widths"):
+        for a, b in zip(getattr(got, name), getattr(want, name)):
+            assert type(a) is float and abs(a - b) <= 1e-12 * abs(b), (name, a, b)
+
+    # the slopes themselves: the window's and a few batches' against
+    # exact least squares on the same samples
+    t = traj.sample_times
+    keep = t >= burn_in * horizon
+    t, X = t[keep], traj.sample_states[keep]
+    edges = np.linspace(0, len(t), simulator.BATCHES + 1, dtype=int)
+    num, den = simulator._slopes(t, X, edges[:-1])
+    checks = [(got.slopes, slice(None))] + [
+        ((num[b] / den[b]).tolist(), slice(edges[b], edges[b + 1])) for b in (0, 9, 19)]
+    for slopes, rows in checks:
+        for i in range(4):
+            exact = _exact_slope(t[rows], X[rows, i])
+            assert abs(Fraction(slopes[i]) - exact) <= Fraction(1e-13) * abs(exact), \
+                (rows, i, slopes[i], float(exact))
+
+
+def test_estimator_needs_two_usable_batches(np_model):
+    traj = _stalled(simulate(np_model, 2500.0, seed=4), range(1, simulator.BATCHES))
+    for estimate in (estimate_drift, _reference_estimate):
+        with pytest.raises(InsufficientData, match="too few usable batches"):
+            estimate(traj, 0.0)
 
 
 def test_single_queue_busy_fraction():
