@@ -28,7 +28,7 @@ the discrete chain and the CTMC are positive recurrent together.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,41 +57,49 @@ def regime_signature(x):
     return tuple(min(int(v), 2) for v in x)
 
 
-def _sym(c):
-    return "0" if c == 0 else "+"
-
-
 def _kron4(a, b, c, d):
-    return reduce(np.kron, (a, b, c, d))
+    """reduce(np.kron, (a, b, c, d)) for square factors, as one broadcast
+    product: ((a*b)*c)*d entrywise, so the same bytes, signed zeros too."""
+    na, nb, nc, nd = len(a), len(b), len(c), len(d)
+    return (a.reshape(na, 1, 1, 1, na, 1, 1, 1) * b.reshape(1, nb, 1, 1, 1, nb, 1, 1)
+            * c.reshape(1, 1, nc, 1, 1, 1, nc, 1) * d.reshape(1, 1, 1, nd, 1, 1, 1, nd)
+            ).reshape(na * nb * nc * nd, -1)
 
 
-def _kronsum4(mats):
-    dims = [m.shape[0] for m in mats]
-    total = int(np.prod(dims))
-    out = np.zeros((total, total))
-    for i, m in enumerate(mats):
-        left = int(np.prod(dims[:i])) if i > 0 else 1
-        right = int(np.prod(dims[i + 1:])) if i + 1 < len(mats) else 1
-        out += _kron4(np.eye(left), m, np.eye(right), np.eye(1))
-    return out
+def _kronsum4(mats, eyes):
+    """The Kronecker sum of four square `mats` of identities `eyes`, in term order."""
+    n = int(np.prod([len(e) for e in eyes]))
+    return sum((_kron4(*(m if k == i else e for k, e in enumerate(eyes)))
+                for i, m in enumerate(mats)), np.zeros((n, n)))
+
+
+def _move_edges(z, B):
+    """The moves of block B at displacement z, as index arrays (j, j2) ordered
+    by j2, then j: its rates above RATE_TOL, but no no-move diagonal."""
+    on = B.T > RATE_TOL
+    if not any(z):
+        np.fill_diagonal(on, False)
+    return np.nonzero(on)[::-1]
 
 
 class BlockKernel:
     """Signature-indexed transition blocks for one model: the model's one
     rate table, read by the probe, the induced chains and the simulator.
 
-    The q blocks are built lazily, cached per signature and read-only,
-    and a block that several signatures share is one array; the
-    simulator's clocks are derived from them.  The caches are not
-    locked: a kernel belongs to one thread (`sweep --jobs` runs its
-    points in worker processes).
+    The q blocks are built lazily and read-only; each distinct block is
+    built once per kernel, with its move edges, and is one array for every
+    signature that reads it.  The simulator's clocks are derived from them.
+    The caches are not locked: a kernel belongs to one thread (`sweep
+    --jobs` runs its points in worker processes).
     """
 
     def __init__(self, model: NetworkModel):
         self.model = model
         self.dims = (model.map1.dim, model.map3.dim, model.msp1.n, model.msp2.n)
         self.S0 = int(np.prod(self.dims))
+        self._eyes = tuple(np.eye(n) for n in self.dims)
         self._q_cache = {}
+        self._edges = {}
         self._shared = {}
         self._clocks = {}
 
@@ -104,19 +112,19 @@ class BlockKernel:
             hit = self._q_cache[sig] = self._build_q(sig)
         return hit
 
+    def move_edges(self, sig):
+        """Per displacement, the `_move_edges` of regime `sig`'s blocks."""
+        return {z: self._edges[id(B)] for z, B in self.q_blocks(sig).items()}
+
     def _build_q(self, sig):
-        """The blocks of regime `sig`.  A block depends on the signature
-        only through the regime symbols it reads, so each distinct block
-        is built once per kernel, keyed on (z, those symbols), and shared
-        read-only across signatures."""
+        """The blocks of regime `sig`.  A block is keyed on z and the regime
+        symbols it reads, so that the signatures that share it share one
+        array, and its edges are computed once, when it is built."""
         m = self.model
-        a1, a3, m1, m2 = self.dims
-        Ia1, Ia3, Im1, Im2 = np.eye(a1), np.eye(a3), np.eye(m1), np.eye(m2)
-        t1, u1 = m.msp1.t, m.msp1.u
-        t2, u2 = m.msp2.t, m.msp2.u
-        g1, g2, g3, g4 = (_sym(c) for c in sig)
+        Ia1, Ia3, Im1, Im2 = self._eyes
+        t1, u1, t2, u2 = m.msp1.t, m.msp1.u, m.msp2.t, m.msp2.u
+        g1, g2, g3, g4 = ("0" if c == 0 else "+" for c in sig)
         c1, c2, c3, c4 = ("1*" if c == 1 else "2*" for c in sig)
-        p = m.p
         blocks = {}
 
         def share(z, key, build):
@@ -124,6 +132,8 @@ class BlockKernel:
             if B is None:
                 B = self._shared[(z, key)] = build()
                 B.flags.writeable = False
+                # keyed by identity: _shared keeps every block alive
+                self._edges[id(B)] = _move_edges(z, B)
             blocks[z] = B
 
         share((1, 0, 0, 0), (g1, g4),
@@ -136,10 +146,10 @@ class BlockKernel:
         if sig[1] >= 1:
             T2c = t2[f"{g3}{c2}"]
             share((0, -1, 0, 0), (g3, c2),
-                  lambda: _kron4(Ia1, Ia3, Im1, (1.0 - p) * T2c))
+                  lambda: _kron4(Ia1, Ia3, Im1, (1.0 - m.p) * T2c))
             g2post = "0" if sig[1] == 1 else "+"
             share((0, -1, 1, 0), (g3, c2),
-                  lambda: _kron4(Ia1, Ia3, Im1, p * (T2c @ u2[f"{g3}*{g2post}"])))
+                  lambda: _kron4(Ia1, Ia3, Im1, m.p * (T2c @ u2[f"{g3}*{g2post}"])))
         if sig[2] >= 1:
             share((0, 0, -1, 1), (g1, g4, c3, g2),
                   lambda: _kron4(Ia1, Ia3, u1[f"{g1}{g4}*"], t2[f"{c3}{g2}"]))
@@ -147,17 +157,10 @@ class BlockKernel:
             share((0, 0, 0, -1), (g1, c4),
                   lambda: _kron4(Ia1, Ia3, t1[f"{g1}{c4}"], Im2))
         share((0, 0, 0, 0), (g1, g2, g3, g4), lambda: _kronsum4(
-            [m.map1.C, m.map3.C, t1[f"{g1}{g4}"], t2[f"{g3}{g2}"]]))
+            [m.map1.C, m.map3.C, t1[f"{g1}{g4}"], t2[f"{g3}{g2}"]], self._eyes))
         return blocks
 
     # -- derived views -----------------------------------------------------
-
-    def move_pattern(self, sig):
-        """The moves out of regime `sig`: per block, where its rate
-        exceeds RATE_TOL, without the no-move block's diagonal."""
-        out = {z: B > RATE_TOL for z, B in self.q_blocks(sig).items()}
-        np.fill_diagonal(out[(0, 0, 0, 0)], False)
-        return out
 
     def clocks(self, sig):
         """Competing clocks out of each background state j in regime
@@ -170,10 +173,9 @@ class BlockKernel:
             rates = [[] for _ in range(self.S0)]
             moves = [[] for _ in range(self.S0)]
             blocks = self.q_blocks(sig)
-            for z, on in self.move_pattern(sig).items():
+            for z, (jj, jj2) in self.move_edges(sig).items():
                 pairs = tuple((i, dz) for i, dz in enumerate(z) if dz)
-                rr, cc = np.nonzero(on)
-                for j, j2, rate in zip(rr.tolist(), cc.tolist(), blocks[z][rr, cc]):
+                for j, j2, rate in zip(jj.tolist(), jj2.tolist(), blocks[z][jj, jj2]):
                     rates[j].append(rate)
                     moves[j].append((pairs, j2))
             cums = [np.cumsum(r).tolist() for r in rates]
@@ -229,11 +231,8 @@ def generator_block(model: NetworkModel, x, xp):
     if max(abs(v) for v in z) > 1:
         raise SkipFreeViolation(f"move {z} changes a coordinate by more than one")
     kernel = kernel_of(model)
-    blocks = kernel.q_blocks(regime_signature(x))
-    hit = blocks.get(z)
-    if hit is None:
-        return np.zeros((kernel.S0, kernel.S0))
-    return hit
+    hit = kernel.q_blocks(regime_signature(x)).get(z)
+    return np.zeros((kernel.S0, kernel.S0)) if hit is None else hit
 
 
 # -- lattice assembly --------------------------------------------------------
@@ -241,9 +240,10 @@ def generator_block(model: NetworkModel, x, xp):
 # STRATEGY: a truncated chain on {0..L_1-1} x ... x {0..L_d-1} x S0
 # repeats each (signature, displacement) block over the cells of its
 # signature: a nonzero (bi, bj) of the block at source cell s with target
-# cell t is the entry (s*S0 + bi, t*S0 + bj).  Every entry is written by
-# this index arithmetic into one COO, converted to CSR once.  Out-of-box
-# moves fold onto the boundary (reflecting truncation).
+# cell t is the entry (s*S0 + bi, t*S0 + bj).  This index arithmetic writes
+# every entry into one set of canonical COO triplets; only the export
+# wrapper `assemble_lattice` makes CSR.  Out-of-box moves fold onto the
+# boundary (reflecting truncation).
 
 def signature_ranges(sig_component, L):
     """The levels 0..L-1 of one coordinate whose signature entry is
@@ -322,7 +322,7 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
     in-flight customer while walking the arrival phase.  Any path found
     is a genuine path of the chain, so success is a proof; failure only
     returns Unknown, because paths may still need more room.  The edges
-    are the kernel's move patterns (rates above RATE_TOL between distinct
+    are the kernel's move edges (rates above RATE_TOL between distinct
     states) with both ends in the box.  The search runs backwards from
     the probe state one layer at a time, generating predecessors from
     per-displacement tables, and stops once the inner box is covered:
@@ -337,12 +337,11 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
     if any(v >= L for v in probe[0]):
         return UNKNOWN
     side = 4 * radius + 2
-    # per displacement z: the backgrounds j with a move (sig, j) -> z, j2,
-    # as CSR rows keyed sig_index * S0 + j2 (signatures in ndindex order)
+    # per displacement z: the backgrounds j with a move (sig, j) -> z, j2, as
+    # offsets per key sig_index * S0 + j2 into js (edges come sorted by j2)
     pieces = {}
     for s, sig in enumerate(np.ndindex(3, 3, 3, 3)):
-        for z, on in kernel.move_pattern(sig).items():
-            j2, j = np.nonzero(on.T)
+        for z, (j, j2) in kernel.move_edges(sig).items():
             pieces.setdefault(z, []).append((s * S0 + j2, j))
     tables = {}
     for z, parts in pieces.items():

@@ -139,8 +139,8 @@ class InducedChainSolution:
 # solve runs with warnings raised as errors
 _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
-# a kept class of at most this many states is solved by dense LU: face N
-# of the bench models keeps at most 64, the 2-D limited faces' boxes 900+
+# a kept class of at most this many states is solved by dense LU: face N of the
+# bench models keeps at most 64; a box (past QBD_PHASES phases) holds 1,400+ at 4 levels
 DENSE_STATES = 400
 
 

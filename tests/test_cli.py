@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, file outputs, and
 byte-for-byte reproducibility of reports."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -343,6 +344,20 @@ def test_sweep_visit_budget(tmp_path, capsys):
     code, _, _ = run(capsys, ["sweep", model, sweep, "--out", str(rerun_csv)])
     assert code == 0
     assert rerun_csv.read_bytes() == out_csv.read_bytes()
+
+
+def test_closed_k_sweep_is_pinned(tmp_path, capsys):
+    # sha256 of the CSV of kernels whose blocks equal the factor-by-factor
+    # np.kron reference: the closed-form ratios and the radius-1 probes
+    model = write_json(tmp_path, "limited3.json",
+                       dict(LIMITED_MODEL, discipline={"limited": {"K": 3}}))
+    sweep = write_json(tmp_path, "sweep.json",
+                       {"parameter": "discipline.K", "values": list(range(2, 9))})
+    out_csv = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, ["sweep", model, sweep, "--mode", "closed", "--out", str(out_csv)])
+    assert code == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+        "1a39ef56d4ceb1c1c88caa3f10634f452ed3c9d5efce98c123adc44609260b8c")
 
 
 def test_sweep_parallel_matches_serial(tmp_path, capsys):

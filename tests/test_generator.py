@@ -1,11 +1,17 @@
+import hashlib
 import itertools
 import re
 from collections import deque
 from functools import reduce
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import netdrift.generator as generator
 
 from netdrift import (
     BlockKernel,
@@ -58,34 +64,73 @@ def _kronsum(mats):
     return out
 
 
+def _np_kron4(*mats):
+    """The reference Kronecker product: numpy's own, factor by factor."""
+    return reduce(np.kron, mats)
+
+
+def _np_kronsum4(mats):
+    """The reference Kronecker sum: I (x) m (x) I terms of `_np_kron4`,
+    added in order."""
+    dims = [m.shape[0] for m in mats]
+    out = np.zeros((int(np.prod(dims)),) * 2)
+    for i, m in enumerate(mats):
+        left, right = int(np.prod(dims[:i])), int(np.prod(dims[i + 1:]))
+        out += _np_kron4(np.eye(left), m, np.eye(right), np.eye(1))
+    return out
+
+
 # --- faces and signatures -----------------------------------------------------
 
+@pytest.mark.parametrize("build", [exp_model, phmap_model, lambda: symmetric_limited_model(8)],
+                         ids=["np", "phmap", "limited8"])
+def test_move_edges_are_the_blocks_rates_computed_once(build, monkeypatch):
+    # each shared block's edges are computed once, when the block is built
+    built = []
+    real = generator._move_edges
+    monkeypatch.setattr(generator, "_move_edges", lambda z, B: built.append(id(B)) or real(z, B))
+    kernel = BlockKernel(build())
+    for sig in ALL_SIGS:
+        blocks, edges = kernel.q_blocks(sig), kernel.move_edges(sig)
+        kernel.clocks(sig)
+        assert list(edges) == list(blocks), sig
+        for z, B in blocks.items():
+            on = B > RATE_TOL
+            if not any(z):
+                np.fill_diagonal(on, False)
+            # the rates above RATE_TOL, by target, then source
+            j2, j = np.nonzero(on.T)
+            assert np.array_equal(edges[z][0], j) and np.array_equal(edges[z][1], j2), (sig, z)
+    assert len(built) == len(set(built)) == 68
+
+
 @pytest.mark.parametrize("which", ["np", "phmap"])
-def test_move_pattern_is_the_clocks_moves(which, np_model):
+def test_move_edges_are_the_clocks_moves(which, np_model):
     kernel = BlockKernel(np_model if which == "np" else phmap_model())
     for sig in ALL_SIGS:
-        pattern = kernel.move_pattern(sig)
-        from_pattern = []
-        for z, B in kernel.q_blocks(sig).items():
-            expected = B > RATE_TOL
-            if not any(z):
-                np.fill_diagonal(expected, False)
-            assert np.array_equal(pattern[z], expected), (sig, z)
+        from_edges = []
+        for z, (rows, cols) in kernel.move_edges(sig).items():
             pairs = tuple((i, dz) for i, dz in enumerate(z) if dz)
-            rows, cols = np.nonzero(pattern[z])
-            from_pattern += [(j, pairs, j2) for j, j2 in zip(rows.tolist(), cols.tolist())]
+            from_edges += [(j, pairs, j2) for j, j2 in zip(rows.tolist(), cols.tolist())]
         _, moves = kernel.clocks(sig)
         from_clocks = [(j, pairs, j2) for j in range(kernel.S0) for pairs, j2 in moves[j]]
-        assert sorted(from_clocks) == sorted(from_pattern), sig
+        assert sorted(from_clocks) == sorted(from_edges), sig
 
 
-def test_no_move_diagonal_is_never_a_move(np_model):
+def test_no_move_diagonal_is_never_a_move(np_model, monkeypatch):
     # validation lets a diagonal rate reach +1e-12, above RATE_TOL
+    real = generator._kronsum4
+
+    def raised(mats, eyes):
+        B = real(mats, eyes)
+        np.fill_diagonal(B, 1e-13)
+        return B
+
+    monkeypatch.setattr(generator, "_kronsum4", raised)
     kernel = BlockKernel(np_model)
-    blocks = {z: B.copy() for z, B in kernel.q_blocks((1, 1, 1, 1)).items()}
-    np.fill_diagonal(blocks[(0, 0, 0, 0)], 1e-13)
-    kernel.q_blocks = lambda sig: blocks
-    assert not kernel.move_pattern((1, 1, 1, 1))[(0, 0, 0, 0)].diagonal().any()
+    assert (kernel.q_blocks((1, 1, 1, 1))[(0, 0, 0, 0)].diagonal() == 1e-13).all()
+    rows, cols = kernel.move_edges((1, 1, 1, 1))[(0, 0, 0, 0)]
+    assert rows.size and not (rows == cols).any()
     _, moves = kernel.clocks((1, 1, 1, 1))
     assert all(pairs or j2 != j for j in range(kernel.S0) for pairs, j2 in moves[j])
 
@@ -292,17 +337,7 @@ def test_probe_agrees_with_reference_bfs(np_model):
 def _reference_q(model, sig):
     """The q blocks of one signature, built from the model's matrices
     with no sharing across signatures."""
-    def kron4(*mats):
-        return reduce(np.kron, mats)
-
-    def kronsum4(mats):
-        dims = [m.shape[0] for m in mats]
-        out = np.zeros((int(np.prod(dims)),) * 2)
-        for i, m in enumerate(mats):
-            left, right = int(np.prod(dims[:i])), int(np.prod(dims[i + 1:]))
-            out += kron4(np.eye(left), m, np.eye(right), np.eye(1))
-        return out
-
+    kron4, kronsum4 = _np_kron4, _np_kronsum4
     m = model
     Ia1, Ia3 = np.eye(m.map1.dim), np.eye(m.map3.dim)
     Im1, Im2 = np.eye(m.msp1.n), np.eye(m.msp2.n)
@@ -328,14 +363,36 @@ def _reference_q(model, sig):
     return blocks
 
 
-@pytest.mark.parametrize("pair", range(len(PH_PAIRS)))
+# side 1-4 square factors whose entries include signed zeros and subnormals;
+# four factors of at most 1e6 cannot overflow
+_KRON_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0]),
+                          st.floats(min_value=-1e6, max_value=1e6))
+_KRON_FACTORS = st.lists(st.integers(1, 4), min_size=4, max_size=4).flatmap(
+    lambda sides: st.tuples(*(hnp.arrays(np.float64, (n, n), elements=_KRON_ENTRIES)
+                              for n in sides)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_KRON_FACTORS)
+def test_kron_products_are_byte_exact(mats):
+    assert generator._kron4(*mats).tobytes() == _np_kron4(*mats).tobytes()
+    eyes = [np.eye(len(m)) for m in mats]
+    assert generator._kronsum4(mats, eyes).tobytes() == _np_kronsum4(mats).tobytes()
+
+
+@pytest.mark.parametrize("pair", [*range(len(PH_PAIRS)), "limited8"])
 def test_shared_blocks_match_per_signature_build(pair):
-    lo, hi = PH_PAIRS[pair]
     arrivals = (mmpp_map([[-1.0, 1.0], [1.0, -1.0]], [0.5, 1.1]), poisson_map(0.4))
     disciplines = [("non_preemptive", None), ("preemptive_resume", None),
                    ("limited", 1), ("limited", 2), ("limited", 3)]
-    for discipline, K in disciplines:
-        model = build_network(*arrivals, lo, hi, lo, hi, 0.3, discipline, K=K)
+    if pair == "limited8":
+        # the symmetric (1,8)-limited model: the K sweep's largest blocks (S0 = 100)
+        models = [(("limited", 8), symmetric_limited_model(8))]
+    else:
+        lo, hi = PH_PAIRS[pair]
+        models = [((d, K), build_network(*arrivals, lo, hi, lo, hi, 0.3, d, K=K))
+                  for d, K in disciplines]
+    for (discipline, K), model in models:
         kernel = BlockKernel(model)
         distinct = set()
         for sig in ALL_SIGS:
@@ -416,6 +473,23 @@ def test_lattice_triplets_without_blocks_are_empty_and_canonical():
 
 
 # --- debug export ----------------------------------------------------------------
+
+# sha256 of the radius-2 exports of kernels whose blocks equal the factor-by-
+# factor np.kron reference: a rate moving by one ulp changes them
+PINNED_TRIPLETS = {
+    "readme": "4e4848984e7bf75da01d09d0c07121127534b80124c9de8ae87a218e60b268e8",
+    "limited3": "97da74fc9c4ee87fc4a94fcaa94db8f6453457db1c4a760df3e1e84104173ad6",
+}
+
+
+def test_triplet_exports_are_pinned(tmp_path):
+    models = {"readme": exp_model(mus=(5.0, 2.4, 5.0, 2.2)),
+              "limited3": symmetric_limited_model(3)}
+    for name, model in models.items():
+        path = tmp_path / f"{name}.txt"
+        write_generator_triplets(model, 2, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRIPLETS[name], name
+
 
 def test_triplet_export_is_deterministic(tmp_path, np_model):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
