@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -110,7 +111,8 @@ class InducedChainSolution:
     """Stationary distribution of an induced chain; `levels` and each
     `history` entry hold one truncation level per free coordinate, None
     for a QBD's level axis, whose `dist` axis has the cells 0, 1 and >= 2.
-    `qbd` holds a QBD's logarithmic-reduction steps and max |1 - G 1|."""
+    `qbd` holds a QBD's logarithmic-reduction steps, max |1 - G 1| and its
+    kept phases at levels >= 2 and how many of them a down move enters."""
 
     A: frozenset
     free: tuple
@@ -140,7 +142,7 @@ class InducedChainSolution:
 _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
 # a kept class of at most this many states is solved by dense LU: face N of the
-# bench models keeps at most 64; a box (past QBD_PHASES phases) holds 1,400+ at 4 levels
+# bench models keeps at most 64; a box (past QBD_PHASES phases) holds 2,800+ at 4 levels
 DENSE_STATES = 400
 
 
@@ -248,25 +250,32 @@ def _qbd_stationary(rows, cols, data, n):
 
     Levels >= 2 repeat level 2's up, local and down blocks U, L, D.  The
     box's kept class (see `_stationary_of`) holds the phases kept at
-    levels 0 and 1, and at 2 and 3 those kept at every level >= 2, on
-    which Neuts' mean drift condition alpha U 1 < alpha D 1, alpha (U +
-    L + D) = 0, must hold.  Logarithmic reduction gives G and R = U (-L
-    - U G)^-1; levels 0..2 are solved densely, and levels >= 2 hold pi_2
-    (I - R)^-1.  The residual, the largest balance residual at levels
-    0..3 and of U + R L + R^2 D = 0 over r, must be at most 1e-9."""
+    levels 0 and 1, and at 2 and 3 the q phases kept at every level >= 2,
+    on which Neuts' mean drift condition alpha U 1 < alpha D 1, alpha (U
+    + L + D) = 0, must hold.  A down move enters only the r phases C of
+    D's nonzero columns, so logarithmic reduction keeps G and its down
+    iterates as q x r blocks, solves each step through a 2r x 2r
+    capacitance matrix (Woodbury) and sums G as H_0..H_{k-1} Lo_k, right
+    to left.  Levels 0..2 are solved level by level: pi_2 = pi_1 B12 K^-1
+    with K = -L - U G, which also gives R = U K^-1, then pi_1 from pi_0,
+    then pi_0, normalised with levels >= 2 holding pi_2 (I - R)^-1.  The
+    residual, the largest balance residual at levels 0..3 and of U + R L
+    + R^2 D = 0 over r, must be at most 1e-9."""
     m = n // 4
     closed, keep = _closed_classes(rows, cols, n)
     note = (f"{closed} closed classes; solved the one holding state {keep[0]} "
             f"({keep.size} states)" if closed > 1 else "")
     P = np.flatnonzero(np.bincount(keep[keep >= 2 * m] % m, minlength=m))
-    # the kept states at levels 0, 1 and 2, and the rows of those levels
-    kept = np.concatenate([keep[keep < 2 * m], 2 * m + P])
+    # the kept states at levels 0 and 1, then the kept phases of level 2
+    k0, k1 = keep[keep < m], keep[(keep >= m) & (keep < 2 * m)]
+    kept = np.concatenate([k0, k1, 2 * m + P])
     q, s = P.size, kept.size - P.size
     Q = np.zeros((3 * m, n))
     on = rows < 3 * m
     Q[rows[on], cols[on]] = data[on]
     U, L, D = (Q[2 * m + P, k * m:(k + 1) * m] for k in (3, 2, 1))
     Up, Lp, Dp, I = U[:, P], L[:, P], D[:, P], np.eye(q)
+    C = np.flatnonzero(Dp.any(axis=0))
     r = -data[rows == cols].min(initial=0.0)
     try:
         with warnings.catch_warnings():
@@ -280,21 +289,31 @@ def _qbd_stationary(rows, cols, data, n):
                     return None, None, None, (
                         f"qbd refused: mean drift condition fails: up rate {up:.6g} >= "
                         f"down rate {down:.6g} on the kept phases; not positive recurrent")
-            H, Lo = np.hsplit(np.linalg.solve(-Lp, np.hstack([Up, Dp])), [q])
-            G, T, steps = Lo, H, 0
-            while T.sum(axis=1).max(initial=0.0) > 1e-15:
-                if steps == 64:
+            if not k0.size:
+                return None, None, None, "qbd failed: the kept class holds no level-0 state"
+            # each step's (H, Lo), Lo holding the down iterate's columns C
+            H, Lo = np.hsplit(np.linalg.solve(-Lp, np.hstack([Up, Dp[:, C]])), [q])
+            steps = [(H, Lo)]
+            # the row sums of H_0 ... H_k, applied to 1 from the right
+            while reduce(lambda t, st: st[0] @ t, steps[::-1], np.ones(q)).max(initial=0) > 1e-15:
+                if len(steps) > 64:
                     return None, None, None, "qbd failed: logarithmic reduction did not converge"
-                H, Lo = np.hsplit(np.linalg.solve(I - H @ Lo - Lo @ H,
-                                                  np.hstack([H @ H, Lo @ Lo])), [q])
-                G, T, steps = G + T @ Lo, T @ H, steps + 1
-            R = np.linalg.solve((-Lp - Up @ G).T, Up.T).T
-            RD = R @ Dp
-            M = Q[np.ix_(kept, kept)]
-            M[s:, s:] += RD
-            M = M.T / r
-            M[0] = np.concatenate([np.ones(s), np.linalg.solve(I - R, np.ones(q))])
-            x = np.linalg.solve(M, np.eye(s + q)[0])
+                # I - H Lo - Lo H = I - V W, with V = [H Lo_C, Lo_C] and W = [E_C; H_C]
+                V, X = np.hstack([H @ Lo, Lo]), np.hstack([H @ H, Lo @ Lo[C]])
+                WV, WX = (np.vstack([Y[C], H[C] @ Y]) for Y in (V, X))
+                H, Lo = np.hsplit(X + V @ np.linalg.solve(np.eye(2 * C.size) - WV, WX), [q])
+                steps.append((H, Lo))
+            G = reduce(lambda G, st: st[1] + st[0] @ G, steps[-2::-1], Lo)
+            K = -Lp
+            K[:, C] -= Up @ G
+            B12 = Q[np.ix_(k1, 2 * m + P)]
+            R, W2 = np.vsplit(np.linalg.solve(K.T, np.vstack([Up, B12]).T).T, [q])
+            K1 = -Q[np.ix_(k1, k1)] - W2 @ Q[np.ix_(2 * m + P, k1)]
+            W1 = np.linalg.solve(K1.T, Q[np.ix_(k0, k1)].T).T
+            A = (Q[np.ix_(k0, k0)] + W1 @ Q[np.ix_(k1, k0)]).T / r
+            A[0] = 1.0 + W1 @ (1.0 + W2 @ np.linalg.solve(I - R, np.ones(q)))
+            x0 = np.linalg.solve(A, np.eye(k0.size)[0])
+            x = np.concatenate([x0, x0 @ W1, x0 @ W1 @ W2])
             above = np.linalg.solve((I - R).T, x[s:])
     except _SOLVE_ERRORS as exc:
         return None, None, None, f"qbd failed: {type(exc).__name__}: {exc}"
@@ -304,7 +323,7 @@ def _qbd_stationary(rows, cols, data, n):
     flows = np.bincount(cols, pi[rows] * data, minlength=n)[:3 * m]
     top = x[s:] @ U + pi[3 * m + P] @ L + (pi[3 * m + P] @ R) @ D
     resid = max(np.abs(flows).max(), np.abs(top).max(initial=0.0),
-                np.abs(Up + R @ (Lp + RD)).max(initial=0.0)) / r
+                np.abs(Up + R @ (Lp + R @ Dp)).max(initial=0.0)) / r
     least = min(x.min(), above.min(initial=0.0))
     if not (least >= -1e-8 and resid <= 1e-9):
         return None, None, None, (f"qbd failed: least entry {least:.3g}, "
@@ -312,7 +331,8 @@ def _qbd_stationary(rows, cols, data, n):
     pi[2 * m + P] = above
     dist = np.clip(pi[:3 * m], 0.0, None).reshape(3, m)
     gap = float(np.abs(1.0 - G.sum(axis=1)).max(initial=0.0))
-    return dist / dist.sum(), float(resid), {"lrIterations": steps, "gRowSumError": gap}, note
+    return dist / dist.sum(), float(resid), {"lrIterations": len(steps) - 1, "gRowSumError": gap,
+                                             "phases": q, "downPhases": C.size}, note
 
 
 # per-level decay of the boundary mass at or above which a face is taken
@@ -365,9 +385,11 @@ def _fit_budget(shape, floor, S0):
     return tuple(shape)
 
 
-# the most phases solved as a QBD: `analyze` of sym K=7 (324) took 0.71 s with
-# QBDs, 0.79 s with boxes; sym K=8 (400) 0.96 and 0.79 s, scipy import included
-QBD_PHASES = 350
+# the most phases solved as a QBD: `analyze --mode both` of sym K=11 (676) took
+# 0.86 s with QBDs, 1.08 s with boxes (median, one vCPU, scipy import included);
+# sym K=12 (784) 1.08 and 1.17 s, but peaked at 161 MB against 87; K=13 (900)
+# 1.32 and 1.29 s
+QBD_PHASES = 700
 
 
 def _solve_qbd(chain: InducedChain, levels, cap) -> InducedChainSolution:
@@ -375,8 +397,9 @@ def _solve_qbd(chain: InducedChain, levels, cap) -> InducedChainSolution:
     free queue with exogenous arrivals (1 or 3) and whose phase is the
     background, times the other queue's reflecting truncation on a 2-D
     face.  That fast axis starts at `levels` and grows as a box axis
-    does, but aims at TAIL_TOL / 2, its cost growing as its level cubed,
-    and keeps (level * S0)^2 within MAX_STATES."""
+    does, but aims at TAIL_TOL / 2, its cost growing as its level cubed
+    (each reduction step squares a q x q block), and keeps (level *
+    S0)^2 within MAX_STATES.  `qbd` holds the last level's diagnostics."""
     d, S0 = len(chain.free), chain.kernel.S0
     slow = next((a for a, q in enumerate(chain.free) if q in (1, 3)), 0)
     # lattice order: (level, fast axis)

@@ -2,6 +2,7 @@
 closed-form / numeric cross-check."""
 
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -349,6 +350,18 @@ def test_qbd_whose_levels_do_not_repeat_fails_its_stationarity_check():
         rows, cols, np.where(down, 1.5 * data, data), n)
     assert dist is None and residual is None and stats is None
     assert note.startswith("qbd failed: least entry") and "stationarity residual" in note
+
+
+def test_qbd_whose_level_zero_is_transient_fails_by_name():
+    # one phase, and level 1 never moves down: the kept class holds levels
+    # 1 and up alone, and the level-by-level boundary solve normalises at
+    # level 0
+    Q = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, -1.0, 1.0, 0.0],
+                  [0.0, 2.0, -3.0, 1.0], [0.0, 0.0, 2.0, -2.0]])
+    rows, cols = np.nonzero(Q)
+    dist, residual, stats, note = induced_chains._qbd_stationary(rows, cols, Q[rows, cols], 4)
+    assert dist is None and residual is None and stats is None
+    assert note == "qbd failed: the kept class holds no level-0 state"
 
 
 def _phmap_priority_model(u, discipline):
@@ -738,9 +751,10 @@ def test_limited_k2_faces_need_a_quarter_of_a_square_box(monkeypatch):
             assert len(fast) == 1 and fast[0] < 16, diag["levels"]
             assert all(len(h) == 4 and None in h[0] and h[3] == "qbd" for h in diag["history"])
             assert diag["lrIterations"] >= 1 and diag["gRowSumError"] <= 1e-12
+            assert 0 < diag["downPhases"] <= diag["phases"]
 
 
-@pytest.mark.parametrize("K", range(2, 9))
+@pytest.mark.parametrize("K", range(2, 11))
 def test_qbd_faces_match_the_limited_closed_form(K):
     # the 0-D and 1-D faces carry round-off alone; a 2-D face's error
     # is its fast axis's truncation, at most about its boundary mass
@@ -759,6 +773,164 @@ def test_qbd_faces_match_the_limited_closed_form(K):
             assert sol.tail_mass <= TAIL_TOL
             np.testing.assert_allclose(got, want, rtol=2 * TAIL_TOL, atol=0.0,
                                        err_msg=subset_name(A))
+
+
+def _reference_qbd(rows, cols, data, n):
+    """`induced_chains._qbd_stationary` as it was before it used the
+    structure of its blocks: logarithmic reduction on dense q x q blocks
+    with a running product, and levels 0..2 solved as one dense system."""
+    m = n // 4
+    closed, keep = induced_chains._closed_classes(rows, cols, n)
+    note = (f"{closed} closed classes; solved the one holding state {keep[0]} "
+            f"({keep.size} states)" if closed > 1 else "")
+    P = np.flatnonzero(np.bincount(keep[keep >= 2 * m] % m, minlength=m))
+    kept = np.concatenate([keep[keep < 2 * m], 2 * m + P])
+    q, s = P.size, kept.size - P.size
+    Q = np.zeros((3 * m, n))
+    on = rows < 3 * m
+    Q[rows[on], cols[on]] = data[on]
+    U, L, D = (Q[2 * m + P, k * m:(k + 1) * m] for k in (3, 2, 1))
+    Up, Lp, Dp, I = U[:, P], L[:, P], D[:, P], np.eye(q)
+    r = -data[rows == cols].min(initial=0.0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if q:
+                A = (Up + Lp + Dp).T / r
+                A[0] = 1.0
+                alpha = np.linalg.solve(A, I[0])
+                up, down = alpha @ U.sum(axis=1), alpha @ D.sum(axis=1)
+                if not up < down:
+                    return None, None, None, (
+                        f"qbd refused: mean drift condition fails: up rate {up:.6g} >= "
+                        f"down rate {down:.6g} on the kept phases; not positive recurrent")
+            H, Lo = np.hsplit(np.linalg.solve(-Lp, np.hstack([Up, Dp])), [q])
+            G, T, steps = Lo, H, 0
+            while T.sum(axis=1).max(initial=0.0) > 1e-15:
+                if steps == 64:
+                    return None, None, None, "qbd failed: logarithmic reduction did not converge"
+                H, Lo = np.hsplit(np.linalg.solve(I - H @ Lo - Lo @ H,
+                                                  np.hstack([H @ H, Lo @ Lo])), [q])
+                G, T, steps = G + T @ Lo, T @ H, steps + 1
+            R = np.linalg.solve((-Lp - Up @ G).T, Up.T).T
+            RD = R @ Dp
+            M = Q[np.ix_(kept, kept)]
+            M[s:, s:] += RD
+            M = M.T / r
+            M[0] = np.concatenate([np.ones(s), np.linalg.solve(I - R, np.ones(q))])
+            x = np.linalg.solve(M, np.eye(s + q)[0])
+            above = np.linalg.solve((I - R).T, x[s:])
+    except induced_chains._SOLVE_ERRORS as exc:
+        return None, None, None, f"qbd failed: {type(exc).__name__}: {exc}"
+    pi = np.zeros(n)
+    pi[kept], pi[3 * m + P] = x, x[s:] @ R
+    flows = np.bincount(cols, pi[rows] * data, minlength=n)[:3 * m]
+    top = x[s:] @ U + pi[3 * m + P] @ L + (pi[3 * m + P] @ R) @ D
+    resid = max(np.abs(flows).max(), np.abs(top).max(initial=0.0),
+                np.abs(Up + R @ (Lp + RD)).max(initial=0.0)) / r
+    least = min(x.min(), above.min(initial=0.0))
+    if not (least >= -1e-8 and resid <= 1e-9):
+        return None, None, None, (f"qbd failed: least entry {least:.3g}, "
+                                  f"stationarity residual {resid:.3g}")
+    pi[2 * m + P] = above
+    dist = np.clip(pi[:3 * m], 0.0, None).reshape(3, m)
+    gap = float(np.abs(1.0 - G.sum(axis=1)).max(initial=0.0))
+    return dist / dist.sum(), float(resid), {"lrIterations": steps, "gRowSumError": gap}, note
+
+
+def _assert_matches_reference_qbd(got, rows, cols, data, n):
+    """`got`, the structured QBD solve of one box, against the dense
+    reference; returns its diagnostics."""
+    dist, residual, stats, note = got
+    ref_dist, ref_residual, ref_stats, ref_note = _reference_qbd(rows, cols, data, n)
+    assert note == ref_note
+    assert ref_dist is not None and dist is not None, note
+    np.testing.assert_allclose(dist, ref_dist, rtol=0.0, atol=1e-13)
+    assert residual <= 1e-12 and ref_residual <= 1e-12
+    assert stats["lrIterations"] == ref_stats["lrIterations"]
+    assert stats["gRowSumError"] <= 1e-12
+    assert 0 <= stats["downPhases"] <= stats["phases"] <= n // 4
+    return stats
+
+
+@pytest.mark.parametrize("model", [
+    *(symmetric_limited_model(K) for K in range(2, 9)),
+    exp_model("limited", K=4, mus=(5.0, 2.4, 5.0, 2.2)),
+    exp_model(mus=(5.0, 2.4, 5.0, 2.2)),
+    exp_model("preemptive_resume", mus=(5.0, 2.4, 5.0, 2.2)),
+    _phmap_priority_model([0.5] * 9, "non_preemptive"),
+    FROZEN_PHASE_MODEL,
+], ids=[*(f"sym-k{K}" for K in range(2, 9)), "asym-k4", "readme", "preemptive", "phmap",
+        "frozen"])
+def test_qbd_solve_matches_the_dense_reference(model, monkeypatch):
+    # every box a face solve hands to the QBD solver, at every level of
+    # its fast axis, solved both ways
+    solve = induced_chains._qbd_stationary
+    seen = []
+
+    def checked(*box):
+        got = solve(*box)
+        seen.append(_assert_matches_reference_qbd(got, *box))
+        return got
+
+    monkeypatch.setattr(induced_chains, "_qbd_stationary", checked)
+    kernel = kernel_of(model)
+    for A in CANONICAL_SUBSETS:
+        assert solve_stationary(build_induced_chain(kernel, A)).converged
+    assert len(seen) >= 4
+
+
+def test_qbd_down_moves_enter_few_phases():
+    # on face {1,4} of the symmetric K=6 model a down move of queue 3
+    # enters fewer than a fifth of the kept phases
+    chain = build_induced_chain(kernel_of(symmetric_limited_model(6)), {1, 4})
+    stats = solve_stationary(chain).qbd
+    assert 0 < 5 * stats["downPhases"] < stats["phases"]
+
+
+@st.composite
+def level_independent_qbds(draw):
+    """Canonical triplets of a four-level box (level 3 reflecting) of a
+    QBD with m <= 12 phases: random boundary blocks at levels 0 and 1,
+    and from level 2 on up, local and down blocks whose down moves enter
+    r <= m phases and outweigh the up moves on every phase."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    r = draw(st.integers(min_value=1, max_value=m))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+
+    def rates(rows, cols, density):
+        return rng.uniform(0.1, 1.0, (rows, cols)) * (rng.random((rows, cols)) < density)
+
+    # a cycle through the phases at each level, an up move from every
+    # phase to the same phase, and the same down move from level 1, make
+    # the box irreducible
+    local = [rates(m, m, 0.5) + np.roll(np.eye(m), 1, axis=1) for _ in range(3)]
+    up = [rates(m, m, 0.5) + np.eye(m) for _ in range(2)]
+    U = (rates(m, m, 0.5) + np.eye(m)) / (2 * m)
+    D = np.zeros((m, m))
+    D[:, rng.choice(m, size=r, replace=False)] = rng.uniform(1.0, 2.0, (m, r)) / r
+    Q = np.zeros((4 * m, 4 * m))
+    for k in range(4):
+        block = slice(k * m, (k + 1) * m)
+        Q[block, block] = local[min(k, 2)] + (U if k == 3 else 0.0)
+        if k < 3:
+            Q[block, block.start + m:block.stop + m] = U if k == 2 else up[k]
+        if k > 0:
+            Q[block, block.start - m:block.stop - m] = D if k > 1 else rates(m, m, 0.5) + np.eye(m)
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    rows, cols = np.nonzero(Q)
+    return rows, cols, Q[rows, cols], 4 * m
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_independent_qbds())
+def test_structured_qbd_solve_matches_the_dense_reference(qbd):
+    rows, cols, data, n = qbd
+    stats = _assert_matches_reference_qbd(induced_chains._qbd_stationary(*qbd), *qbd)
+    down = (rows >= 3 * n // 4) & (cols < 3 * n // 4)
+    assert stats["phases"] == n // 4
+    assert stats["downPhases"] == np.unique(cols[down]).size
 
 
 def test_off_subset_drift_vanishes(np_model):
