@@ -260,20 +260,27 @@ def _qbd_stationary(rows, cols, data, n):
     with K = -L - U G, which also gives R = U K^-1, then pi_1 from pi_0,
     then pi_0, normalised with levels >= 2 holding pi_2 (I - R)^-1.  The
     residual, the largest balance residual at levels 0..3 and of U + R L
-    + R^2 D = 0 over r, must be at most 1e-9."""
+    + R^2 D = 0 over r, must be at most 1e-9.  Each block the solve reads
+    is scattered straight from the triplets: no dense copy of the box."""
     m = n // 4
     closed, keep = _closed_classes(rows, cols, n)
     note = (f"{closed} closed classes; solved the one holding state {keep[0]} "
             f"({keep.size} states)" if closed > 1 else "")
     P = np.flatnonzero(np.bincount(keep[keep >= 2 * m] % m, minlength=m))
     # the kept states at levels 0 and 1, then the kept phases of level 2
-    k0, k1 = keep[keep < m], keep[(keep >= m) & (keep < 2 * m)]
-    kept = np.concatenate([k0, k1, 2 * m + P])
+    k0, k1, k2 = keep[keep < m], keep[(keep >= m) & (keep < 2 * m)], 2 * m + P
+    kept = np.concatenate([k0, k1, k2])
     q, s = P.size, kept.size - P.size
-    Q = np.zeros((3 * m, n))
-    on = rows < 3 * m
-    Q[rows[on], cols[on]] = data[on]
-    U, L, D = (Q[2 * m + P, k * m:(k + 1) * m] for k in (3, 2, 1))
+
+    def block(rsel, csel):
+        at = np.full((2, n), -1)
+        at[0, rsel], at[1, csel] = np.arange(rsel.size), np.arange(csel.size)
+        i, j = at[0, rows], at[1, cols]
+        B, hit = np.zeros((rsel.size, csel.size)), (i >= 0) & (j >= 0)
+        B[i[hit], j[hit]] = data[hit]
+        return B
+
+    U, L, D = (block(k2, np.arange(k * m, (k + 1) * m)) for k in (3, 2, 1))
     Up, Lp, Dp, I = U[:, P], L[:, P], D[:, P], np.eye(q)
     C = np.flatnonzero(Dp.any(axis=0))
     r = -data[rows == cols].min(initial=0.0)
@@ -306,13 +313,11 @@ def _qbd_stationary(rows, cols, data, n):
             G = reduce(lambda G, st: st[1] + st[0] @ G, steps[-2::-1], Lo)
             K = -Lp
             K[:, C] -= Up @ G
-            B12 = Q[np.ix_(k1, 2 * m + P)]
-            R, W2 = np.vsplit(np.linalg.solve(K.T, np.vstack([Up, B12]).T).T, [q])
-            K1 = -Q[np.ix_(k1, k1)] - W2 @ Q[np.ix_(2 * m + P, k1)]
-            W1 = np.linalg.solve(K1.T, Q[np.ix_(k0, k1)].T).T
-            A = (Q[np.ix_(k0, k0)] + W1 @ Q[np.ix_(k1, k0)]).T / r
+            R, W2 = np.vsplit(np.linalg.solve(K.T, np.vstack([Up, block(k1, k2)]).T).T, [q])
+            W1 = np.linalg.solve((-block(k1, k1) - W2 @ block(k2, k1)).T, block(k0, k1).T).T
+            A = (block(k0, k0) + W1 @ block(k1, k0)).T / r
             A[0] = 1.0 + W1 @ (1.0 + W2 @ np.linalg.solve(I - R, np.ones(q)))
-            x0 = np.linalg.solve(A, np.eye(k0.size)[0])
+            x0 = np.linalg.solve(A, np.eye(1, k0.size)[0])
             x = np.concatenate([x0, x0 @ W1, x0 @ W1 @ W2])
             above = np.linalg.solve((I - R).T, x[s:])
     except _SOLVE_ERRORS as exc:
@@ -386,9 +391,9 @@ def _fit_budget(shape, floor, S0):
 
 
 # the most phases solved as a QBD: `analyze --mode both` of sym K=11 (676) took
-# 0.86 s with QBDs, 1.08 s with boxes (median, one vCPU, scipy import included);
-# sym K=12 (784) 1.08 and 1.17 s, but peaked at 161 MB against 87; K=13 (900)
-# 1.32 and 1.29 s
+# 0.50 s with QBDs, 0.64 s with boxes, peaking at 86 and 82 MB (median of 5, one
+# vCPU, scipy import included); sym K=12 (784) 0.68 and 0.76 s, but 101 MB
+# against 87, 16% more; K=13 (900) 0.93 and 1.03 s, 126 and 92 MB
 QBD_PHASES = 700
 
 
@@ -397,9 +402,9 @@ def _solve_qbd(chain: InducedChain, levels, cap) -> InducedChainSolution:
     free queue with exogenous arrivals (1 or 3) and whose phase is the
     background, times the other queue's reflecting truncation on a 2-D
     face.  That fast axis starts at `levels` and grows as a box axis
-    does, but aims at TAIL_TOL / 2, its cost growing as its level cubed
-    (each reduction step squares a q x q block), and keeps (level *
-    S0)^2 within MAX_STATES.  `qbd` holds the last level's diagnostics."""
+    does, but aims at TAIL_TOL / 2, as the cost grows as its level cubed,
+    and keeps (level * S0)^2, which bounds each block the solve reads,
+    within MAX_STATES.  `qbd` holds the last level's diagnostics."""
     d, S0 = len(chain.free), chain.kernel.S0
     slow = next((a for a, q in enumerate(chain.free) if q in (1, 3)), 0)
     # lattice order: (level, fast axis)
@@ -846,7 +851,6 @@ def check_sign_conditions(table: DriftTable):
     as failed; the ratio criterion is not trusted that close to a
     degenerate configuration."""
     results = []
-    all_hold = True
     for A, queue, sign in SIGN_CONDITIONS:
         item = {
             "subset": subset_name(A),
@@ -857,13 +861,9 @@ def check_sign_conditions(table: DriftTable):
             value = float(table.drifts(A)[queue - 1])
         except (UnsupportedSubset, NotConverged) as exc:
             item.update(value=None, ok=False, marginal=False, note=str(exc))
-            all_hold = False
-            results.append(item)
-            continue
-        marginal = abs(value) <= SIGN_MARGIN
-        ok = (not marginal) and (value > 0) == (sign > 0)
-        item.update(value=value, ok=bool(ok), marginal=bool(marginal))
-        if not ok:
-            all_hold = False
+        else:
+            marginal = abs(value) <= SIGN_MARGIN
+            ok = (not marginal) and (value > 0) == (sign > 0)
+            item.update(value=value, ok=bool(ok), marginal=bool(marginal))
         results.append(item)
-    return {"allHold": all_hold, "conditions": results}
+    return {"allHold": all(item["ok"] for item in results), "conditions": results}

@@ -2,6 +2,7 @@
 closed-form / numeric cross-check."""
 
 import math
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -886,6 +887,28 @@ def test_qbd_down_moves_enter_few_phases():
     chain = build_induced_chain(kernel_of(symmetric_limited_model(6)), {1, 4})
     stats = solve_stationary(chain).qbd
     assert 0 < 5 * stats["downPhases"] < stats["phases"]
+
+
+def test_qbd_solve_memory_grows_with_the_blocks_it_reads(monkeypatch):
+    # the final QBD box of face {1,4} of the symmetric K=8 model: m = 5 x
+    # 100 phases per level, q = 333 of them kept at levels >= 2.  The solve
+    # reads blocks of at most q x m entries; a dense copy of the box's
+    # first three levels alone would hold 12 m^2, 18 times q x m
+    solve, boxes = induced_chains._qbd_stationary, []
+    monkeypatch.setattr(induced_chains, "_qbd_stationary",
+                        lambda *box: boxes.append(box) or solve(*box))
+    chain = build_induced_chain(kernel_of(symmetric_limited_model(8)), {1, 4})
+    assert solve_stationary(chain).converged
+    m = boxes[-1][3] // 4
+    tracemalloc.start()
+    try:
+        stats = solve(*boxes[-1])[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    q = stats["phases"]
+    assert (m, q) == (500, 333)
+    assert peak <= 24 * q * m * 8
 
 
 @st.composite
