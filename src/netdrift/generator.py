@@ -241,9 +241,9 @@ def generator_block(model: NetworkModel, x, xp):
 # repeats each (signature, displacement) block over the cells of its
 # signature: a nonzero (bi, bj) of the block at source cell s with target
 # cell t is the entry (s*S0 + bi, t*S0 + bj).  This index arithmetic writes
-# every entry into one set of canonical COO triplets; only the export
-# wrapper `assemble_lattice` makes CSR.  Out-of-box moves fold onto the
-# boundary (reflecting truncation).
+# every entry into one set of canonical COO triplets, which the face
+# solvers and the debug export read as they are: no sparse matrix class.
+# Out-of-box moves fold onto the boundary (reflecting truncation).
 
 def signature_ranges(sig_component, L):
     """The levels 0..L-1 of one coordinate whose signature entry is
@@ -294,15 +294,6 @@ def lattice_triplets(block_fn, shape, S0):
     data = np.add.reduceat(np.concatenate(data)[order], first)
     rows, cols = np.divmod(keys[first], n)
     return rows, cols, data, n
-
-
-def assemble_lattice(block_fn, shape, S0):
-    """`lattice_triplets` as canonical CSR."""
-    # scipy loads here, not at module level, so that most runs import numpy alone
-    import scipy.sparse as sp
-
-    rows, cols, data, n = lattice_triplets(block_fn, shape, S0)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 # -- reachability ------------------------------------------------------------
@@ -376,15 +367,14 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
 
 def write_generator_triplets(model: NetworkModel, radius, path):
     """Debug export: the generator of the reflecting truncation to
-    {0..radius}^4 (see `assemble_lattice`), whose rows sum to zero, one
+    {0..radius}^4 (see `lattice_triplets`), whose rows sum to zero, one
     "row col rate" line per nonzero, row-major order."""
     kernel = kernel_of(model)
     L = radius + 1
-    Q = assemble_lattice(kernel.q_blocks, (L,) * 4, kernel.S0)
-    rows = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
+    rows, cols, data, _ = lattice_triplets(kernel.q_blocks, (L,) * 4, kernel.S0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# truncated generator, box {L}^4 x {kernel.S0}\n")
-        for r, c, v in zip(rows, Q.indices, Q.data):
+        for r, c, v in zip(rows, cols, data):
             if abs(v) <= RATE_TOL:
                 continue
             fh.write(f"{r} {c} {float(v)!r}\n")

@@ -108,11 +108,13 @@ def build_induced_chain(kernel: BlockKernel, A) -> InducedChain:
 
 @dataclass(slots=True, eq=False)
 class InducedChainSolution:
-    """Stationary distribution of an induced chain; `levels` and each
-    `history` entry hold one truncation level per free coordinate, None
-    for a QBD's level axis, whose `dist` axis has the cells 0, 1 and >= 2.
-    `qbd` holds a QBD's logarithmic-reduction steps, max |1 - G 1| and its
-    kept phases at levels >= 2 and how many of them a down move enters."""
+    """Stationary distribution of an induced chain at the last level
+    `solve_stationary` tried; `levels` and each `history` entry hold one
+    truncation level per free coordinate, None for a QBD's level axis,
+    whose `dist` axis has the cells 0, 1 and >= 2.  On a QBD, `qbd` holds
+    that level's logarithmic-reduction steps, max |1 - G 1| and its kept
+    phases at levels >= 2 and how many of them a down move enters; on a
+    box it is None."""
 
     A: frozenset
     free: tuple
@@ -311,6 +313,9 @@ def _qbd_stationary(rows, cols, data, n):
                 H, Lo = np.hsplit(X + V @ np.linalg.solve(np.eye(2 * C.size) - WV, WX), [q])
                 steps.append((H, Lo))
             G = reduce(lambda G, st: st[1] + st[0] @ G, steps[-2::-1], Lo)
+            # only the count of the steps is read from here on
+            iterations = len(steps) - 1
+            del steps, H, Lo
             K = -Lp
             K[:, C] -= Up @ G
             R, W2 = np.vsplit(np.linalg.solve(K.T, np.vstack([Up, block(k1, k2)]).T).T, [q])
@@ -336,7 +341,7 @@ def _qbd_stationary(rows, cols, data, n):
     pi[2 * m + P] = above
     dist = np.clip(pi[:3 * m], 0.0, None).reshape(3, m)
     gap = float(np.abs(1.0 - G.sum(axis=1)).max(initial=0.0))
-    return dist / dist.sum(), float(resid), {"lrIterations": len(steps) - 1, "gRowSumError": gap,
+    return dist / dist.sum(), float(resid), {"lrIterations": iterations, "gRowSumError": gap,
                                              "phases": q, "downPhases": C.size}, note
 
 
@@ -344,7 +349,8 @@ def _qbd_stationary(rows, cols, data, n):
 # to be transient: a tail falling by less than 10% over 32 levels
 NON_DECAY_RATE = 0.9 ** (1 / 32)
 
-# bound on the product of a face's levels times its background states
+# bound on a face's truncated cells times its background states; on a QBD,
+# on the square of that, the entries of a dense block its solve reads
 MAX_STATES = 3_000_000
 
 
@@ -364,7 +370,7 @@ def _marginal_decay(dist):
     return rates
 
 
-def _next_level(L, tail, rate, cap, target=TAIL_TOL / 4):
+def _next_level(L, tail, rate, cap, target):
     """The level at which `tail` decaying by `rate` per level reaches
     `target`, kept within [L+1, min(2L, cap)].  `tail` must be above
     that target.  Doubles when the rate is unknown or not below 1."""
@@ -377,19 +383,6 @@ def _next_level(L, tail, rate, cap, target=TAIL_TOL / 4):
     return min(L + steps, top)
 
 
-def _fit_budget(shape, floor, S0):
-    """`shape` with its axes above `floor` cut back, the largest first,
-    until the box holds at most MAX_STATES states; None when `floor`
-    itself does not fit."""
-    shape = list(shape)
-    while math.prod(shape) * S0 > MAX_STATES:
-        over = [a for a in range(len(shape)) if shape[a] > floor[a]]
-        if not over:
-            return None
-        shape[max(over, key=lambda a: shape[a])] -= 1
-    return tuple(shape)
-
-
 # the most phases solved as a QBD: `analyze --mode both` of sym K=11 (676) took
 # 0.50 s with QBDs, 0.64 s with boxes, peaking at 86 and 82 MB (median of 5, one
 # vCPU, scipy import included); sym K=12 (784) 0.68 and 0.76 s, but 101 MB
@@ -397,113 +390,109 @@ def _fit_budget(shape, floor, S0):
 QBD_PHASES = 700
 
 
-def _solve_qbd(chain: InducedChain, levels, cap) -> InducedChainSolution:
-    """`solve_stationary` as a QBD (`_qbd_stationary`) whose level is the
-    free queue with exogenous arrivals (1 or 3) and whose phase is the
-    background, times the other queue's reflecting truncation on a 2-D
-    face.  That fast axis starts at `levels` and grows as a box axis
-    does, but aims at TAIL_TOL / 2, as the cost grows as its level cubed,
-    and keeps (level * S0)^2, which bounds each block the solve reads,
-    within MAX_STATES.  `qbd` holds the last level's diagnostics."""
-    d, S0 = len(chain.free), chain.kernel.S0
-    slow = next((a for a, q in enumerate(chain.free) if q in (1, 3)), 0)
-    # lattice order: (level, fast axis)
+def _solve_at(chain: InducedChain, shape):
+    """One solve of `chain` truncated to `shape`: (dist, residual, path,
+    QBD diagnostics, note), dist None on failure.  A None level marks a
+    QBD's level axis: the QBD (`_qbd_stationary`) is solved in lattice
+    order (level, other axis) and its (3, ...) law moved back in place;
+    any other shape is a box (`_stationary_of`)."""
+    S0 = chain.kernel.S0
+    if None not in shape:
+        pi, residual, path, note = _stationary_of(*lattice_triplets(chain.q_blocks, shape, S0))
+        return None if pi is None else pi.reshape(shape + (S0,)), residual, path, None, note
+    slow = shape.index(None)
+    fast = shape[:slow] + shape[slow + 1:]
     block_fn = chain.q_blocks if slow == 0 else (
         lambda sig: {z[::-1]: B for z, B in chain.q_blocks(sig[::-1]).items()})
-
-    L, history = min(levels, cap), []
-    while True:
-        fast = (L,) if d == 2 else ()
-        named = fast + (None,) if slow else (None,) + fast
-        dist, residual, stats, note = _qbd_stationary(*lattice_triplets(block_fn, (4,) + fast, S0))
-        if dist is None:
-            return InducedChainSolution(chain.A, chain.free, named, None, None, None, False,
-                                        history, f"levels {named}: {note}")
+    dist, residual, stats, note = _qbd_stationary(*lattice_triplets(block_fn, (4,) + fast, S0))
+    if dist is not None:
         dist = np.moveaxis(dist.reshape((3,) + fast + (S0,)), 0, slow)
-        tail = float(dist.take(L - 1, axis=1 - slow).sum()) if d == 2 else 0.0
-        history.append((named, residual, tail, "qbd"))
-        stop = ""
-        if tail > TAIL_TOL:
-            rate = (_marginal_decay(dist)[1 - slow] if len(history) == 1
-                    else (tail / prev_tail) ** (1.0 / (L - prev)))
-            nxt = min(_next_level(L, tail, rate, cap, TAIL_TOL / 2), math.isqrt(MAX_STATES) // S0)
-            stop = ("boundary mass is not decaying; chain is likely transient"
-                    if len(history) > 1 and rate >= NON_DECAY_RATE
-                    else f"truncation cap {cap} reached" if L >= cap
-                    else f"state budget exceeded beyond levels {named}" if nxt <= L else "")
-            if not stop:
-                prev, prev_tail, L = L, tail, nxt
-                continue
-        return InducedChainSolution(chain.A, chain.free, named, dist, residual, tail, not stop,
-                                    history, "; ".join(filter(None, (note, stop))), stats)
+    return dist, residual, "qbd", stats, note
 
 
 def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolution:
-    """Stationary distribution of a face's induced chain: as a QBD
-    (`_solve_qbd`) when it has a free coordinate and at most QBD_PHASES
-    phases (S0, times `levels` on a 2-D face), else as follows, with
-    reflecting truncation, one level per free coordinate.
+    """Stationary distribution of a face's induced chain, one truncation
+    level per free coordinate, grown in one loop on either path.
 
-    Solves at `levels` on every axis first (at `cap` when above it), then
-    grows the box until its boundary mass (the cells where any axis sits
-    at its top level) is at most TAIL_TOL; nothing else decides when a
-    face is done.  A larger boundary mass puts more than TAIL_TOL / d on
-    some axis's top level, and each step grows only such axes, each to
-    the level where that mass, decaying at the axis's measured per-level
-    rate, reaches TAIL_TOL/4, but by at least one level and at most to
+    A face with a free coordinate and at most QBD_PHASES phases (S0,
+    times `levels` on a 2-D face) is a QBD whose level, the free queue
+    with exogenous arrivals (1 or 3), is not truncated (None); its other
+    axis, if any, is truncated.  Any other face is a box, every axis
+    truncated.  Each truncated axis starts at `levels` (at `cap` when
+    above it) and the face grows until its boundary mass (the cells
+    where any truncated axis sits at its top level) is at most TAIL_TOL;
+    nothing else decides when a face is done.  A larger boundary mass
+    puts more than TAIL_TOL / t on some of the t truncated axes' top
+    levels, and each step grows only such axes, each to the level where
+    that mass, decaying at the axis's measured per-level rate, reaches
+    TAIL_TOL/4 on a box and TAIL_TOL/2 on a QBD (whose dense solve costs
+    the cube of its phases), but by at least one level and at most to
     double the current one or `cap`.  An axis that grew in the last step
     takes its rate from its top-level masses at its last two levels; at
     or above NON_DECAY_RATE on a growing axis, that rate means the mass
     is not decaying (the signature of a transient chain) and stops the
     growth, as does a growing axis at the cap.  Any other axis takes the
     decay of its level marginal in the current solution.  MAX_STATES
-    bounds the product of the levels times the background states: a box
-    over it has its growing axes cut back, the largest first, and the
+    bounds the truncated cells times S0, the states of a box, or its
+    square on a QBD, which bounds each dense block its solve reads: a
+    shape over it has its axes cut back, the largest first, and the
     growth stops when none of them can grow.  A failed solve (see
-    `_stationary_of`) stops the growth too, with no residual or tail
-    mass.  The note keeps a cut-back start, the last level's closed
-    classes and why the growth stopped.  A `history` entry is (levels,
-    residual, boundary mass, solver path); `residual` is the level's
-    stationarity residual max |pi Q| / r, at most 1e-9 by the solver's
+    `_stationary_of`, `_qbd_stationary`) stops the growth too, with no
+    residual or tail mass.  The note keeps a cut-back start, the last
+    level's closed classes and why the growth stopped.  A `history`
+    entry is (levels, residual, boundary mass, solver path); `residual`
+    is the level's stationarity residual, at most 1e-9 by the solver's
     own check.
     """
-    d = len(chain.free)
-    S0 = chain.kernel.S0
-    if d and S0 * min(int(levels), int(cap)) ** (d - 1) <= QBD_PHASES:
-        return _solve_qbd(chain, int(levels), int(cap))
+    for name, value in (("levels", levels), ("cap", cap)):
+        if int(value) < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    d, S0 = len(chain.free), chain.kernel.S0
+    L = min(int(levels), int(cap))
+    qbd = d > 0 and S0 * L ** (d - 1) <= QBD_PHASES
+    slow = next((a for a, q in enumerate(chain.free) if q in (1, 3)), 0) if qbd else None
+    axes = [a for a in range(d) if a != slow]
+    power, aim = (2, TAIL_TOL / 2) if qbd else (1, TAIL_TOL / 4)
 
-    def failed(shape, history, note):
-        return InducedChainSolution(chain.A, chain.free, shape, None, None,
-                                    None, False, history, note)
+    def fit(shape, floor):
+        shape = list(shape)
+        while (math.prod(shape[a] for a in axes) * S0) ** power > MAX_STATES:
+            over = [a for a in axes if shape[a] > floor[a]]
+            if not over:
+                return None
+            shape[max(over, key=lambda a: shape[a])] -= 1
+        return tuple(shape)
 
-    start = (min(int(levels), int(cap)),) * d
-    shape = _fit_budget(start, (1,) * d, S0)
+    start = tuple(None if a == slow else L for a in range(d))
+    shape = fit(start, (1,) * d)
     if shape is None:
-        return failed((), [], f"state budget {MAX_STATES} is below {S0} background states")
+        squared = " squared" if qbd else ""
+        return InducedChainSolution(chain.A, chain.free, (), None, None, None, False, [],
+                                    f"state budget {MAX_STATES} is below {S0} background "
+                                    f"states{squared}")
     budget_note = (f"levels {start} exceed the state budget; started at "
                    f"{shape}" if shape != start else "")
     history = []
     while True:
-        pi, residual, path, note = _stationary_of(*lattice_triplets(chain.q_blocks, shape, S0))
-        if pi is None:
-            return failed(shape, history, "; ".join(filter(None, (
-                budget_note, f"levels {shape}: {note}"))))
-        dist = pi.reshape(shape + (S0,))
-        on_boundary = np.ones(shape, dtype=bool)
-        on_boundary[tuple(slice(0, L - 1) for L in shape)] = False
+        dist, residual, path, stats, note = _solve_at(chain, shape)
+        if dist is None:
+            return InducedChainSolution(chain.A, chain.free, shape, None, None, None, False,
+                                        history, "; ".join(filter(None, (
+                                            budget_note, f"levels {shape}: {note}"))))
+        on_boundary = np.ones(dist.shape[:d], dtype=bool)
+        on_boundary[tuple(slice(None) if a == slow else slice(0, shape[a] - 1)
+                          for a in range(d))] = False
         tail = float(dist[on_boundary].sum())
-        tails = [float(dist.take(L - 1, axis=a).sum()) for a, L in enumerate(shape)]
+        tails = {a: float(dist.take(shape[a] - 1, axis=a).sum()) for a in axes}
         history.append((shape, residual, tail, path))
         if tail <= TAIL_TOL:
-            return InducedChainSolution(
-                chain.A, chain.free, shape, dist, residual, tail, True, history,
-                "; ".join(filter(None, (budget_note, note))),
-            )
-        grow = [a for a in range(d) if tails[a] > TAIL_TOL / d]
+            return InducedChainSolution(chain.A, chain.free, shape, dist, residual, tail, True,
+                                        history, "; ".join(filter(None, (budget_note, note))),
+                                        stats)
+        grow = [a for a in axes if tails[a] > TAIL_TOL / len(axes)]
         rates = _marginal_decay(dist)
         if len(history) > 1:
-            measured = [a for a in range(d)
-                        if shape[a] > prev_shape[a] and prev_tails[a] > 0.0]
+            measured = [a for a in axes if shape[a] > prev_shape[a] and prev_tails[a] > 0.0]
             for a in measured:
                 rates[a] = (tails[a] / prev_tails[a]) ** (1.0 / (shape[a] - prev_shape[a]))
             if any(rates[a] >= NON_DECAY_RATE for a in measured if a in grow):
@@ -514,14 +503,14 @@ def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolu
             break
         target = list(shape)
         for a in grow:
-            target[a] = _next_level(shape[a], tails[a], rates[a], cap)
-        nxt = _fit_budget(target, shape, S0)
+            target[a] = _next_level(shape[a], tails[a], rates[a], cap, aim)
+        nxt = fit(target, shape)
         if nxt == shape:
             stop = f"state budget exceeded beyond levels {shape}"
             break
         prev_shape, prev_tails, shape = shape, tails, nxt
-    return InducedChainSolution(chain.A, chain.free, shape, dist, residual, tail, False,
-                                history, "; ".join(filter(None, (budget_note, note, stop))))
+    return InducedChainSolution(chain.A, chain.free, shape, dist, residual, tail, False, history,
+                                "; ".join(filter(None, (budget_note, note, stop))), stats)
 
 
 def _flows(chain: InducedChain, sol: InducedChainSolution):

@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from netdrift import BlockKernel, build_network, exponential_ph, poisson_map
+from netdrift.generator import lattice_triplets
 
 
 def exp_model(discipline="non_preemptive", K=None, lam1=0.8, lam3=0.4,
@@ -14,6 +16,13 @@ def exp_model(discipline="non_preemptive", K=None, lam1=0.8, lam3=0.4,
     phs = [exponential_ph(m) for m in mus]
     return build_network(poisson_map(lam1), poisson_map(lam3),
                          phs[0], phs[1], phs[2], phs[3], p, discipline, K=K)
+
+
+def lattice_csr(block_fn, shape, S0):
+    """The box `shape`'s truncated generator from `lattice_triplets`, as
+    canonical CSR."""
+    rows, cols, data, n = lattice_triplets(block_fn, shape, S0)
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def symmetric_limited_model(K, lam=1.0, mu_single=5.0, mu_batch=1.8):

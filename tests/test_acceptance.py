@@ -26,10 +26,14 @@ from netdrift import (
     simulate_saturated,
     spiral_path,
 )
-from netdrift.generator import assemble_lattice
 from netdrift.cli import main
 
-from tests.conftest import exp_model, priority_sample, symmetric_limited_model
+from tests.conftest import (
+    exp_model,
+    lattice_csr,
+    priority_sample,
+    symmetric_limited_model,
+)
 
 
 N = frozenset({1, 2, 3, 4})
@@ -149,7 +153,7 @@ def test_criterion_3_numeric_matches_closed(both_mode_tables):
 def test_criterion_4_generator_soundness(np_model):
     kernel = kernel_of(np_model)
     L, S0 = 4, kernel.S0
-    Q = assemble_lattice(lambda s: kernel.q_blocks(s), (L,) * 4, S0)
+    Q = lattice_csr(lambda s: kernel.q_blocks(s), (L,) * 4, S0)
     q_rows = np.abs(np.asarray(Q.sum(axis=1)).ravel())
     ok = q_rows.max() <= 1e-10
 

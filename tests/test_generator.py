@@ -34,10 +34,9 @@ from netdrift.generator import (
     CONFIRMED,
     RATE_TOL,
     UNKNOWN,
-    assemble_lattice,
     lattice_triplets,
 )
-from tests.conftest import exp_model, symmetric_limited_model
+from tests.conftest import exp_model, lattice_csr, symmetric_limited_model
 from tests.test_service_disciplines import PH_PAIRS
 
 ALL_SIGS = list(itertools.product((0, 1, 2), repeat=4))
@@ -450,7 +449,7 @@ def test_assembly_matches_kronecker_reference(which):
         (kernel.q_blocks, (4 if which == "np" else 2,) * 4),
     ]
     for block_fn, shape in cases:
-        got = assemble_lattice(block_fn, shape, S0)
+        got = lattice_csr(block_fn, shape, S0)
         want = _kron_lattice(block_fn, shape, S0)
         assert got.shape == want.shape == (int(np.prod(shape)) * S0,) * 2
         assert np.array_equal(got.indptr, want.indptr), shape

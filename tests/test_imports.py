@@ -1,5 +1,6 @@
-"""Parsing, simulation, validation, closed-mode sweeps and the face
-solves of the small and the limited bench models load numpy alone, and
+"""Parsing, simulation, validation, closed-mode sweeps, the generator
+export and the face solves of the small and the limited bench models
+load numpy alone, and
 not numpy.ma where numpy leaves it unloaded; scipy waits for the first
 face solved on its box by ILU-GMRES."""
 
@@ -82,6 +83,8 @@ for name, path in (("limited", limited), ("asym", asym)):
                  "--out", f"{out}/{name}-report.json"]) == 0
     no_scipy(f"analyze {name}")
 assert not (ma_on_demand and "numpy.ma" in sys.modules), "analyze loaded numpy.ma"
+netdrift.write_generator_triplets(load_model(model), 1, out + "/triplets.txt")
+no_scipy("write_generator_triplets")
 # faces over the QBD size rule are solved on their boxes
 import netdrift.induced_chains
 netdrift.induced_chains.QBD_PHASES = 0

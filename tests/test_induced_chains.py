@@ -40,7 +40,7 @@ from netdrift.errors import (
     NotConverged,
     UnsupportedSubset,
 )
-from netdrift.generator import SUBSET_ALL, assemble_lattice, lattice_triplets
+from netdrift.generator import SUBSET_ALL, lattice_triplets
 from netdrift.induced_chains import (
     CROSS_CHECK_TOL,
     TAIL_TOL,
@@ -48,7 +48,12 @@ from netdrift.induced_chains import (
     input_rates,
 )
 
-from tests.conftest import exp_model, face_solves_only, symmetric_limited_model
+from tests.conftest import (
+    exp_model,
+    face_solves_only,
+    lattice_csr,
+    symmetric_limited_model,
+)
 
 
 N = frozenset({1, 2, 3, 4})
@@ -243,6 +248,28 @@ def test_start_level_over_state_budget_solves_at_largest_fitting_level(
     assert [shape for shape, *_ in sol.history] == [(4, None), (6, None)]
     assert sol.note == "state budget exceeded beyond levels (6, None)"
 
+    # a QBD's start over the budget is cut back as a box's is: at (3 *
+    # S0)^2, queue 2's axis starts at 3, not at the default 4
+    monkeypatch.setattr(induced_chains, "MAX_STATES", (3 * limited.S0) ** 2)
+    sol = solve_stationary(chain)
+    assert not sol.converged
+    assert [shape for shape, *_ in sol.history] == [(3, None)]
+    assert sol.note == ("levels (4, None) exceed the state budget; started at (3, None); "
+                        "state budget exceeded beyond levels (3, None)")
+
+
+def test_levels_and_cap_must_be_positive(np_model, monkeypatch):
+    # on every path and face dimension, before any solve
+    kernel = kernel_of(np_model)
+    for qbd in (induced_chains.QBD_PHASES, 0):
+        monkeypatch.setattr(induced_chains, "QBD_PHASES", qbd)
+        for A in (N, {1, 2, 3}, {2, 3}):
+            chain = build_induced_chain(kernel, A)
+            for kwargs, name in ((dict(levels=0), "levels"), (dict(levels=-3), "levels"),
+                                 (dict(cap=0), "cap"), (dict(levels=0, cap=-1), "levels")):
+                with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+                    solve_stationary(chain, **kwargs)
+
 
 def _singular_ilu(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
@@ -422,7 +449,7 @@ def test_faces_with_two_closed_classes_converge(monkeypatch):
         assert "2 closed classes" in sol.note
         # the reference: the other closed class of the box's truncation,
         # solved densely
-        Q = assemble_lattice(chain.q_blocks, sol.levels, kernel.S0)
+        Q = lattice_csr(chain.q_blocks, sol.levels, kernel.S0)
         R = Q / -Q.diagonal().min()
         count, labels = connected_components(R, connection="strong")
         rows, cols = R.nonzero()
