@@ -12,13 +12,9 @@ validation failure, 3 parse, usage or output-path error, 5 internal error.
 
 from __future__ import annotations
 
-import argparse
-import copy
-import csv
 import json
 import math
 import sys
-import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,8 +39,6 @@ from .errors import (
     SingularH,
     UnsupportedSubset,
 )
-from .generator import SUBSET_ALL, check_semi_irreducible, kernel_of, saturated_subset
-from .induced_chains import CANONICAL_SUBSETS, drift_table, subset_name
 from .primitives import (
     erlang_ph,
     exponential_ph,
@@ -54,22 +48,10 @@ from .primitives import (
     validate_map,
     validate_ph,
 )
-from .service_disciplines import (
-    MSPSpec,
-    T_KEYS,
-    U_KEYS,
-    build_network,
-)
-from .simulator import estimate_drift, replication_seeds, simulate, simulate_saturated
-from .stability import (
-    INCONCLUSIVE,
-    POSITIVE_RECURRENT,
-    TRANSIENT,
-    classify,
-    lyapunov_certificate,
-)
+from .service_disciplines import MSPSpec, T_KEYS, U_KEYS, build_network
 
-EXIT_BY_CLASSIFICATION = {POSITIVE_RECURRENT: 0, TRANSIENT: 1, INCONCLUSIVE: 4}
+# the analysis modules are imported by the commands that run them, so that
+# parsing a model loads none of them
 
 # errors that mean "analysis cannot decide", not "input is wrong"
 _INCONCLUSIVE_ERRORS = (
@@ -305,6 +287,8 @@ def apply_parameter(model_dict, path, value):
     Supported paths: p, discipline.K, arrivals.<i>.rate (poisson
     shorthand), services.<i>.rate (exponential or erlang shorthand).
     """
+    import copy
+
     out = copy.deepcopy(model_dict)
     parts = path.split(".")
     if parts == ["p"]:
@@ -389,8 +373,10 @@ def _fmt(value):
 # --- commands -----------------------------------------------------------------
 
 def cmd_validate(args):
+    from . import generator
+
     model = load_model(args.model)
-    status = check_semi_irreducible(model, radius=args.probe_radius)
+    status = generator.check_semi_irreducible(model, radius=args.probe_radius)
     if args.canonical_out:
         Path(args.canonical_out).write_text(_dump_json(canonical_model_dict(model)))
     report = {
@@ -400,7 +386,7 @@ def cmd_validate(args):
         "p": model.p,
         "arrivalRates": list(model.arrival_rates),
         "serviceRates": list(model.service_rates),
-        "backgroundStates": kernel_of(model).S0,
+        "backgroundStates": generator.kernel_of(model).S0,
         "semiIrreducibility": status,
     }
     _emit_json(report, args.out)
@@ -408,8 +394,10 @@ def cmd_validate(args):
 
 
 def cmd_analyze(args):
+    from . import stability
+
     model = load_model(args.model)
-    report = classify(
+    report = stability.classify(
         model,
         mode=args.mode,
         levels=args.levels,
@@ -420,28 +408,34 @@ def cmd_analyze(args):
     )
     _emit_json(report.to_json_dict(), args.out)
     if args.spiral_csv and report.spiral is not None:
+        import csv
+
         with open(args.spiral_csv, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["step", "x1", "x2", "x3", "x4"])
             for step, point in enumerate(report.spiral.points, start=1):
                 writer.writerow([step] + [_fmt(float(v)) for v in point])
-    return EXIT_BY_CLASSIFICATION[report.classification]
+    exit_codes = {stability.POSITIVE_RECURRENT: 0, stability.TRANSIENT: 1,
+                  stability.INCONCLUSIVE: 4}
+    return exit_codes[report.classification]
 
 
 def _sweep_point(payload):
+    from . import stability
+
     model_dict, path, value, mode, levels, cap = payload
     try:
         patched = apply_parameter(model_dict, path, value)
         model = parse_model_dict(patched)
         # a near-empty-box probe keeps per-point cost flat across the sweep;
         # a confirmation is a proof at any radius
-        report = classify(model, mode=mode, levels=levels, cap=cap,
-                          probe_radius=1)
+        report = stability.classify(model, mode=mode, levels=levels, cap=cap,
+                                    probe_radius=1)
         note = "; ".join(report.reasons)
         return (value, report.r1, report.r2, report.r1r2,
                 report.classification, note)
     except NetdriftError as exc:
-        return (value, None, None, None, INCONCLUSIVE,
+        return (value, None, None, None, stability.INCONCLUSIVE,
                 f"{type(exc).__name__}: {exc}")
 
 
@@ -468,6 +462,8 @@ def cmd_sweep(args):
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]
+    import csv
+
     target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(target, lineterminator="\n")
@@ -484,8 +480,10 @@ def cmd_sweep(args):
 
 def _analytic_reference(model, subset):
     """Closed-form drift entry for the saturated subset, when in scope."""
+    from . import induced_chains
+
     try:
-        table = drift_table(model, mode="closed")
+        table = induced_chains.drift_table(model, mode="closed")
         entry = table.entry(subset)
         return {
             "drifts": list(entry.drifts),
@@ -496,10 +494,16 @@ def _analytic_reference(model, subset):
 
 
 def cmd_simulate(args):
+    from . import simulator
+
+    if args.saturate is not None:
+        # for the analytic rates: compiled after the runs, it would raise
+        # their peak memory by about 1 MB
+        from . import induced_chains  # noqa: F401
     model = load_model(args.model)
     subset = args.saturate
     initial = (args.initial, 0) if args.initial else None
-    seeds = replication_seeds(args.seed, args.replications)
+    seeds = simulator.replication_seeds(args.seed, args.replications)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -507,12 +511,12 @@ def cmd_simulate(args):
     estimates = []
     for idx, child_seed in enumerate(seeds, start=1):
         if subset is not None:
-            traj = simulate_saturated(model, subset, args.horizon, child_seed)
+            traj = simulator.simulate_saturated(model, subset, args.horizon, child_seed)
         else:
-            traj = simulate(model, args.horizon, child_seed, initial)
+            traj = simulator.simulate(model, args.horizon, child_seed, initial)
         entry = {"replication": idx, **traj.summary()}
         try:
-            est = estimate_drift(traj, burn_in=args.burn_in)
+            est = simulator.estimate_drift(traj, burn_in=args.burn_in)
             estimates.append(est)
             entry["driftEstimate"] = est.to_json_dict()
         except InsufficientData as exc:
@@ -558,24 +562,20 @@ def cmd_simulate(args):
 
 
 def cmd_certificate(args):
+    from . import induced_chains, stability
+
     model = load_model(args.model)
-    table = drift_table(model, mode=args.mode, levels=args.levels, cap=args.cap)
-    certificate = lyapunov_certificate(table)
+    table = induced_chains.drift_table(model, mode=args.mode, levels=args.levels,
+                                       cap=args.cap)
+    certificate = stability.lyapunov_certificate(table)
     payload = certificate.to_json_dict()
-    payload["subsets"] = [subset_name(A) for A in CANONICAL_SUBSETS]
+    payload["subsets"] = [induced_chains.subset_name(A)
+                          for A in induced_chains.CANONICAL_SUBSETS]
     _emit_json(payload, args.out)
     return 0
 
 
 # --- parser -------------------------------------------------------------------
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with code 3, leaving 2
-    free for model validation failures."""
-
-    def error(self, message):
-        self.exit(3, f"{self.prog}: error: {message}\n")
-
 
 def _checked(convert, want, ok=lambda value: True):
     """argparse type: `convert(text)` when it raises no ValueError or
@@ -588,17 +588,30 @@ def _checked(convert, want, ok=lambda value: True):
                 return value
         except (ValueError, NetdriftError):
             pass
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
     return check
 
 
 def _subset(text):
+    from . import generator
+
     if text.strip().upper() == "N":
-        return SUBSET_ALL
-    return saturated_subset(int(tok) for tok in text.split(",") if tok.strip())
+        return generator.SUBSET_ALL
+    return generator.saturated_subset(int(tok) for tok in text.split(",") if tok.strip())
 
 
 def build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Argument parser whose usage errors exit with code 3, leaving 2
+        free for model validation failures."""
+
+        def error(self, message):
+            self.exit(3, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="netdrift",
                      description="Stability analysis of a two-station "
                                  "re-entrant queueing network")
@@ -697,6 +710,8 @@ def main(argv=None):
         sys.stderr.write(f"netdrift: cannot write {exc.filename}: {exc.strerror}\n")
         return 3
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 5
 

@@ -554,14 +554,14 @@ def test_certificate_command(tmp_path, capsys):
 
 
 def test_unexpected_errors_are_exit_5(tmp_path, capsys, monkeypatch):
-    import netdrift.cli as cli_module
+    from netdrift import stability
 
     model = write_json(tmp_path, "model.json", BASE_MODEL)
 
     def boom(*args, **kwargs):
         raise ValueError("internal defect")
 
-    monkeypatch.setattr(cli_module, "classify", boom)
+    monkeypatch.setattr(stability, "classify", boom)
     code, _, err = run(capsys, ["analyze", model, "--mode", "closed"])
     assert code == 5
     assert "internal defect" in err

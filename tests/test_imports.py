@@ -2,15 +2,40 @@
 export and the face solves of the small and the limited bench models
 load numpy alone, and
 not numpy.ma where numpy leaves it unloaded; scipy waits for the first
-face solved on its box by ILU-GMRES."""
+face solved on its box by ILU-GMRES.  `import netdrift` loads no
+submodule, and each command loads only the netdrift modules it runs."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import netdrift
+
+# the public API: each submodule and the names `netdrift` exports from it
+EXPORTS = {
+    "errors": ["NetdriftError"],
+    "generator": ["BlockKernel", "check_semi_irreducible", "generator_block",
+                  "kernel_of", "regime_signature", "write_generator_triplets"],
+    "induced_chains": ["CANONICAL_SUBSETS", "DriftTable", "build_induced_chain",
+                       "check_sign_conditions", "closed_form_table", "drift_table",
+                       "mean_displacement", "nominal_condition", "numeric_table",
+                       "output_rates", "solve_stationary", "subset_name"],
+    "primitives": ["MAPSpec", "PHSpec", "erlang_ph", "exponential_ph",
+                   "hyperexponential_ph", "map_arrival_rate", "map_stationary_phase",
+                   "mmpp_map", "ph_mean", "poisson_map", "validate_map", "validate_ph"],
+    "service_disciplines": ["MSPSpec", "NetworkModel", "build_limited_msp",
+                            "build_network", "build_nonpreemptive_msp",
+                            "build_preemptive_resume_msp", "validate_msp"],
+    "simulator": ["DriftEstimate", "Trajectory", "estimate_drift", "simulate",
+                  "simulate_saturated"],
+    "stability": ["LyapunovCertificate", "StabilityReport", "check_ratio_conditions",
+                  "classify", "compute_r1_r2", "lyapunov_certificate", "spiral_path"],
+}
 
 README_MODEL = {
     "arrivals": [{"poisson": 0.8}, {"poisson": 0.4}],
@@ -94,6 +119,70 @@ assert "scipy.sparse" in sys.modules
 """
 
 
+# runs in a fresh interpreter: prints the netdrift submodules loaded after
+# `import netdrift`, after parsing the model and after running the command
+FOOTPRINT = """
+import json, sys
+
+def loaded():
+    return sorted(k[len("netdrift."):] for k in sys.modules if k.startswith("netdrift."))
+
+steps = {}
+import netdrift
+steps["import"] = loaded()
+from netdrift.cli import load_model, main
+load_model(sys.argv[1])
+steps["load_model"] = loaded()
+steps["code"] = main(sys.argv[2:])
+steps["command"] = loaded()
+print(json.dumps(steps))
+"""
+
+ANALYSIS = {"generator", "induced_chains", "simulator", "stability"}
+
+
+def _fresh_env():
+    src = str(Path(netdrift.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("command, options, absent", [
+    ("validate", [], {"induced_chains", "simulator", "stability"}),
+    ("simulate", ["--horizon", "200", "--seed", "3"], {"induced_chains", "stability"}),
+    ("analyze", ["--mode", "both"], {"simulator"}),
+])
+def test_each_command_loads_only_its_modules(tmp_path, command, options, absent):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(README_MODEL))
+    argv = [command, str(model), *options, "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, str(model), *argv],
+                          capture_output=True, text=True, env=_fresh_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps["import"] == []
+    assert not ANALYSIS & set(steps["load_model"]), steps["load_model"]
+    assert steps["code"] == 0
+    assert not absent & set(steps["command"]), steps["command"]
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    exported = [name for names in EXPORTS.values() for name in names]
+    assert sorted(netdrift.__all__) == sorted([*EXPORTS, *exported])
+    for module_name, names in EXPORTS.items():
+        module = importlib.import_module(f"netdrift.{module_name}")
+        assert getattr(netdrift, module_name) is module
+        for name in names:
+            assert getattr(netdrift, name) is getattr(module, name), name
+    assert set(netdrift.__all__) <= set(dir(netdrift))
+    namespace = {}
+    exec("from netdrift import *", namespace)
+    assert set(netdrift.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        netdrift.no_such_name
+
+
 def test_parse_and_simulate_load_no_scipy(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(README_MODEL))
@@ -103,12 +192,9 @@ def test_parse_and_simulate_load_no_scipy(tmp_path):
     limited.write_text(json.dumps(LIMITED_MODEL))
     asym = tmp_path / "asym.json"
     asym.write_text(json.dumps(ASYM_MODEL))
-    src = str(Path(netdrift.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(model), str(mmpp), str(limited), str(asym),
          str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_fresh_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
