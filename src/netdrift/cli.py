@@ -35,6 +35,7 @@ from .errors import (
     NegativeProbability,
     NetdriftError,
     NotConverged,
+    ProbeBoxTooLarge,
     SignConditionViolated,
     SingularH,
     UnsupportedSubset,
@@ -702,6 +703,10 @@ def main(argv=None):
     except _INCONCLUSIVE_ERRORS as exc:
         sys.stderr.write(f"netdrift: {type(exc).__name__}: {exc}\n")
         return 4
+    except ProbeBoxTooLarge as exc:
+        # a --probe-radius too large for the model is a bad option value
+        sys.stderr.write(f"netdrift: {type(exc).__name__}: {exc}\n")
+        return 3
     except NetdriftError as exc:
         sys.stderr.write(f"netdrift: {type(exc).__name__}: {exc}\n")
         return 2

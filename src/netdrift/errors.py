@@ -71,6 +71,10 @@ class SkipFreeViolation(NetdriftError):
     pass
 
 
+class ProbeBoxTooLarge(NetdriftError):
+    pass
+
+
 # --- induced chains and drifts -------------------------------------------
 
 class EmptySubset(NetdriftError):

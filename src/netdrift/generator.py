@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptySubset, SkipFreeViolation, UnsupportedSubset
+from .errors import EmptySubset, ProbeBoxTooLarge, SkipFreeViolation, UnsupportedSubset
 from .service_disciplines import NetworkModel
 
 SUBSET_ALL = frozenset((1, 2, 3, 4))
@@ -170,8 +170,7 @@ class BlockKernel:
         block order, then column.  `sig` must be a tuple of ints."""
         hit = self._clocks.get(sig)
         if hit is None:
-            rates = [[] for _ in range(self.S0)]
-            moves = [[] for _ in range(self.S0)]
+            rates, moves = ([[] for _ in range(self.S0)] for _ in range(2))
             blocks = self.q_blocks(sig)
             for z, (jj, jj2) in self.move_edges(sig).items():
                 pairs = tuple((i, dz) for i, dz in enumerate(z) if dz)
@@ -221,8 +220,7 @@ def generator_block(model: NetworkModel, x, xp):
     one.  Moves within distance one that match no event still return a
     zero block.
     """
-    x = tuple(int(v) for v in x)
-    xp = tuple(int(v) for v in xp)
+    x, xp = (tuple(int(v) for v in s) for s in (x, xp))
     if len(x) != 4 or len(xp) != 4:
         raise SkipFreeViolation("states must have 4 coordinates")
     if any(v < 0 for v in x + xp):
@@ -300,68 +298,72 @@ def lattice_triplets(block_fn, shape, S0):
 
 CONFIRMED = "ConfirmedSemiIrreducible"
 UNKNOWN = "Unknown"
+# the largest probe box, in states: a byte each, and int32 flat indices
+PROBE_STATES = 2 ** 28
+PROBE_CHUNK = 4096  # frontier states per gather
 
 
 def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
-    """Reverse BFS probe for semi-irreducibility.
-
-    Checks that the probe state is reachable from every state of the
-    box {0..radius}^4 x S0.  Paths are searched inside a larger box of
-    side 4*radius + 2: draining a box state needs no arrivals and the
-    total count never grows without one, so no coordinate can exceed
-    4*radius along such a path, and the level above it is slack for one
-    in-flight customer while walking the arrival phase.  Any path found
-    is a genuine path of the chain, so success is a proof; failure only
-    returns Unknown, because paths may still need more room.  The edges
-    are the kernel's move edges (rates above RATE_TOL between distinct
-    states) with both ends in the box.  The search runs backwards from
-    the probe state one layer at a time, generating predecessors from
-    per-displacement tables, and stops once the inner box is covered:
-    the reachable set only grows, so the verdict is the full search's.
-    The probe state is (x, j), with j as `BlockKernel.background_index`
-    takes it.
+    """Reverse BFS probe for semi-irreducibility: Confirmed, a proof, when
+    the probe state (x, j), j as `BlockKernel.background_index` takes it,
+    is reached from every state of {0..radius}^4 x S0, else Unknown, as
+    paths may need more room.  Paths are searched in a box of side
+    4*radius + 2 (draining a box state needs no arrivals, and the count
+    never grows without one, so no coordinate exceeds 4*radius; the level
+    above is slack for an in-flight customer) of at most PROBE_STATES
+    states, else ProbeBoxTooLarge.  The search runs back over the kernel's
+    move edges a layer at a time, PROBE_CHUNK states per gather, and stops
+    once the inner box is covered: the reachable set only grows, so the
+    verdict is the full search's.
     """
     kernel = kernel_of(model)
     S0 = kernel.S0
     probe = kernel.check_state(probe_state or ((0, 0, 0, 0), 0))
-    L = radius + 1
+    L, side = radius + 1, 4 * radius + 2
+    shape = (side,) * 4 + (S0,)
+    if side ** 4 * S0 > PROBE_STATES:
+        raise ProbeBoxTooLarge(f"probe radius {radius} needs a box of {side}^4 x {S0} = "
+                               f"{side ** 4 * S0:,} states, over the budget of {PROBE_STATES:,}")
     if any(v >= L for v in probe[0]):
         return UNKNOWN
-    side = 4 * radius + 2
-    # per displacement z: the backgrounds j with a move (sig, j) -> z, j2, as
-    # offsets per key sig_index * S0 + j2 into js (edges come sorted by j2)
-    pieces = {}
-    for s, sig in enumerate(np.ndindex(3, 3, 3, 3)):
-        for z, (j, j2) in kernel.move_edges(sig).items():
-            pieces.setdefault(z, []).append((s * S0 + j2, j))
-    tables = {}
-    for z, parts in pieces.items():
-        keys, js = (np.concatenate(v) for v in zip(*parts))
-        tables[z] = (np.searchsorted(keys, np.arange(81 * S0 + 1)), js)
-    shape = (side,) * 4 + (S0,)
-    seen = np.zeros(shape, dtype=bool)
-    inner = seen[(slice(0, L),) * 4]
-    frontier = np.array([np.ravel_multi_index(probe[0] + (probe[1],), shape)])
-    seen.flat[frontier] = True
+    # predecessors as CSR over keys (distinct block, j2): j - j2 of each move
+    # j -> j2; `first` maps (z, sig), z-major, to a block's first key
+    qs = [kernel.q_blocks(sig) for sig in np.ndindex(3, 3, 3, 3)]
+    zs = sorted({z for q in qs for z in q})
+    number = {b: k for k, b in enumerate(kernel._edges, 1)}  # block 0: absent
+    Z, outside = np.array(zs), len(zs) * 81
+    # a predecessor outside the box sums to `outside` or more: block 0 there
+    first = np.zeros(4 * outside + 1, dtype=np.int32)
+    first[:outside] = S0 * np.array([number.get(id(q.get(z)), 0) for z in zs for q in qs])
+    j, keys = (np.concatenate(e) for e in zip(*kernel._edges.values()))
+    dj = (j - keys).astype(np.int32)
+    keys += S0 * np.repeat([*number.values()], [len(e) for e, _ in kernel._edges.values()])
+    indptr = np.searchsorted(keys, np.arange((len(number) + 1) * S0 + 1)).astype(np.int32)
+    # per axis, coordinate y and z: the weight in `first` of y - z, or "outside"
+    x = np.arange(side)[:, None, None] - Z
+    w = np.minimum(x, 2) * [27, 9, 3, 1] + np.arange(len(zs))[:, None] * [81, 0, 0, 0]
+    axes = np.where((x >= 0) & (x < side), w, outside).astype(np.int32).transpose(2, 0, 1)
+    step = (Z @ side ** np.arange(3, -1, -1) * S0).astype(np.int32)
+    seen = np.zeros(side ** 4 * S0, dtype=bool)
+    inner = seen.reshape(shape)[(slice(0, L),) * 4]
+    frontier = np.array([np.ravel_multi_index(probe[0] + (probe[1],), shape)], dtype=np.int32)
+    seen[frontier] = True
     while frontier.size and not inner.all():
-        *y, j2 = np.unravel_index(frontier, shape)
-        found = []
-        for z, (indptr, js) in tables.items():
-            x = [a - dz for a, dz in zip(y, z)]
-            ok = np.logical_and.reduce([(a >= 0) & (a < side) for a in x])
-            x = [a[ok] for a in x]
-            sig = sum(np.minimum(a, 2) * 3 ** (3 - i) for i, a in enumerate(x))
-            key = sig * S0 + j2[ok]
-            start, count = indptr[key], indptr[key + 1] - indptr[key]
-            # the predecessor lists of the layer, one after another
-            at = np.repeat(start - np.cumsum(count) + count, count)
-            at += np.arange(at.size)
-            base = np.ravel_multi_index(x, shape[:4]) * S0
-            found.append(np.repeat(base, count) + js[at])
-        found = np.concatenate(found)
-        found = np.sort(found[~seen.flat[found]])
-        frontier = found[np.diff(found, prepend=-1) != 0]
-        seen.flat[frontier] = True
+        layer = []
+        for chunk in np.split(frontier, range(PROBE_CHUNK, frontier.size, PROBE_CHUNK)):
+            *y, j2 = np.unravel_index(chunk, shape)
+            key = first.take(sum(a.take(c, axis=0) for a, c in zip(axes, y))) + j2[:, None]
+            start, n = indptr.take(key).ravel(), indptr.take(key + 1).ravel()
+            n -= start
+            start -= np.cumsum(n, dtype=np.int32) - n
+            # the chunk's predecessors: their places in dj, then their states
+            found = dj.take(np.repeat(start, n) + np.arange(n.sum(), dtype=np.int32))
+            found += np.repeat((chunk[:, None] - step).ravel(), n)
+            found = np.sort(found.compress(~seen.take(found)))
+            found = found.compress(np.diff(found, prepend=-1) != 0)
+            seen[found] = True
+            layer.append(found)
+        frontier = np.concatenate(layer)
     return CONFIRMED if inner.all() else UNKNOWN
 
 
@@ -374,7 +376,5 @@ def write_generator_triplets(model: NetworkModel, radius, path):
     rows, cols, data, _ = lattice_triplets(kernel.q_blocks, (L,) * 4, kernel.S0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# truncated generator, box {L}^4 x {kernel.S0}\n")
-        for r, c, v in zip(rows, cols, data):
-            if abs(v) <= RATE_TOL:
-                continue
-            fh.write(f"{r} {c} {float(v)!r}\n")
+        fh.writelines(f"{r} {c} {float(v)!r}\n"
+                      for r, c, v in zip(rows, cols, data) if abs(v) > RATE_TOL)

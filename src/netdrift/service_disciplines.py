@@ -304,7 +304,8 @@ class NetworkModel:
     stream `map3`.
     """
 
-    __slots__ = ("map1", "map3", "ph", "p", "discipline", "K", "msp1", "msp2")
+    __slots__ = ("map1", "map3", "ph", "p", "discipline", "K", "msp1", "msp2",
+                 "arrival_rates", "service_rates")
 
     def __init__(self, map1, map3, ph, p, discipline, K, msp1, msp2):
         self.map1 = map1
@@ -315,14 +316,9 @@ class NetworkModel:
         self.K = K
         self.msp1 = msp1
         self.msp2 = msp2
-
-    @property
-    def arrival_rates(self):
-        return map_arrival_rate(self.map1), map_arrival_rate(self.map3)
-
-    @property
-    def service_rates(self):
-        return tuple(1.0 / ph_mean(x) for x in self.ph)
+        # read on every drift and report: computed once
+        self.arrival_rates = map_arrival_rate(map1), map_arrival_rate(map3)
+        self.service_rates = tuple(1.0 / ph_mean(x) for x in ph)
 
     def __repr__(self):  # pragma: no cover
         return f"NetworkModel(discipline={self.discipline!r}, p={self.p})"

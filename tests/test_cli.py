@@ -519,6 +519,21 @@ def test_bad_numeric_options_are_exit_3(tmp_path, capsys, argv, message):
     assert message in err and err.count("\n") == 1, err
 
 
+def test_probe_box_over_budget_is_exit_3(tmp_path, capsys, monkeypatch):
+    from netdrift import generator
+
+    # BASE_MODEL has 9 background states: radius 1 searches 6^4 x 9 states
+    monkeypatch.setattr(generator, "PROBE_STATES", 6 ** 4 * 9 - 1)
+    model = write_json(tmp_path, "model.json", BASE_MODEL)
+    for argv in (["validate", model, "--probe-radius", "1"],
+                 ["analyze", model, "--mode", "closed"]):
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert "ProbeBoxTooLarge" in err and err.count("\n") == 1, err
+    code, out, _ = run(capsys, ["validate", model, "--probe-radius", "0"])
+    assert code == 0 and json.loads(out)["semiIrreducibility"] == "ConfirmedSemiIrreducible"
+
+
 def test_unwritable_out_is_exit_3(tmp_path, capsys):
     model = write_json(tmp_path, "model.json", BASE_MODEL)
     target = tmp_path / "missing" / "x.json"

@@ -8,7 +8,7 @@ import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import netdrift.generator as generator
@@ -29,7 +29,7 @@ from netdrift import (
     validate_map,
     write_generator_triplets,
 )
-from netdrift.errors import SkipFreeViolation
+from netdrift.errors import ProbeBoxTooLarge, SkipFreeViolation
 from netdrift.generator import (
     CONFIRMED,
     RATE_TOL,
@@ -269,6 +269,21 @@ def test_probe_queue_lengths_are_checked(np_model):
             check_semi_irreducible(np_model, probe_state=(x, 0), radius=1)
 
 
+def test_probe_box_over_budget_fails_fast(monkeypatch):
+    # flat indices into the box are int32
+    assert generator.PROBE_STATES <= np.iinfo(np.int32).max
+    # radius 2 searches 10^4 x 9 states
+    monkeypatch.setattr(generator, "PROBE_STATES", 10 ** 4 * 9 - 1)
+    model = exp_model()
+    with pytest.raises(ProbeBoxTooLarge, match=re.escape("10^4 x 9 = 90,000 states, over "
+                                                         "the budget of 89,999")):
+        check_semi_irreducible(model, radius=2)
+    # before any block is built
+    assert not kernel_of(model)._q_cache
+    monkeypatch.setattr(generator, "PROBE_STATES", 10 ** 4 * 9)
+    assert check_semi_irreducible(model, radius=2) == CONFIRMED
+
+
 def _reference_probe(model, radius, probe):
     """check_semi_irreducible's verdict by a plain BFS over the
     predecessor lists of every state of the box, read off the blocks."""
@@ -331,6 +346,70 @@ def test_probe_agrees_with_reference_bfs(np_model):
     for model, probe, radius, want in cases:
         got = check_semi_irreducible(model, probe_state=probe, radius=radius)
         assert got == _reference_probe(model, radius, probe) == want, (probe, radius)
+
+
+_SILENT = validate_map([[0.0]], [[0.0]])
+
+
+@st.composite
+def probe_cases(draw):
+    """(model, radius, probe state): silent, Poisson or two-phase MMPP
+    arrivals; exponential, Erlang-2 or two-branch hyperexponential
+    services; p of 0, 1 or between; the non-preemptive, preemptive-resume
+    and (1,K)-limited disciplines with K <= 3.  S0 is at most 16 at radius 1
+    and 36 at radius 0 (one MMPP already gives 2 * 3 * 3 = 18); the probe
+    state lies in the inner box, its background an index or a phase tuple."""
+    rate = st.floats(min_value=0.5, max_value=5.0)
+
+    def arrivals():
+        kind = draw(st.sampled_from(["silent", "poisson", "mmpp"]))
+        if kind == "silent":
+            return _SILENT
+        if kind == "poisson":
+            return poisson_map(draw(rate))
+        q = draw(rate)
+        return mmpp_map([[-q, q], [q, -q]], [draw(rate), draw(st.sampled_from([0.0, 1.0]))])
+
+    def service():
+        kind = draw(st.sampled_from(["exponential", "erlang", "hyperexponential"]))
+        if kind == "exponential":
+            return exponential_ph(draw(rate))
+        if kind == "erlang":
+            return erlang_ph(2, draw(rate))
+        return hyperexponential_ph([0.3, 0.7], [draw(rate), draw(rate)])
+
+    map1, map3 = arrivals(), arrivals()
+    phs = [service() for _ in range(4)]
+    p = draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.05, max_value=0.95))
+    discipline = draw(st.sampled_from(["non_preemptive", "preemptive_resume", "limited"]))
+    K = draw(st.integers(min_value=1, max_value=3)) if discipline == "limited" else None
+    model = build_network(map1, map3, *phs, p, discipline, K)
+    dims = (map1.dim, map3.dim, model.msp1.n, model.msp2.n)
+    S0 = int(np.prod(dims))
+    assume(S0 <= 36)
+    radius = draw(st.integers(min_value=0, max_value=1 if S0 <= 16 else 0))
+    x = draw(st.tuples(*[st.integers(min_value=0, max_value=radius)] * 4))
+    j = draw(st.integers(min_value=0, max_value=S0 - 1))
+    if draw(st.booleans()):
+        j = tuple(int(v) for v in np.unravel_index(j, dims))
+    return model, radius, (x, j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(probe_cases())
+# no arrivals: a nonempty probe state is reached from no state of the empty cell
+@example((build_network(_SILENT, _SILENT, *[exponential_ph(2.0)] * 4, 0.5,
+                        "limited", 2), 1, ((0, 1, 0, 0), 3)))
+# ... nor does an idle server ever start
+@example((build_network(_SILENT, _SILENT, *[hyperexponential_ph([0.3, 0.7], [1.0, 4.0])] * 4,
+                        0.0, "preemptive_resume"), 0, ((0, 0, 0, 0), (0, 0, 1, 0))))
+def test_probe_matches_reference_bfs_on_random_models(case):
+    model, radius, probe = case
+    got = check_semi_irreducible(model, probe_state=probe, radius=radius)
+    x, j = probe
+    if not isinstance(j, tuple):  # the reference takes phase tuples
+        j = tuple(int(v) for v in np.unravel_index(j, kernel_of(model).dims))
+    assert got == _reference_probe(model, radius, (x, j))
 
 
 def _reference_q(model, sig):

@@ -10,6 +10,9 @@ from netdrift import (
     erlang_ph,
     exponential_ph,
     hyperexponential_ph,
+    map_arrival_rate,
+    mmpp_map,
+    ph_mean,
     poisson_map,
     validate_msp,
 )
@@ -215,6 +218,19 @@ def test_build_network_wires_stations():
     # station 2 pairs class 3 (background) with class 2 (priority)
     assert model.msp2.t["+0"][1, 1] == pytest.approx(-4.2)
     assert model.msp2.t["0+"][2, 2] == pytest.approx(-2.4)
+
+
+def test_network_rates_are_computed_once_and_exact():
+    map1 = mmpp_map([[-1.0, 1.0], [2.0, -2.0]], [0.5, 1.3])
+    map3 = poisson_map(0.4)
+    phs = [erlang_ph(2, 8.0), hyperexponential_ph([0.4, 0.6], [6.0, 2.0]),
+           exponential_ph(4.2), exponential_ph(2.2)]
+    model = build_network(map1, map3, *phs, 0.3, "preemptive_resume")
+    # the same tuples on every read, with the floats of the primitives
+    assert model.arrival_rates is model.arrival_rates
+    assert model.service_rates is model.service_rates
+    assert model.arrival_rates == (map_arrival_rate(map1), map_arrival_rate(map3))
+    assert model.service_rates == tuple(1.0 / ph_mean(ph) for ph in phs)
 
 
 def test_build_network_rejects_bad_probability():
