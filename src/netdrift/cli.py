@@ -22,23 +22,17 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    AssumptionViolated,
     BadParameterPath,
     BetaSumNotOne,
-    CertificateNotFound,
-    ClosedFormUnavailable,
-    EmptySubset,
     InsufficientData,
     InvalidSubgenerator,
     ModelFileError,
     ModelParseError,
     NegativeProbability,
     NetdriftError,
-    NotConverged,
     ProbeBoxTooLarge,
-    SignConditionViolated,
     SingularH,
-    UnsupportedSubset,
+    Undecided,
 )
 from .primitives import (
     erlang_ph,
@@ -53,18 +47,6 @@ from .service_disciplines import MSPSpec, T_KEYS, U_KEYS, build_network
 
 # the analysis modules are imported by the commands that run them, so that
 # parsing a model loads none of them
-
-# errors that mean "analysis cannot decide", not "input is wrong"
-_INCONCLUSIVE_ERRORS = (
-    AssumptionViolated,
-    CertificateNotFound,
-    ClosedFormUnavailable,
-    EmptySubset,
-    InsufficientData,
-    NotConverged,
-    SignConditionViolated,
-    UnsupportedSubset,
-)
 
 
 # --- model file parsing -------------------------------------------------------
@@ -700,7 +682,7 @@ def main(argv=None):
     except ModelFileError as exc:
         sys.stderr.write(f"netdrift: invalid model at {exc.path}: {exc.message}\n")
         return 2
-    except _INCONCLUSIVE_ERRORS as exc:
+    except Undecided as exc:
         sys.stderr.write(f"netdrift: {type(exc).__name__}: {exc}\n")
         return 4
     except ProbeBoxTooLarge as exc:

@@ -1,12 +1,17 @@
 """Exception types shared across the package.
 
 Validation errors carry enough context to name the offending object; the
-CLI maps them onto exit codes, the library just raises them.
+CLI maps them onto exit codes, the library just raises them.  `Undecided`
+ones mean the analysis cannot decide, not that the input is wrong.
 """
 
 
 class NetdriftError(Exception):
     """Base class for every error raised by this package."""
+
+
+class Undecided(NetdriftError):
+    """The analysis cannot decide: a verdict would be Inconclusive."""
 
 
 # --- input primitives ----------------------------------------------------
@@ -77,39 +82,39 @@ class ProbeBoxTooLarge(NetdriftError):
 
 # --- induced chains and drifts -------------------------------------------
 
-class EmptySubset(NetdriftError):
+class EmptySubset(Undecided):
     pass
 
 
-class UnsupportedSubset(NetdriftError):
+class UnsupportedSubset(Undecided):
     pass
 
 
-class NotConverged(NetdriftError):
+class NotConverged(Undecided):
     pass
 
 
-class ClosedFormUnavailable(NetdriftError):
+class ClosedFormUnavailable(Undecided):
     pass
 
 
-class AssumptionViolated(NetdriftError):
+class AssumptionViolated(Undecided):
     pass
 
 
 # --- stability classification --------------------------------------------
 
-class SignConditionViolated(NetdriftError):
+class SignConditionViolated(Undecided):
     pass
 
 
-class CertificateNotFound(NetdriftError):
+class CertificateNotFound(Undecided):
     pass
 
 
 # --- simulation ----------------------------------------------------------
 
-class InsufficientData(NetdriftError):
+class InsufficientData(Undecided):
     pass
 
 

@@ -28,6 +28,7 @@ the discrete chain and the CTMC are positive recurrent together.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 
 import numpy as np
@@ -86,9 +87,10 @@ class BlockKernel:
     """Signature-indexed transition blocks for one model: the model's one
     rate table, read by the probe, the induced chains and the simulator.
 
-    The q blocks are built lazily and read-only; each distinct block is
-    built once per kernel, with its move edges, and is one array for every
-    signature that reads it.  The simulator's clocks are derived from them.
+    The q blocks are built lazily and read-only; the k-th distinct block
+    (k >= 1) is built once per kernel, with its move edges `_edges[k]`, is
+    one array for every signature that reads it, and `_numbers[z]` holds k
+    per signature (`np.ndindex` order; 0: none).  Clocks derive from them.
     The caches are not locked: a kernel belongs to one thread (`sweep
     --jobs` runs its points in worker processes).
     """
@@ -99,7 +101,8 @@ class BlockKernel:
         self.S0 = int(np.prod(self.dims))
         self._eyes = tuple(np.eye(n) for n in self.dims)
         self._q_cache = {}
-        self._edges = {}
+        self._edges = [(np.zeros(0, dtype=np.intp),) * 2]
+        self._numbers = defaultdict(lambda: [0] * 81)
         self._shared = {}
         self._clocks = {}
 
@@ -114,27 +117,28 @@ class BlockKernel:
 
     def move_edges(self, sig):
         """Per displacement, the `_move_edges` of regime `sig`'s blocks."""
-        return {z: self._edges[id(B)] for z, B in self.q_blocks(sig).items()}
+        flat = 27 * sig[0] + 9 * sig[1] + 3 * sig[2] + sig[3]
+        return {z: self._edges[self._numbers[z][flat]] for z in self.q_blocks(sig)}
 
     def _build_q(self, sig):
         """The blocks of regime `sig`.  A block is keyed on z and the regime
         symbols it reads, so that the signatures that share it share one
-        array, and its edges are computed once, when it is built."""
+        array and number, and its edges are computed once, when it is built."""
         m = self.model
         Ia1, Ia3, Im1, Im2 = self._eyes
         t1, u1, t2, u2 = m.msp1.t, m.msp1.u, m.msp2.t, m.msp2.u
         g1, g2, g3, g4 = ("0" if c == 0 else "+" for c in sig)
         c1, c2, c3, c4 = ("1*" if c == 1 else "2*" for c in sig)
-        blocks = {}
+        blocks, flat = {}, 27 * sig[0] + 9 * sig[1] + 3 * sig[2] + sig[3]
 
         def share(z, key, build):
-            B = self._shared.get((z, key))
-            if B is None:
-                B = self._shared[(z, key)] = build()
+            hit = self._shared.get((z, key))
+            if hit is None:
+                B = build()
                 B.flags.writeable = False
-                # keyed by identity: _shared keeps every block alive
-                self._edges[id(B)] = _move_edges(z, B)
-            blocks[z] = B
+                self._edges.append(_move_edges(z, B))
+                hit = self._shared[(z, key)] = B, len(self._edges) - 1
+            blocks[z], self._numbers[z][flat] = hit
 
         share((1, 0, 0, 0), (g1, g4),
               lambda: _kron4(m.map1.D, Ia3, u1[f"{g1}*{g4}"], Im2))
@@ -265,10 +269,6 @@ def lattice_triplets(block_fn, shape, S0):
     state are summed in the order they were emitted: signature, then
     displacement, then cell.  Each off-diagonal entry is an edge: a rate.
     """
-    if not shape:
-        B = sum(block_fn(()).values(), np.zeros((S0, S0)))
-        rows, cols = np.nonzero(B)
-        return rows, cols, B[rows, cols], S0
     n = int(np.prod(shape)) * S0
     keys, data = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for sig in np.ndindex(*(3,) * len(shape)):
@@ -281,8 +281,8 @@ def lattice_triplets(block_fn, shape, S0):
             bi, bj = np.nonzero(B)
             tgt = np.ravel_multi_index(
                 [np.clip(g + dz, 0, L - 1) for g, dz, L in zip(grids, z, shape)], shape)
-            keys.append(((cells * S0)[:, None] + bi).ravel() * n
-                        + ((tgt * S0)[:, None] + bj).ravel())
+            keys.append(np.add.outer(cells * S0, bi).ravel() * n
+                        + np.add.outer(tgt * S0, bj).ravel())
             data.append(np.tile(B[bi, bj], cells.size))
     # stable, so the entries folded onto one state sum in emission order
     keys = np.concatenate(keys)
@@ -326,19 +326,19 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
                                f"{side ** 4 * S0:,} states, over the budget of {PROBE_STATES:,}")
     if any(v >= L for v in probe[0]):
         return UNKNOWN
-    # predecessors as CSR over keys (distinct block, j2): j - j2 of each move
+    # predecessors as CSR over keys (block number, j2): j - j2 of each move
     # j -> j2; `first` maps (z, sig), z-major, to a block's first key
-    qs = [kernel.q_blocks(sig) for sig in np.ndindex(3, 3, 3, 3)]
-    zs = sorted({z for q in qs for z in q})
-    number = {b: k for k, b in enumerate(kernel._edges, 1)}  # block 0: absent
+    for sig in np.ndindex(3, 3, 3, 3):
+        kernel.q_blocks(sig)
+    zs, blocks = [*kernel._numbers], len(kernel._edges)
     Z, outside = np.array(zs), len(zs) * 81
     # a predecessor outside the box sums to `outside` or more: block 0 there
     first = np.zeros(4 * outside + 1, dtype=np.int32)
-    first[:outside] = S0 * np.array([number.get(id(q.get(z)), 0) for z in zs for q in qs])
-    j, keys = (np.concatenate(e) for e in zip(*kernel._edges.values()))
+    first[:outside] = S0 * np.array([kernel._numbers[z] for z in zs]).ravel()
+    j, keys = (np.concatenate(e) for e in zip(*kernel._edges))
     dj = (j - keys).astype(np.int32)
-    keys += S0 * np.repeat([*number.values()], [len(e) for e, _ in kernel._edges.values()])
-    indptr = np.searchsorted(keys, np.arange((len(number) + 1) * S0 + 1)).astype(np.int32)
+    keys += S0 * np.repeat(np.arange(blocks), [len(e) for e, _ in kernel._edges])
+    indptr = np.searchsorted(keys, np.arange(blocks * S0 + 1)).astype(np.int32)
     # per axis, coordinate y and z: the weight in `first` of y - z, or "outside"
     x = np.arange(side)[:, None, None] - Z
     w = np.minimum(x, 2) * [27, 9, 3, 1] + np.arange(len(zs))[:, None] * [81, 0, 0, 0]

@@ -9,10 +9,12 @@ Delta q^A: input rate minus output rate, per unit time.
 Numeric tables solve small faces as level-independent QBDs (quasi-
 birth-death chains) along one free queue, which is not truncated, and
 larger ones on a reflecting truncation of the free lattice (out-of-box
-moves folded onto the boundary).  Each truncated coordinate grows to the
-level its own measured decay calls for, until the distribution has
-provably negligible boundary mass.  Closed-form tables cover the
-priority disciplines and the symmetric (1,K)-limited case.
+moves folded onto the boundary).  Every path solves on the kept closed
+class, under one guard and one acceptance rule (`_stationary_of`).  Each
+truncated coordinate grows to the level its own measured decay calls
+for, until the distribution has provably negligible boundary mass.
+Closed-form tables cover the priority disciplines and the symmetric
+(1,K)-limited case.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -182,167 +184,166 @@ def _closed_classes(rows, cols, n):
     return heads.size, np.flatnonzero(seen)
 
 
-def _stationary_of(rows, cols, data, n):
-    """Stationary row vector of the finite generator Q given by canonical
-    triplets, its stationarity residual max |pi Q| / r, r = -min diag(Q),
-    the solver path and a note; or None, None, the path and the reason
-    the solve failed.
+class _SolveFailed(Exception):
+    """A face solve that failed; the message says how."""
 
-    Solves the balance equations, unique on each closed class, over r on
-    the class holding the lowest-indexed recurrent state, one equation
-    replaced by normalization, with zero mass elsewhere: by dense LU
-    ("dense-lu") up to DENSE_STATES states, else by ILU-preconditioned
-    GMRES ("ilu-gmres").  The note names the class when Q has several.
-    A solver error, a GMRES stop short of its tolerance, or a result off
-    the 1e-9 stationarity check on the whole of Q fails.
-    """
+
+def _block(rows, cols, data, n, rsel, csel):
+    """The dense block at rows `rsel` and columns `csel` of the triplets' matrix."""
+    at = np.full((2, n), -1)
+    at[0, rsel], at[1, csel] = np.arange(rsel.size), np.arange(csel.size)
+    i, j = at[0, rows], at[1, cols]
+    B, hit = np.zeros((rsel.size, csel.size)), (i >= 0) & (j >= 0)
+    B[i[hit], j[hit]] = data[hit]
+    return B
+
+
+def _stationary_of(rows, cols, data, n, qbd=False):
+    """The stationary law of the finite generator Q that canonical
+    triplets give, on the closed class holding its lowest-indexed
+    recurrent state (zero mass elsewhere): (law, residual, path, QBD
+    diagnostics or None, note); the note names the class when Q has
+    several.  The path, "qbd" when `qbd`, else "dense-lu" up to
+    DENSE_STATES kept states and "ilu-gmres" above, runs over r = -min
+    diag(Q) with warnings raised as errors; a solver error, a refused QBD
+    or a failed `_accept` raises _SolveFailed, whose message is the reason."""
     closed, keep = _closed_classes(rows, cols, n)
     note = (f"{closed} closed classes; solved the one holding state {keep[0]} "
             f"({keep.size} states)" if closed > 1 else "")
-    m = keep.size
     # r spans the whole chain, as the kept class's rates may all be
     # round-off (one absorbing state); dividing by it saves GMRES steps
     r = -data[rows == cols].min(initial=0.0)
-    b = np.zeros(m)
-    b[0] = 1.0
-    path = "dense-lu" if m <= DENSE_STATES else "ilu-gmres"
+    path = "qbd" if qbd else "dense-lu" if keep.size <= DENSE_STATES else "ilu-gmres"
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if path == "dense-lu":
-                # a closed class's rows have all their entries inside it
-                inside = np.isin(rows, keep)
-                A = np.zeros((m, m))
-                A[np.searchsorted(keep, cols[inside]),
-                  np.searchsorted(keep, rows[inside])] = data[inside] / r
-                A[0] = 1.0
-                x, info = np.linalg.solve(A, b), 0
-            else:
-                import scipy.sparse as sp
-                import scipy.sparse.linalg as spla
-                Q = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-                A = (Q[keep][:, keep].T / r).tocsr()
-                A = sp.vstack([sp.csr_matrix(np.ones((1, m))), A[1:, :]], format="csc")
-                # incomplete LU settings measured on the 2-D faces at n =
-                # 9k-26k: the coarse factor is the cheapest, and GMRES
-                # still reaches ~1e-15
-                ilu = spla.spilu(A, drop_tol=1e-2, fill_factor=5)
-                M = spla.LinearOperator(A.shape, ilu.solve)
-                x, info = spla.gmres(A, b, M=M, rtol=1e-13, atol=0.0, maxiter=300,
-                                     restart=80)
+            dist, resid, stats = (_qbd_solve if qbd else _box_solve)(
+                rows, cols, data, n, keep, r, path)
     except _SOLVE_ERRORS as exc:
-        return None, None, path, f"{path} failed: {type(exc).__name__}: {exc}"
+        raise _SolveFailed(f"{path} failed: {type(exc).__name__}: {exc}") from None
+    return dist, resid, path, stats, note
+
+
+def _accept(path, least, resid, info=0):
+    """The acceptance rule of every face solve: raises _SolveFailed unless
+    GMRES, if it ran, stopped cleanly (`info` 0) and both bounds hold."""
+    if info != 0 or not (least >= -1e-8 and resid <= 1e-9):
+        stop = f"GMRES info {info}, " if path == "ilu-gmres" else ""
+        raise _SolveFailed(f"{path} failed: {stop}least entry {least:.3g}, "
+                           f"stationarity residual {resid:.3g}")
+
+
+def _box_solve(rows, cols, data, n, keep, r, path):
+    """The balance equations over r on the kept class, one replaced by
+    normalization, by dense LU or ILU-preconditioned GMRES: the law on
+    all n states and its residual max |pi Q| / r on the whole of Q."""
+    m = keep.size
+    b = np.zeros(m)
+    b[0] = 1.0
+    if path == "dense-lu":
+        # a closed class's rows have all their entries inside it
+        A = _block(rows, cols, data, n, keep, keep).T / r
+        A[0] = 1.0
+        x, info = np.linalg.solve(A, b), 0
+    else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        Q = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        A = (Q[keep][:, keep].T / r).tocsr()
+        A = sp.vstack([sp.csr_matrix(np.ones((1, m))), A[1:, :]], format="csc")
+        # incomplete LU settings measured on the 2-D faces at n = 9k-26k: the
+        # coarse factor is the cheapest, and GMRES still reaches ~1e-15
+        ilu = spla.spilu(A, drop_tol=1e-2, fill_factor=5)
+        M = spla.LinearOperator(A.shape, ilu.solve)
+        x, info = spla.gmres(A, b, M=M, rtol=1e-13, atol=0.0, maxiter=300, restart=80)
     pi = np.zeros(n)
     pi[keep] = np.clip(x, 0.0, None)
     if pi.sum() > 0:
         pi /= pi.sum()
     resid = float(np.abs(np.bincount(cols, pi[rows] * data, minlength=n)).max()) / r
-    if info != 0 or not (x.min() >= -1e-8 and resid <= 1e-9):
-        stop = f"GMRES info {info}, " if path == "ilu-gmres" else ""
-        return None, None, path, (f"{path} failed: {stop}least entry {x.min():.3g}, "
-                                  f"stationarity residual {resid:.3g}")
-    return pi, resid, path, note
+    _accept(path, x.min(), resid, info)
+    return pi, resid, None
 
 
-def _qbd_stationary(rows, cols, data, n):
+def _qbd_solve(rows, cols, data, n, keep, r, path):
     """The stationary law of the level-independent QBD whose levels 0..3
     (m = n/4 phases each, level 3 reflecting) canonical triplets give:
-    its mass at levels 0, 1 and >= 2 as a (3, m) array, the residual,
-    the diagnostics and a note; or None, None, None and the reason.
+    its mass at levels 0, 1 and >= 2 as a (3, m) array, the residual and
+    the diagnostics.
 
     Levels >= 2 repeat level 2's up, local and down blocks U, L, D.  The
-    box's kept class (see `_stationary_of`) holds the phases kept at
-    levels 0 and 1, and at 2 and 3 the q phases kept at every level >= 2,
-    on which Neuts' mean drift condition alpha U 1 < alpha D 1, alpha (U
-    + L + D) = 0, must hold.  A down move enters only the r phases C of
-    D's nonzero columns, so logarithmic reduction keeps G and its down
-    iterates as q x r blocks, solves each step through a 2r x 2r
-    capacitance matrix (Woodbury) and sums G as H_0..H_{k-1} Lo_k, right
-    to left.  Levels 0..2 are solved level by level: pi_2 = pi_1 B12 K^-1
-    with K = -L - U G, which also gives R = U K^-1, then pi_1 from pi_0,
-    then pi_0, normalised with levels >= 2 holding pi_2 (I - R)^-1.  The
-    residual, the largest balance residual at levels 0..3 and of U + R L
-    + R^2 D = 0 over r, must be at most 1e-9.  Each block the solve reads
-    is scattered straight from the triplets: no dense copy of the box."""
+    box's kept class holds the phases kept at levels 0 and 1, and at 2
+    and 3 the q phases kept at every level >= 2, on which Neuts' mean
+    drift condition alpha U 1 < alpha D 1, alpha (U + L + D) = 0, must
+    hold.  A down move enters only the c phases C of D's nonzero
+    columns, so logarithmic reduction keeps G and its down iterates as q
+    x c blocks, solves each step through a 2c x 2c capacitance matrix
+    (Woodbury) and sums G as H_0..H_{k-1} Lo_k, right to left.  Levels
+    0..2 are solved level by level: pi_2 = pi_1 B12 K^-1 with K = -L - U
+    G, which also gives R = U K^-1, then pi_1 from pi_0, then pi_0,
+    normalised with levels >= 2 holding pi_2 (I - R)^-1.  The residual
+    is the largest balance residual at levels 0..3 and of U + R L + R^2
+    D = 0, over r.  Each block the solve reads is scattered straight
+    from the triplets: no dense copy of the box."""
     m = n // 4
-    closed, keep = _closed_classes(rows, cols, n)
-    note = (f"{closed} closed classes; solved the one holding state {keep[0]} "
-            f"({keep.size} states)" if closed > 1 else "")
     P = np.flatnonzero(np.bincount(keep[keep >= 2 * m] % m, minlength=m))
     # the kept states at levels 0 and 1, then the kept phases of level 2
     k0, k1, k2 = keep[keep < m], keep[(keep >= m) & (keep < 2 * m)], 2 * m + P
     kept = np.concatenate([k0, k1, k2])
     q, s = P.size, kept.size - P.size
-
-    def block(rsel, csel):
-        at = np.full((2, n), -1)
-        at[0, rsel], at[1, csel] = np.arange(rsel.size), np.arange(csel.size)
-        i, j = at[0, rows], at[1, cols]
-        B, hit = np.zeros((rsel.size, csel.size)), (i >= 0) & (j >= 0)
-        B[i[hit], j[hit]] = data[hit]
-        return B
-
+    block = partial(_block, rows, cols, data, n)
     U, L, D = (block(k2, np.arange(k * m, (k + 1) * m)) for k in (3, 2, 1))
     Up, Lp, Dp, I = U[:, P], L[:, P], D[:, P], np.eye(q)
     C = np.flatnonzero(Dp.any(axis=0))
-    r = -data[rows == cols].min(initial=0.0)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            if q:
-                A = (Up + Lp + Dp).T / r
-                A[0] = 1.0
-                alpha = np.linalg.solve(A, I[0])
-                up, down = alpha @ U.sum(axis=1), alpha @ D.sum(axis=1)
-                if not up < down:
-                    return None, None, None, (
-                        f"qbd refused: mean drift condition fails: up rate {up:.6g} >= "
-                        f"down rate {down:.6g} on the kept phases; not positive recurrent")
-            if not k0.size:
-                return None, None, None, "qbd failed: the kept class holds no level-0 state"
-            # each step's (H, Lo), Lo holding the down iterate's columns C
-            H, Lo = np.hsplit(np.linalg.solve(-Lp, np.hstack([Up, Dp[:, C]])), [q])
-            steps = [(H, Lo)]
-            # the row sums of H_0 ... H_k, applied to 1 from the right
-            while reduce(lambda t, st: st[0] @ t, steps[::-1], np.ones(q)).max(initial=0) > 1e-15:
-                if len(steps) > 64:
-                    return None, None, None, "qbd failed: logarithmic reduction did not converge"
-                # I - H Lo - Lo H = I - V W, with V = [H Lo_C, Lo_C] and W = [E_C; H_C]
-                V, X = np.hstack([H @ Lo, Lo]), np.hstack([H @ H, Lo @ Lo[C]])
-                WV, WX = (np.vstack([Y[C], H[C] @ Y]) for Y in (V, X))
-                H, Lo = np.hsplit(X + V @ np.linalg.solve(np.eye(2 * C.size) - WV, WX), [q])
-                steps.append((H, Lo))
-            G = reduce(lambda G, st: st[1] + st[0] @ G, steps[-2::-1], Lo)
-            # only the count of the steps is read from here on
-            iterations = len(steps) - 1
-            del steps, H, Lo
-            K = -Lp
-            K[:, C] -= Up @ G
-            R, W2 = np.vsplit(np.linalg.solve(K.T, np.vstack([Up, block(k1, k2)]).T).T, [q])
-            W1 = np.linalg.solve((-block(k1, k1) - W2 @ block(k2, k1)).T, block(k0, k1).T).T
-            A = (block(k0, k0) + W1 @ block(k1, k0)).T / r
-            A[0] = 1.0 + W1 @ (1.0 + W2 @ np.linalg.solve(I - R, np.ones(q)))
-            x0 = np.linalg.solve(A, np.eye(1, k0.size)[0])
-            x = np.concatenate([x0, x0 @ W1, x0 @ W1 @ W2])
-            above = np.linalg.solve((I - R).T, x[s:])
-    except _SOLVE_ERRORS as exc:
-        return None, None, None, f"qbd failed: {type(exc).__name__}: {exc}"
+    if q:
+        A = (Up + Lp + Dp).T / r
+        A[0] = 1.0
+        alpha = np.linalg.solve(A, I[0])
+        up, down = alpha @ U.sum(axis=1), alpha @ D.sum(axis=1)
+        if not up < down:
+            raise _SolveFailed(
+                f"qbd refused: mean drift condition fails: up rate {up:.6g} >= "
+                f"down rate {down:.6g} on the kept phases; not positive recurrent")
+    if not k0.size:
+        raise _SolveFailed("qbd failed: the kept class holds no level-0 state")
+    # each step's (H, Lo), Lo holding the down iterate's columns C
+    H, Lo = np.hsplit(np.linalg.solve(-Lp, np.hstack([Up, Dp[:, C]])), [q])
+    steps = [(H, Lo)]
+    # the row sums of H_0 ... H_k, applied to 1 from the right
+    while reduce(lambda t, st: st[0] @ t, steps[::-1], np.ones(q)).max(initial=0) > 1e-15:
+        if len(steps) > 64:
+            raise _SolveFailed("qbd failed: logarithmic reduction did not converge")
+        # I - H Lo - Lo H = I - V W, with V = [H Lo_C, Lo_C] and W = [E_C; H_C]
+        V, X = np.hstack([H @ Lo, Lo]), np.hstack([H @ H, Lo @ Lo[C]])
+        WV, WX = (np.vstack([Y[C], H[C] @ Y]) for Y in (V, X))
+        H, Lo = np.hsplit(X + V @ np.linalg.solve(np.eye(2 * C.size) - WV, WX), [q])
+        steps.append((H, Lo))
+    G = reduce(lambda G, st: st[1] + st[0] @ G, steps[-2::-1], Lo)
+    # only the count of the steps is read from here on
+    iterations = len(steps) - 1
+    del steps, H, Lo
+    K = -Lp
+    K[:, C] -= Up @ G
+    R, W2 = np.vsplit(np.linalg.solve(K.T, np.vstack([Up, block(k1, k2)]).T).T, [q])
+    W1 = np.linalg.solve((-block(k1, k1) - W2 @ block(k2, k1)).T, block(k0, k1).T).T
+    A = (block(k0, k0) + W1 @ block(k1, k0)).T / r
+    A[0] = 1.0 + W1 @ (1.0 + W2 @ np.linalg.solve(I - R, np.ones(q)))
+    x0 = np.linalg.solve(A, np.eye(1, k0.size)[0])
+    x = np.concatenate([x0, x0 @ W1, x0 @ W1 @ W2])
+    above = np.linalg.solve((I - R).T, x[s:])
     # the mass at levels 0..3, balanced by the box's flows and at level 3 U, L, D
     pi = np.zeros(n)
     pi[kept], pi[3 * m + P] = x, x[s:] @ R
     flows = np.bincount(cols, pi[rows] * data, minlength=n)[:3 * m]
     top = x[s:] @ U + pi[3 * m + P] @ L + (pi[3 * m + P] @ R) @ D
-    resid = max(np.abs(flows).max(), np.abs(top).max(initial=0.0),
-                np.abs(Up + R @ (Lp + R @ Dp)).max(initial=0.0)) / r
-    least = min(x.min(), above.min(initial=0.0))
-    if not (least >= -1e-8 and resid <= 1e-9):
-        return None, None, None, (f"qbd failed: least entry {least:.3g}, "
-                                  f"stationarity residual {resid:.3g}")
+    resid = float(max(np.abs(flows).max(), np.abs(top).max(initial=0.0),
+                      np.abs(Up + R @ (Lp + R @ Dp)).max(initial=0.0)) / r)
+    _accept(path, min(x.min(), above.min(initial=0.0)), resid)
     pi[2 * m + P] = above
     dist = np.clip(pi[:3 * m], 0.0, None).reshape(3, m)
     gap = float(np.abs(1.0 - G.sum(axis=1)).max(initial=0.0))
-    return dist / dist.sum(), float(resid), {"lrIterations": iterations, "gRowSumError": gap,
-                                             "phases": q, "downPhases": C.size}, note
+    return dist / dist.sum(), resid, {"lrIterations": iterations, "gRowSumError": gap,
+                                      "phases": q, "downPhases": C.size}
 
 
 # per-level decay of the boundary mass at or above which a face is taken
@@ -391,23 +392,21 @@ QBD_PHASES = 700
 
 
 def _solve_at(chain: InducedChain, shape):
-    """One solve of `chain` truncated to `shape`: (dist, residual, path,
-    QBD diagnostics, note), dist None on failure.  A None level marks a
-    QBD's level axis: the QBD (`_qbd_stationary`) is solved in lattice
-    order (level, other axis) and its (3, ...) law moved back in place;
-    any other shape is a box (`_stationary_of`)."""
+    """One solve of `chain` truncated to `shape` by `_stationary_of`:
+    (dist, residual, path, QBD diagnostics, note).  A None level marks a
+    QBD's level axis: the QBD is solved in lattice order (level, other
+    axis) and its (3, ...) law moved back in place; any other shape is a
+    box."""
     S0 = chain.kernel.S0
     if None not in shape:
-        pi, residual, path, note = _stationary_of(*lattice_triplets(chain.q_blocks, shape, S0))
-        return None if pi is None else pi.reshape(shape + (S0,)), residual, path, None, note
+        pi, *rest = _stationary_of(*lattice_triplets(chain.q_blocks, shape, S0))
+        return pi.reshape(shape + (S0,)), *rest
     slow = shape.index(None)
     fast = shape[:slow] + shape[slow + 1:]
     block_fn = chain.q_blocks if slow == 0 else (
         lambda sig: {z[::-1]: B for z, B in chain.q_blocks(sig[::-1]).items()})
-    dist, residual, stats, note = _qbd_stationary(*lattice_triplets(block_fn, (4,) + fast, S0))
-    if dist is not None:
-        dist = np.moveaxis(dist.reshape((3,) + fast + (S0,)), 0, slow)
-    return dist, residual, "qbd", stats, note
+    dist, *rest = _stationary_of(*lattice_triplets(block_fn, (4,) + fast, S0), qbd=True)
+    return np.moveaxis(dist.reshape((3,) + fast + (S0,)), 0, slow), *rest
 
 
 def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolution:
@@ -437,12 +436,11 @@ def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolu
     square on a QBD, which bounds each dense block its solve reads: a
     shape over it has its axes cut back, the largest first, and the
     growth stops when none of them can grow.  A failed solve (see
-    `_stationary_of`, `_qbd_stationary`) stops the growth too, with no
-    residual or tail mass.  The note keeps a cut-back start, the last
-    level's closed classes and why the growth stopped.  A `history`
-    entry is (levels, residual, boundary mass, solver path); `residual`
-    is the level's stationarity residual, at most 1e-9 by the solver's
-    own check.
+    `_stationary_of`) stops the growth too, with no residual or tail
+    mass.  The note keeps a cut-back start, the last level's closed
+    classes and why the growth stopped.  A `history` entry is (levels,
+    residual, boundary mass, solver path); `residual` is the level's
+    stationarity residual, within the bound `_accept` sets.
     """
     for name, value in (("levels", levels), ("cap", cap)):
         if int(value) < 1:
@@ -474,11 +472,12 @@ def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolu
                    f"{shape}" if shape != start else "")
     history = []
     while True:
-        dist, residual, path, stats, note = _solve_at(chain, shape)
-        if dist is None:
+        try:
+            dist, residual, path, stats, note = _solve_at(chain, shape)
+        except _SolveFailed as exc:
             return InducedChainSolution(chain.A, chain.free, shape, None, None, None, False,
                                         history, "; ".join(filter(None, (
-                                            budget_note, f"levels {shape}: {note}"))))
+                                            budget_note, f"levels {shape}: {exc}"))))
         on_boundary = np.ones(dist.shape[:d], dtype=bool)
         on_boundary[tuple(slice(None) if a == slow else slice(0, shape[a] - 1)
                           for a in range(d))] = False

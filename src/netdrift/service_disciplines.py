@@ -39,7 +39,7 @@ from .errors import (
     NetdriftError,
     NonStochasticU,
 )
-from .primitives import MAPSpec, PHSpec, map_arrival_rate, ph_mean
+from .primitives import MAPSpec, PHSpec, ZERO_TOL, map_arrival_rate, ph_mean
 
 T_KEYS = ("00", "+0", "0+", "++", "1*0", "2*0", "01*", "02*", "1*+", "2*+", "+1*", "+2*")
 U_KEYS = ("0*0", "00*", "+*0", "+0*", "0*+", "0+*", "+*+", "++*")
@@ -56,9 +56,6 @@ COMPOSITES = (
     ("++", ("2*+", "+1*")),
     ("++", ("2*+", "+2*")),
 )
-
-_TOL = 1e-12
-
 
 class MSPSpec:
     """Validated Markovian service process for one station."""
@@ -262,32 +259,32 @@ def validate_msp(spec: MSPSpec) -> MSPSpec:
     for key in ("00", "+0", "0+", "++"):
         M = spec.t[key]
         off = M - np.diag(np.diag(M))
-        if off.min(initial=0.0) < -_TOL:
+        if off.min(initial=0.0) < -ZERO_TOL:
             raise NegativeOffDiagonal(f"t[{key!r}] has a negative off-diagonal entry")
-        if np.diag(M).max(initial=-np.inf) > _TOL:
+        if np.diag(M).max(initial=-np.inf) > ZERO_TOL:
             raise NegativeOffDiagonal(f"t[{key!r}] has a positive diagonal entry")
     for key in ("1*0", "2*0", "01*", "02*", "1*+", "2*+", "+1*", "+2*"):
-        if spec.t[key].min(initial=0.0) < -_TOL:
+        if spec.t[key].min(initial=0.0) < -ZERO_TOL:
             raise NegativeOffDiagonal(f"completion matrix t[{key!r}] has a negative entry")
     for key in U_KEYS:
         M = spec.u[key]
-        if M.min(initial=0.0) < -_TOL:
+        if M.min(initial=0.0) < -ZERO_TOL:
             raise NonStochasticU(f"u[{key!r}] has a negative entry")
         rs = M.sum(axis=1)
-        if np.max(np.abs(rs - 1.0)) > _TOL:
+        if np.max(np.abs(rs - 1.0)) > ZERO_TOL:
             raise NonStochasticU(
                 f"u[{key!r}] rows must sum to 1, worst residual {np.max(np.abs(rs - 1.0)):.3e}"
             )
 
     worst = np.max(np.abs(spec.t["00"].sum(axis=1)))
-    if worst > _TOL:
+    if worst > ZERO_TOL:
         raise GeneratorRowSumNonzero(f"t['00'] row sums reach {worst:.3e}")
     for base, completions in COMPOSITES:
         G = spec.t[base].copy()
         for c in completions:
             G = G + spec.t[c]
         worst = np.max(np.abs(G.sum(axis=1)))
-        if worst > _TOL:
+        if worst > ZERO_TOL:
             raise GeneratorRowSumNonzero(
                 f"t[{base!r}] + {'+'.join(completions)} row sums reach {worst:.3e}"
             )

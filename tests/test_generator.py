@@ -488,20 +488,20 @@ def test_shared_blocks_match_per_signature_build(pair):
 def _kron_lattice(block_fn, shape, S0):
     """Reference assembly: one 0/1 lattice map per (signature,
     displacement), out-of-box targets clipped onto the boundary,
-    Kronecker-multiplied by its block and summed."""
+    Kronecker-multiplied by its block and summed.  A 0-D box has one cell."""
     ncells = int(np.prod(shape))
     rows, cols, data = [], [], []
     for sig in np.ndindex(*(3,) * len(shape)):
         axes = [np.array([0]) if c == 0 else np.array([1]) if c == 1
                 else np.arange(2, L) for c, L in zip(sig, shape)]
         grids = np.meshgrid(*axes, indexing="ij")
-        cells = np.ravel_multi_index([g.ravel() for g in grids], shape)
+        cells = np.atleast_1d(np.ravel_multi_index([g.ravel() for g in grids], shape))
         if cells.size == 0:
             continue
         for z, B in block_fn(tuple(sig)).items():
             tgt = [np.clip(g.ravel() + dz, 0, L - 1) for g, dz, L in zip(grids, z, shape)]
             lattice = sp.coo_matrix(
-                (np.ones(cells.size), (cells, np.ravel_multi_index(tgt, shape))),
+                (np.ones(cells.size), (cells, np.atleast_1d(np.ravel_multi_index(tgt, shape)))),
                 shape=(ncells, ncells))
             part = sp.kron(lattice, sp.csr_matrix(B), format="coo")
             rows.append(part.row)
@@ -520,6 +520,7 @@ def test_assembly_matches_kronecker_reference(which):
     kernel = kernel_of(model)
     S0 = kernel.S0
     cases = [
+        (build_induced_chain(kernel, (1, 2, 3, 4)).q_blocks, ()),
         (build_induced_chain(kernel, (1, 2, 3)).q_blocks, (4,)),
         (build_induced_chain(kernel, (1, 4)).q_blocks, (4, 4)),
         (build_induced_chain(kernel, (1, 4)).q_blocks, (3, 6)),

@@ -371,13 +371,13 @@ def test_qbd_whose_levels_do_not_repeat_fails_its_stationarity_check():
     # levels >= 2 do not repeat, and the balance at level 2 shows it
     chain = build_induced_chain(kernel_of(symmetric_limited_model(3)), {1, 2, 3})
     rows, cols, data, n = lattice_triplets(chain.q_blocks, (4,), chain.kernel.S0)
-    dist, residual, stats, note = induced_chains._qbd_stationary(rows, cols, data, n)
+    dist, residual, path, stats, note = induced_chains._stationary_of(
+        rows, cols, data, n, qbd=True)
     assert dist.shape == (3, n // 4) and residual <= 1e-12 and stats["lrIterations"] >= 1
     down = (rows >= 3 * n // 4) & (cols < 3 * n // 4)
-    dist, residual, stats, note = induced_chains._qbd_stationary(
-        rows, cols, np.where(down, 1.5 * data, data), n)
-    assert dist is None and residual is None and stats is None
-    assert note.startswith("qbd failed: least entry") and "stationarity residual" in note
+    with pytest.raises(induced_chains._SolveFailed,
+                       match=r"^qbd failed: least entry .*stationarity residual"):
+        induced_chains._stationary_of(rows, cols, np.where(down, 1.5 * data, data), n, qbd=True)
 
 
 def test_qbd_whose_level_zero_is_transient_fails_by_name():
@@ -387,9 +387,9 @@ def test_qbd_whose_level_zero_is_transient_fails_by_name():
     Q = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, -1.0, 1.0, 0.0],
                   [0.0, 2.0, -3.0, 1.0], [0.0, 0.0, 2.0, -2.0]])
     rows, cols = np.nonzero(Q)
-    dist, residual, stats, note = induced_chains._qbd_stationary(rows, cols, Q[rows, cols], 4)
-    assert dist is None and residual is None and stats is None
-    assert note == "qbd failed: the kept class holds no level-0 state"
+    with pytest.raises(induced_chains._SolveFailed,
+                       match="^qbd failed: the kept class holds no level-0 state$"):
+        induced_chains._stationary_of(rows, cols, Q[rows, cols], 4, qbd=True)
 
 
 def _phmap_priority_model(u, discipline):
@@ -804,8 +804,8 @@ def test_qbd_faces_match_the_limited_closed_form(K):
 
 
 def _reference_qbd(rows, cols, data, n):
-    """`induced_chains._qbd_stationary` as it was before it used the
-    structure of its blocks: logarithmic reduction on dense q x q blocks
+    """The QBD path of `induced_chains._stationary_of` as it was before it
+    used the structure of its blocks: logarithmic reduction on dense q x q blocks
     with a running product, and levels 0..2 solved as one dense system."""
     m = n // 4
     closed, keep = induced_chains._closed_classes(rows, cols, n)
@@ -869,7 +869,7 @@ def _reference_qbd(rows, cols, data, n):
 def _assert_matches_reference_qbd(got, rows, cols, data, n):
     """`got`, the structured QBD solve of one box, against the dense
     reference; returns its diagnostics."""
-    dist, residual, stats, note = got
+    dist, residual, path, stats, note = got
     ref_dist, ref_residual, ref_stats, ref_note = _reference_qbd(rows, cols, data, n)
     assert note == ref_note
     assert ref_dist is not None and dist is not None, note
@@ -893,15 +893,16 @@ def _assert_matches_reference_qbd(got, rows, cols, data, n):
 def test_qbd_solve_matches_the_dense_reference(model, monkeypatch):
     # every box a face solve hands to the QBD solver, at every level of
     # its fast axis, solved both ways
-    solve = induced_chains._qbd_stationary
+    solve = induced_chains._stationary_of
     seen = []
 
-    def checked(*box):
-        got = solve(*box)
-        seen.append(_assert_matches_reference_qbd(got, *box))
+    def checked(*box, qbd=False):
+        got = solve(*box, qbd=qbd)
+        if qbd:
+            seen.append(_assert_matches_reference_qbd(got, *box))
         return got
 
-    monkeypatch.setattr(induced_chains, "_qbd_stationary", checked)
+    monkeypatch.setattr(induced_chains, "_stationary_of", checked)
     kernel = kernel_of(model)
     for A in CANONICAL_SUBSETS:
         assert solve_stationary(build_induced_chain(kernel, A)).converged
@@ -921,15 +922,15 @@ def test_qbd_solve_memory_grows_with_the_blocks_it_reads(monkeypatch):
     # 100 phases per level, q = 333 of them kept at levels >= 2.  The solve
     # reads blocks of at most q x m entries; a dense copy of the box's
     # first three levels alone would hold 12 m^2, 18 times q x m
-    solve, boxes = induced_chains._qbd_stationary, []
-    monkeypatch.setattr(induced_chains, "_qbd_stationary",
-                        lambda *box: boxes.append(box) or solve(*box))
+    solve, boxes = induced_chains._stationary_of, []
+    monkeypatch.setattr(induced_chains, "_stationary_of",
+                        lambda *box, qbd=False: boxes.append(box) or solve(*box, qbd=qbd))
     chain = build_induced_chain(kernel_of(symmetric_limited_model(8)), {1, 4})
     assert solve_stationary(chain).converged
     m = boxes[-1][3] // 4
     tracemalloc.start()
     try:
-        stats = solve(*boxes[-1])[2]
+        stats = solve(*boxes[-1], qbd=True)[3]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -977,7 +978,7 @@ def level_independent_qbds(draw):
 @given(level_independent_qbds())
 def test_structured_qbd_solve_matches_the_dense_reference(qbd):
     rows, cols, data, n = qbd
-    stats = _assert_matches_reference_qbd(induced_chains._qbd_stationary(*qbd), *qbd)
+    stats = _assert_matches_reference_qbd(induced_chains._stationary_of(*qbd, qbd=True), *qbd)
     down = (rows >= 3 * n // 4) & (cols < 3 * n // 4)
     assert stats["phases"] == n // 4
     assert stats["downPhases"] == np.unique(cols[down]).size
