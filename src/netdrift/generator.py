@@ -38,8 +38,14 @@ from .service_disciplines import NetworkModel
 
 SUBSET_ALL = frozenset((1, 2, 3, 4))
 
-# a rate at or below this is absent: no probe edge, clock or triplet
+# a rate at or below this is absent: no probe edge, move or triplet
 RATE_TOL = 1e-14
+
+# the displacements z of the kernel's blocks, numbered for the move table,
+# and the 81 regime signatures in flat index (`np.ndindex`) order
+DISPLACEMENTS = ((1, 0, 0, 0), (0, 0, 1, 0), (-1, 1, 0, 0), (0, -1, 0, 0),
+                 (0, -1, 1, 0), (0, 0, -1, 1), (0, 0, 0, -1), (0, 0, 0, 0))
+SIGNATURES = tuple(np.ndindex(3, 3, 3, 3))
 
 
 def saturated_subset(A):
@@ -90,7 +96,7 @@ class BlockKernel:
     The q blocks are built lazily and read-only; the k-th distinct block
     (k >= 1) is built once per kernel, with its move edges `_edges[k]`, is
     one array for every signature that reads it, and `_numbers[z]` holds k
-    per signature (`np.ndindex` order; 0: none).  Clocks derive from them.
+    per signature (`np.ndindex` order; 0: none).  The move table derives from them.
     The caches are not locked: a kernel belongs to one thread (`sweep
     --jobs` runs its points in worker processes).
     """
@@ -104,7 +110,8 @@ class BlockKernel:
         self._edges = [(np.zeros(0, dtype=np.intp),) * 2]
         self._numbers = defaultdict(lambda: [0] * 81)
         self._shared = {}
-        self._clocks = {}
+        self.regimes = [None] * 81
+        self.move_dest, self.move_z, self._move_rows = [], [], np.empty((0, 3))
 
     # -- continuous-time blocks ------------------------------------------
 
@@ -166,24 +173,42 @@ class BlockKernel:
 
     # -- derived views -----------------------------------------------------
 
-    def clocks(self, sig):
-        """Competing clocks out of each background state j in regime
-        `sig`, as step tables: the cumulative rates of its moves as a
-        float list, and the moves as (pairs, j2), where pairs are the
-        (coordinate, change) of the displacement's nonzero entries; in
-        block order, then column.  `sig` must be a tuple of ints."""
-        hit = self._clocks.get(sig)
+    def moves(self, sig):
+        """The simulator's move table in regime `sig`, also kept as
+        `regimes[flat index of sig]`: per background state j, the id
+        `base[j]` of its first move and the cumulative rates of its moves as
+        a float list, in block order, then column.  Move m goes to
+        `move_dest[m]` by displacement `DISPLACEMENTS[move_z[m]]`.  A
+        regime's moves are numbered once per kernel, after those of the
+        regimes already built."""
+        flat = 27 * sig[0] + 9 * sig[1] + 3 * sig[2] + sig[3]
+        hit = self.regimes[flat]
         if hit is None:
-            rates, moves = ([[] for _ in range(self.S0)] for _ in range(2))
-            blocks = self.q_blocks(sig)
-            for z, (jj, jj2) in self.move_edges(sig).items():
-                pairs = tuple((i, dz) for i, dz in enumerate(z) if dz)
-                for j, j2, rate in zip(jj.tolist(), jj2.tolist(), blocks[z][jj, jj2]):
-                    rates[j].append(rate)
-                    moves[j].append((pairs, j2))
-            cums = [np.cumsum(r).tolist() for r in rates]
-            hit = self._clocks[sig] = (cums, moves)
+            blocks, edges, first = self.q_blocks(sig), self.move_edges(sig), len(self.move_dest)
+            j = np.concatenate([jj for jj, _ in edges.values()])
+            order = np.argsort(j, kind="stable")
+            dest = np.concatenate([jj2 for _, jj2 in edges.values()])[order]
+            zn = np.concatenate([np.full(len(jj), DISPLACEMENTS.index(z))
+                                 for z, (jj, _) in edges.items()])[order]
+            counts = np.bincount(j, minlength=self.S0)
+            starts = np.cumsum(counts) - counts
+            # each j's rates as a zero-padded row, whose cumsum adds them in
+            # order, as a cumsum of j's rates alone does
+            padded = np.zeros((self.S0, counts.max(initial=0)))
+            padded[j[order], np.arange(len(j)) - np.repeat(starts, counts)] = np.concatenate(
+                [blocks[z][e] for z, e in edges.items()])[order]
+            cums = [r[:n] for r, n in zip(np.cumsum(padded, axis=1).tolist(), counts.tolist())]
+            # realloc, no copy: no view of the rows is ever handed out
+            self._move_rows.resize((first + len(j), 3), refcheck=False)
+            self._move_rows[first:] = np.column_stack([dest, zn, [c[-1] for c in cums for _ in c]])
+            self.move_dest += dest.tolist()
+            self.move_z += zn.tolist()
+            hit = self.regimes[flat] = (first + starts).tolist(), cums
         return hit
+
+    def move_rows(self, ids):
+        """Rows (dest, displacement number, source's total rate) of moves `ids`: a copy."""
+        return self._move_rows.take(ids, axis=0)
 
     def check_state(self, state):
         """(x, j) as (four nonnegative ints, `background_index(j)`);

@@ -32,6 +32,7 @@ from netdrift import (
 from netdrift.errors import ProbeBoxTooLarge, SkipFreeViolation
 from netdrift.generator import (
     CONFIRMED,
+    DISPLACEMENTS,
     RATE_TOL,
     UNKNOWN,
     lattice_triplets,
@@ -91,7 +92,7 @@ def test_move_edges_are_the_blocks_rates_computed_once(build, monkeypatch):
     kernel = BlockKernel(build())
     for sig in ALL_SIGS:
         blocks, edges = kernel.q_blocks(sig), kernel.move_edges(sig)
-        kernel.clocks(sig)
+        kernel.moves(sig)
         assert list(edges) == list(blocks), sig
         for z, B in blocks.items():
             on = B > RATE_TOL
@@ -103,6 +104,15 @@ def test_move_edges_are_the_blocks_rates_computed_once(build, monkeypatch):
     assert len(built) == len(set(built)) == 68
 
 
+def _table_moves(kernel, sig, j):
+    """The moves out of background state j in the kernel's move table for
+    regime `sig`, as (pairs, j2), where pairs are the (coordinate, change)
+    of the displacement's nonzero entries."""
+    base, cums = kernel.moves(sig)
+    return [(tuple((i, dz) for i, dz in enumerate(DISPLACEMENTS[kernel.move_z[m]]) if dz),
+             kernel.move_dest[m]) for m in range(base[j], base[j] + len(cums[j]))]
+
+
 @pytest.mark.parametrize("which", ["np", "phmap"])
 def test_move_edges_are_the_clocks_moves(which, np_model):
     kernel = BlockKernel(np_model if which == "np" else phmap_model())
@@ -111,9 +121,9 @@ def test_move_edges_are_the_clocks_moves(which, np_model):
         for z, (rows, cols) in kernel.move_edges(sig).items():
             pairs = tuple((i, dz) for i, dz in enumerate(z) if dz)
             from_edges += [(j, pairs, j2) for j, j2 in zip(rows.tolist(), cols.tolist())]
-        _, moves = kernel.clocks(sig)
-        from_clocks = [(j, pairs, j2) for j in range(kernel.S0) for pairs, j2 in moves[j]]
-        assert sorted(from_clocks) == sorted(from_edges), sig
+        from_table = [(j, pairs, j2) for j in range(kernel.S0)
+                      for pairs, j2 in _table_moves(kernel, sig, j)]
+        assert sorted(from_table) == sorted(from_edges), sig
 
 
 def test_no_move_diagonal_is_never_a_move(np_model, monkeypatch):
@@ -130,8 +140,8 @@ def test_no_move_diagonal_is_never_a_move(np_model, monkeypatch):
     assert (kernel.q_blocks((1, 1, 1, 1))[(0, 0, 0, 0)].diagonal() == 1e-13).all()
     rows, cols = kernel.move_edges((1, 1, 1, 1))[(0, 0, 0, 0)]
     assert rows.size and not (rows == cols).any()
-    _, moves = kernel.clocks((1, 1, 1, 1))
-    assert all(pairs or j2 != j for j in range(kernel.S0) for pairs, j2 in moves[j])
+    assert all(pairs or j2 != j for j in range(kernel.S0)
+               for pairs, j2 in _table_moves(kernel, (1, 1, 1, 1), j))
 
 
 def test_regime_signature_collapses_counts():

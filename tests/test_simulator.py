@@ -1,14 +1,18 @@
 """Trajectory simulation: determinism, agreement with the generator, and
 drift corroboration on saturated regimes."""
 
+import gc
 import itertools
 import json
 import math
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netdrift import (
     build_network,
@@ -27,6 +31,7 @@ from netdrift import (
 from netdrift import simulator
 from netdrift.cli import main
 from netdrift.errors import EmptySubset, InsufficientData, UnsupportedSubset
+from netdrift.generator import SIGNATURES
 from netdrift.simulator import PIN_LEVEL, SAMPLE_CAP, Trajectory, replication_seeds
 
 from tests.conftest import exp_model, symmetric_limited_model
@@ -68,12 +73,17 @@ def test_moves_are_skip_free_at_event_resolution(np_model):
 def test_event_rates_match_generator_diagonal(np_model):
     kernel = kernel_of(np_model)
     for sig in itertools.product((0, 1, 2), repeat=4):
-        cums, moves = kernel.clocks(sig)
+        base, cums = kernel.moves(sig)
         diag = -np.diag(kernel.q_blocks(sig)[(0, 0, 0, 0)])
         for j in range(kernel.S0):
             total = cums[j][-1] if cums[j] else 0.0
             assert abs(total - diag[j]) <= 1e-12 * max(1.0, diag[j])
-            assert len(moves[j]) == len(cums[j])
+            # j's moves: one table row each, carrying j's total
+            ids = slice(base[j], base[j] + len(cums[j]))
+            rows = kernel.move_rows(np.arange(ids.start, ids.stop))
+            assert len(rows) == len(cums[j]) and (rows[:, 2] == total).all()
+            assert rows[:, 0].tolist() == kernel.move_dest[ids]
+            assert rows[:, 1].tolist() == kernel.move_z[ids]
 
 
 def _reference_clocks(kernel, sig):
@@ -294,6 +304,94 @@ def test_event_loop_matches_reference(case, np_model, monkeypatch):
         assert got.sample_times[-1] == horizon and got.n_events < 20
     if case == "drain":
         assert got.final_state[0] == (0, 0, 0, 0)
+
+
+# the models of the property below, built once: priority under both
+# disciplines, (1,K)-limited service and PH/MAP
+_PROPERTY_MODELS = {
+    "non_preemptive": exp_model,
+    "preemptive_resume": lambda: exp_model("preemptive_resume"),
+    "limited_2": lambda: symmetric_limited_model(2),
+    "limited_3": lambda: symmetric_limited_model(3),
+    "phmap": _phmap_priority_model,
+}
+PINNED_SETS = [frozenset(), N, frozenset({1, 4}), frozenset({2, 3})]
+CHUNK = simulator.DRAW_BLOCK // 2
+
+
+def _run_both(model, horizon, seed, initial, pinned):
+    """The event loop's trajectory and the reference's, in that order."""
+    want = _reference_run(model, horizon, seed, initial, pinned)
+    if pinned:
+        return simulate_saturated(model, pinned, horizon, seed), want
+    return simulate(model, horizon, seed, initial), want
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(_PROPERTY_MODELS)), pinned=st.sampled_from(PINNED_SETS),
+       horizon=st.floats(1250.0, 1600.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_event_loop_matches_reference_on_random_runs(name, pinned, horizon, seed):
+    # every model runs at 3.8 events per unit time or more: past one chunk
+    # of draws and one halving of the samples
+    got, want = _run_both(_PROPERTY_MODELS[name](), horizon, seed, None, pinned)
+    _assert_same_trajectory(got, want)
+    assert got.n_events >= SAMPLE_CAP
+
+
+@pytest.mark.parametrize("case", ["horizon_on_chunk_start", "drain", "empty_cap"])
+def test_event_loop_matches_reference_at_chunk_edges(case, np_model, monkeypatch):
+    model, horizon, initial = np_model, 900.0, None
+    # below SAMPLE_CAP events every event is a sample: sample k is event k
+    probe = _reference_run(np_model, horizon, 12, None, frozenset())
+    assert CHUNK + CHUNK // 2 < probe.n_events < SAMPLE_CAP - 1
+    if case == "horizon_on_chunk_start":
+        # the first event of the second chunk lands on the horizon
+        horizon = float(probe.sample_times[CHUNK + 1])
+    elif case == "drain":
+        # no arrivals: the network empties, and its clocks stop, mid-chunk
+        model, horizon, initial = exp_model(lam1=0.0, lam3=0.0), 5000.0, ((1500, 0, 0, 0), 0)
+    else:
+        # the cap is reached at an empty return in the second chunk's
+        # middle, and the run ends after one more
+        events = np.searchsorted(probe.sample_times, probe.empty_return_times)
+        cap = int(np.sum(events <= CHUNK + CHUNK // 2))
+        assert CHUNK < events[cap - 1] and events[cap] < probe.n_events
+        horizon = float(probe.sample_times[events[cap] + 1])
+        monkeypatch.setattr(simulator, "EMPTY_TIMES_CAP", cap)
+    got, want = _run_both(model, horizon, 12, initial, frozenset())
+    _assert_same_trajectory(got, want)
+    if case == "horizon_on_chunk_start":
+        assert got.n_events == CHUNK and got.sample_times[-1] == horizon
+    elif case == "drain":
+        assert got.final_state[0] == (0, 0, 0, 0) and got.n_events > CHUNK
+        assert got.n_events % CHUNK and got.sample_times[-1] == horizon
+    else:
+        assert got.empty_times_truncated and len(got.empty_return_times) == cap
+
+
+def test_move_table_is_built_once_per_regime():
+    model = exp_model()
+    for seed in replication_seeds(1, 16):
+        simulate_saturated(model, N, 1250.0, seed)
+    kernel = kernel_of(model)
+    # pinning every queue keeps every run in one regime, built once
+    assert [sig for sig, hit in zip(SIGNATURES, kernel.regimes) if hit] == [(2, 2, 2, 2)]
+    _, cums = kernel.moves((2, 2, 2, 2))
+    assert len(kernel.move_dest) == len(kernel.move_z) == sum(map(len, cums))
+
+
+def test_move_table_serves_runs_in_turn(np_model):
+    # a {1,4} run reads the regimes a plain run built on the same kernel
+    for seed, pinned in ((21, frozenset()), (22, frozenset({1, 4}))):
+        _assert_same_trajectory(*_run_both(np_model, 800.0, seed, None, pinned))
+    # a second model's kernel replaces the first, which is freed, so the
+    # first one's id may come back: its table must not
+    first = weakref.ref(kernel_of(np_model))
+    del np_model
+    for seed, model in ((23, exp_model(lam1=0.6)), (24, exp_model(mus=(5.0, 2.4, 4.2, 2.2)))):
+        _assert_same_trajectory(*_run_both(model, 800.0, seed, None, frozenset()))
+        gc.collect()
+        assert first() is None
 
 
 def _exact_slope(t, x):
