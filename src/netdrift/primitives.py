@@ -206,7 +206,7 @@ def validate_ph(beta, H):
     if h.min() < -ZERO_TOL:
         raise InvalidSubgenerator("a row of H sums to a positive value")
     h = np.clip(h, 0.0, None)
-    if abs(np.linalg.det(H)) < 1e-300 or np.linalg.cond(H) > 1e14:
+    if np.linalg.cond(H) > 1e14:
         raise SingularH("H is singular or numerically close to it")
     beta = np.clip(beta, 0.0, None)
     beta /= beta.sum()

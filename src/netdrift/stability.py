@@ -4,7 +4,7 @@ The decision pipeline runs drift table -> sign conditions -> ratio
 conditions -> r1 * r2 against 1 with a margin of 1e-9.  Anything that
 fails a precondition is Inconclusive with explicit reasons, never a
 guess.  On the positive-recurrent side a quadratic Lyapunov certificate
-can be constructed and verified explicitly; the spiral path of the
+can be constructed and verified in exact arithmetic; the spiral path of the
 boundary vector fields gives a geometric reading of r1 * r2 as a
 contraction factor.
 """
@@ -12,6 +12,7 @@ contraction factor.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,23 +143,56 @@ def check_ratio_conditions(table: DriftTable):
 
 # --- Lyapunov certificate ----------------------------------------------------
 
+def verify_certificate(U, table: DriftTable):
+    """Check a quadratic Lyapunov certificate in exact rational arithmetic:
+    U exactly symmetric, its four leading minors positive (Sylvester's
+    criterion), and each canonical face's drift direction exactly negative
+    against every column of U on the face.  Returns (leading minors, inner
+    products), each rounded once to float, or raises CertificateNotFound
+    naming the first check that fails."""
+    from fractions import Fraction  # only a certificate needs exact arithmetic
+
+    rows = [*np.reshape(U, (4, 4)), *map(table.direction, CANONICAL_SUBSETS)]
+    if not np.isfinite(rows).all():  # a finite float is a Fraction exactly
+        raise CertificateNotFound("an entry of U or of a drift is not finite")
+    exact = [[Fraction(x) for x in row] for row in rows]
+    M = exact[:4]
+    if any(M[i][j] != M[j][i] for i in range(4) for j in range(i)):
+        raise CertificateNotFound("U is not exactly symmetric")
+    minors, G, minor = [], [row[:] for row in M], Fraction(1)
+    for k in range(4):
+        # the (k+1)-th leading minor is the product of the first k+1 pivots
+        minor *= G[k][k]
+        minors.append(float(minor))
+        if minor <= 0:
+            raise CertificateNotFound(f"leading minor {k + 1} of U is not positive")
+        for i in range(k + 1, 4):
+            f = G[i][k] / G[k][k]
+            for j in range(k + 1, 4):
+                G[i][j] -= f * G[k][j]
+    inner = []
+    for A, d in zip(CANONICAL_SUBSETS, exact[4:]):
+        for j in sorted(A):
+            # U is symmetric: its column j is its row j
+            value = sum(a * u for a, u in zip(d, M[j - 1]))
+            if value >= 0:
+                raise CertificateNotFound(f"inner product of face {subset_name(A)}'s "
+                                          f"drift with column {j} of U is not negative")
+            inner.append({"subset": subset_name(A), "column": j, "value": float(value)})
+    return minors, inner
+
+
+@dataclass(slots=True, eq=False)
 class LyapunovCertificate:
-    """Quadratic form certifying positive recurrence, with the explicit
-    evidence: leading minors, eigenvalues, and drift inner products."""
+    """Quadratic form certifying positive recurrence, with the exact
+    leading minors and inner products `verify_certificate` returned."""
 
-    __slots__ = ("U", "epsilon", "delta", "leading_minors", "minor_formulas",
-                 "inner_products", "eigenvalues", "grid_index")
-
-    def __init__(self, U, epsilon, delta, leading_minors, minor_formulas,
-                 inner_products, eigenvalues, grid_index):
-        self.U = U
-        self.epsilon = epsilon
-        self.delta = delta
-        self.leading_minors = leading_minors
-        self.minor_formulas = minor_formulas
-        self.inner_products = inner_products
-        self.eigenvalues = eigenvalues
-        self.grid_index = grid_index
+    U: np.ndarray
+    epsilon: float
+    delta: float
+    leading_minors: list
+    inner_products: list
+    grid_index: int
 
     def to_json_dict(self):
         return _json_safe({
@@ -166,9 +200,7 @@ class LyapunovCertificate:
             "epsilon": self.epsilon,
             "delta": self.delta,
             "leadingMinors": self.leading_minors,
-            "minorFormulas": self.minor_formulas,
             "innerProducts": self.inner_products,
-            "eigenvalues": self.eigenvalues,
             "gridIndex": self.grid_index,
         })
 
@@ -186,33 +218,20 @@ def build_u_matrix(diag, epsilon, c):
     return U
 
 
-def _minor_formulas(diag, shrink):
-    """Leading principal minors of the certificate matrix, closed form.
-
-    With every off-diagonal shrunk by s = sqrt(1 - shrink), the k-th
-    minor is (prod of the first k diagonal entries) * (1-s)^(k-1) *
-    (1+(k-1)s)."""
-    s = math.sqrt(1.0 - shrink)
-    out = []
-    prod = 1.0
-    for k in range(1, 5):
-        prod *= diag[k - 1]
-        out.append(prod * (1.0 - s) ** (k - 1) * (1.0 + (k - 1) * s))
-    return out
-
-
 def lyapunov_certificate(table: DriftTable) -> LyapunovCertificate:
-    """Search the construction grid for a verified certificate.
+    """Search the construction grid for a certificate that
+    `verify_certificate` accepts.
 
     The diagonal comes from the contraction ratios (geometric-mean
     choice for u22, two-face ratios for u33 and u44); epsilon walks
-    down {c 2^-k} with delta = sqrt(epsilon) until every leading minor
-    is positive and every recorded drift inner product is negative.
+    down {c 2^-k} with delta = sqrt(epsilon) until the verifier accepts.
     With u33 = (u22 - delta) / r32^2 and u44 = r14^2 (u11 + delta),
     delta^2 = 2^-k c is the quadratic (1 + a) delta^2 - b delta
     - a u11 u22 = 0, where a = 2^-k u11 u22 r14^2 / r32^2 and
     b = a (u22 - u11); its one root in (0, u22) is taken in closed form.
     """
+    # a marginal drift would reach a zero division or a NaN in U
+    _require_signs(table, count_marginal=True)
     r1, r2 = compute_r1_r2(table)
     if not r1 * r2 < 1.0:
         raise AssumptionViolated(
@@ -224,8 +243,6 @@ def lyapunov_certificate(table: DriftTable) -> LyapunovCertificate:
     r14 = d14[0] / -d14[3]
     u11 = 1.0
     u22 = (r32 * math.sqrt(r2 / r1)) ** 2
-    directions = {A: table.direction(A) for A in CANONICAL_SUBSETS}
-    last_eps, last_delta = None, None
     for k in range(1, CERTIFICATE_GRID + 1):
         shrink = 2.0 ** -k
         a = shrink * u11 * u22 * (r14 / r32) ** 2
@@ -238,33 +255,15 @@ def lyapunov_certificate(table: DriftTable) -> LyapunovCertificate:
         u44 = r14 ** 2 * (u11 + delta)
         c = u11 * u22 * u33 * u44
         eps = c * shrink
-        last_eps, last_delta = eps, delta
-        diag = (u11, u22, u33, u44)
-        U = build_u_matrix(diag, eps, c)
-        minors = [float(np.linalg.det(U[:k_, :k_])) for k_ in range(1, 5)]
-        formulas = _minor_formulas(diag, shrink)
-        if any(m <= 0.0 for m in minors):
-            continue
-        if any(abs(m - f) > 1e-8 * max(1.0, abs(f)) for m, f in zip(minors, formulas)):
-            continue
-        eigs = np.linalg.eigvalsh(U)
-        if eigs.min() <= 0.0:
-            continue
-        inner = []
-        ok = True
-        for A in CANONICAL_SUBSETS:
-            for j in sorted(A):
-                value = float(directions[A] @ U[:, j - 1])
-                inner.append({"subset": subset_name(A), "column": j, "value": value})
-                if not value < 0.0:
-                    ok = False
-        if not ok:
-            continue
-        return LyapunovCertificate(U, float(eps), float(delta), minors, formulas,
-                                   inner, eigs.tolist(), k)
+        U = build_u_matrix((u11, u22, u33, u44), eps, c)
+        try:
+            return LyapunovCertificate(U, float(eps), float(delta),
+                                       *verify_certificate(U, table), k)
+        except CertificateNotFound as exc:
+            failure = exc
     raise CertificateNotFound(
         "no certificate on the construction grid "
-        f"(last epsilon {last_eps!r}, delta {last_delta!r}); "
+        f"(last epsilon {eps!r}, delta {delta!r}: {failure}); "
         "the stability margin is thinner than the grid, not refuted"
     )
 

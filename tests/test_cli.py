@@ -557,8 +557,8 @@ def test_certificate_command(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert set(payload) == {
-        "U", "epsilon", "delta", "leadingMinors", "minorFormulas",
-        "innerProducts", "eigenvalues", "gridIndex", "subsets",
+        "U", "epsilon", "delta", "leadingMinors", "innerProducts", "gridIndex",
+        "subsets",
     }
     assert payload["subsets"] == ["N", "123", "134", "14", "23"]
     assert all(m > 0 for m in payload["leadingMinors"])
@@ -566,6 +566,20 @@ def test_certificate_command(tmp_path, capsys):
     transient = write_json(tmp_path, "transient.json", TRANSIENT_MODEL)
     code, _, err = run(capsys, ["certificate", transient, "--mode", "closed"])
     assert code == 4 and "AssumptionViolated" in err
+
+
+@pytest.mark.parametrize("arrivals, p, queue", [
+    ([0.8, 0.0], 0.0, 3),   # no class-3 work: queue 3's drifts are 0
+    ([0.0, 0.4], 0.3, 1),   # no class-1 work: queue 1's drifts are 0
+])
+def test_certificate_of_marginal_drifts_is_undecided(tmp_path, capsys, arrivals, p, queue):
+    model = write_json(tmp_path, "model.json", dict(
+        BASE_MODEL, arrivals=[{"poisson": lam} for lam in arrivals], p=p,
+        services=[{"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)]))
+    code, out, err = run(capsys, ["certificate", model, "--mode", "closed"])
+    assert (code, out) == (4, "")
+    assert err.startswith("netdrift: SignConditionViolated: ratio conditions degenerate")
+    assert f"drift of queue {queue} on face N is within" in err
 
 
 def test_unexpected_errors_are_exit_5(tmp_path, capsys, monkeypatch):

@@ -34,7 +34,8 @@ EXPORTS = {
     "simulator": ["DriftEstimate", "Trajectory", "estimate_drift", "simulate",
                   "simulate_saturated"],
     "stability": ["LyapunovCertificate", "StabilityReport", "check_ratio_conditions",
-                  "classify", "compute_r1_r2", "lyapunov_certificate", "spiral_path"],
+                  "classify", "compute_r1_r2", "lyapunov_certificate", "spiral_path",
+                  "verify_certificate"],
 }
 
 README_MODEL = {

@@ -179,6 +179,13 @@ def test_ph_rejects_singular_h():
         validate_ph([0.5, 0.5], [[-1.0, 1.0], [0.0, 0.0]])
 
 
+def test_ph_validity_does_not_depend_on_the_time_unit():
+    # det(H) = (-rate)^200 underflows to 0 at rate 0.01, yet H is as well
+    # conditioned as at rate 1: only the condition number marks H singular
+    for rate in (1e3, 1.0, 1e-2):
+        assert ph_mean(erlang_ph(200, rate)) == pytest.approx(200 / rate, rel=1e-12)
+
+
 def test_ph_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         validate_ph([0.5, 0.5], [[-1.0]])

@@ -37,3 +37,38 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_module_level_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def broad_handlers(source):
+    """(line, enclosing function or None) of each `except` clause that
+    catches Exception, BaseException or everything."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type
+                types = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+                if caught is None or any(getattr(t, "id", getattr(t, "attr", None))
+                                         in ("Exception", "BaseException") for t in types):
+                    found.append((child.lineno, func))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_broad_handlers_are_found():
+    source = ("def f():\n    try:\n        pass\n    except:\n        pass\n"
+              "def g():\n    try:\n        pass\n    except (ValueError, Exception):\n"
+              "        pass\n    except KeyError:\n        pass\n"
+              "try:\n    pass\nexcept builtins.BaseException:\n    pass\n")
+    assert broad_handlers(source) == [(4, "f"), (9, "g"), (15, None)]
+
+
+def test_only_the_cli_entry_point_catches_everything():
+    # anything broader would also catch, and hide, a MemoryError
+    found = [(path.name, func) for path in SOURCES
+             for _, func in broad_handlers(path.read_text(encoding="utf-8"))]
+    assert found == [("cli.py", "main")]

@@ -1,7 +1,9 @@
 """Ratio criterion, Lyapunov certificates, spiral paths, and the full
 classification pipeline."""
 
+import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from netdrift import (
     nominal_condition,
     spiral_path,
     subset_name,
+    verify_certificate,
 )
 from netdrift import induced_chains
+from netdrift.cli import parse_model_dict
 from netdrift.errors import (
     AssumptionViolated,
     CertificateNotFound,
@@ -230,6 +234,15 @@ def test_classification_is_scale_invariant(np_model):
             assert histories(report) == histories(base), mode
 
 
+def _minor_formulas(diag, shrink):
+    """Leading minors of `build_u_matrix(diag, shrink * c, c)` in closed
+    form: with every off-diagonal shrunk by s = sqrt(1 - shrink), the k-th
+    is (prod of the first k diagonal entries) (1 - s)^(k-1) (1 + (k-1) s)."""
+    s = np.sqrt(1.0 - shrink)
+    prods = np.cumprod(diag)
+    return [prods[k - 1] * (1.0 - s) ** (k - 1) * (1.0 + (k - 1) * s) for k in range(1, 5)]
+
+
 def test_certificate_is_verifiable_evidence(np_model):
     table = closed_table(np_model)
     cert = lyapunov_certificate(table)
@@ -237,15 +250,15 @@ def test_certificate_is_verifiable_evidence(np_model):
     assert np.allclose(U, U.T)
     assert U[0, 0] == 1.0
     assert cert.delta == pytest.approx(np.sqrt(cert.epsilon), rel=1e-12)
-    # minors: recompute from scratch and against the closed formulas
+    assert verify_certificate(U, table) == (cert.leading_minors, cert.inner_products)
+    # the exact minors against float determinants and the closed form
+    formulas = _minor_formulas(np.diag(U), 2.0 ** -cert.grid_index)
     for k in range(1, 5):
         det = float(np.linalg.det(U[:k, :k]))
         assert det > 0.0
         assert det == pytest.approx(cert.leading_minors[k - 1], rel=1e-10)
-        assert det == pytest.approx(cert.minor_formulas[k - 1], rel=1e-8)
-    eigs = np.linalg.eigvalsh(U)
-    assert eigs.min() > 0.0
-    assert np.allclose(sorted(cert.eigenvalues), eigs, rtol=1e-10)
+        assert cert.leading_minors[k - 1] == pytest.approx(formulas[k - 1], rel=1e-8)
+    assert np.linalg.eigvalsh(U).min() > 0.0
     assert len(cert.inner_products) == 4 + 3 + 3 + 2 + 2
     for item in cert.inner_products:
         assert item["value"] < 0.0
@@ -254,6 +267,124 @@ def test_certificate_is_verifiable_evidence(np_model):
         a = table.direction(A)
         assert item["value"] == pytest.approx(
             float(a @ U[:, item["column"] - 1]), rel=1e-12)
+
+
+def test_verifier_rejects_a_zero_minor(np_model):
+    table = closed_table(np_model)
+    U = np.eye(4)
+    U[0, 1] = U[1, 0] = 1.0
+    with pytest.raises(CertificateNotFound, match="leading minor 2 of U is not positive"):
+        verify_certificate(U, table)
+    # one ulp on U[1, 1] makes every minor positive (2^-52); a face's drift
+    # then fails against this U instead
+    U[1, 1] = np.nextafter(1.0, 2.0)
+    with pytest.raises(CertificateNotFound, match="inner product of face N's drift"):
+        verify_certificate(U, table)
+
+
+def test_verifier_rejects_a_non_symmetric_u(np_model):
+    table = closed_table(np_model)
+    U = lyapunov_certificate(table).U.copy()
+    U[2, 1] = np.nextafter(U[2, 1], np.inf)
+    with pytest.raises(CertificateNotFound, match="U is not exactly symmetric"):
+        verify_certificate(U, table)
+
+
+def test_verifier_rejects_a_non_finite_entry(np_model):
+    table = closed_table(np_model)
+    U = lyapunov_certificate(table).U.copy()
+    U[3, 3] = np.nan
+    with pytest.raises(CertificateNotFound, match="not finite"):
+        verify_certificate(U, table)
+
+
+def test_verifier_rejects_a_drift_moved_past_its_bound(np_model):
+    # face 14's drift (x, 0, 0, d4) against column 1 of U is x + d4 U41,
+    # since U11 = 1; move x one float at a time to where that turns
+    # non-negative in exact rational arithmetic
+    table = closed_table(np_model)
+    U = lyapunov_certificate(table).U
+    S14 = frozenset({1, 4})
+    d = table.drifts(S14).copy()
+    bound = -Fraction(d[3]) * Fraction(U[3, 0])
+    d[0] = float(bound)
+    while Fraction(d[0]) < bound:
+        d[0] = np.nextafter(d[0], np.inf)
+    while Fraction(np.nextafter(d[0], -np.inf)) >= bound:
+        d[0] = np.nextafter(d[0], -np.inf)
+
+    def moved(drifts):
+        entry = induced_chains.DriftEntry(S14, None, None, drifts, "test")
+        return dataclasses.replace(table, closed={**table.closed, S14: entry})
+
+    below = [np.nextafter(d[0], -np.inf), *d[1:]]
+    _, inner = verify_certificate(U, moved(below))
+    assert all(item["value"] < 0.0 for item in inner)
+    with pytest.raises(CertificateNotFound) as exc:
+        verify_certificate(U, moved(d))
+    assert str(exc.value) == ("inner product of face 14's drift with column 1 "
+                              "of U is not negative")
+    # the other column on face 14 still holds
+    assert d[0] * U[0, 3] + d[3] * U[3, 3] < 0.0
+    # on the bound itself: with d4 = -2 the product is 2 U41 - 2 U41 = 0
+    # exactly, and zero is not negative
+    with pytest.raises(CertificateNotFound, match="face 14's drift with column 1"):
+        verify_certificate(U, moved([2.0 * U[3, 0], 0.0, 0.0, -2.0]))
+
+
+README_MODEL = {
+    "arrivals": [{"poisson": 0.8}, {"poisson": 0.4}],
+    "services": [{"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)],
+    "p": 0.3,
+    "discipline": "non_preemptive",
+}
+
+# the bench's PH/MAP model at seed 1
+PHMAP_MODEL = {
+    "arrivals": [
+        {"mmpp": {"switch": [[-1.9057440389595917, 1.9057440389595917],
+                             [1.9057440389595917, -1.9057440389595917]],
+                  "rates": [0.35093953592578214, 0.9808542291571738]}},
+        {"poisson": 0.4276743416313924},
+    ],
+    "services": [
+        {"erlang": {"phases": 2, "rate": 7.127529432017669}},
+        {"hyperexponential": {"weights": [0.42642470999431525, 0.5735752900056847],
+                              "rates": [4.809060451983207, 1.131998177423634]}},
+        {"exponential": 2.80423834533446},
+        {"exponential": 1.4451675582783783},
+    ],
+    "p": 0.1081522256994661,
+    "discipline": "non_preemptive",
+}
+
+
+@pytest.mark.parametrize("name, modes, grid_index", [
+    ("readme", ("closed", "numeric"), 5),
+    ("preemptive", ("closed", "numeric"), 5),
+    ("phmap", ("closed", "numeric"), 4),
+    ("sym2", ("closed", "numeric"), 5),
+    ("sym3", ("closed", "numeric"), 4),
+    ("sym4", ("closed", "numeric"), 7),
+    ("sym5", ("closed", "numeric"), 11),
+    ("asym4", ("numeric",), 9),
+])
+def test_verifier_accepts_the_bench_certificates(name, modes, grid_index):
+    if name.startswith("sym"):
+        model = symmetric_limited_model(int(name[3:]))
+    else:
+        model = parse_model_dict({
+            "readme": README_MODEL,
+            "preemptive": dict(README_MODEL, discipline="preemptive_resume"),
+            "phmap": PHMAP_MODEL,
+            "asym4": dict(README_MODEL, discipline={"limited": {"K": 4}}),
+        }[name])
+    for mode in modes:
+        table = drift_table(model, mode=mode)
+        cert = lyapunov_certificate(table)
+        assert cert.grid_index == grid_index, mode
+        assert verify_certificate(cert.U, table) == (cert.leading_minors,
+                                                     cert.inner_products)
 
 
 def test_certificate_delta_is_the_exact_root():
