@@ -19,9 +19,9 @@ _EXPORTS = {
     "generator": ("BlockKernel", "check_semi_irreducible", "generator_block",
                   "kernel_of", "regime_signature", "write_generator_triplets"),
     "induced_chains": ("CANONICAL_SUBSETS", "DriftTable", "build_induced_chain",
-                       "check_sign_conditions", "closed_form_table", "drift_table",
-                       "mean_displacement", "nominal_condition", "numeric_table",
-                       "output_rates", "solve_stationary", "subset_name"),
+                       "closed_form_table", "drift_table", "mean_displacement",
+                       "nominal_condition", "numeric_table", "output_rates",
+                       "solve_stationary", "subset_name"),
     "primitives": ("MAPSpec", "PHSpec", "erlang_ph", "exponential_ph",
                    "hyperexponential_ph", "map_arrival_rate", "map_stationary_phase",
                    "mmpp_map", "ph_mean", "poisson_map", "validate_map", "validate_ph"),
@@ -31,8 +31,8 @@ _EXPORTS = {
     "simulator": ("DriftEstimate", "Trajectory", "estimate_drift", "simulate",
                   "simulate_saturated"),
     "stability": ("LyapunovCertificate", "StabilityReport", "check_ratio_conditions",
-                  "classify", "compute_r1_r2", "lyapunov_certificate", "spiral_path",
-                  "verify_certificate"),
+                  "check_sign_conditions", "classify", "compute_r1_r2",
+                  "lyapunov_certificate", "spiral_path", "verify_certificate"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

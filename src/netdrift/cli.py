@@ -390,13 +390,15 @@ def cmd_analyze(args):
         with_spiral=args.spiral or bool(args.spiral_csv),
     )
     _emit_json(report.to_json_dict(), args.out)
-    if args.spiral_csv and report.spiral is not None:
+    if args.spiral_csv:
         import csv
 
+        # with no spiral the header alone, so no earlier path is left behind
+        points = report.spiral.points if report.spiral is not None else []
         with open(args.spiral_csv, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["step", "x1", "x2", "x3", "x4"])
-            for step, point in enumerate(report.spiral.points, start=1):
+            for step, point in enumerate(points, start=1):
                 writer.writerow([step] + [_fmt(float(v)) for v in point])
     exit_codes = {stability.POSITIVE_RECURRENT: 0, stability.TRANSIENT: 1,
                   stability.INCONCLUSIVE: 4}

@@ -291,8 +291,11 @@ def lattice_triplets(block_fn, shape, S0):
     order: lattice cell (C order) major, background minor.  A move out of
     the box folds onto its boundary: each coordinate is clipped to
     0..L-1, so rows keep the blocks' row sums.  Entries folded onto one
-    state are summed in the order they were emitted: signature, then
-    displacement, then cell.  Each off-diagonal entry is an edge: a rate.
+    state are taken in the order they were emitted (signature, then
+    displacement, then cell), and `np.add.reduceat` sums them as the
+    first entry plus numpy's pairwise sum of the rest: 1e16, 1 and 1 sum
+    to 1e16 + 2, not to the left-to-right 1e16.  Each off-diagonal entry
+    is an edge: a rate.
     """
     n = int(np.prod(shape)) * S0
     keys, data = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
@@ -309,7 +312,7 @@ def lattice_triplets(block_fn, shape, S0):
             keys.append(np.add.outer(cells * S0, bi).ravel() * n
                         + np.add.outer(tgt * S0, bj).ravel())
             data.append(np.tile(B[bi, bj], cells.size))
-    # stable, so the entries folded onto one state sum in emission order
+    # stable, so the entries folded onto one state stay in emission order
     keys = np.concatenate(keys)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]

@@ -53,26 +53,7 @@ CANONICAL_SUBSETS = (
     frozenset((2, 3)),
 )
 
-# (subset, queue, required sign) for the ratio criterion to apply
-SIGN_CONDITIONS = (
-    (SUBSET_ALL, 1, +1),
-    (SUBSET_ALL, 2, -1),
-    (SUBSET_ALL, 3, +1),
-    (SUBSET_ALL, 4, -1),
-    (frozenset((1, 2, 3)), 1, -1),
-    (frozenset((1, 2, 3)), 2, +1),
-    (frozenset((1, 2, 3)), 3, +1),
-    (frozenset((1, 3, 4)), 1, +1),
-    (frozenset((1, 3, 4)), 3, -1),
-    (frozenset((1, 3, 4)), 4, +1),
-    (frozenset((1, 4)), 1, +1),
-    (frozenset((1, 4)), 4, -1),
-    (frozenset((2, 3)), 2, -1),
-    (frozenset((2, 3)), 3, +1),
-)
-
 TAIL_TOL = 1e-6
-SIGN_MARGIN = 1e-9
 CROSS_CHECK_TOL = 1e-4
 
 
@@ -831,27 +812,3 @@ def drift_table(model: NetworkModel, mode="both", levels=4,
     return DriftTable(mode, lam1, lam3, model.p, model.service_rates,
                       closed, numeric, cross, notes)
 
-
-def check_sign_conditions(table: DriftTable):
-    """Evaluate the fourteen drift sign conditions on the primary table.
-
-    A condition within 1e-9 of zero is reported as marginal and counts
-    as failed; the ratio criterion is not trusted that close to a
-    degenerate configuration."""
-    results = []
-    for A, queue, sign in SIGN_CONDITIONS:
-        item = {
-            "subset": subset_name(A),
-            "queue": queue,
-            "required": ">0" if sign > 0 else "<0",
-        }
-        try:
-            value = float(table.drifts(A)[queue - 1])
-        except (UnsupportedSubset, NotConverged) as exc:
-            item.update(value=None, ok=False, marginal=False, note=str(exc))
-        else:
-            marginal = abs(value) <= SIGN_MARGIN
-            ok = (not marginal) and (value > 0) == (sign > 0)
-            item.update(value=value, ok=bool(ok), marginal=bool(marginal))
-        results.append(item)
-    return {"allHold": all(item["ok"] for item in results), "conditions": results}

@@ -20,21 +20,22 @@ from .errors import (
     AssumptionViolated,
     CertificateNotFound,
     NetdriftError,
+    NotConverged,
     SignConditionViolated,
+    UnsupportedSubset,
 )
 from .generator import CONFIRMED, SUBSET_ALL, check_semi_irreducible
 from .induced_chains import (
     CANONICAL_SUBSETS,
-    SIGN_MARGIN,
     DriftTable,
     _json_safe,
-    check_sign_conditions,
     drift_table,
     nominal_condition,
     subset_name,
 )
 from .service_disciplines import NetworkModel
 
+SIGN_MARGIN = 1e-9
 DECISION_MARGIN = 1e-9
 EQUALITY_TOL = 1e-9
 RATIO_FORM_TOL = 1e-10
@@ -56,6 +57,52 @@ SUBSET_23 = frozenset((2, 3))
 SUBSET_123 = frozenset((1, 2, 3))
 SUBSET_134 = frozenset((1, 3, 4))
 
+# (subset, queue, required sign) for the ratio criterion to apply
+SIGN_CONDITIONS = (
+    (SUBSET_ALL, 1, +1),
+    (SUBSET_ALL, 2, -1),
+    (SUBSET_ALL, 3, +1),
+    (SUBSET_ALL, 4, -1),
+    (SUBSET_123, 1, -1),
+    (SUBSET_123, 2, +1),
+    (SUBSET_123, 3, +1),
+    (SUBSET_134, 1, +1),
+    (SUBSET_134, 3, -1),
+    (SUBSET_134, 4, +1),
+    (SUBSET_14, 1, +1),
+    (SUBSET_14, 4, -1),
+    (SUBSET_23, 2, -1),
+    (SUBSET_23, 3, +1),
+)
+
+
+# --- the sign gate -----------------------------------------------------------
+
+def check_sign_conditions(table: DriftTable):
+    """Evaluate the fourteen drift sign conditions on the primary table.
+
+    A condition within 1e-9 of zero is reported as marginal and counts
+    as failed; the ratio criterion is not trusted that close to a zero
+    drift.  This is the one sign gate: the verdict reads it, and every
+    function below that reads the drift table refuses a table it fails."""
+    results = []
+    for A, queue, sign in SIGN_CONDITIONS:
+        item = {
+            "subset": subset_name(A),
+            "queue": queue,
+            "required": ">0" if sign > 0 else "<0",
+        }
+        try:
+            value = float(table.drifts(A)[queue - 1])
+        except (UnsupportedSubset, NotConverged) as exc:
+            item.update(value=None, ok=False, marginal=False, note=str(exc))
+        else:
+            marginal = abs(value) <= SIGN_MARGIN
+            ok = (not marginal) and (value > 0) == (sign > 0)
+            item.update(value=value, ok=bool(ok), marginal=bool(marginal))
+        results.append(item)
+    return {"allHold": all(item["ok"] for item in results), "conditions": results}
+
 
 def _failure(c):
     """Why one sign condition of a `check_sign_conditions` report fails."""
@@ -68,11 +115,11 @@ def _failure(c):
     return f"sign condition failed: {where} needs {c['required']}, got {c['value']:.6g}"
 
 
-def _require_signs(table, count_marginal=False):
-    """Raise SignConditionViolated naming every failed sign condition;
-    marginal ones count only with `count_marginal`."""
+def _require_signs(table):
+    """Raise SignConditionViolated naming every sign condition that does
+    not hold: failed, marginal or unavailable."""
     bad = [_failure(c) for c in check_sign_conditions(table)["conditions"]
-           if not c["ok"] and (count_marginal or not c["marginal"])]
+           if not c["ok"]]
     if bad:
         raise SignConditionViolated("; ".join(bad))
 
@@ -85,10 +132,6 @@ def compute_r1_r2(table: DriftTable):
     d134 = table.drifts(SUBSET_134)
     d14 = table.drifts(SUBSET_14)
     d23 = table.drifts(SUBSET_23)
-    for name, value in (("q1 on face 123", d123[0]), ("q2 on face 23", d23[1]),
-                        ("q3 on face 134", d134[2]), ("q4 on face 14", d14[3])):
-        if abs(value) <= SIGN_MARGIN:
-            raise SignConditionViolated(f"denominator drift {name} is degenerate")
     r1_det = (d123[1] * d23[2] - d123[2] * d23[1]) / (d123[0] * d23[1])
     r2_det = (d134[3] * d14[0] - d134[0] * d14[3]) / (d134[2] * d14[3])
     r1_ratio = (d123[1] / -d123[0]) * (d23[2] / -d23[1]) + d123[2] / -d123[0]
@@ -114,31 +157,23 @@ def check_ratio_conditions(table: DriftTable):
     dN = table.drifts(SUBSET_ALL)
     d14 = table.drifts(SUBSET_14)
     d23 = table.drifts(SUBSET_23)
-    used = (dN[0], dN[3], d14[0], d14[3], dN[2], dN[1], d23[2], d23[1])
-    degenerate = any(abs(v) <= SIGN_MARGIN for v in used)
-    result = {
-        "degenerate": bool(degenerate),
-        "variant": VARIANT_NEITHER,
-        "comparisons": [],
-    }
-    if degenerate:
-        return result
     lhs1, rhs1 = abs(dN[0] / dN[3]), abs(d14[0] / d14[3])
     lhs2, rhs2 = abs(dN[2] / dN[1]), abs(d23[2] / d23[1])
     c1, c2 = _compare(lhs1, rhs1), _compare(lhs2, rhs2)
-    result["comparisons"] = [
-        {"pair": "q1/q4", "saturated": lhs1, "face": rhs1, "relation": c1},
-        {"pair": "q3/q2", "saturated": lhs2, "face": rhs2, "relation": c2},
-    ]
     weak_strict = c1 in ("less", "equal") and c2 == "less"
     strict_weak = c1 == "less" and c2 in ("less", "equal")
     if weak_strict and strict_weak:
-        result["variant"] = VARIANT_BOTH
+        variant = VARIANT_BOTH
     elif weak_strict:
-        result["variant"] = VARIANT_WEAK_STRICT
+        variant = VARIANT_WEAK_STRICT
     elif strict_weak:
-        result["variant"] = VARIANT_STRICT_WEAK
-    return result
+        variant = VARIANT_STRICT_WEAK
+    else:
+        variant = VARIANT_NEITHER
+    return {"variant": variant, "comparisons": [
+        {"pair": "q1/q4", "saturated": lhs1, "face": rhs1, "relation": c1},
+        {"pair": "q3/q2", "saturated": lhs2, "face": rhs2, "relation": c2},
+    ]}
 
 
 # --- Lyapunov certificate ----------------------------------------------------
@@ -230,8 +265,6 @@ def lyapunov_certificate(table: DriftTable) -> LyapunovCertificate:
     - a u11 u22 = 0, where a = 2^-k u11 u22 r14^2 / r32^2 and
     b = a (u22 - u11); its one root in (0, u22) is taken in closed form.
     """
-    # a marginal drift would reach a zero division or a NaN in U
-    _require_signs(table, count_marginal=True)
     r1, r2 = compute_r1_r2(table)
     if not r1 * r2 < 1.0:
         raise AssumptionViolated(
@@ -289,7 +322,7 @@ class SpiralPath:
 def spiral_path(table: DriftTable) -> SpiralPath:
     """Trace the piecewise-linear boundary path from (1, 0, 0, 0) around
     to the first axis; the return point contracts by exactly r1 * r2."""
-    _require_signs(table, count_marginal=True)
+    _require_signs(table)
     point = np.array([1.0, 0.0, 0.0, 0.0])
     points = [point.copy()]
     times = []
@@ -364,7 +397,6 @@ def classify(model: NetworkModel, *, mode="both", levels=4, cap=512,
         ratio_res = check_ratio_conditions(table)
         r1, r2 = compute_r1_r2(table)
         r1r2 = r1 * r2
-        # never degenerate here: its 8 drifts are among the 14 that hold
         if ratio_res["variant"] == VARIANT_NEITHER:
             reasons.append("neither ratio-condition variant holds")
         elif r1r2 < 1.0 - DECISION_MARGIN:
@@ -373,12 +405,6 @@ def classify(model: NetworkModel, *, mode="both", levels=4, cap=512,
             verdict = TRANSIENT
         else:
             reasons.append(f"r1*r2 = {r1r2:.12g} lies within {DECISION_MARGIN:g} of 1")
-    else:
-        try:
-            r1, r2 = compute_r1_r2(table)
-            r1r2 = r1 * r2
-        except NetdriftError:
-            pass
     if reasons:
         verdict = INCONCLUSIVE
     certificate = None

@@ -27,6 +27,9 @@ BASE_MODEL = {
     "p": 0.3,
 }
 
+README_MODEL = dict(BASE_MODEL, services=[
+    {"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)])
+
 TRANSIENT_MODEL = {
     "arrivals": [{"poisson": 1.0}, {"poisson": 0.55}],
     "services": [
@@ -226,6 +229,18 @@ def test_analyze_artifacts_are_reproducible(tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_spiral_csv_without_spiral_holds_the_header_alone(tmp_path, capsys):
+    model = write_json(tmp_path, "silent.json", dict(
+        README_MODEL, arrivals=[{"poisson": 0.0}, {"poisson": 0.4}]))
+    spiral_csv = tmp_path / "spiral.csv"
+    spiral_csv.write_text("stale")
+    code, out, _ = run(capsys, ["analyze", model, "--mode", "closed",
+                                "--assume-semi-irreducible", "--spiral-csv",
+                                str(spiral_csv)])
+    assert code == 4 and json.loads(out)["spiralPath"] is None
+    assert spiral_csv.read_text() == "step,x1,x2,x3,x4\n"
+
+
 def test_analyze_numeric_fallback_for_asymmetric_limited(tmp_path, capsys):
     # no closed form outside the symmetric case: "both" degrades to the
     # numeric table with an explanatory note and still classifies
@@ -358,6 +373,20 @@ def test_closed_k_sweep_is_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
         "1a39ef56d4ceb1c1c88caa3f10634f452ed3c9d5efce98c123adc44609260b8c")
+
+
+def test_sweep_point_that_fails_the_sign_gate_has_no_ratios(tmp_path, capsys):
+    model = write_json(tmp_path, "readme.json", README_MODEL)
+    sweep = write_json(tmp_path, "sweep.json",
+                       {"parameter": "arrivals.1.rate", "values": [0.0, 0.8]})
+    code, out, _ = run(capsys, ["sweep", model, sweep])
+    assert code == 0
+    header, silent, stable = out.splitlines()
+    value, r1, r2, r1r2, classification, note = silent.split(",", 5)
+    assert (value, r1, r2, r1r2, classification) == ("0.0", "", "", "", "Inconclusive")
+    assert "ratio conditions degenerate" in note
+    assert stable == ("0.8,0.7000000000000001,0.4444444444444444,"
+                      "0.3111111111111111,PositiveRecurrent,")
 
 
 def test_sweep_parallel_matches_serial(tmp_path, capsys):
@@ -574,12 +603,22 @@ def test_certificate_command(tmp_path, capsys):
 ])
 def test_certificate_of_marginal_drifts_is_undecided(tmp_path, capsys, arrivals, p, queue):
     model = write_json(tmp_path, "model.json", dict(
-        BASE_MODEL, arrivals=[{"poisson": lam} for lam in arrivals], p=p,
-        services=[{"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)]))
+        README_MODEL, arrivals=[{"poisson": lam} for lam in arrivals], p=p))
     code, out, err = run(capsys, ["certificate", model, "--mode", "closed"])
     assert (code, out) == (4, "")
     assert err.startswith("netdrift: SignConditionViolated: ratio conditions degenerate")
     assert f"drift of queue {queue} on face N is within" in err
+    # every failed sign condition is marginal: analyze withholds the
+    # ratios with the verdict
+    for mode in ("closed", "both"):
+        code, out, _ = run(capsys, ["analyze", model, "--mode", mode,
+                                    "--assume-semi-irreducible"])
+        report = json.loads(out)
+        assert (code, report["classification"]) == (4, "Inconclusive")
+        assert report["reasons"] and all(
+            r.startswith("ratio conditions degenerate") for r in report["reasons"])
+        assert (report["r1"], report["r2"], report["r1r2"]) == (None, None, None)
+        assert report["ratioConditions"] is None
 
 
 def test_unexpected_errors_are_exit_5(tmp_path, capsys, monkeypatch):

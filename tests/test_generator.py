@@ -561,6 +561,21 @@ def test_lattice_triplets_without_blocks_are_empty_and_canonical():
     assert (rows.tolist(), cols.tolist(), data.tolist(), n) == ([0, 1], [2, 3], [1.0, 1.0], 6)
 
 
+def test_folded_entries_sum_as_first_plus_the_rest():
+    # three moves of one cell fold onto one state, emitted 1e16, 1, 1:
+    # reduceat adds 1e16 + (1 + 1), where left to right would give 1e16
+    def folded(*rates):
+        # on a one-cell box, moves 0, +1 and -1 all fold onto the cell
+        moves = dict(zip([(0,), (1,), (-1,)], (np.array([[r]]) for r in rates)))
+        return lattice_triplets(lambda sig: moves, (1,), 1)
+
+    rows, cols, data, n = folded(1e16, 1.0, 1.0)
+    assert (rows.tolist(), cols.tolist(), n) == ([0], [0], 1)
+    assert data.tolist() == [1.0000000000000002e16] != [(1e16 + 1.0) + 1.0]
+    # the emission order decides: 1 + (1 + 1e16) rounds back to 1e16
+    assert folded(1.0, 1.0, 1e16)[2].tolist() == [1e16]
+
+
 # --- debug export ----------------------------------------------------------------
 
 # sha256 of the radius-2 exports of kernels whose blocks equal the factor-by-

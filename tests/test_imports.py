@@ -22,9 +22,9 @@ EXPORTS = {
     "generator": ["BlockKernel", "check_semi_irreducible", "generator_block",
                   "kernel_of", "regime_signature", "write_generator_triplets"],
     "induced_chains": ["CANONICAL_SUBSETS", "DriftTable", "build_induced_chain",
-                       "check_sign_conditions", "closed_form_table", "drift_table",
-                       "mean_displacement", "nominal_condition", "numeric_table",
-                       "output_rates", "solve_stationary", "subset_name"],
+                       "closed_form_table", "drift_table", "mean_displacement",
+                       "nominal_condition", "numeric_table", "output_rates",
+                       "solve_stationary", "subset_name"],
     "primitives": ["MAPSpec", "PHSpec", "erlang_ph", "exponential_ph",
                    "hyperexponential_ph", "map_arrival_rate", "map_stationary_phase",
                    "mmpp_map", "ph_mean", "poisson_map", "validate_map", "validate_ph"],
@@ -34,8 +34,8 @@ EXPORTS = {
     "simulator": ["DriftEstimate", "Trajectory", "estimate_drift", "simulate",
                   "simulate_saturated"],
     "stability": ["LyapunovCertificate", "StabilityReport", "check_ratio_conditions",
-                  "classify", "compute_r1_r2", "lyapunov_certificate", "spiral_path",
-                  "verify_certificate"],
+                  "check_sign_conditions", "classify", "compute_r1_r2",
+                  "lyapunov_certificate", "spiral_path", "verify_certificate"],
 }
 
 README_MODEL = {
@@ -175,7 +175,10 @@ def test_every_public_name_resolves_to_its_defining_module():
         module = importlib.import_module(f"netdrift.{module_name}")
         assert getattr(netdrift, module_name) is module
         for name in names:
-            assert getattr(netdrift, name) is getattr(module, name), name
+            value = getattr(module, name)
+            assert getattr(netdrift, name) is value, name
+            # defined there, not imported from another module
+            assert getattr(value, "__module__", module.__name__) == module.__name__, name
     assert set(netdrift.__all__) <= set(dir(netdrift))
     namespace = {}
     exec("from netdrift import *", namespace)

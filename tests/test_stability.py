@@ -10,6 +10,7 @@ import pytest
 
 from netdrift import (
     check_ratio_conditions,
+    check_sign_conditions,
     classify,
     closed_form_table,
     compute_r1_r2,
@@ -27,7 +28,7 @@ from netdrift.errors import (
     CertificateNotFound,
     SignConditionViolated,
 )
-from netdrift.stability import build_u_matrix
+from netdrift.stability import SIGN_CONDITIONS, build_u_matrix
 
 from tests.conftest import exp_model, priority_sample, symmetric_limited_model
 
@@ -98,16 +99,38 @@ def test_sign_guards_speak_as_the_report(np_model):
         compute_r1_r2(table)
     assert str(err.value) == "sign condition failed: queue 2 on face 23 needs <0, got 0.5"
 
-    # a drift within the margin of zero: the ratios tolerate it, the
-    # spiral path does not
+    # a drift within the margin of zero: the ratios refuse it as the
+    # spiral path does
     table = closed_table(np_model)
     table.closed[S23].drifts = table.closed[S23].drifts.copy()
     table.closed[S23].drifts[2] = 1e-12
-    compute_r1_r2(table)
-    with pytest.raises(SignConditionViolated) as err:
-        spiral_path(table)
-    assert str(err.value) == ("ratio conditions degenerate: drift of queue 3 on "
-                              "face 23 is within 1e-09 of zero")
+    for consumer in (compute_r1_r2, spiral_path):
+        with pytest.raises(SignConditionViolated) as err:
+            consumer(table)
+        assert str(err.value) == ("ratio conditions degenerate: drift of queue 3 on "
+                                  "face 23 is within 1e-09 of zero")
+
+
+@pytest.mark.parametrize("condition", range(14))
+def test_one_sign_gate_refuses_every_marginal_drift(condition):
+    # each of the 14 conditions in turn, within the margin of zero on the
+    # README model's table: every reader of the table refuses it with the
+    # report's own reason
+    A, queue, _ = SIGN_CONDITIONS[condition]
+    table = closed_table(exp_model(mus=(5.0, 2.4, 5.0, 2.2)))
+    table.closed[A].drifts = table.closed[A].drifts.copy()
+    table.closed[A].drifts[queue - 1] = 1e-12
+    expected = (f"ratio conditions degenerate: drift of queue {queue} on "
+                f"face {subset_name(A)} is within 1e-09 of zero")
+    report = check_sign_conditions(table)
+    assert not report["allHold"]
+    assert [c["marginal"] for c in report["conditions"]] == [
+        i == condition for i in range(14)]
+    for consumer in (compute_r1_r2, check_ratio_conditions, lyapunov_certificate,
+                     spiral_path):
+        with pytest.raises(SignConditionViolated) as err:
+            consumer(table)
+        assert str(err.value) == expected
 
 
 def test_ratio_condition_variants(np_model):
