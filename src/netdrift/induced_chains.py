@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class InducedChainSolution:
 _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
 # a kept class of at most this many states is solved by dense LU: face N of the
-# bench models keeps at most 64; a box (past QBD_PHASES phases) holds 2,800+ at 4 levels
+# bench models keeps at most 64; a box (past the QBD caps) holds 2,800+ at 4 levels
 DENSE_STATES = 400
 
 
@@ -253,19 +253,20 @@ def _qbd_solve(rows, cols, data, n, keep, r, path):
     the diagnostics.
 
     Levels >= 2 repeat level 2's up, local and down blocks U, L, D.  The
-    box's kept class holds the phases kept at levels 0 and 1, and at 2
-    and 3 the q phases kept at every level >= 2, on which Neuts' mean
-    drift condition alpha U 1 < alpha D 1, alpha (U + L + D) = 0, must
-    hold.  A down move enters only the c phases C of D's nonzero
-    columns, so logarithmic reduction keeps G and its down iterates as q
-    x c blocks, solves each step through a 2c x 2c capacitance matrix
-    (Woodbury) and sums G as H_0..H_{k-1} Lo_k, right to left.  Levels
-    0..2 are solved level by level: pi_2 = pi_1 B12 K^-1 with K = -L - U
-    G, which also gives R = U K^-1, then pi_1 from pi_0, then pi_0,
-    normalised with levels >= 2 holding pi_2 (I - R)^-1.  The residual
-    is the largest balance residual at levels 0..3 and of U + R L + R^2
-    D = 0, over r.  Each block the solve reads is scattered straight
-    from the triplets: no dense copy of the box."""
+    box's kept class holds the phases kept at levels 0 and 1, and at 2 and 3
+    the q phases P kept at every level >= 2, on which Neuts' mean drift
+    condition alpha U 1 < alpha D 1, alpha (U + L + D) = 0, must hold.  The
+    solve holds a few q x q blocks at a time, scattered from the triplets
+    when read: Up, Lp, Dp are U, L, D on the columns P, and U 1, D 1 and
+    level 3's balance sum the moves out of level 2.  A down move enters only
+    the c phases C of Dp's nonzero columns, so logarithmic reduction keeps G
+    and its down iterates Lo as q x c blocks and solves each step through a
+    2c x 2c capacitance matrix (Woodbury), with a running product T = H_0 ..
+    H_k.  K = -Lp - Up G is -Lp but on the columns C, so K^-1 is Li =
+    (-Lp)^-1 plus a rank-c update.  Levels 0..2 are solved level by level:
+    pi_2 = pi_1 B12 K^-1, R = Up K^-1, then pi_1, then pi_0, normalised with
+    levels >= 2 holding pi_2 (I - R)^-1.  The residual is the largest
+    balance residual at levels 0..3 and of Up + R Lp + R^2 Dp = 0, over r."""
     m = n // 4
     P = np.flatnonzero(np.bincount(keep[keep >= 2 * m] % m, minlength=m))
     # the kept states at levels 0 and 1, then the kept phases of level 2
@@ -273,52 +274,62 @@ def _qbd_solve(rows, cols, data, n, keep, r, path):
     kept = np.concatenate([k0, k1, k2])
     q, s = P.size, kept.size - P.size
     block = partial(_block, rows, cols, data, n)
-    U, L, D = (block(k2, np.arange(k * m, (k + 1) * m)) for k in (3, 2, 1))
-    Up, Lp, Dp, I = U[:, P], L[:, P], D[:, P], np.eye(q)
+    # the moves out of level 2 (rows are sorted): their phase, target level and phase, and rate
+    two = slice(*np.searchsorted(rows, [2 * m, 3 * m]))
+    i, (level, phase), v = rows[two] % m, np.divmod(cols[two], m), data[two]
+    Up, Lp, Dp = (block(k2, k * m + P) for k in (3, 2, 1))
     C = np.flatnonzero(Dp.any(axis=0))
     if q:
-        A = (Up + Lp + Dp).T / r
-        A[0] = 1.0
-        alpha = np.linalg.solve(A, I[0])
-        up, down = alpha @ U.sum(axis=1), alpha @ D.sum(axis=1)
+        alpha = np.linalg.solve(np.vstack([np.ones(q), (Up + Lp + Dp)[:, 1:].T / r]),
+                                np.eye(1, q)[0])
+        up, down = (alpha @ np.bincount(i[level == k], v[level == k], minlength=m)[P]
+                    for k in (3, 1))
         if not up < down:
             raise _SolveFailed(
                 f"qbd refused: mean drift condition fails: up rate {up:.6g} >= "
                 f"down rate {down:.6g} on the kept phases; not positive recurrent")
     if not k0.size:
         raise _SolveFailed("qbd failed: the kept class holds no level-0 state")
-    # each step's (H, Lo), Lo holding the down iterate's columns C
-    H, Lo = np.hsplit(np.linalg.solve(-Lp, np.hstack([Up, Dp[:, C]])), [q])
-    steps = [(H, Lo)]
-    # the row sums of H_0 ... H_k, applied to 1 from the right
-    while reduce(lambda t, st: st[0] @ t, steps[::-1], np.ones(q)).max(initial=0) > 1e-15:
-        if len(steps) > 64:
+    Li, Dp = np.linalg.inv(-Lp), Dp[:, C]
+    H, Lo = Li @ Up, Li @ Dp
+    del Up, Lp  # the reduction runs without them; they are scattered again after it
+    G, T, iterations = Lo, H, 0
+    while T.sum(axis=1).max(initial=0.0) > 1e-15:
+        if iterations == 64:
             raise _SolveFailed("qbd failed: logarithmic reduction did not converge")
         # I - H Lo - Lo H = I - V W, with V = [H Lo_C, Lo_C] and W = [E_C; H_C]
-        V, X = np.hstack([H @ Lo, Lo]), np.hstack([H @ H, Lo @ Lo[C]])
-        WV, WX = (np.vstack([Y[C], H[C] @ Y]) for Y in (V, X))
-        H, Lo = np.hsplit(X + V @ np.linalg.solve(np.eye(2 * C.size) - WV, WX), [q])
-        steps.append((H, Lo))
-    G = reduce(lambda G, st: st[1] + st[0] @ G, steps[-2::-1], Lo)
-    # only the count of the steps is read from here on
-    iterations = len(steps) - 1
-    del steps, H, Lo
-    K = -Lp
-    K[:, C] -= Up @ G
-    R, W2 = np.vsplit(np.linalg.solve(K.T, np.vstack([Up, block(k1, k2)]).T).T, [q])
-    W1 = np.linalg.solve((-block(k1, k1) - W2 @ block(k2, k1)).T, block(k0, k1).T).T
+        HC, V = H[C], np.hstack([H @ Lo, Lo])
+        H, Lo = H @ H, Lo @ Lo[C]
+        S = np.linalg.solve(np.eye(2 * C.size) - np.vstack([V[C], HC @ V]), np.hstack(
+            [np.vstack([H[C], HC @ H]), np.vstack([Lo[C], HC @ Lo])]))
+        H += V @ S[:, :q]
+        Lo += V @ S[:, q:]
+        G, T, iterations = G + T @ Lo, T @ H, iterations + 1
+    del H, T
+    Up, Lp = (block(k2, k * m + P) for k in (3, 2))
+    # K^-1 = Li + Z (I_c - Z_C)^-1 Li_C with Z = Li Up G, in place of Li
+    Z = Li @ (Up @ G)
+    Li += Z @ np.linalg.solve(np.eye(C.size) - Z[C], Li[C])
+    R = Up @ Li
+    Lp[:, C] += R @ Dp
+    Up += R @ Lp  # Up + R Lp + R^2 Dp, whose largest entry is part of the residual
+    del Lp
+    quad, W2 = np.abs(Up).max(initial=0.0), block(k1, k2) @ Li
+    del Up, Li
+    W1 = np.linalg.solve((block(k1, k1) + W2 @ block(k2, k1)).T, -block(k0, k1).T).T
     A = (block(k0, k0) + W1 @ block(k1, k0)).T / r
-    A[0] = 1.0 + W1 @ (1.0 + W2 @ np.linalg.solve(I - R, np.ones(q)))
+    IR = np.eye(q) - R
+    A[0] = 1.0 + W1 @ (1.0 + W2 @ np.linalg.solve(IR, np.ones(q)))
     x0 = np.linalg.solve(A, np.eye(1, k0.size)[0])
     x = np.concatenate([x0, x0 @ W1, x0 @ W1 @ W2])
-    above = np.linalg.solve((I - R).T, x[s:])
-    # the mass at levels 0..3, balanced by the box's flows and at level 3 U, L, D
-    pi = np.zeros(n)
+    above = np.linalg.solve(IR.T, x[s:])
+    # the balance at levels 0..3: the box's flows, and x_2 U + pi_3 L + pi_4 D
+    pi, weight = np.zeros(n), np.zeros((3, m))
     pi[kept], pi[3 * m + P] = x, x[s:] @ R
+    weight[:, P] = pi[3 * m + P] @ R, pi[3 * m + P], x[s:]
     flows = np.bincount(cols, pi[rows] * data, minlength=n)[:3 * m]
-    top = x[s:] @ U + pi[3 * m + P] @ L + (pi[3 * m + P] @ R) @ D
-    resid = float(max(np.abs(flows).max(), np.abs(top).max(initial=0.0),
-                      np.abs(Up + R @ (Lp + R @ Dp)).max(initial=0.0)) / r)
+    top = np.bincount(phase, weight[level - 1, i] * v, minlength=m)
+    resid = float(max(np.abs(flows).max(), np.abs(top).max(initial=0.0), quad) / r)
     _accept(path, min(x.min(), above.min(initial=0.0)), resid)
     pi[2 * m + P] = above
     dist = np.clip(pi[:3 * m], 0.0, None).reshape(3, m)
@@ -365,11 +376,13 @@ def _next_level(L, tail, rate, cap, target):
     return min(L + steps, top)
 
 
-# the most phases solved as a QBD: `analyze --mode both` of sym K=11 (676) took
-# 0.50 s with QBDs, 0.64 s with boxes, peaking at 86 and 82 MB (median of 5, one
-# vCPU, scipy import included); sym K=12 (784) 0.68 and 0.76 s, but 101 MB
-# against 87, 16% more; K=13 (900) 0.93 and 1.03 s, 126 and 92 MB
-QBD_PHASES = 700
+# the most phases solved as a QBD: numeric mode on sym K=13 (900) peaks at
+# 76 MB with QBDs, 92 with boxes, and takes 0.90 s, 0.72 with boxes (median
+# of 6), r1*r2 off by 2e-15 and 8e-7; sym K=14's 2-D faces (1,024) stay on
+# the box.  A 1-D face (S0 phases) also stays within 700: at sym K=25..29
+# (729..961) its QBD takes 1.4-2.0 times its box's time and peaks 4-7 MB
+# higher, numeric and both mode, and r1*r2 is the same either way
+QBD_PHASES, QBD_1D_PHASES = 1000, 700
 
 
 def _solve_at(chain: InducedChain, shape):
@@ -395,10 +408,11 @@ def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolu
     level per free coordinate, grown in one loop on either path.
 
     A face with a free coordinate and at most QBD_PHASES phases (S0,
-    times `levels` on a 2-D face) is a QBD whose level, the free queue
-    with exogenous arrivals (1 or 3), is not truncated (None); its other
-    axis, if any, is truncated.  Any other face is a box, every axis
-    truncated.  Each truncated axis starts at `levels` (at `cap` when
+    times `levels` on a 2-D face; a 1-D face also at most QBD_1D_PHASES)
+    is a QBD whose level, the free queue with exogenous arrivals (1 or
+    3), is not truncated (None); its other axis, if any, is truncated.
+    Any other face is a box, every axis truncated.  Each truncated axis
+    starts at `levels` (at `cap` when
     above it) and the face grows until its boundary mass (the cells
     where any truncated axis sits at its top level) is at most TAIL_TOL;
     nothing else decides when a face is done.  A larger boundary mass
@@ -428,7 +442,7 @@ def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolu
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     d, S0 = len(chain.free), chain.kernel.S0
     L = min(int(levels), int(cap))
-    qbd = d > 0 and S0 * L ** (d - 1) <= QBD_PHASES
+    qbd = d > 0 and S0 * L ** (d - 1) <= QBD_PHASES and (d > 1 or S0 <= QBD_1D_PHASES)
     slow = next((a for a, q in enumerate(chain.free) if q in (1, 3)), 0) if qbd else None
     axes = [a for a in range(d) if a != slow]
     power, aim = (2, TAIL_TOL / 2) if qbd else (1, TAIL_TOL / 4)

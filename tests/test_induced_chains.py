@@ -271,6 +271,18 @@ def test_levels_and_cap_must_be_positive(np_model, monkeypatch):
                     solve_stationary(chain, **kwargs)
 
 
+def test_a_1d_face_is_a_qbd_only_within_its_own_cap(monkeypatch):
+    # a 1-D face (S0 phases) past QBD_1D_PHASES is solved on its box, while
+    # a 2-D face within QBD_PHASES stays a QBD
+    kernel = kernel_of(symmetric_limited_model(3))
+    for cap, paths in ((kernel.S0, {"qbd"}), (kernel.S0 - 1, {"dense-lu", "ilu-gmres"})):
+        monkeypatch.setattr(induced_chains, "QBD_1D_PHASES", cap)
+        for A, want in (({1, 2, 3}, paths), ({1, 3, 4}, paths), ({1, 4}, {"qbd"})):
+            sol = solve_stationary(build_induced_chain(kernel, A))
+            assert sol.converged
+            assert {path for *_, path in sol.history} <= want, (A, sol.history)
+
+
 def _singular_ilu(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
 
@@ -920,8 +932,9 @@ def test_qbd_down_moves_enter_few_phases():
 def test_qbd_solve_memory_grows_with_the_blocks_it_reads(monkeypatch):
     # the final QBD box of face {1,4} of the symmetric K=8 model: m = 5 x
     # 100 phases per level, q = 333 of them kept at levels >= 2.  The solve
-    # reads blocks of at most q x m entries; a dense copy of the box's
-    # first three levels alone would hold 12 m^2, 18 times q x m
+    # holds a few q x q blocks at a time, and never a block of q x m
+    # entries; a dense copy of the box's first three levels alone would
+    # hold 12 m^2, 18 times q x m
     solve, boxes = induced_chains._stationary_of, []
     monkeypatch.setattr(induced_chains, "_stationary_of",
                         lambda *box, qbd=False: boxes.append(box) or solve(*box, qbd=qbd))
@@ -937,17 +950,18 @@ def test_qbd_solve_memory_grows_with_the_blocks_it_reads(monkeypatch):
     q = stats["phases"]
     assert (m, q) == (500, 333)
     assert peak <= 24 * q * m * 8
+    assert peak <= 10 * q * q * 8
 
 
-@st.composite
-def level_independent_qbds(draw):
+def _level_independent_qbd(m, r, seed, excess=None, slowest=1.0):
     """Canonical triplets of a four-level box (level 3 reflecting) of a
-    QBD with m <= 12 phases: random boundary blocks at levels 0 and 1,
-    and from level 2 on up, local and down blocks whose down moves enter
-    r <= m phases and outweigh the up moves on every phase."""
-    m = draw(st.integers(min_value=1, max_value=12))
-    r = draw(st.integers(min_value=1, max_value=m))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    QBD with m phases: random boundary blocks at levels 0 and 1, and
+    from level 2 on up, local and down blocks whose down moves enter r
+    phases and outweigh the up moves on every phase, by the factor 1 +
+    `excess` when it is given.  At every level, the rates out of the m
+    phases are then scaled by factors spaced evenly in log from `slowest`
+    to 1."""
+    rng = np.random.default_rng(seed)
 
     def rates(rows, cols, density):
         return rng.uniform(0.1, 1.0, (rows, cols)) * (rng.random((rows, cols)) < density)
@@ -960,6 +974,8 @@ def level_independent_qbds(draw):
     U = (rates(m, m, 0.5) + np.eye(m)) / (2 * m)
     D = np.zeros((m, m))
     D[:, rng.choice(m, size=r, replace=False)] = rng.uniform(1.0, 2.0, (m, r)) / r
+    if excess is not None:
+        D *= ((1.0 + excess) * U.sum(axis=1) / D.sum(axis=1))[:, None]
     Q = np.zeros((4 * m, 4 * m))
     for k in range(4):
         block = slice(k * m, (k + 1) * m)
@@ -969,13 +985,33 @@ def level_independent_qbds(draw):
         if k > 0:
             Q[block, block.start - m:block.stop - m] = D if k > 1 else rates(m, m, 0.5) + np.eye(m)
     np.fill_diagonal(Q, 0.0)
+    Q *= np.tile(np.geomspace(slowest, 1.0, m), 4)[:, None]
     np.fill_diagonal(Q, -Q.sum(axis=1))
     rows, cols = np.nonzero(Q)
     return rows, cols, Q[rows, cols], 4 * m
 
 
+@st.composite
+def level_independent_qbds(draw):
+    """`_level_independent_qbd` with m <= 12 phases."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    r = draw(st.integers(min_value=1, max_value=m))
+    return _level_independent_qbd(m, r, draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(level_independent_qbds())
+# down moves 1% above the up moves, near null recurrence: 11 reduction
+# steps where these seeds take 4 otherwise, and R's spectral radius at
+# 0.99; down moves into every phase (c = q), and into one (c = 1).  These
+# leave the c x c matrix I_c - Z_C of K^-1's Woodbury form well conditioned:
+# det(K) = det(-Lp) det(I_c - Z_C), so it is ill-conditioned only when K is.
+# So one more case makes -Lp itself ill-conditioned: phases whose rates
+# span 1e-6..1, which give cond(-Lp) about 1e6 for the explicit (-Lp)^-1
+@example(_level_independent_qbd(12, 6, seed=1, excess=0.01))
+@example(_level_independent_qbd(12, 12, seed=2, excess=0.01))
+@example(_level_independent_qbd(12, 1, seed=3, excess=0.01))
+@example(_level_independent_qbd(12, 6, seed=4, slowest=1e-6))
 def test_structured_qbd_solve_matches_the_dense_reference(qbd):
     rows, cols, data, n = qbd
     stats = _assert_matches_reference_qbd(induced_chains._stationary_of(*qbd, qbd=True), *qbd)

@@ -499,3 +499,17 @@ def test_marginal_product_is_inconclusive():
     assert abs(report.r1r2 - 1.0) <= 1e-12
     assert report.classification == "Inconclusive"
     assert any("lies within 1e-09 of 1" in r for r in report.reasons)
+
+
+def test_near_threshold_limited_model_gets_the_closed_form_verdict():
+    # sym K=12 with mu2 = mu4 a hair under the threshold: the closed form
+    # gives r1*r2 = 1 + 1.4e-7, Transient.  Solved on boxes, the 2-D
+    # faces' truncation put r1*r2 low by about 1e-6 and the verdict on
+    # the wrong side; as QBDs (784 phases) they carry round-off alone
+    model = symmetric_limited_model(12, mu_batch=1.9047618476190493)
+    report = classify(model, mode="numeric", assume_semi_irreducible=True)
+    assert report.classification == "Transient"
+    assert report.r1r2 == pytest.approx(1.000000137454556, rel=1e-12, abs=0.0)
+    for A, entry in report.table.numeric.items():
+        if len(A) == 2:
+            assert {h[3] for h in entry.diagnostics["history"]} == {"qbd"}, subset_name(A)
