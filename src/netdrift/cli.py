@@ -541,8 +541,6 @@ def cmd_simulate(args):
                 })
             summary["agreement"] = agreement
     _emit_json(summary, str(out_dir / "summary.json") if out_dir else None)
-    if out_dir:
-        _write_meta(out_dir / "run.meta.json")
     return 0
 
 

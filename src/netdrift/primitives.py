@@ -181,7 +181,8 @@ def validate_ph(beta, H):
     NegativeProbability
         ``beta`` has a negative entry.
     BetaSumNotOne
-        ``beta`` does not sum to one (tolerance 1e-12).
+        ``beta`` has a non-finite entry or does not sum to one (tolerance
+        1e-12).
     InvalidSubgenerator
         ``H`` has a negative off-diagonal entry, a positive diagonal
         entry, or a negative exit rate.
@@ -193,6 +194,8 @@ def validate_ph(beta, H):
     s = H.shape[0]
     if beta.shape[0] != s:
         raise DimensionMismatch(f"beta has {beta.shape[0]} entries, H is {s}x{s}")
+    if not np.all(np.isfinite(beta)):
+        raise BetaSumNotOne("beta contains non-finite entries")
     if beta.min(initial=0.0) < -ZERO_TOL:
         raise NegativeProbability("beta has a negative entry")
     if abs(beta.sum() - 1.0) > ZERO_TOL:
@@ -242,9 +245,10 @@ def exponential_ph(rate):
 
 def erlang_ph(phases, rate):
     """Erlang distribution: `phases` exponential stages, each at `rate`."""
+    if isinstance(phases, bool) or not isinstance(phases, (int, float, np.integer, np.floating)) \
+            or not np.isfinite(phases) or phases < 1 or phases != int(phases):
+        raise DimensionMismatch(f"phase count must be a positive integer, got {phases!r}")
     k = int(phases)
-    if k < 1 or k != phases:
-        raise DimensionMismatch(f"phase count must be a positive integer, got {phases}")
     r = float(rate)
     if r <= 0.0:
         raise NegativeRate(f"stage rate must be > 0, got {r}")

@@ -23,7 +23,8 @@ placeholder states are left immediately and never re-entered.
 
 Station 1 uses (background, other) = (class 1, class 4); station 2 uses
 (class 3, class 2).  The same builders serve both stations through that
-role swap.
+role swap.  Non-preemptive priority to the other class is (1,K)-limited
+service with no visit budget, so one builder writes both.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     InvalidK,
     NegativeOffDiagonal,
     NegativeProbability,
+    NegativeRate,
     NetdriftError,
     NonStochasticU,
 )
@@ -105,6 +107,14 @@ def _layout(ph_lo: PHSpec, ph_hi: PHSpec, blocks: int):
     t["2*0"][lo, lo] = np.outer(ph_lo.h, b1)
     # background queue empty: its phases are placeholders
     t["0+"][lo, lo] = -np.eye(s1)
+    for j in range(blocks):
+        b = blk(j)
+        # other queue empty: a placeholder block, left at rate one to
+        # where the caller says
+        t["+0"][b, b] = -np.eye(s4)
+        # other class in service; its last job leaving idles the server
+        t["0+"][b, b] = t["++"][b, b] = ph_hi.H
+        t["01*"][b, 0] = ph_hi.h
 
     # a background arrival to an empty system starts service at once; an
     # arrival that finds the server busy leaves its state alone
@@ -115,39 +125,55 @@ def _layout(ph_lo: PHSpec, ph_hi: PHSpec, blocks: int):
     return n, lo, blk, t, u
 
 
+def _alternating_msp(ph_lo: PHSpec, ph_hi: PHSpec, K: int | None) -> MSPSpec:
+    """(1,K)-limited alternation; with K None (no visit budget) it is
+    non-preemptive priority to the other class.
+
+    State layout: [idle | background phases | slot 1 .. slot K], slot j
+    holding the phases of the j-th other-class service of the current
+    visit (one slot when K is None).
+    """
+    slots = K or 1
+    n, lo, slot, t, u = _layout(ph_lo, ph_hi, slots)
+    first = slot(0)
+    b1, H1, h1 = ph_lo.beta, ph_lo.H, ph_lo.h
+    b4, h4 = ph_hi.beta, ph_hi.h
+
+    # a visit starts at slot 1: from idle or a background placeholder, or
+    # when a background service ends with the other queue busy; an
+    # ongoing background service is never interrupted
+    t["0+"][:first.start, first] = b4
+    t["++"][0, first] = b4
+    t["++"][lo, lo] = H1
+    t["1*+"][lo, first] = t["2*+"][lo, first] = np.outer(h1, b4)
+    for j in range(slots):
+        # no other-class job left (a placeholder slot, or the last one
+        # done): serve the background class
+        t["+0"][slot(j), lo] = b1
+        t["+1*"][slot(j), lo] = np.outer(h4, b1)
+        # more of the other class: the next slot, slot K wrapping to slot 1
+        # (an empty background queue is skipped; no budget keeps one slot)
+        nxt = slot((j + 1) % slots)
+        t["02*"][slot(j), nxt] = np.outer(h4, b4)
+        if j + 1 == K:
+            # visit budget spent: switch to the background class
+            t["+2*"][slot(j), lo] = np.outer(h4, b1)
+        else:
+            t["+2*"][slot(j), nxt] = np.outer(h4, b4)
+
+    u["00*"][:, first] = b4
+    kind = "non_preemptive" if K is None else f"limited:{K}"
+    return validate_msp(MSPSpec(n, ph_lo.dim, ph_hi.dim, t, u, kind))
+
+
 def build_nonpreemptive_msp(ph_lo: PHSpec, ph_hi: PHSpec) -> MSPSpec:
     """Non-preemptive priority: the other class is served whenever present,
-    but a background service in progress is never interrupted.
+    but a background service in progress is never interrupted.  This is
+    (1,K)-limited alternation with no visit budget.
 
     State layout: [idle | background phases | other phases].
     """
-    n, lo, blk, t, u = _layout(ph_lo, ph_hi, 1)
-    hi = blk(0)
-    b1, H1, h1 = ph_lo.beta, ph_lo.H, ph_lo.h
-    b4, H4, h4 = ph_hi.beta, ph_hi.H, ph_hi.h
-
-    # other queue empty: its phases are placeholders
-    t["+0"][hi, lo] = b1
-    t["+0"][hi, hi] = -np.eye(ph_hi.dim)
-
-    # background queue empty, other busy: idle and the background
-    # placeholders start an other-class service
-    t["0+"][:hi.start, hi] = b4
-    t["0+"][hi, hi] = H4
-    t["01*"][hi, 0] = h4
-    t["02*"][hi, hi] = np.outer(h4, b4)
-
-    # both busy: an ongoing background service finishes, otherwise the
-    # other class holds the server
-    t["++"][0, hi] = b4
-    t["++"][lo, lo] = H1
-    t["++"][hi, hi] = H4
-    t["1*+"][lo, hi] = t["2*+"][lo, hi] = np.outer(h1, b4)
-    t["+1*"][hi, lo] = np.outer(h4, b1)
-    t["+2*"][hi, hi] = np.outer(h4, b4)
-
-    u["00*"][:, hi] = b4
-    return validate_msp(MSPSpec(n, ph_lo.dim, ph_hi.dim, t, u, "non_preemptive"))
+    return _alternating_msp(ph_lo, ph_hi, None)
 
 
 def build_preemptive_resume_msp(ph_lo: PHSpec, ph_hi: PHSpec) -> MSPSpec:
@@ -162,7 +188,7 @@ def build_preemptive_resume_msp(ph_lo: PHSpec, ph_hi: PHSpec) -> MSPSpec:
     s1 = ph_lo.dim
     n, lo, blk, t, u = _layout(ph_lo, ph_hi, s1)
     b1 = ph_lo.beta
-    b4, H4, h4 = ph_hi.beta, ph_hi.H, ph_hi.h
+    b4, h4 = ph_hi.beta, ph_hi.h
 
     # both busy: the other class holds the server, so the background
     # phases are placeholders
@@ -172,13 +198,10 @@ def build_preemptive_resume_msp(ph_lo: PHSpec, ph_hi: PHSpec) -> MSPSpec:
         b = blk(k)
         # placeholder interrupted blocks resume background phase k
         t["+0"][b, 1 + k] = 1.0
-        t["+0"][b, b] = -np.eye(ph_hi.dim)
         for key in ("0+", "++"):
             # with no background service in progress the frozen phase is
             # drawn fresh
             t[key][:1 + s1, b] = b1[k] * b4
-            t[key][b, b] = H4
-        t["01*"][b, 0] = h4
         t["02*"][b, b] = t["+2*"][b, b] = np.outer(h4, b4)
         # background service cannot complete while interrupted, so
         # t["1*+"] and t["2*+"] stay zero
@@ -197,64 +220,28 @@ def build_limited_msp(ph_lo: PHSpec, ph_hi: PHSpec, K: int) -> MSPSpec:
     """(1,K)-limited alternation: the server takes one background job,
     then up to K other-class jobs, and keeps cycling.  Empty queues are
     skipped without switchover time.
-
-    State layout: [idle | background phases | slot 1 .. slot K], slot j
-    holding the phases of the j-th other-class service of the current
-    visit.
     """
     if not isinstance(K, (int, np.integer)) or isinstance(K, bool) or K < 1:
         raise InvalidK(f"K must be an integer >= 1, got {K!r}")
-    K = int(K)
-    n, lo, slot, t, u = _layout(ph_lo, ph_hi, K)
-    first = slot(0)
-    b1, H1, h1 = ph_lo.beta, ph_lo.H, ph_lo.h
-    b4, H4, h4 = ph_hi.beta, ph_hi.H, ph_hi.h
-
-    # a visit starts at slot 1: from idle or a background placeholder, or
-    # when a background service ends with the other queue busy
-    t["0+"][:first.start, first] = b4
-    t["++"][0, first] = b4
-    t["++"][lo, lo] = H1
-    t["1*+"][lo, first] = t["2*+"][lo, first] = np.outer(h1, b4)
-    for j in range(K):
-        # other queue empty: the slots are placeholders
-        t["+0"][slot(j), lo] = b1
-        t["+0"][slot(j), slot(j)] = -np.eye(ph_hi.dim)
-        t["0+"][slot(j), slot(j)] = t["++"][slot(j), slot(j)] = H4
-        # last job of this class leaving: back to idle from any slot
-        t["01*"][slot(j), 0] = h4
-        t["+1*"][slot(j), lo] = np.outer(h4, b1)
-        # after the K-th service the (empty) background queue is visited
-        # and skipped, so the cycle restarts at slot 1
-        t["02*"][slot(j), slot((j + 1) % K)] = np.outer(h4, b4)
-        if j + 1 < K:
-            t["+2*"][slot(j), slot(j + 1)] = np.outer(h4, b4)
-    # visit budget exhausted: switch to the background class
-    t["+2*"][slot(K - 1), lo] = np.outer(h4, b1)
-
-    u["00*"][:, first] = b4
-    return validate_msp(MSPSpec(n, ph_lo.dim, ph_hi.dim, t, u, f"limited:{K}"))
+    return _alternating_msp(ph_lo, ph_hi, int(K))
 
 
 def validate_msp(spec: MSPSpec) -> MSPSpec:
-    """Structural checks on an MSP: shapes, sign patterns, stochastic U
-    rows, and conservation of all composite generators (tolerance 1e-12).
+    """Structural checks on an MSP: shapes, finite entries, sign patterns,
+    stochastic U rows, and conservation of all composite generators
+    (tolerance 1e-12).
     """
     n = spec.n
-    for key in T_KEYS:
-        if key not in spec.t:
-            raise DimensionMismatch(f"missing transition matrix t[{key!r}]")
-        M = np.asarray(spec.t[key], dtype=float)
-        if M.shape != (n, n):
-            raise DimensionMismatch(f"t[{key!r}] has shape {M.shape}, expected {(n, n)}")
-        spec.t[key] = M
-    for key in U_KEYS:
-        if key not in spec.u:
-            raise DimensionMismatch(f"missing update matrix u[{key!r}]")
-        M = np.asarray(spec.u[key], dtype=float)
-        if M.shape != (n, n):
-            raise DimensionMismatch(f"u[{key!r}] has shape {M.shape}, expected {(n, n)}")
-        spec.u[key] = M
+    for name, mats, keys in (("t", spec.t, T_KEYS), ("u", spec.u, U_KEYS)):
+        for key in keys:
+            if key not in mats:
+                raise DimensionMismatch(f"missing matrix {name}[{key!r}]")
+            M = np.asarray(mats[key], dtype=float)
+            if M.shape != (n, n):
+                raise DimensionMismatch(f"{name}[{key!r}] has shape {M.shape}, expected {(n, n)}")
+            if not np.all(np.isfinite(M)):
+                raise NegativeRate(f"{name}[{key!r}] contains non-finite entries")
+            mats[key] = M
 
     for key in ("00", "+0", "0+", "++"):
         M = spec.t[key]

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, file outputs, and
 byte-for-byte reproducibility of reports."""
 
+import copy
 import hashlib
 import json
 
@@ -55,6 +56,31 @@ LIMITED_MODEL = {
 }
 
 
+# MMPP arrivals with Erlang, hyperexponential and raw-PH services
+PHMAP_MODEL = dict(BASE_MODEL, arrivals=[
+    {"mmpp": {"switch": [[-1.0, 1.0], [2.0, -2.0]], "rates": [0.5, 1.1]}},
+    {"poisson": 0.4},
+], services=[
+    {"erlang": {"phases": 2, "rate": 8.0}},
+    {"hyperexponential": {"weights": [0.4, 0.6], "rates": [6.0, 2.0]}},
+    {"beta": [0.3, 0.7], "H": [[-6.0, 1.0], [0.5, -5.0]]},
+    {"exponential": 2.2},
+])
+
+
+def msp_dict(m):
+    return {"sLo": m.s_lo, "sHi": m.s_hi,
+            "t": {k: v.tolist() for k, v in m.t.items()},
+            "u": {k: v.tolist() for k, v in m.u.items()}}
+
+
+def custom_model(tmp_path, payload):
+    """`payload` with its stations' built MSPs written as a custom discipline."""
+    model = load_model(write_json(tmp_path, "built.json", payload))
+    return dict(payload, discipline={"custom": {"msp1": msp_dict(model.msp1),
+                                                "msp2": msp_dict(model.msp2)}})
+
+
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -104,17 +130,9 @@ def _numeric_r1r2(capsys, path):
 def test_custom_discipline_and_shorthands_round_trip(tmp_path, capsys):
     readme = dict(BASE_MODEL, services=[{"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)])
     path = write_json(tmp_path, "readme.json", readme)
-    model = load_model(path)
 
     # the README model, written as a custom discipline with its own MSPs
-    def msp(m):
-        return {"sLo": m.s_lo, "sHi": m.s_hi,
-                "t": {k: v.tolist() for k, v in m.t.items()},
-                "u": {k: v.tolist() for k, v in m.u.items()}}
-
-    custom = write_json(tmp_path, "custom.json", dict(
-        readme, discipline={"custom": {"msp1": msp(model.msp1),
-                                       "msp2": msp(model.msp2)}}))
+    custom = write_json(tmp_path, "custom.json", custom_model(tmp_path, readme))
     r1r2 = _numeric_r1r2(capsys, path)
     assert r1r2 == pytest.approx(0.7 * 0.8 / 1.8, abs=1e-7)
     assert _numeric_r1r2(capsys, custom) == r1r2
@@ -159,6 +177,79 @@ def test_invalid_model_field_is_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, ["validate", path])
     assert code == 2
     assert "services.2" in err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("service, where", [
+    ({"beta": [NAN, 1.0], "H": [[-2.0, 0.0], [0.0, -2.0]]}, "services.2.beta"),
+    ({"beta": [None, 1.0], "H": [[-2.0, 0.0], [0.0, -2.0]]}, "services.2.beta"),
+    ({"hyperexponential": {"weights": [NAN, 0.5], "rates": [1.0, 2.0]}}, "services.2"),
+    ({"hyperexponential": {"weights": [None, 0.5], "rates": [1.0, 2.0]}}, "services.2"),
+] + [({"erlang": {"phases": v, "rate": 8.0}}, "services.2")
+     for v in (NAN, INF, "x", None, [], {}, True)], ids=repr)
+def test_malformed_service_is_exit_2(tmp_path, capsys, service, where):
+    # JSON NaN, Infinity and null become non-finite floats; an Erlang count
+    # must be a positive integer, and a bool is not one
+    services = list(BASE_MODEL["services"])
+    services[1] = service
+    path = write_json(tmp_path, "model.json", dict(BASE_MODEL, services=services))
+    for command in ("validate", "analyze"):
+        code, _, err = run(capsys, [command, path])
+        assert code == 2, err
+        assert f"invalid model at {where}:" in err
+
+
+def test_non_finite_custom_msp_entry_is_exit_2(tmp_path, capsys):
+    model = custom_model(tmp_path, BASE_MODEL)
+    model["discipline"]["custom"]["msp1"]["t"]["1*+"][1][2] = NAN
+    path = write_json(tmp_path, "custom.json", model)
+    for command in ("validate", "analyze", "simulate"):
+        code, _, err = run(capsys, [command, path, "--out", str(tmp_path / command)])
+        assert code == 2, err
+        assert "invalid model at discipline: t['1*+'] contains non-finite entries" in err
+
+
+def numeric_leaves(node, path=()):
+    """Key paths of the numbers (bools aside) in a model-file tree."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from numeric_leaves(child, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def test_malformed_numeric_leaves_keep_the_exit_code_contract(tmp_path, capsys):
+    # one numeric leaf replaced at a time: a malformed model is a parse or
+    # validation failure (exit 3 or 2), or still a valid model, never an
+    # internal error; a non-finite number is never valid
+    custom = custom_model(tmp_path, README_MODEL)
+    models = [
+        (README_MODEL, list(numeric_leaves(README_MODEL))),
+        (PHMAP_MODEL, list(numeric_leaves(PHMAP_MODEL))),
+        (custom, list(numeric_leaves(custom["discipline"], ("discipline",)))[::10]),
+    ]
+    malformed = ([(v, (2, 3)) for v in (NAN, INF, None)]
+                 + [(v, (0, 2, 3)) for v in (True, "x", [], {})])
+    path = tmp_path / "model.json"
+    broken, runs = [], 0
+    for model, leaves in models:
+        path.write_text(json.dumps(model))
+        assert run(capsys, ["validate", str(path), "--probe-radius", "0"])[0] == 0
+        for leaf in leaves:
+            for value, allowed in malformed:
+                bad = copy.deepcopy(model)
+                node = bad
+                for key in leaf[:-1]:
+                    node = node[key]
+                node[leaf[-1]] = value
+                path.write_text(json.dumps(bad))
+                code = run(capsys, ["validate", str(path), "--probe-radius", "0"])[0]
+                if code not in allowed:
+                    broken.append((leaf, value, code))
+                runs += 1
+    assert runs > 400 and broken == []
 
 
 def test_parse_problems_are_exit_3(tmp_path, capsys):
@@ -454,7 +545,7 @@ def test_simulate_outputs_are_reproducible(tmp_path, capsys):
         assert code == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == [
-            "run.meta.json", "summary.json", "summary.json.meta.json",
+            "summary.json", "summary.json.meta.json",
             "trajectory_001.csv", "trajectory_002.csv",
         ]
         snapshots.append((

@@ -1066,6 +1066,25 @@ def test_limited_closed_form_approaches_priority_as_budget_grows():
         assert K * g <= 6.0      # but decays at a 1/K rate
 
 
+@pytest.mark.parametrize("K", [10, 100, 10**3, 10**6])
+def test_limited_closed_form_is_within_mu1_over_k_of_priority(K):
+    # the closed-form half of the large-K limit oracle: non-preemptive
+    # priority is limited service with no visit budget, and with matched
+    # stations every entry of the five faces is within mu1/K of it
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        lam = rng.uniform(0.05, 2.0)
+        mu2 = rng.uniform(0.1, 5.0)
+        mu1 = mu2 * rng.uniform(1.01, 10.0)
+        mu = (mu1, mu2, mu1, mu2)
+        lim = induced_chains._limited_closed(lam, lam, mu, K)
+        prio = induced_chains._priority_closed(lam, lam, mu)
+        assert lim.keys() == prio.keys() == set(CANONICAL_SUBSETS)
+        for A in CANONICAL_SUBSETS:
+            gap = np.max(np.abs(np.subtract(lim[A], prio[A])))
+            assert gap <= mu1 / K, (K, mu, A)
+
+
 def test_closed_form_guards():
     # nominal overload
     with pytest.raises(AssumptionViolated):

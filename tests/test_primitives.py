@@ -196,6 +196,31 @@ def test_erlang_rejects_fractional_phases():
         erlang_ph(2.5, 1.0)
 
 
+@pytest.mark.parametrize("phases", [float("nan"), float("inf"), -float("inf"), 0, -2,
+                                    "x", "2", None, [], {}, [2], True, False],
+                         ids=repr)
+def test_erlang_rejects_a_phase_count_that_is_not_a_positive_integer(phases):
+    # JSON NaN, Infinity, null, strings, lists and objects reach erlang_ph
+    # as they are; a bool is not a count
+    with pytest.raises(DimensionMismatch, match="phase count must be a positive integer"):
+        erlang_ph(phases, 1.0)
+
+
+@pytest.mark.parametrize("phases", [2, 2.0, np.int64(2), np.float64(2.0)], ids=repr)
+def test_erlang_accepts_an_integral_phase_count(phases):
+    ph = erlang_ph(phases, 4.0)
+    assert ph.dim == 2 and ph_mean(ph) == pytest.approx(0.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None])
+def test_ph_rejects_a_non_finite_beta(bad):
+    # a NaN slips past every comparison of the sign and sum checks
+    with pytest.raises(BetaSumNotOne, match="non-finite"):
+        validate_ph([bad, 1.0], [[-1.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(BetaSumNotOne, match="non-finite"):
+        hyperexponential_ph([bad, 0.5], [1.0, 2.0])
+
+
 # --- property tests ----------------------------------------------------------
 
 def _random_map(rng, dim):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from netdrift.errors import (
     InvalidK,
     NegativeOffDiagonal,
     NegativeProbability,
+    NegativeRate,
     NonStochasticU,
 )
 from netdrift.service_disciplines import COMPOSITES, T_KEYS, U_KEYS
@@ -188,6 +191,17 @@ def test_validate_rejects_negative_off_diagonal():
     spec.t["00"][1, 0] = -0.5
     spec.t["00"][1, 1] += 0.5
     with pytest.raises(NegativeOffDiagonal):
+        validate_msp(spec)
+
+
+@pytest.mark.parametrize("family,key", [("t", "1*+"), ("t", "00"), ("u", "++*")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_entries(family, key, bad):
+    # a NaN fails no sign, row-sum or stochasticity comparison, so it is
+    # caught before them
+    spec = _copy_spec(build_nonpreemptive_msp(*PH_PAIRS[0]))
+    getattr(spec, family)[key][1, 1] = bad
+    with pytest.raises(NegativeRate, match="non-finite"):
         validate_msp(spec)
 
 
@@ -474,3 +488,89 @@ def test_builders_match_reference(name, build, reference, extra, pair):
         assert np.array_equal(got.t[key], want.t[key]), (name, key)
     for key in U_KEYS:
         assert np.array_equal(got.u[key], want.u[key]), (name, key)
+
+
+# --- non-preemptive priority as limited service with no visit budget ---------
+
+@pytest.mark.parametrize("pair", range(len(PH_PAIRS)))
+def test_nonpreemptive_is_one_limited_rule_away(pair):
+    # one rule tells the two apart: after an other-class service with more
+    # of that class waiting, priority keeps the server on that class and
+    # the (1,1)-limited alternation switches to the background class
+    lo, hi = PH_PAIRS[pair]
+    prio, lim = build_nonpreemptive_msp(lo, hi), build_limited_msp(lo, hi, 1)
+    assert (prio.n, prio.s_lo, prio.s_hi) == (lim.n, lim.s_lo, lim.s_hi)
+    for key in T_KEYS:
+        if key != "+2*":
+            assert np.array_equal(prio.t[key], lim.t[key]), key
+    for key in U_KEYS:
+        assert np.array_equal(prio.u[key], lim.u[key]), key
+    b1, b4, h4 = lo.beta, hi.beta, hi.h
+    slot = slice(1 + lo.dim, prio.n)
+    want_prio, want_lim = np.zeros((prio.n, prio.n)), np.zeros((prio.n, prio.n))
+    want_prio[slot, slot] = np.outer(h4, b4)
+    want_lim[slot, 1:1 + lo.dim] = np.outer(h4, b1)
+    assert np.array_equal(prio.t["+2*"], want_prio)
+    assert np.array_equal(lim.t["+2*"], want_lim)
+
+
+# sha256 of the t matrices' bytes then the u matrices' bytes, in T_KEYS and
+# U_KEYS order, per PH_PAIRS entry, as the builders gave them before the
+# two alternating disciplines shared one builder: any moved byte fails
+MSP_DIGESTS = {
+    "nonpreemptive": (
+        "b11703c85f15ac826ba03b89fdf4bd32c98faa0a7c8b3d7797bf1da49b1e8d1a",
+        "11665e3628028662d39c4d9c4667aec587627a9bd414f6c47ca71ce43941fd64",
+        "fc27c6b6c1d1e3143f404ba2eda7255db2dd03250be762c18b8a3a376b0ed400",
+    ),
+    "preemptive": (
+        "4f04b15c631434e5c3f00479694837b7260bbe183b1e691396f7355f47dd62f6",
+        "d5986c1530fc64036d4b3ab54970fa8687808f24203a88365ec0c4273fac372d",
+        "fcaabe6766472de6ee6b5c5c8d54e9b9de558020fb5a6543e127b1b5351f4e64",
+    ),
+    "limited1": (
+        "bf97cccb4129236d17de3405b9e480c22bda507b998b4ac7b95fa401bf57bebb",
+        "2f4d0ae69350bf14079113bac6d38904fa15b9130f124a39f5ce509f25f7f75a",
+        "3622c3f4d008263ca25d82493ad6151243feb82e068af02d6f81c9df2929809a",
+    ),
+    "limited2": (
+        "f623739f7318e58a358e9c8ce00dc8cb7867c809352b808e2136ec8cbeaf57f2",
+        "1bfbea5343cd8965c08899d3e3761b34fedc7c2166ef3b6e79695c84605696df",
+        "be18f465565d542275349f7e6797c11ff8e54cec959cccd1e3d072805574bbd5",
+    ),
+    "limited3": (
+        "0a4ca3dd160ad356e837b7c81a4a3837502fc9c39c0823a7cf6e3098ebbb1144",
+        "8c8df6c5d6c9c00f0b338d9ff0122bd89773ac1f7f153af1e221d6f0a1059c8d",
+        "6b25852ccec878748a7a223ca7fc6f508fa9fd87302b352920f83ddcbf586129",
+    ),
+    "limited4": (
+        "29f82595d38a1089d3b63aed8aa7ed76b1f4cc8898b903e85122c4f0f959ac5f",
+        "7d8191a17cff6b3b1190c13e9d319aa87eb23ffb47d0beb2a9e162b0365c6e37",
+        "0752afe011b188789ad7f519986799a3f2d66b81ce0bb3452ba80d54654d617f",
+    ),
+    "limited5": (
+        "f8b09eb439e08c77b43177389c09380f2bdf6a8ccd5ee9fc41b255db2d3ad41a",
+        "b4d2db946a834168e9081462227629ceaefbc5a39e5c2df945759ad6d123776c",
+        "e2cd09420794ab38194f40a89681790745d9c2e5998bde3f5c55e826c65bf5b1",
+    ),
+}
+
+
+def _built(name, lo, hi):
+    if name == "nonpreemptive":
+        return build_nonpreemptive_msp(lo, hi)
+    if name == "preemptive":
+        return build_preemptive_resume_msp(lo, hi)
+    return build_limited_msp(lo, hi, int(name[len("limited"):]))
+
+
+@pytest.mark.parametrize("name", sorted(MSP_DIGESTS))
+@pytest.mark.parametrize("pair", range(len(PH_PAIRS)))
+def test_builders_are_byte_pinned(name, pair):
+    spec = _built(name, *PH_PAIRS[pair])
+    digest = hashlib.sha256()
+    for key in T_KEYS:
+        digest.update(spec.t[key].tobytes())
+    for key in U_KEYS:
+        digest.update(spec.u[key].tobytes())
+    assert digest.hexdigest() == MSP_DIGESTS[name][pair]
