@@ -464,18 +464,24 @@ def cmd_sweep(args):
 
 
 def _analytic_reference(model, subset):
-    """Closed-form drift entry for the saturated subset, when in scope."""
-    from . import induced_chains
+    """Drift entry for the saturated subset: the closed form when in scope,
+    else, on a canonical face, that face's own numeric solve; None when
+    neither exists."""
+    from . import generator, induced_chains as ic
 
     try:
-        table = induced_chains.drift_table(model, mode="closed")
-        entry = table.entry(subset)
-        return {
-            "drifts": list(entry.drifts),
-            "outputRates": list(entry.output_rates),
-        }
+        entry = ic.drift_table(model, mode="closed").entry(subset)
+        rates, provenance = entry.output_rates, "ClosedForm"
     except NetdriftError:
-        return None
+        if frozenset(subset) not in ic.CANONICAL_SUBSETS:
+            return None
+        try:
+            chain = ic.build_induced_chain(generator.kernel_of(model), subset)
+            rates, provenance = ic.output_rates(chain, ic.solve_stationary(chain)), "Numeric"
+        except NetdriftError:
+            return None
+    return {"drifts": list(ic.input_rates(model, rates) - rates),
+            "outputRates": list(rates), "provenance": provenance}
 
 
 def cmd_simulate(args):

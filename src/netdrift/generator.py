@@ -19,7 +19,9 @@ where (+) is the Kronecker sum, the completion symbol c is 1* when the
 departing queue holds exactly one customer and 2* otherwise, and the
 U regimes are taken just before the triggering arrival (for feedback,
 the class-2 count just after the completion).  Station-1 matrices are
-indexed by (x1, x4) and station-2 matrices by (x3, x2).
+indexed by (x1, x4) and station-2 matrices by (x3, x2).  Each block is
+held as sparse canonical COO triplets, built from its factors' nonzeros:
+at S0 = 1,024 the blocks are 0.07% dense.
 
 The induced chains are solved on Q itself: the paper's uniformization
 I + Q/nu has exactly Q's stationary vectors, and serves only to show that
@@ -28,6 +30,7 @@ the discrete chain and the CTMC are positive recurrent together.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from functools import lru_cache
 
@@ -64,38 +67,68 @@ def regime_signature(x):
     return tuple(min(int(v), 2) for v in x)
 
 
-def _kron4(a, b, c, d):
-    """reduce(np.kron, (a, b, c, d)) for square factors, as one broadcast
-    product: ((a*b)*c)*d entrywise, so the same bytes, signed zeros too."""
-    na, nb, nc, nd = len(a), len(b), len(c), len(d)
-    return (a.reshape(na, 1, 1, 1, na, 1, 1, 1) * b.reshape(1, nb, 1, 1, 1, nb, 1, 1)
-            * c.reshape(1, 1, nc, 1, 1, 1, nc, 1) * d.reshape(1, 1, 1, nd, 1, 1, 1, nd)
-            ).reshape(na * nb * nc * nd, -1)
+def canonical_triplets(keys, rates, n):
+    """The n x n sum of `rates` at keys row * n + col as canonical, read-only
+    COO triplets (rows, cols, rates): row-major, exact zeros left out, and
+    the entries at one key summed in the order given from 0.0, as dense
+    addition of the terms does (a stable sort keeps that order)."""
+    order = keys.argsort(kind="stable")
+    keys, rates = keys[order], rates[order]
+    new = keys[1:] != keys[:-1]
+    if not new.all():
+        rates = np.bincount(np.concatenate(([0], new.cumsum())), rates)
+        keys = keys[np.concatenate(([True], new))]
+    keep = rates != 0.0
+    out = (*np.divmod(keys[keep], n), rates[keep])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _kronsum4(mats, eyes):
-    """The Kronecker sum of four square `mats` of identities `eyes`, in term order."""
-    n = int(np.prod([len(e) for e in eyes]))
-    return sum((_kron4(*(m if k == i else e for k, e in enumerate(eyes)))
-                for i, m in enumerate(mats)), np.zeros((n, n)))
+def _kron_sum(terms, n):
+    """The n x n sum of the Kronecker products `terms`, in term order, as
+    canonical triplets.  A term's factors are square matrices, or ints for
+    identities of that size.  A product is built from the factors' nonzeros,
+    taken ((a*b)*c)*d, as `reduce(np.kron, factors)` takes it; an identity's
+    1.0 changes no product.  `stride` is the row stride of the factors to come."""
+    keys, rates = [], []
+    for factors in terms:
+        k, r, stride = np.zeros(1, dtype=np.int64), np.ones(1), n
+        for f in factors:
+            if isinstance(f, int):
+                stride //= f
+                if f > 1:
+                    k, r = np.add.outer(k, np.arange(f) * ((n + 1) * stride)), r.repeat(f)
+            elif len(f) == 1:
+                r = r * f[0, 0]
+            else:
+                stride //= len(f)
+                i, j = np.nonzero(f)
+                k = np.add.outer(k, (i * n + j) * stride)
+                r = np.multiply.outer(r, f[i, j])
+        keys.append(k.ravel())
+        rates.append(r.ravel())
+    return canonical_triplets(np.concatenate(keys), np.concatenate(rates), n)
 
 
-def _move_edges(z, B):
-    """The moves of block B at displacement z, as index arrays (j, j2) ordered
-    by j2, then j: its rates above RATE_TOL, but no no-move diagonal."""
-    on = B.T > RATE_TOL
+def _moves_of(z, block):
+    """The moves of `block` at displacement z, as triplets (j, j2, rate):
+    its rates above RATE_TOL, but no no-move diagonal."""
+    rows, cols, vals = block
+    on = vals > RATE_TOL
     if not any(z):
-        np.fill_diagonal(on, False)
-    return np.nonzero(on)[::-1]
+        on &= rows != cols
+    return rows[on], cols[on], vals[on]
 
 
 class BlockKernel:
     """Signature-indexed transition blocks for one model: the model's one
     rate table, read by the probe, the induced chains and the simulator.
 
-    The q blocks are built lazily and read-only; the k-th distinct block
-    (k >= 1) is built once per kernel, with its move edges `_edges[k]`, is
-    one array for every signature that reads it, and `_numbers[z]` holds k
+    A block is held in one form, the canonical triplets of an S0 x S0
+    matrix (`canonical_triplets`), built lazily from its Kronecker factors'
+    nonzeros.  The k-th distinct block (k >= 1), `_blocks[k]`, is built once
+    per kernel for every signature that reads it, and `_numbers[z]` holds k
     per signature (`np.ndindex` order; 0: none).  The move table derives from them.
     The caches are not locked: a kernel belongs to one thread (`sweep
     --jobs` runs its points in worker processes).
@@ -105,9 +138,8 @@ class BlockKernel:
         self.model = model
         self.dims = (model.map1.dim, model.map3.dim, model.msp1.n, model.msp2.n)
         self.S0 = int(np.prod(self.dims))
-        self._eyes = tuple(np.eye(n) for n in self.dims)
         self._q_cache = {}
-        self._edges = [(np.zeros(0, dtype=np.intp),) * 2]
+        self._blocks = [canonical_triplets(np.zeros(0, dtype=np.int64), np.zeros(0), 1)]
         self._numbers = defaultdict(lambda: [0] * 81)
         self._shared = {}
         self.regimes = [None] * 81
@@ -116,6 +148,7 @@ class BlockKernel:
     # -- continuous-time blocks ------------------------------------------
 
     def q_blocks(self, sig):
+        """Regime `sig`'s blocks, as {z: triplets}, in `DISPLACEMENTS` order."""
         sig = tuple(int(v) for v in sig)
         hit = self._q_cache.get(sig)
         if hit is None:
@@ -123,52 +156,46 @@ class BlockKernel:
         return hit
 
     def move_edges(self, sig):
-        """Per displacement, the `_move_edges` of regime `sig`'s blocks."""
-        flat = 27 * sig[0] + 9 * sig[1] + 3 * sig[2] + sig[3]
-        return {z: self._edges[self._numbers[z][flat]] for z in self.q_blocks(sig)}
+        """Per displacement, the `_moves_of` regime `sig`'s blocks."""
+        return {z: _moves_of(z, B) for z, B in self.q_blocks(sig).items()}
 
     def _build_q(self, sig):
         """The blocks of regime `sig`.  A block is keyed on z and the regime
         symbols it reads, so that the signatures that share it share one
-        array and number, and its edges are computed once, when it is built."""
+        set of arrays and one number; it sums the Kronecker products `terms()`."""
         m = self.model
-        Ia1, Ia3, Im1, Im2 = self._eyes
+        Ia1, Ia3, Im1, Im2 = eyes = self.dims  # identity factors
         t1, u1, t2, u2 = m.msp1.t, m.msp1.u, m.msp2.t, m.msp2.u
         g1, g2, g3, g4 = ("0" if c == 0 else "+" for c in sig)
         c1, c2, c3, c4 = ("1*" if c == 1 else "2*" for c in sig)
         blocks, flat = {}, 27 * sig[0] + 9 * sig[1] + 3 * sig[2] + sig[3]
 
-        def share(z, key, build):
-            hit = self._shared.get((z, key))
-            if hit is None:
-                B = build()
-                B.flags.writeable = False
-                self._edges.append(_move_edges(z, B))
-                hit = self._shared[(z, key)] = B, len(self._edges) - 1
-            blocks[z], self._numbers[z][flat] = hit
+        def share(z, key, terms):
+            k = self._shared.get((z, key))
+            if k is None:
+                self._blocks.append(_kron_sum(terms(), self.S0))
+                k = self._shared[(z, key)] = len(self._blocks) - 1
+            blocks[z], self._numbers[z][flat] = self._blocks[k], k
 
-        share((1, 0, 0, 0), (g1, g4),
-              lambda: _kron4(m.map1.D, Ia3, u1[f"{g1}*{g4}"], Im2))
-        share((0, 0, 1, 0), (g3, g2),
-              lambda: _kron4(Ia1, m.map3.D, Im1, u2[f"{g3}*{g2}"]))
+        share((1, 0, 0, 0), (g1, g4), lambda: [(m.map1.D, Ia3, u1[f"{g1}*{g4}"], Im2)])
+        share((0, 0, 1, 0), (g3, g2), lambda: [(Ia1, m.map3.D, Im1, u2[f"{g3}*{g2}"])])
         if sig[0] >= 1:
             share((-1, 1, 0, 0), (c1, g4, g3, g2),
-                  lambda: _kron4(Ia1, Ia3, t1[f"{c1}{g4}"], u2[f"{g3}{g2}*"]))
+                  lambda: [(Ia1, Ia3, t1[f"{c1}{g4}"], u2[f"{g3}{g2}*"])])
         if sig[1] >= 1:
             T2c = t2[f"{g3}{c2}"]
-            share((0, -1, 0, 0), (g3, c2),
-                  lambda: _kron4(Ia1, Ia3, Im1, (1.0 - m.p) * T2c))
+            share((0, -1, 0, 0), (g3, c2), lambda: [(Ia1, Ia3, Im1, (1.0 - m.p) * T2c)])
             g2post = "0" if sig[1] == 1 else "+"
             share((0, -1, 1, 0), (g3, c2),
-                  lambda: _kron4(Ia1, Ia3, Im1, m.p * (T2c @ u2[f"{g3}*{g2post}"])))
+                  lambda: [(Ia1, Ia3, Im1, m.p * (T2c @ u2[f"{g3}*{g2post}"]))])
         if sig[2] >= 1:
             share((0, 0, -1, 1), (g1, g4, c3, g2),
-                  lambda: _kron4(Ia1, Ia3, u1[f"{g1}{g4}*"], t2[f"{c3}{g2}"]))
+                  lambda: [(Ia1, Ia3, u1[f"{g1}{g4}*"], t2[f"{c3}{g2}"])])
         if sig[3] >= 1:
-            share((0, 0, 0, -1), (g1, c4),
-                  lambda: _kron4(Ia1, Ia3, t1[f"{g1}{c4}"], Im2))
-        share((0, 0, 0, 0), (g1, g2, g3, g4), lambda: _kronsum4(
-            [m.map1.C, m.map3.C, t1[f"{g1}{g4}"], t2[f"{g3}{g2}"]], self._eyes))
+            share((0, 0, 0, -1), (g1, c4), lambda: [(Ia1, Ia3, t1[f"{g1}{c4}"], Im2)])
+        share((0, 0, 0, 0), (g1, g2, g3, g4), lambda: [
+            (math.prod(eyes[:i]), c, math.prod(eyes[i + 1:]))
+            for i, c in enumerate((m.map1.C, m.map3.C, t1[f"{g1}{g4}"], t2[f"{g3}{g2}"]))])
         return blocks
 
     # -- derived views -----------------------------------------------------
@@ -184,19 +211,18 @@ class BlockKernel:
         flat = 27 * sig[0] + 9 * sig[1] + 3 * sig[2] + sig[3]
         hit = self.regimes[flat]
         if hit is None:
-            blocks, edges, first = self.q_blocks(sig), self.move_edges(sig), len(self.move_dest)
-            j = np.concatenate([jj for jj, _ in edges.values()])
+            edges, first = self.move_edges(sig), len(self.move_dest)
+            j, dest, rates = (np.concatenate(e) for e in zip(*edges.values()))
             order = np.argsort(j, kind="stable")
-            dest = np.concatenate([jj2 for _, jj2 in edges.values()])[order]
+            dest, rates = dest[order], rates[order]
             zn = np.concatenate([np.full(len(jj), DISPLACEMENTS.index(z))
-                                 for z, (jj, _) in edges.items()])[order]
+                                 for z, (jj, _, _) in edges.items()])[order]
             counts = np.bincount(j, minlength=self.S0)
             starts = np.cumsum(counts) - counts
             # each j's rates as a zero-padded row, whose cumsum adds them in
             # order, as a cumsum of j's rates alone does
             padded = np.zeros((self.S0, counts.max(initial=0)))
-            padded[j[order], np.arange(len(j)) - np.repeat(starts, counts)] = np.concatenate(
-                [blocks[z][e] for z, e in edges.items()])[order]
+            padded[j[order], np.arange(len(j)) - np.repeat(starts, counts)] = rates
             cums = [r[:n] for r, n in zip(np.cumsum(padded, axis=1).tolist(), counts.tolist())]
             # realloc, no copy: no view of the rows is ever handed out
             self._move_rows.resize((first + len(j), 3), refcheck=False)
@@ -243,7 +269,8 @@ def kernel_of(model: NetworkModel) -> BlockKernel:
 
 
 def generator_block(model: NetworkModel, x, xp):
-    """Continuous-time rate block for the move x -> xp.
+    """Continuous-time rate block for the move x -> xp, as a dense S0 x S0
+    array: a debug view of the kernel's triplets.
 
     Raises SkipFreeViolation when some coordinate changes by more than
     one.  Moves within distance one that match no event still return a
@@ -258,8 +285,10 @@ def generator_block(model: NetworkModel, x, xp):
     if max(abs(v) for v in z) > 1:
         raise SkipFreeViolation(f"move {z} changes a coordinate by more than one")
     kernel = kernel_of(model)
-    hit = kernel.q_blocks(regime_signature(x)).get(z)
-    return np.zeros((kernel.S0, kernel.S0)) if hit is None else hit
+    out = np.zeros((kernel.S0, kernel.S0))
+    rows, cols, vals = kernel.q_blocks(regime_signature(x)).get(z, kernel._blocks[0])
+    out[rows, cols] = vals
+    return out
 
 
 # -- lattice assembly --------------------------------------------------------
@@ -287,7 +316,8 @@ def lattice_triplets(block_fn, shape, S0):
     coordinate, as canonical COO triplets (rows, cols, data, n): sorted
     by row, then column, with no duplicates.
 
-    block_fn(sig_free) -> dict mapping z_free to an S0 x S0 block.  State
+    block_fn(sig_free) -> dict mapping z_free to an S0 x S0 block as
+    canonical triplets (`BlockKernel.q_blocks`).  State
     order: lattice cell (C order) major, background minor.  A move out of
     the box folds onto its boundary: each coordinate is clipped to
     0..L-1, so rows keep the blocks' row sums.  Entries folded onto one
@@ -305,13 +335,12 @@ def lattice_triplets(block_fn, shape, S0):
             continue
         grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
         cells = np.ravel_multi_index(grids, shape)
-        for z, B in block_fn(tuple(sig)).items():
-            bi, bj = np.nonzero(B)
+        for z, (bi, bj, B) in block_fn(tuple(sig)).items():
             tgt = np.ravel_multi_index(
                 [np.clip(g + dz, 0, L - 1) for g, dz, L in zip(grids, z, shape)], shape)
             keys.append(np.add.outer(cells * S0, bi).ravel() * n
                         + np.add.outer(tgt * S0, bj).ravel())
-            data.append(np.tile(B[bi, bj], cells.size))
+            data.append(np.tile(B, cells.size))
     # stable, so the entries folded onto one state stay in emission order
     keys = np.concatenate(keys)
     order = np.argsort(keys, kind="stable")
@@ -356,16 +385,18 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
         return UNKNOWN
     # predecessors as CSR over keys (block number, j2): j - j2 of each move
     # j -> j2; `first` maps (z, sig), z-major, to a block's first key
-    for sig in np.ndindex(3, 3, 3, 3):
+    for sig in SIGNATURES:
         kernel.q_blocks(sig)
-    zs, blocks = [*kernel._numbers], len(kernel._edges)
+    zs, blocks = [*kernel._numbers], len(kernel._blocks)
     Z, outside = np.array(zs), len(zs) * 81
     # a predecessor outside the box sums to `outside` or more: block 0 there
     first = np.zeros(4 * outside + 1, dtype=np.int32)
     first[:outside] = S0 * np.array([kernel._numbers[z] for z in zs]).ravel()
-    j, keys = (np.concatenate(e) for e in zip(*kernel._edges))
-    dj = (j - keys).astype(np.int32)
-    keys += S0 * np.repeat(np.arange(blocks), [len(e) for e, _ in kernel._edges])
+    edges = [_moves_of(z, kernel._blocks[k]) for (z, _), k in kernel._shared.items()]
+    j, j2, _ = (np.concatenate(e) for e in zip(*edges))
+    keys = j2 + S0 * np.repeat(np.arange(1, blocks), [len(e) for e, _, _ in edges])
+    order = np.argsort(keys, kind="stable")
+    keys, dj = keys[order], (j - j2)[order].astype(np.int32)
     indptr = np.searchsorted(keys, np.arange(blocks * S0 + 1)).astype(np.int32)
     # per axis, coordinate y and z: the weight in `first` of y - z, or "outside"
     x = np.arange(side)[:, None, None] - Z

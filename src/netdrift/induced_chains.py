@@ -35,6 +35,7 @@ from .errors import (
 from .generator import (
     BlockKernel,
     SUBSET_ALL,
+    canonical_triplets,
     kernel_of,
     lattice_triplets,
     saturated_subset,
@@ -68,6 +69,7 @@ class InducedChain:
         self.kernel = kernel
         self.A = A = saturated_subset(A)
         self.free = tuple(sorted(SUBSET_ALL - A))
+        self._q_cache = {}
 
     def full_signature(self, sig_free):
         sig = [2, 2, 2, 2]
@@ -76,13 +78,19 @@ class InducedChain:
         return tuple(sig)
 
     def q_blocks(self, sig_free):
-        """Rate blocks over the free coordinates: the kernel's blocks at
-        the full signature, summed over saturated moves."""
-        out = {}
+        """Rate blocks over the free coordinates, as canonical triplets: the
+        kernel's blocks at the full signature, summed over saturated moves
+        in block order (`generator.canonical_triplets`), once per signature."""
+        if sig_free in self._q_cache:
+            return self._q_cache[sig_free]
+        groups = {}
         for z, B in self.kernel.q_blocks(self.full_signature(sig_free)).items():
-            zf = tuple(z[c - 1] for c in self.free)
-            out[zf] = out[zf] + B if zf in out else B
-        return out
+            groups.setdefault(tuple(z[c - 1] for c in self.free), []).append(B)
+        S0 = self.kernel.S0
+        hit = self._q_cache[sig_free] = {zf: Bs[0] if len(Bs) == 1 else canonical_triplets(
+            np.concatenate([r * S0 + c for r, c, _ in Bs]),
+            np.concatenate([v for _, _, v in Bs]), S0) for zf, Bs in groups.items()}
+        return hit
 
 
 def build_induced_chain(kernel: BlockKernel, A) -> InducedChain:
@@ -511,8 +519,8 @@ def _flows(chain: InducedChain, sol: InducedChainSolution):
     """(z, rate of the moves z) for each of the kernel's blocks in each
     regime of the face, weighed by the stationary mass there."""
     for sig_free, pi in sol.group_masses().items():
-        for z, B in chain.kernel.q_blocks(chain.full_signature(sig_free)).items():
-            yield z, pi @ B.sum(axis=1)
+        for z, (rows, _, rates) in chain.kernel.q_blocks(chain.full_signature(sig_free)).items():
+            yield z, pi @ np.bincount(rows, rates, len(pi))
 
 
 def output_rates(chain: InducedChain, sol: InducedChainSolution) -> np.ndarray:

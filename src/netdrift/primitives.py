@@ -31,6 +31,9 @@ from .errors import (
 ZERO_TOL = 1e-12
 # tolerance on linear-solve residuals
 SOLVE_TOL = 1e-10
+# the most phases of an Erlang distribution or states of a built service
+# process, checked before any matrix is allocated
+MAX_PHASES = 1024
 
 
 class MAPSpec:
@@ -248,6 +251,8 @@ def erlang_ph(phases, rate):
     if isinstance(phases, bool) or not isinstance(phases, (int, float, np.integer, np.floating)) \
             or not np.isfinite(phases) or phases < 1 or phases != int(phases):
         raise DimensionMismatch(f"phase count must be a positive integer, got {phases!r}")
+    if phases > MAX_PHASES:
+        raise DimensionMismatch(f"phase count {phases!r} is over MAX_PHASES = {MAX_PHASES}")
     k = int(phases)
     r = float(rate)
     if r <= 0.0:

@@ -41,7 +41,7 @@ from .errors import (
     NetdriftError,
     NonStochasticU,
 )
-from .primitives import MAPSpec, PHSpec, ZERO_TOL, map_arrival_rate, ph_mean
+from .primitives import MAX_PHASES, MAPSpec, PHSpec, ZERO_TOL, map_arrival_rate, ph_mean
 
 T_KEYS = ("00", "+0", "0+", "++", "1*0", "2*0", "01*", "02*", "1*+", "2*+", "+1*", "+2*")
 U_KEYS = ("0*0", "00*", "+*0", "+0*", "0*+", "0+*", "+*+", "++*")
@@ -86,6 +86,8 @@ def _layout(ph_lo: PHSpec, ph_hi: PHSpec, blocks: int):
     """
     s1, s4 = ph_lo.dim, ph_hi.dim
     n = 1 + s1 + blocks * s4
+    if n > MAX_PHASES:
+        raise DimensionMismatch(f"{n:,} service states is over MAX_PHASES = {MAX_PHASES}")
     lo = slice(1, 1 + s1)
     b1 = ph_lo.beta
 

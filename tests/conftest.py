@@ -25,6 +25,22 @@ def lattice_csr(block_fn, shape, S0):
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
+def dense(block, n):
+    """A kernel block's triplets (rows, cols, rates) scattered into an
+    n x n array."""
+    out = np.zeros((n, n))
+    rows, cols, rates = block
+    out[rows, cols] = rates
+    return out
+
+
+def triplets(B):
+    """The nonzeros of the dense block B as triplets (rows, cols, rates),
+    row-major: the form of a kernel block."""
+    rows, cols = np.nonzero(B)
+    return rows, cols, B[rows, cols]
+
+
 def symmetric_limited_model(K, lam=1.0, mu_single=5.0, mu_batch=1.8):
     """The (1,K) alternating-service configuration with matched stations."""
     return exp_model("limited", K=K, lam1=lam, lam3=lam, p=0.0,

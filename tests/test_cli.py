@@ -594,6 +594,7 @@ def test_simulate_saturated_agrees_with_table(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["saturated"] == [1, 2, 3, 4]
     assert summary["analytical"]["outputRates"] == [0.0, 2.4, 0.0, 2.2]
+    assert summary["analytical"]["provenance"] == "ClosedForm"
     assert all(item["ok"] for item in summary["agreement"]), summary["agreement"]
 
 
@@ -730,3 +731,34 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
     assert out.strip()
+
+
+@pytest.mark.parametrize("service, discipline, where", [
+    ({"erlang": {"phases": 1e308, "rate": 8.0}}, "non_preemptive", "services.2"),
+    ({"erlang": {"phases": 2 ** 40, "rate": 8.0}}, "non_preemptive", "services.2"),
+    ({"exponential": 2.4}, {"limited": {"K": 10 ** 12}}, "discipline"),
+])
+def test_service_processes_over_max_phases_are_exit_2(tmp_path, capsys, service, discipline,
+                                                      where):
+    # each of these sizes is one numpy refuses to allocate outright, so a
+    # check that failed would end in a traceback (exit 5), not in a real allocation
+    model = copy.deepcopy(BASE_MODEL)
+    model["services"][1], model["discipline"] = service, discipline
+    code, _, err = run(capsys, ["validate", write_json(tmp_path, "m.json", model),
+                                "--probe-radius", "0"])
+    assert code == 2, err
+    assert f"invalid model at {where}" in err and "MAX_PHASES = 1024" in err, err
+
+
+def test_simulate_saturated_agrees_with_a_numeric_face(tmp_path, capsys):
+    # the README model under (1,4)-limited service has no closed form: the
+    # reference is face 14's own numeric solve
+    model = dict(BASE_MODEL, discipline={"limited": {"K": 4}},
+                 services=[{"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)])
+    code, out, _ = run(capsys, ["simulate", write_json(tmp_path, "asym4.json", model),
+                                "--saturate", "1,4", "--horizon", "4000", "--seed", "7"])
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["analytical"]["provenance"] == "Numeric"
+    assert [a["queue"] for a in summary["agreement"]] == [1, 2, 3, 4]
+    assert all(a["ok"] for a in summary["agreement"]), summary["agreement"]

@@ -37,7 +37,7 @@ from netdrift.generator import (
     UNKNOWN,
     lattice_triplets,
 )
-from tests.conftest import exp_model, lattice_csr, symmetric_limited_model
+from tests.conftest import dense, exp_model, lattice_csr, symmetric_limited_model, triplets
 from tests.test_service_disciplines import PH_PAIRS
 
 ALL_SIGS = list(itertools.product((0, 1, 2), repeat=4))
@@ -85,23 +85,26 @@ def _np_kronsum4(mats):
 @pytest.mark.parametrize("build", [exp_model, phmap_model, lambda: symmetric_limited_model(8)],
                          ids=["np", "phmap", "limited8"])
 def test_move_edges_are_the_blocks_rates_computed_once(build, monkeypatch):
-    # each shared block's edges are computed once, when the block is built
+    # each shared block is built once, and its edges are read off those triplets
     built = []
-    real = generator._move_edges
-    monkeypatch.setattr(generator, "_move_edges", lambda z, B: built.append(id(B)) or real(z, B))
+    real = generator._kron_sum
+    monkeypatch.setattr(generator, "_kron_sum", lambda *a: built.append(real(*a)) or built[-1])
     kernel = BlockKernel(build())
     for sig in ALL_SIGS:
         blocks, edges = kernel.q_blocks(sig), kernel.move_edges(sig)
         kernel.moves(sig)
         assert list(edges) == list(blocks), sig
         for z, B in blocks.items():
+            assert any(B is b for b in built), (sig, z)
+            B = dense(B, kernel.S0)
             on = B > RATE_TOL
             if not any(z):
                 np.fill_diagonal(on, False)
-            # the rates above RATE_TOL, by target, then source
-            j2, j = np.nonzero(on.T)
+            # the rates above RATE_TOL, by source, then target
+            j, j2 = np.nonzero(on)
             assert np.array_equal(edges[z][0], j) and np.array_equal(edges[z][1], j2), (sig, z)
-    assert len(built) == len(set(built)) == 68
+            assert edges[z][2].tobytes() == B[j, j2].tobytes(), (sig, z)
+    assert len(built) == len({id(b) for b in built}) == 68
 
 
 def _table_moves(kernel, sig, j):
@@ -118,7 +121,7 @@ def test_move_edges_are_the_clocks_moves(which, np_model):
     kernel = BlockKernel(np_model if which == "np" else phmap_model())
     for sig in ALL_SIGS:
         from_edges = []
-        for z, (rows, cols) in kernel.move_edges(sig).items():
+        for z, (rows, cols, _) in kernel.move_edges(sig).items():
             pairs = tuple((i, dz) for i, dz in enumerate(z) if dz)
             from_edges += [(j, pairs, j2) for j, j2 in zip(rows.tolist(), cols.tolist())]
         from_table = [(j, pairs, j2) for j in range(kernel.S0)
@@ -128,17 +131,20 @@ def test_move_edges_are_the_clocks_moves(which, np_model):
 
 def test_no_move_diagonal_is_never_a_move(np_model, monkeypatch):
     # validation lets a diagonal rate reach +1e-12, above RATE_TOL
-    real = generator._kronsum4
+    real = generator._kron_sum
 
-    def raised(mats, eyes):
-        B = real(mats, eyes)
-        np.fill_diagonal(B, 1e-13)
-        return B
+    def raised(terms, n):
+        B = dense(real(terms, n), n)
+        if len(terms) == 4:  # the Kronecker sum: the no-move block
+            np.fill_diagonal(B, 1e-13)
+        rows, cols, rates = triplets(B)
+        return generator.canonical_triplets(rows * n + cols, rates, n)
 
-    monkeypatch.setattr(generator, "_kronsum4", raised)
+    monkeypatch.setattr(generator, "_kron_sum", raised)
     kernel = BlockKernel(np_model)
-    assert (kernel.q_blocks((1, 1, 1, 1))[(0, 0, 0, 0)].diagonal() == 1e-13).all()
-    rows, cols = kernel.move_edges((1, 1, 1, 1))[(0, 0, 0, 0)]
+    assert (dense(kernel.q_blocks((1, 1, 1, 1))[(0, 0, 0, 0)], kernel.S0).diagonal()
+            == 1e-13).all()
+    rows, cols, _ = kernel.move_edges((1, 1, 1, 1))[(0, 0, 0, 0)]
     assert rows.size and not (rows == cols).any()
     assert all(pairs or j2 != j for j in range(kernel.S0)
                for pairs, j2 in _table_moves(kernel, (1, 1, 1, 1), j))
@@ -154,15 +160,16 @@ def test_regime_signature_collapses_counts():
 def test_q_rows_sum_to_zero_everywhere(np_model):
     kernel = kernel_of(np_model)
     for sig in ALL_SIGS:
-        total = sum(B.sum(axis=1) for B in kernel.q_blocks(sig).values())
+        total = sum(dense(B, kernel.S0).sum(axis=1) for B in kernel.q_blocks(sig).values())
         assert np.max(np.abs(total)) <= 1e-10, sig
 
 
 def test_shared_q_blocks_are_read_only(np_model):
     blocks = kernel_of(np_model).q_blocks((1, 1, 1, 1))
     for B in blocks.values():
-        with pytest.raises(ValueError):
-            B[0, 0] = 1.0
+        for a in B:
+            with pytest.raises(ValueError):
+                a[0] = 1
     assert kernel_of(np_model).q_blocks((1, 1, 1, 1)) is blocks
 
 
@@ -216,7 +223,7 @@ def test_skip_free_violations_raise(np_model):
 def test_ctmc_and_uniformized_chain_share_stationary_vector(np_model):
     # on the all-saturated induced chain the two descriptions coincide
     kernel = kernel_of(np_model)
-    QN = sum(kernel.q_blocks((2, 2, 2, 2)).values())
+    QN = sum(dense(B, kernel.S0) for B in kernel.q_blocks((2, 2, 2, 2)).values())
     nu = 1.05 * np.max(-np.diag(QN))
     PN = np.eye(kernel.S0) + QN / nu
     A = QN.T.copy()
@@ -303,7 +310,7 @@ def _reference_probe(model, radius, probe):
     index = {x: i for i, x in enumerate(cells)}
     edges = {}
     for sig in ALL_SIGS:
-        edges[sig] = [(z, list(zip(*np.nonzero(B > 1e-14))))
+        edges[sig] = [(z, list(zip(*np.nonzero(dense(B, S0) > 1e-14))))
                       for z, B in kernel.q_blocks(sig).items()]
     preds = [[] for _ in range(len(cells) * S0)]
     for x in cells:
@@ -463,9 +470,17 @@ _KRON_FACTORS = st.lists(st.integers(1, 4), min_size=4, max_size=4).flatmap(
 @settings(max_examples=100, deadline=None)
 @given(_KRON_FACTORS)
 def test_kron_products_are_byte_exact(mats):
-    assert generator._kron4(*mats).tobytes() == _np_kron4(*mats).tobytes()
-    eyes = [np.eye(len(m)) for m in mats]
-    assert generator._kronsum4(mats, eyes).tobytes() == _np_kronsum4(mats).tobytes()
+    # the triplets are the reference's nonzeros, in row-major order, with its bytes
+    n = int(np.prod([len(m) for m in mats]))
+    eyes = tuple(np.eye(len(m)) for m in mats)
+    terms = [eyes[:i] + (m,) + eyes[i + 1:] for i, m in enumerate(mats)]
+    for got, want in ((generator._kron_sum([mats], n), _np_kron4(*mats)),
+                      (generator._kron_sum(terms, n), _np_kronsum4(mats))):
+        rows, cols, rates = triplets(want)
+        assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
+        assert got[2].tobytes() == rates.tobytes()
+        # scattered back, the same bytes as the reference once its zeros are +0.0
+        assert dense(got, n).tobytes() == (want + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("pair", [*range(len(PH_PAIRS)), "limited8"])
@@ -487,9 +502,11 @@ def test_shared_blocks_match_per_signature_build(pair):
             got, want = kernel.q_blocks(sig), _reference_q(model, sig)
             assert list(got) == list(want), (discipline, K, sig)
             for z, B in got.items():
-                assert B.tobytes() == want[z].tobytes(), (discipline, K, sig, z)
+                rows, cols, rates = triplets(want[z])
+                assert np.array_equal(B[0], rows) and np.array_equal(B[1], cols), (sig, z)
+                assert B[2].tobytes() == rates.tobytes(), (discipline, K, sig, z)
                 distinct.add(id(B))
-        # one array per distinct (displacement, regime symbols)
+        # one set of triplets per distinct (displacement, regime symbols)
         assert len(distinct) == 68, (discipline, K)
 
 
@@ -513,7 +530,7 @@ def _kron_lattice(block_fn, shape, S0):
             lattice = sp.coo_matrix(
                 (np.ones(cells.size), (cells, np.atleast_1d(np.ravel_multi_index(tgt, shape)))),
                 shape=(ncells, ncells))
-            part = sp.kron(lattice, sp.csr_matrix(B), format="coo")
+            part = sp.kron(lattice, sp.csr_matrix(dense(B, S0)), format="coo")
             rows.append(part.row)
             cols.append(part.col)
             data.append(part.data)
@@ -557,7 +574,7 @@ def test_lattice_triplets_without_blocks_are_empty_and_canonical():
         assert rows.dtype == cols.dtype == np.int64 and data.dtype == np.float64
     # blocks at some signatures only: the others add nothing
     rows, cols, data, n = lattice_triplets(
-        lambda sig: {(1,): np.eye(2)} if sig == (0,) else {}, (3,), 2)
+        lambda sig: {(1,): triplets(np.eye(2))} if sig == (0,) else {}, (3,), 2)
     assert (rows.tolist(), cols.tolist(), data.tolist(), n) == ([0, 1], [2, 3], [1.0, 1.0], 6)
 
 
@@ -566,7 +583,7 @@ def test_folded_entries_sum_as_first_plus_the_rest():
     # reduceat adds 1e16 + (1 + 1), where left to right would give 1e16
     def folded(*rates):
         # on a one-cell box, moves 0, +1 and -1 all fold onto the cell
-        moves = dict(zip([(0,), (1,), (-1,)], (np.array([[r]]) for r in rates)))
+        moves = dict(zip([(0,), (1,), (-1,)], (triplets(np.array([[r]])) for r in rates)))
         return lattice_triplets(lambda sig: moves, (1,), 1)
 
     rows, cols, data, n = folded(1e16, 1.0, 1.0)
@@ -626,3 +643,58 @@ def test_triplet_export_rows_sum_to_zero(tmp_path, np_model):
     sums = np.zeros(2 ** 4 * kernel_of(np_model).S0)
     np.add.at(sums, entries[:, 0].astype(int), entries[:, 2])
     assert np.abs(sums).max() <= 1e-12
+
+
+# --- one sparse form at large S0 -----------------------------------------------
+
+def test_kernel_blocks_of_sym_k30_fit_in_16_mb():
+    # S0 = 1,024: its 68 blocks would take 544 MB as dense S0 x S0 arrays;
+    # as triplets they hold 49,920 nonzeros
+    import tracemalloc
+
+    model = symmetric_limited_model(30)
+    tracemalloc.start()
+    try:
+        kernel = BlockKernel(model)
+        for sig in ALL_SIGS:
+            kernel.q_blocks(sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.S0 == 1024 and len(kernel._blocks) == 69
+    assert sum(len(rows) for rows, _, _ in kernel._blocks) == 49920
+    assert peak < 16 * 2 ** 20, peak
+
+
+def test_s0_4096_model_validates_and_solves_face_n(tmp_path, capsys):
+    # the sym (1,20)-limited model with Erlang-3 services: S0 = 64^2 = 4,096;
+    # its blocks would take about 9 GB dense.  The bound is 20 s on one vCPU,
+    # where the whole test takes under 1 s.
+    import json
+    import time
+
+    from netdrift.cli import load_model, main
+    from netdrift.induced_chains import output_rates, solve_stationary
+
+    start = time.perf_counter()
+    model = {"arrivals": [{"poisson": 1.0}] * 2, "p": 0.0,
+             "services": [{"erlang": {"phases": 3, "rate": 3 * r}} for r in (5.0, 1.8, 5.0, 1.8)],
+             "discipline": {"limited": {"K": 20}}}
+    path, out = tmp_path / "s0_4096.json", tmp_path / "out.json"
+    path.write_text(json.dumps(model))
+    assert main(["validate", str(path), "--probe-radius", "0", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["backgroundStates"] == 4096
+    assert report["semiIrreducibility"] == CONFIRMED
+    kernel = kernel_of(load_model(str(path)))
+    assert kernel.S0 == 4096
+    for A in ((1, 2, 3, 4), (1, 2, 3), (1, 3, 4)):
+        chain = build_induced_chain(kernel, A)
+        sol = solve_stationary(chain)
+        assert sol.converged, (A, sol.note)
+        # flow balance: a free queue's output rate is its input rate
+        mu = output_rates(chain, sol)
+        for i in set(range(1, 5)) - set(A):
+            lam = 1.0 if i in (1, 3) else mu[i - 2]
+            assert mu[i - 1] == pytest.approx(lam, rel=1e-6), (A, i)
+    assert time.perf_counter() - start < 20.0

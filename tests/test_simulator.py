@@ -34,7 +34,7 @@ from netdrift.errors import EmptySubset, InsufficientData, UnsupportedSubset
 from netdrift.generator import SIGNATURES
 from netdrift.simulator import PIN_LEVEL, SAMPLE_CAP, Trajectory, replication_seeds
 
-from tests.conftest import exp_model, symmetric_limited_model
+from tests.conftest import dense, exp_model, symmetric_limited_model
 
 
 N = frozenset({1, 2, 3, 4})
@@ -74,7 +74,7 @@ def test_event_rates_match_generator_diagonal(np_model):
     kernel = kernel_of(np_model)
     for sig in itertools.product((0, 1, 2), repeat=4):
         base, cums = kernel.moves(sig)
-        diag = -np.diag(kernel.q_blocks(sig)[(0, 0, 0, 0)])
+        diag = -np.diag(dense(kernel.q_blocks(sig)[(0, 0, 0, 0)], kernel.S0))
         for j in range(kernel.S0):
             total = cums[j][-1] if cums[j] else 0.0
             assert abs(total - diag[j]) <= 1e-12 * max(1.0, diag[j])
@@ -91,6 +91,7 @@ def _reference_clocks(kernel, sig):
     rates = [[] for _ in range(kernel.S0)]
     moves = [[] for _ in range(kernel.S0)]
     for z, B in kernel.q_blocks(sig).items():
+        B = dense(B, kernel.S0)
         rr, cc = np.nonzero(B > 1e-14)
         for j, j2 in zip(rr.tolist(), cc.tolist()):
             if z == (0, 0, 0, 0) and j == j2:
