@@ -13,8 +13,7 @@ moves folded onto the boundary).  Every path solves on the kept closed
 class, under one guard and one acceptance rule (`_stationary_of`).  Each
 truncated coordinate grows to the level its own measured decay calls
 for, until the distribution has provably negligible boundary mass.
-Closed-form tables cover the priority disciplines and the symmetric
-(1,K)-limited case.
+Closed-form tables cover every built-in discipline (`closed_form_table`).
 """
 
 from __future__ import annotations
@@ -666,29 +665,27 @@ class DriftTable:
         }
 
 
-def _priority_closed(lam1, lam3, mu):
+def _closed_rates(lam1, lam3, p, mu, K=None):
+    """Output rates of queues 1-4 on the five canonical faces under
+    (1,K)-limited service, or priority for K=None (`closed_form_table`)."""
     mu1, mu2, mu3, mu4 = mu
+    if K is None:
+        a1 = a2 = 0.0
+        b1, b2, q1, q3 = mu4, mu2, mu1, mu3
+    else:
+        D1 = 1.0 / mu1 + K / mu4
+        D2 = 1.0 / mu3 + K / mu2
+        a1, b1, a2, b2 = 1.0 / D1, K / D1, 1.0 / D2, K / D2
+        # mu1 * (1 - a2/mu4) and its mirror, in an order that keeps matched
+        # stations' (1 + (K-1) mu1/mu2) / D to the bit (the pinned K sweep)
+        q1 = (mu1 / mu3 + (K - mu2 / mu4) * mu1 / mu2) / D2
+        q3 = (mu3 / mu1 + (K - mu4 / mu2) * mu3 / mu4) / D1
     return {
-        SUBSET_ALL: (0.0, mu2, 0.0, mu4),
-        frozenset((1, 2, 3)): (mu1, mu2, 0.0, 0.0),
-        frozenset((1, 3, 4)): (0.0, 0.0, mu3, mu4),
-        frozenset((1, 4)): (0.0, 0.0, lam3, mu4),
-        frozenset((2, 3)): (lam1, mu2, 0.0, 0.0),
-    }
-
-
-def _limited_closed(lam1, lam3, mu, K):
-    mu1, mu2 = mu[0], mu[1]
-    D = 1.0 / mu1 + K / mu2
-    g = 1.0 / D
-    gK = K / D
-    m_active = (1.0 + (K - 1) * mu1 / mu2) / D
-    return {
-        SUBSET_ALL: (g, gK, g, gK),
-        frozenset((1, 2, 3)): (m_active, gK, g, g),
-        frozenset((1, 3, 4)): (g, g, m_active, gK),
-        frozenset((1, 4)): (g, g, lam3, gK),
-        frozenset((2, 3)): (lam1, gK, g, g),
+        SUBSET_ALL: (a1, b2, a2, b1),
+        frozenset((1, 2, 3)): (q1, b2, a2, a2),
+        frozenset((1, 3, 4)): (a1, a1, q3, b1),
+        frozenset((1, 4)): (a1, a1, lam3 + p * a1, b1),
+        frozenset((2, 3)): (lam1, b2, a2, a2),
     }
 
 
@@ -707,53 +704,53 @@ def nominal_condition(model: NetworkModel):
 
 
 def closed_form_table(model: NetworkModel):
-    """Closed-form drift entries, or raise when outside their scope."""
+    """Closed-form drift entries of a built-in discipline, with any
+    PH/MAP inputs and feedback; custom MSPs have none.
+
+    Three rules give every face's output rates:
+      - renewal reward: a saturated station cycles through one class-1
+        (class-3) service and K of class 4 (class 2), so with D1 = 1/mu1
+        + K/mu4 and D2 = 1/mu3 + K/mu2 its queues leave at a = 1/D and
+        b = K/D.  Priority is the cycle with no budget: a = 0, b = mu;
+      - flow balance: a free queue's output equals its input;
+      - work conservation: a saturated queue gets the time its free
+        station partner leaves, q1 = mu1 (1 - a2/mu4) on face 123 and
+        q3 = mu3 (1 - a1/mu2) on face 134.
+    The faces are N (a1, b2, a2, b1), 123 (q1, b2, a2, a2), 134 (a1, a1,
+    q3, b1), 14 (a1, a1, lam3 + p a1, b1) and 23 (lam1, b2, a2, a2).
+    AssumptionViolated is raised when the nominal condition fails, or
+    a face's free queues are not positive recurrent: 123 needs a2 < b1
+    and 134 a1 < b2 (a free queue's input below its saturated rate); 14
+    needs a1/mu2 + (lam3 + p a1)/mu3 < 1 and 23 lam1/mu1 + a2/mu4 < 1
+    (a free station's load).  Sign conditions are left to
+    `stability.check_sign_conditions`.
+    """
     lam1, lam3 = model.arrival_rates
-    mu = model.service_rates
+    mu, p = model.service_rates, model.p
     rho, holds = nominal_condition(model)
     if not holds:
         raise AssumptionViolated(
             f"nominal condition fails: station loads are {rho[0] + rho[3]:.6g} "
             f"and {rho[1] + rho[2]:.6g}"
         )
-    if model.discipline in ("non_preemptive", "preemptive_resume"):
-        if not (mu[0] > mu[1] and mu[2] > mu[3]):
+    if model.discipline == "custom":
+        raise ClosedFormUnavailable("no closed-form drift table for discipline 'custom'")
+    out = _closed_rates(lam1, lam3, p, mu,
+                        model.K if model.discipline == "limited" else None)
+    a1, b2, a2, b1 = out[SUBSET_ALL]
+    for face, lhs, rhs, rule in (
+        ("123", a2, b1, "a2 < b1"),
+        ("134", a1, b2, "a1 < b2"),
+        ("14", a1 / mu[1] + (lam3 + p * a1) / mu[2], 1.0, "a1/mu2 + (lam3 + p a1)/mu3 < 1"),
+        ("23", lam1 / mu[0] + a2 / mu[3], 1.0, "lam1/mu1 + a2/mu4 < 1"),
+    ):
+        if not lhs < rhs:
             raise AssumptionViolated(
-                "closed form needs mu1 > mu2 and mu3 > mu4 "
-                f"(got mu={tuple(round(v, 6) for v in mu)})"
+                f"face {face} is not stable: {rule} fails ({lhs:.6g} >= {rhs:.6g})"
             )
-        out = _priority_closed(lam1, lam3, mu)
-    elif model.discipline == "limited":
-        scale = max(abs(lam1), abs(lam3), *mu)
-        symmetric = (
-            abs(lam1 - lam3) <= 1e-9 * scale
-            and abs(mu[0] - mu[2]) <= 1e-9 * scale
-            and abs(mu[1] - mu[3]) <= 1e-9 * scale
-            and model.p == 0.0
-        )
-        if not symmetric:
-            raise AssumptionViolated(
-                "limited closed form needs the symmetric case: "
-                "lambda1 = lambda3, mu1 = mu3, mu2 = mu4, p = 0"
-            )
-        if not mu[0] > mu[1]:
-            raise AssumptionViolated("limited closed form needs mu1 > mu2")
-        kstar = max(1.0, (1.0 - rho[0]) / rho[1], rho[0] / (1.0 - rho[1]))
-        if not model.K > kstar:
-            raise AssumptionViolated(
-                f"visit budget K={model.K} must exceed K*={kstar:.6g}"
-            )
-        out = _limited_closed(lam1, lam3, mu, model.K)
-    else:
-        raise ClosedFormUnavailable(
-            f"no closed-form drift table for discipline {model.discipline!r}"
-        )
-    entries = {}
-    for A, rates in out.items():
-        rates = np.array(rates)
-        inp = input_rates(model, rates)
-        entries[A] = DriftEntry(A, inp, rates, inp - rates, "ClosedForm")
-    return entries
+    inp = {A: input_rates(model, rates) for A, rates in out.items()}
+    return {A: DriftEntry(A, inp[A], rates, inp[A] - rates, "ClosedForm")
+            for A, rates in out.items()}
 
 
 def numeric_table(model: NetworkModel, levels=4, cap=512):

@@ -333,10 +333,10 @@ def test_spiral_csv_without_spiral_holds_the_header_alone(tmp_path, capsys):
 
 
 def test_analyze_numeric_fallback_for_asymmetric_limited(tmp_path, capsys):
-    # no closed form outside the symmetric case: "both" degrades to the
-    # numeric table with an explanatory note and still classifies
-    asym = dict(BASE_MODEL)
-    asym["discipline"] = {"limited": {"K": 4}}
+    # the asymmetric (1,4)-limited stations written as a custom discipline
+    # have no closed form: "both" degrades to the numeric table with an
+    # explanatory note and still classifies
+    asym = custom_model(tmp_path, dict(BASE_MODEL, discipline={"limited": {"K": 4}}))
     path = write_json(tmp_path, "asym.json", asym)
     code, out, _ = run(capsys, [
         "analyze", path, "--mode", "both", "--assume-semi-irreducible",
@@ -382,6 +382,59 @@ def test_failed_faces_write_standard_json(tmp_path, capsys, monkeypatch):
         assert face["diagnostics"]["tailMass"] is None
         path = "dense-lu" if face["subset"] == [1, 2, 3, 4] else "qbd"
         assert f"{path} failed: LinAlgError" in face["diagnostics"]["note"]
+
+
+# (1,K)-limited models outside the symmetric exponential case, with the
+# r1*r2 of their closed form: the README rates at K = 4, MMPP class-1
+# arrivals with Erlang-2 and hyperexponential services (S0 = 50), and
+# feedback p = 0.4
+LIMITED_CROSS_CHECKS = {
+    "asym-k4": (dict(README_MODEL, discipline={"limited": {"K": 4}}), 0.08023188948473457),
+    "phmap-k2": (dict(LIMITED_MODEL, arrivals=[
+        {"mmpp": {"switch": [[-1.0, 1.0], [1.0, -1.0]], "rates": [0.7, 1.3]}},
+        {"poisson": 1.0},
+    ], services=[
+        {"erlang": {"phases": 2, "rate": 10.0}},
+        {"exponential": 1.8},
+        {"hyperexponential": {"weights": [0.4, 0.6], "rates": [10.0, 3.75]}},
+        {"exponential": 1.8},
+    ]), 0.2039542143600417),
+    "feedback-k3": (dict(LIMITED_MODEL, arrivals=[{"poisson": 0.6}, {"poisson": 0.5}],
+                         p=0.4, discipline={"limited": {"K": 3}}), 0.04340425531914893),
+}
+
+
+@pytest.mark.parametrize("name", list(LIMITED_CROSS_CHECKS))
+def test_limited_closed_form_passes_the_cross_check(tmp_path, capsys, name):
+    model, r1r2 = LIMITED_CROSS_CHECKS[name]
+    code, out, _ = run(capsys, ["analyze", write_json(tmp_path, "model.json", model),
+                                "--mode", "both", "--assume-semi-irreducible"])
+    report = json.loads(out)
+    assert (code, report["classification"]) == (0, "PositiveRecurrent")
+    cross = report["driftTable"]["crossCheck"]
+    assert cross["ok"] is True and cross["worst"] <= 1e-6, cross
+    assert report["r1r2"] == pytest.approx(r1r2, rel=1e-12)
+
+
+@pytest.mark.parametrize("model, failed", [
+    # priority with mu1 < mu2: queue 2 drains on face 123
+    (dict(BASE_MODEL, services=[{"exponential": m} for m in (2.0, 2.4, 4.2, 2.2)]),
+     "queue 2 on face 123 needs >0"),
+    # symmetric (1,3)-limited with K below (1 - rho1) / rho2 = 3.6: queue 1
+    # drains on face N
+    (dict(LIMITED_MODEL, services=[{"exponential": m} for m in (10.0, 4.0, 10.0, 4.0)],
+          discipline={"limited": {"K": 3}}), "queue 1 on face N needs >0"),
+])
+def test_closed_mode_leaves_a_failed_sign_condition_to_the_sign_gate(
+        tmp_path, capsys, model, failed):
+    # both models have a closed table; the verdict is withheld by the sign
+    # gate, in a report that names the condition, not by a scope refusal
+    code, out, err = run(capsys, ["analyze", write_json(tmp_path, "model.json", model),
+                                  "--mode", "closed", "--assume-semi-irreducible"])
+    report = json.loads(out)
+    assert (code, err, report["classification"]) == (4, "", "Inconclusive")
+    assert f"sign condition failed: {failed}" in report["reasons"][0]
+    assert report["driftTable"]["closed"] is not None and report["r1r2"] is None
 
 
 def test_critical_readme_model_is_inconclusive_in_every_mode(tmp_path, capsys):
@@ -750,15 +803,28 @@ def test_service_processes_over_max_phases_are_exit_2(tmp_path, capsys, service,
     assert f"invalid model at {where}" in err and "MAX_PHASES = 1024" in err, err
 
 
-def test_simulate_saturated_agrees_with_a_numeric_face(tmp_path, capsys):
-    # the README model under (1,4)-limited service has no closed form: the
-    # reference is face 14's own numeric solve
-    model = dict(BASE_MODEL, discipline={"limited": {"K": 4}},
-                 services=[{"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)])
+def simulate_asym_k4_face_14(tmp_path, capsys, model):
+    """`simulate --saturate 1,4` of `model`: its summary, after checking
+    the exit code and that every queue agrees with the reference."""
     code, out, _ = run(capsys, ["simulate", write_json(tmp_path, "asym4.json", model),
                                 "--saturate", "1,4", "--horizon", "4000", "--seed", "7"])
     assert code == 0
     summary = json.loads(out)
-    assert summary["analytical"]["provenance"] == "Numeric"
     assert [a["queue"] for a in summary["agreement"]] == [1, 2, 3, 4]
     assert all(a["ok"] for a in summary["agreement"]), summary["agreement"]
+    return summary
+
+
+def test_simulate_saturated_agrees_with_a_numeric_face(tmp_path, capsys):
+    # the README model's (1,4)-limited stations written as a custom
+    # discipline have no closed form: the reference is face 14's own
+    # numeric solve
+    model = custom_model(tmp_path, dict(README_MODEL, discipline={"limited": {"K": 4}}))
+    summary = simulate_asym_k4_face_14(tmp_path, capsys, model)
+    assert summary["analytical"]["provenance"] == "Numeric"
+
+
+def test_simulate_saturated_asym_limited_agrees_with_the_closed_form(tmp_path, capsys):
+    model = dict(README_MODEL, discipline={"limited": {"K": 4}})
+    summary = simulate_asym_k4_face_14(tmp_path, capsys, model)
+    assert summary["analytical"]["provenance"] == "ClosedForm"

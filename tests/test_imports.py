@@ -62,7 +62,7 @@ LIMITED_MODEL = dict(README_MODEL, arrivals=[{"poisson": 1.0}, {"poisson": 1.0}]
                      services=[{"exponential": m} for m in (5.0, 1.8, 5.0, 1.8)],
                      p=0.0, discipline={"limited": {"K": 3}})
 
-# asymmetric (1,4)-limited: no closed form, S0 = 36
+# asymmetric (1,4)-limited, S0 = 36
 ASYM_MODEL = dict(README_MODEL, discipline={"limited": {"K": 4}})
 
 # runs in a fresh interpreter: other tests in this process import scipy

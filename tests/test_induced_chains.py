@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netdrift import (
@@ -46,6 +46,7 @@ from netdrift.induced_chains import (
     TAIL_TOL,
     InducedChainSolution,
     input_rates,
+    nominal_condition,
 )
 
 from tests.conftest import (
@@ -1077,8 +1078,8 @@ def test_limited_closed_form_is_within_mu1_over_k_of_priority(K):
         mu2 = rng.uniform(0.1, 5.0)
         mu1 = mu2 * rng.uniform(1.01, 10.0)
         mu = (mu1, mu2, mu1, mu2)
-        lim = induced_chains._limited_closed(lam, lam, mu, K)
-        prio = induced_chains._priority_closed(lam, lam, mu)
+        lim = induced_chains._closed_rates(lam, lam, 0.0, mu, K)
+        prio = induced_chains._closed_rates(lam, lam, 0.0, mu)
         assert lim.keys() == prio.keys() == set(CANONICAL_SUBSETS)
         for A in CANONICAL_SUBSETS:
             gap = np.max(np.abs(np.subtract(lim[A], prio[A])))
@@ -1087,19 +1088,112 @@ def test_limited_closed_form_is_within_mu1_over_k_of_priority(K):
 
 def test_closed_form_guards():
     # nominal overload
-    with pytest.raises(AssumptionViolated):
+    with pytest.raises(AssumptionViolated, match="nominal condition fails"):
         closed_form_table(exp_model(lam1=1.2, mus=(4.0, 1.0, 4.2, 2.2)))
-    # priority form needs mu1 > mu2, mu3 > mu4
-    with pytest.raises(AssumptionViolated):
-        closed_form_table(exp_model(mus=(2.0, 2.4, 4.2, 2.2)))
-    # limited form needs the symmetric configuration
-    with pytest.raises(AssumptionViolated):
-        closed_form_table(exp_model("limited", K=3))
-    # and a budget above the critical one
-    with pytest.raises(AssumptionViolated):
+    # an asymmetric limited model whose face 134 is unstable: queue 2's
+    # input a1 = 1/D1 is above its rate b2 = K/D2 when saturated
+    with pytest.raises(AssumptionViolated, match="face 134 is not stable"):
+        closed_form_table(exp_model("limited", K=2, lam1=0.5, lam3=0.5, p=0.0,
+                                    mus=(8.0, 1.5, 4.0, 6.0)))
+    # K = 1 with matched stations sits on face 123's boundary a2 = b1
+    with pytest.raises(AssumptionViolated, match="face 123 is not stable"):
         closed_form_table(
             exp_model("limited", K=1, lam1=1.0, lam3=1.0, p=0.0,
                       mus=(5.0, 1.8, 5.0, 1.8)))
+
+
+# one model per face-stability condition, each passing the conditions
+# checked before it: the (1,K)-limited discipline with these (K, lam1,
+# lam3, p, mus)
+FACE_REFUSALS = {
+    "123": (1, 0.2, 0.2, 0.0, (1.0, 4.0, 4.0, 1.0)),
+    "134": (1, 0.2, 0.2, 0.0, (4.0, 1.0, 1.0, 4.0)),
+    "14": (3, 0.2, 1.4, 1.0, (7.2, 2.5, 5.7, 7.2)),
+    "23": (3, 1.4, 1.6, 0.0, (3.5, 8.8, 7.8, 3.4)),
+}
+
+
+@pytest.mark.parametrize("face", sorted(FACE_REFUSALS))
+def test_each_unstable_face_refuses_the_closed_form_by_name(face):
+    K, lam1, lam3, p, mus = FACE_REFUSALS[face]
+    model = exp_model("limited", K=K, lam1=lam1, lam3=lam3, p=p, mus=mus)
+    assert nominal_condition(model)[1]
+    with pytest.raises(AssumptionViolated, match=f"^face {face} is not stable: "):
+        closed_form_table(model)
+    # the numeric solve refuses the same face, by its QBD's mean drift
+    sol = solve_stationary(build_induced_chain(kernel_of(model), {int(q) for q in face}))
+    assert not sol.converged and "mean drift condition fails" in sol.note
+
+
+def face_loads(model):
+    """The four face-stability ratios `closed_form_table` requires below
+    one: faces 123, 134, 14 and 23."""
+    lam1, lam3 = model.arrival_rates
+    mu, p = model.service_rates, model.p
+    K = model.K if model.discipline == "limited" else None
+    a1, b2, a2, b1 = induced_chains._closed_rates(lam1, lam3, p, mu, K)[SUBSET_ALL]
+    return (a2 / b1, a1 / b2, a1 / mu[1] + (lam3 + p * a1) / mu[2],
+            lam1 / mu[0] + a2 / mu[3])
+
+
+@st.composite
+def builtin_models(draw):
+    """Built-in models with Poisson or MMPP class-1 arrivals, exponential,
+    Erlang-2 or hyperexponential services (means set by class loads in
+    [0.05, 0.3], so each station's nominal load is at most 0.6), p <= 0.5,
+    and (1,K)-limited service with 2 <= K <= 8 or either priority
+    discipline.  S0 is at most 64: above it a 2-D face's QBD can run out
+    of its state budget before its boundary mass falls to TAIL_TOL (seen
+    at S0 = 81), so a larger K takes smaller service processes.  Every
+    face-stability ratio is at most 0.6."""
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    lam1, lam3, p = 0.2 + 0.8 * draw(unit), 0.2 + 0.8 * draw(unit), 0.5 * draw(unit)
+    mmpp = draw(st.sampled_from([True, False]))
+    dims = {"exponential": 1, "erlang": 2, "hyperexponential": 2}
+    k1, k3 = draw(st.sampled_from(list(dims))), draw(st.sampled_from(list(dims)))
+
+    def S0(K, k2="exponential", k4="exponential"):
+        return (1 + mmpp) * (1 + dims[k1] + (K or 1) * dims[k4]) \
+            * (1 + dims[k3] + (K or 1) * dims[k2])
+
+    K = draw(st.sampled_from([K for K in range(2, 9) if S0(K) <= 64] + [None]))
+    k4 = draw(st.sampled_from([k for k in dims if S0(K, k4=k) <= 64]))
+    k2 = draw(st.sampled_from([k for k in dims if S0(K, k2=k, k4=k4) <= 64]))
+    phs = []
+    for kind, lam in zip((k1, k2, k3, k4), (lam1, lam1, p * lam1 + lam3, p * lam1 + lam3)):
+        rate = lam / (0.05 + 0.25 * draw(unit))
+        phs.append(exponential_ph(rate) if kind == "exponential" else
+                   erlang_ph(2, 2.0 * rate) if kind == "erlang" else
+                   hyperexponential_ph([0.4, 0.6], [2.0 * rate, 0.75 * rate]))
+    map1 = mmpp_map([[-1.0, 1.0], [1.0, -1.0]], [0.5 * lam1, 1.5 * lam1]) if mmpp \
+        else poisson_map(lam1)
+    discipline = "limited" if K else draw(st.sampled_from(["non_preemptive",
+                                                           "preemptive_resume"]))
+    model = build_network(map1, poisson_map(lam3), *phs, p, discipline, K)
+    assume(kernel_of(model).S0 <= 64 and max(face_loads(model)) <= 0.6)
+    return model
+
+
+@settings(max_examples=12, deadline=20_000, derandomize=True)
+@given(builtin_models())
+# MMPP arrivals, Erlang-2 and hyperexponential services and feedback at
+# once (S0 = 50)
+@example(build_network(mmpp_map([[-1.0, 1.0], [1.0, -1.0]], [0.7, 1.3]), poisson_map(0.5),
+                       erlang_ph(2, 10.0), exponential_ph(1.8),
+                       hyperexponential_ph([0.4, 0.6], [10.0, 3.75]), exponential_ph(1.8),
+                       0.3, "limited", 2))
+def test_numeric_faces_match_the_closed_form(model):
+    # every drift of every face within 1e-6 of the closed form, relative
+    # to the larger of the queue's rates; derandomized so that each run
+    # checks the same models (the gap is up to 0.8 * the face's boundary
+    # mass, which may reach TAIL_TOL = 1e-6)
+    closed, numeric = closed_form_table(model), numeric_table(model)
+    for A in CANONICAL_SUBSETS:
+        c, n = closed[A], numeric[A]
+        assert n.drifts is not None, (subset_name(A), n.diagnostics)
+        scale = np.maximum(np.abs(c.drifts), np.maximum(c.input_rates, c.output_rates))
+        np.testing.assert_array_less(np.abs(n.drifts - c.drifts), 1e-6 * scale + 1e-15,
+                                     err_msg=subset_name(A))
 
 
 def test_table_rejects_unknown_subset(np_model):

@@ -523,9 +523,8 @@ def test_alternating_service_throughput():
 
 @pytest.mark.parametrize("face", [N, frozenset({1, 4})])
 def test_asymmetric_limited_table_matches_saturated_runs(face):
-    # the README rates under the (1,4)-limited discipline: no closed form,
-    # so simulation is the independent check of the numeric table, by the
-    # rule of the CLI's `agreement` report
+    # the README rates under the (1,4)-limited discipline: simulation
+    # checks the numeric table by the rule of the CLI's `agreement` report
     model = exp_model("limited", K=4, mus=(5.0, 2.4, 5.0, 2.2))
     table = drift_table(model, mode="numeric").entry(face).output_rates
     est = estimate_drift(simulate_saturated(model, face, horizon=20_000.0, seed=7))

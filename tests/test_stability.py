@@ -187,15 +187,15 @@ def test_cross_check_note_separates_missing_faces_from_disagreement(monkeypatch)
     assert report.notes == ["no numeric drift to cross-check on faces 14, 23"]
 
     # a closed form off by 1% on face N disagrees beyond the tolerance
-    closed = induced_chains._priority_closed
+    closed = induced_chains._closed_rates
 
-    def off_by_one_percent(lam1, lam3, mu):
-        out = closed(lam1, lam3, mu)
+    def off_by_one_percent(lam1, lam3, p, mu, K=None):
+        out = closed(lam1, lam3, p, mu, K)
         m1, m2, m3, m4 = out[frozenset({1, 2, 3, 4})]
         out[frozenset({1, 2, 3, 4})] = (m1, 1.01 * m2, m3, m4)
         return out
 
-    monkeypatch.setattr(induced_chains, "_priority_closed", off_by_one_percent)
+    monkeypatch.setattr(induced_chains, "_closed_rates", off_by_one_percent)
     report = classify(exp_model(), mode="both", assume_semi_irreducible=True)
     cross = report.table.cross_check
     assert not cross["ok"] and cross["subsets"]["N"] > cross["tolerance"]
@@ -390,7 +390,7 @@ PHMAP_MODEL = {
     ("sym3", ("closed", "numeric"), 4),
     ("sym4", ("closed", "numeric"), 7),
     ("sym5", ("closed", "numeric"), 11),
-    ("asym4", ("numeric",), 9),
+    ("asym4", ("closed", "numeric"), 9),
 ])
 def test_verifier_accepts_the_bench_certificates(name, modes, grid_index):
     if name.startswith("sym"):
