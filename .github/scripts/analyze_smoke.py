@@ -37,7 +37,7 @@ CHILD = ("import sys, netdrift.induced_chains as ic\n"
          "sys.exit(main(sys.argv[2:]))")
 
 
-def smoke(name, model, S0, want_code, want_paths, tmp, qbd_phases=""):
+def smoke(name, model, face_phases, want_code, want_paths, tmp, qbd_phases=""):
     """One `analyze` run: its table row, the list of its failures and its
     peak RSS in MB."""
     path, out = os.path.join(tmp, "model.json"), os.path.join(tmp, "out.json")
@@ -66,34 +66,36 @@ def smoke(name, model, S0, want_code, want_paths, tmp, qbd_phases=""):
         failures.append(f"face solver paths {sorted(paths)}")
     rss = usage.ru_maxrss / 1024
     forced = ", box forced" if qbd_phases != "" else ""
-    row = (f"| {name}{forced} | {4 * S0} | {code} | {wall:.2f} | "
+    row = (f"| {name}{forced} | {face_phases} | {code} | {wall:.2f} | "
            f"{rss:.1f} | {', '.join(paths)} |")
     return row, failures, rss
 
 
 def main():
     # read in a child, as a forked child's peak RSS starts at its parent's
-    qbd_phases = int(subprocess.check_output([sys.executable, "-c", (
-        "from netdrift.induced_chains import QBD_PHASES; print(QBD_PHASES)")]))
+    qbd_phases, start = map(int, subprocess.check_output([sys.executable, "-c", (
+        "from netdrift.induced_chains import QBD_PHASES, START_LEVEL; "
+        "print(QBD_PHASES, START_LEVEL)")]).split())
     # a symmetric (1,K)-limited model has (K + 2)^2 background states, and a
-    # 2-D face starts with 4 levels of them as its QBD phases
-    qbd_k = max(K for K in range(1, 64) if 4 * (K + 2) ** 2 <= qbd_phases)
+    # 2-D face starts with START_LEVEL levels of them as its QBD phases
+    qbd_k = max(K for K in range(1, 64) if start * (K + 2) ** 2 <= qbd_phases)
     def only_qbd(paths):
         return paths == {"qbd"}
 
-    runs = [(f"sym K={K}", limited_model(K), (K + 2) ** 2, 1, want, phases)
+    runs = [(f"sym K={K}", limited_model(K), start * (K + 2) ** 2, 1, want, phases)
             for K, want, phases in (
                 (qbd_k, only_qbd, ""),
                 (qbd_k + 1, lambda paths: "ilu-gmres" in paths, ""),
                 (qbd_k, lambda paths: "ilu-gmres" in paths and "qbd" not in paths, 0))]
     runs.append(("README rates, K=12", dict(README_MODEL, discipline={"limited": {"K": 12}}),
-                 14 ** 2, 0, only_qbd, ""))
+                 start * 14 ** 2, 0, only_qbd, ""))
     print("| model | 2-D face phases | exit | wall s | peak RSS MB | face paths |")
     print("|---|---|---|---|---|---|")
     failed, rss = False, []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, model, S0, want_code, want_paths, phases in runs:
-            row, failures, peak = smoke(name, model, S0, want_code, want_paths, tmp, phases)
+        for name, model, face_phases, want_code, want_paths, phases in runs:
+            row, failures, peak = smoke(name, model, face_phases, want_code, want_paths, tmp,
+                                        phases)
             print(row, flush=True)
             rss.append(peak)
             for failure in failures:

@@ -383,8 +383,6 @@ def cmd_analyze(args):
     report = stability.classify(
         model,
         mode=args.mode,
-        levels=args.levels,
-        cap=args.cap,
         assume_semi_irreducible=args.assume_semi_irreducible,
         with_certificate=args.certificate,
         with_spiral=args.spiral or bool(args.spiral_csv),
@@ -408,14 +406,13 @@ def cmd_analyze(args):
 def _sweep_point(payload):
     from . import stability
 
-    model_dict, path, value, mode, levels, cap = payload
+    model_dict, path, value, mode = payload
     try:
         patched = apply_parameter(model_dict, path, value)
         model = parse_model_dict(patched)
         # a near-empty-box probe keeps per-point cost flat across the sweep;
         # a confirmation is a proof at any radius
-        report = stability.classify(model, mode=mode, levels=levels, cap=cap,
-                                    probe_radius=1)
+        report = stability.classify(model, mode=mode, probe_radius=1)
         note = "; ".join(report.reasons)
         return (value, report.r1, report.r2, report.r1r2,
                 report.classification, note)
@@ -438,8 +435,7 @@ def cmd_sweep(args):
         _number(v, f"sweep.values.{i}")
     if values:
         apply_parameter(model_dict, path, values[0])
-    payloads = [(model_dict, path, v, args.mode, args.levels, args.cap)
-                for v in values]
+    payloads = [(model_dict, path, v, args.mode) for v in values]
     if args.jobs > 1 and len(payloads) > 1:
         import concurrent.futures
 
@@ -554,8 +550,7 @@ def cmd_certificate(args):
     from . import induced_chains, stability
 
     model = load_model(args.model)
-    table = induced_chains.drift_table(model, mode=args.mode, levels=args.levels,
-                                       cap=args.cap)
+    table = induced_chains.drift_table(model, mode=args.mode)
     certificate = stability.lyapunov_certificate(table)
     payload = certificate.to_json_dict()
     payload["subsets"] = [induced_chains.subset_name(A)
@@ -613,10 +608,6 @@ def build_parser():
     def add_common(p):
         p.add_argument("--mode", choices=("both", "closed", "numeric"),
                        default="both", help="drift table mode")
-        p.add_argument("--levels", type=positive, default=4,
-                       help="first level of each truncated coordinate (QBD fast queue, box axis)")
-        p.add_argument("--cap", type=positive, default=512,
-                       help="truncation level cap per truncated coordinate")
         p.add_argument("--out", help="write output to this path")
 
     p = sub.add_parser("validate", help="validate a model file")

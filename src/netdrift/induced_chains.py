@@ -134,7 +134,7 @@ class InducedChainSolution:
 _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
 # a kept class of at most this many states is solved by dense LU: face N of the
-# bench models keeps at most 64; a box (past the QBD caps) holds 2,800+ at 4 levels
+# bench models keeps at most 64; a box (past the QBD caps) holds 2,800+ at START_LEVEL
 DENSE_STATES = 400
 
 
@@ -353,6 +353,9 @@ NON_DECAY_RATE = 0.9 ** (1 / 32)
 # on the square of that, the entries of a dense block its solve reads
 MAX_STATES = 3_000_000
 
+# the first level of each truncated axis, and the most it grows to
+START_LEVEL, LEVEL_CAP = 4, 512
+
 
 def _marginal_decay(dist):
     """Per-level decay of the stationary mass on each free axis, read off
@@ -370,11 +373,11 @@ def _marginal_decay(dist):
     return rates
 
 
-def _next_level(L, tail, rate, cap, target):
+def _next_level(L, tail, rate, target):
     """The level at which `tail` decaying by `rate` per level reaches
-    `target`, kept within [L+1, min(2L, cap)].  `tail` must be above
-    that target.  Doubles when the rate is unknown or not below 1."""
-    top = min(2 * L, cap)
+    `target`, kept within [L+1, min(2L, LEVEL_CAP)].  `tail` must be
+    above that target.  Doubles when the rate is unknown or not below 1."""
+    top = min(2 * L, LEVEL_CAP)
     if rate is None or rate >= 1.0:
         return top
     if rate <= 0.0:
@@ -410,17 +413,17 @@ def _solve_at(chain: InducedChain, shape):
     return np.moveaxis(dist.reshape((3,) + fast + (S0,)), 0, slow), *rest
 
 
-def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolution:
+def solve_stationary(chain: InducedChain) -> InducedChainSolution:
     """Stationary distribution of a face's induced chain, one truncation
     level per free coordinate, grown in one loop on either path.
 
     A face with a free coordinate and at most QBD_PHASES phases (S0,
-    times `levels` on a 2-D face; a 1-D face also at most QBD_1D_PHASES)
-    is a QBD whose level, the free queue with exogenous arrivals (1 or
-    3), is not truncated (None); its other axis, if any, is truncated.
-    Any other face is a box, every axis truncated.  Each truncated axis
-    starts at `levels` (at `cap` when
-    above it) and the face grows until its boundary mass (the cells
+    times START_LEVEL on a 2-D face; a 1-D face also at most
+    QBD_1D_PHASES) is a QBD whose level, the free queue with exogenous
+    arrivals (1 or 3), is not truncated (None); its other axis, if any,
+    is truncated.  Any other face is a box, every axis truncated.  So
+    the path depends on the model alone.  Each truncated axis starts at
+    START_LEVEL and the face grows until its boundary mass (the cells
     where any truncated axis sits at its top level) is at most TAIL_TOL;
     nothing else decides when a face is done.  A larger boundary mass
     puts more than TAIL_TOL / t on some of the t truncated axes' top
@@ -428,28 +431,24 @@ def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolu
     that mass, decaying at the axis's measured per-level rate, reaches
     TAIL_TOL/4 on a box and TAIL_TOL/2 on a QBD (whose dense solve costs
     the cube of its phases), but by at least one level and at most to
-    double the current one or `cap`.  An axis that grew in the last step
-    takes its rate from its top-level masses at its last two levels; at
-    or above NON_DECAY_RATE on a growing axis, that rate means the mass
-    is not decaying (the signature of a transient chain) and stops the
-    growth, as does a growing axis at the cap.  Any other axis takes the
-    decay of its level marginal in the current solution.  MAX_STATES
-    bounds the truncated cells times S0, the states of a box, or its
-    square on a QBD, which bounds each dense block its solve reads: a
-    shape over it has its axes cut back, the largest first, and the
-    growth stops when none of them can grow.  A failed solve (see
+    double the current one or LEVEL_CAP.  An axis that grew in the last
+    step takes its rate from its top-level masses at its last two
+    levels; at or above NON_DECAY_RATE on a growing axis, that rate
+    means the mass is not decaying (the signature of a transient chain)
+    and stops the growth, as does a growing axis at the cap.  Any other
+    axis takes the decay of its level marginal in the current solution.
+    MAX_STATES bounds the truncated cells times S0, the states of a box,
+    or its square on a QBD, which bounds each dense block its solve
+    reads: a shape over it has its axes cut back, the largest first, and
+    the growth stops when none of them can grow.  A failed solve (see
     `_stationary_of`) stops the growth too, with no residual or tail
     mass.  The note keeps a cut-back start, the last level's closed
     classes and why the growth stopped.  A `history` entry is (levels,
     residual, boundary mass, solver path); `residual` is the level's
     stationarity residual, within the bound `_accept` sets.
     """
-    for name, value in (("levels", levels), ("cap", cap)):
-        if int(value) < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     d, S0 = len(chain.free), chain.kernel.S0
-    L = min(int(levels), int(cap))
-    qbd = d > 0 and S0 * L ** (d - 1) <= QBD_PHASES and (d > 1 or S0 <= QBD_1D_PHASES)
+    qbd = d > 0 and S0 * START_LEVEL ** (d - 1) <= QBD_PHASES and (d > 1 or S0 <= QBD_1D_PHASES)
     slow = next((a for a, q in enumerate(chain.free) if q in (1, 3)), 0) if qbd else None
     axes = [a for a in range(d) if a != slow]
     power, aim = (2, TAIL_TOL / 2) if qbd else (1, TAIL_TOL / 4)
@@ -463,7 +462,7 @@ def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolu
             shape[max(over, key=lambda a: shape[a])] -= 1
         return tuple(shape)
 
-    start = tuple(None if a == slow else L for a in range(d))
+    start = tuple(None if a == slow else START_LEVEL for a in range(d))
     shape = fit(start, (1,) * d)
     if shape is None:
         squared = " squared" if qbd else ""
@@ -499,12 +498,12 @@ def solve_stationary(chain: InducedChain, levels=4, cap=512) -> InducedChainSolu
             if any(rates[a] >= NON_DECAY_RATE for a in measured if a in grow):
                 stop = "boundary mass is not decaying; chain is likely transient"
                 break
-        if any(shape[a] >= cap for a in grow):
-            stop = f"truncation cap {cap} reached"
+        if any(shape[a] >= LEVEL_CAP for a in grow):
+            stop = f"truncation cap {LEVEL_CAP} reached"
             break
         target = list(shape)
         for a in grow:
-            target[a] = _next_level(shape[a], tails[a], rates[a], cap, aim)
+            target[a] = _next_level(shape[a], tails[a], rates[a], aim)
         nxt = fit(target, shape)
         if nxt == shape:
             stop = f"state budget exceeded beyond levels {shape}"
@@ -753,13 +752,13 @@ def closed_form_table(model: NetworkModel):
             for A, rates in out.items()}
 
 
-def numeric_table(model: NetworkModel, levels=4, cap=512):
+def numeric_table(model: NetworkModel):
     """Numeric drift entries for the canonical subsets."""
     kernel = kernel_of(model)
     entries = {}
     for A in CANONICAL_SUBSETS:
         chain = build_induced_chain(kernel, A)
-        sol = solve_stationary(chain, levels=levels, cap=cap)
+        sol = solve_stationary(chain)
         diag = {
             "levels": sol.levels,
             "residual": sol.residual,
@@ -782,8 +781,7 @@ def numeric_table(model: NetworkModel, levels=4, cap=512):
     return entries
 
 
-def drift_table(model: NetworkModel, mode="both", levels=4,
-                cap=512) -> DriftTable:
+def drift_table(model: NetworkModel, mode="both") -> DriftTable:
     """Assemble the drift table in the requested mode.
 
     "both" computes closed and numeric tables and cross-checks them at
@@ -808,7 +806,7 @@ def drift_table(model: NetworkModel, mode="both", levels=4,
             notes.append(f"closed form unavailable: {exc}")
     numeric = None
     if mode in ("numeric", "both"):
-        numeric = numeric_table(model, levels=levels, cap=cap)
+        numeric = numeric_table(model)
     cross = None
     if closed is not None and numeric is not None:
         rels = {}

@@ -370,9 +370,8 @@ class StabilityReport:
         })
 
 
-def classify(model: NetworkModel, *, mode="both", levels=4, cap=512,
-             assume_semi_irreducible=False, probe_radius=3,
-             with_certificate=False, with_spiral=False) -> StabilityReport:
+def classify(model: NetworkModel, *, mode="both", assume_semi_irreducible=False,
+             probe_radius=3, with_certificate=False, with_spiral=False) -> StabilityReport:
     """Full decision pipeline on one model."""
     rho, nominal = nominal_condition(model)
     reasons = []
@@ -383,10 +382,11 @@ def classify(model: NetworkModel, *, mode="both", levels=4, cap=512,
         irreducibility = check_semi_irreducible(model, radius=probe_radius)
         if irreducibility != CONFIRMED:
             reasons.append(
-                "semi-irreducibility not confirmed by the reachability probe; "
-                "rerun with a larger probe radius or assert it explicitly"
+                "semi-irreducibility not confirmed by the reachability probe at "
+                f"radius {probe_radius}; `netdrift validate --probe-radius R` probes "
+                "a larger radius R"
             )
-    table = drift_table(model, mode=mode, levels=levels, cap=cap)
+    table = drift_table(model, mode=mode)
     notes.extend(table.notes)
     sign_report = check_sign_conditions(table)
     reasons.extend(_failure(c) for c in sign_report["conditions"] if not c["ok"])

@@ -58,7 +58,7 @@ def both_mode_tables():
         "limited": symmetric_limited_model(3),
     }
     started = time.perf_counter()
-    tables = {name: drift_table(m, mode="both", levels=32, cap=128)
+    tables = {name: drift_table(m, mode="both")
               for name, m in models.items()}
     return tables, time.perf_counter() - started
 
@@ -117,8 +117,7 @@ def test_criterion_1_limited_sweep(tmp_path):
     # numeric mode agreement, spot-checked on each side of the threshold
     numeric_ok = True
     for K in (2, 6):
-        table = drift_table(symmetric_limited_model(K), mode="numeric",
-                            levels=32, cap=128)
+        table = drift_table(symmetric_limited_model(K), mode="numeric")
         r1, r2 = compute_r1_r2(table)
         if abs(r1 * r2 - limited_ratio(K) ** 2) > 1e-4 * limited_ratio(K) ** 2:
             numeric_ok = False

@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from netdrift import classify, erlang_ph, hyperexponential_ph, mmpp_map
+from netdrift import (classify, drift_table, erlang_ph, hyperexponential_ph, mmpp_map,
+                      verify_certificate)
 from netdrift.cli import apply_parameter, canonical_model_dict, load_model, main
 from netdrift.errors import BadParameterPath
 from netdrift.simulator import SAMPLE_CAP, replication_seeds, simulate, simulate_saturated
@@ -340,7 +341,6 @@ def test_analyze_numeric_fallback_for_asymmetric_limited(tmp_path, capsys):
     path = write_json(tmp_path, "asym.json", asym)
     code, out, _ = run(capsys, [
         "analyze", path, "--mode", "both", "--assume-semi-irreducible",
-        "--levels", "16", "--cap", "128",
     ])
     assert code == 0
     report = json.loads(out)
@@ -460,7 +460,6 @@ def test_analyze_reports_failed_sign_premises(tmp_path, capsys):
         LIMITED_MODEL, arrivals=[{"poisson": 0.8}, {"poisson": 0.4}]))
     code, out, _ = run(capsys, [
         "analyze", path, "--mode", "numeric", "--assume-semi-irreducible",
-        "--levels", "16", "--cap", "128",
     ])
     assert code == 4
     report = json.loads(out)
@@ -539,10 +538,37 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
                        {"parameter": "discipline.K", "values": [2, 6]})
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    assert run(capsys, ["sweep", model, sweep, "--out", str(serial)])[0] == 0
-    assert run(capsys, ["sweep", model, sweep, "--jobs", "2",
-                        "--out", str(parallel)])[0] == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+    for mode in ("closed", "numeric"):
+        assert run(capsys, ["sweep", model, sweep, "--mode", mode,
+                            "--out", str(serial)])[0] == 0
+        assert run(capsys, ["sweep", model, sweep, "--mode", mode, "--jobs", "2",
+                            "--out", str(parallel)])[0] == 0
+        assert serial.read_bytes() == parallel.read_bytes(), mode
+        verdicts = [row.split(",")[4] for row in serial.read_text().splitlines()[1:]]
+        assert verdicts == ["PositiveRecurrent", "Transient"], mode
+
+
+def test_unconfirmed_probe_names_its_radius_and_a_route(tmp_path, capsys, monkeypatch):
+    # analyze probes at radius 3 and sweep at radius 1; neither has a
+    # radius option, so the reason points at validate's
+    from netdrift import stability
+
+    monkeypatch.setattr(stability, "check_semi_irreducible",
+                        lambda model, radius: "Unknown")
+    model = write_json(tmp_path, "model.json", README_MODEL)
+    route = "`netdrift validate --probe-radius R` probes a larger radius R"
+    code, out, _ = run(capsys, ["analyze", model, "--mode", "closed"])
+    report = json.loads(out)
+    assert (code, report["semiIrreducibility"]) == (4, "Unknown")
+    assert report["reasons"] == [
+        f"semi-irreducibility not confirmed by the reachability probe at radius 3; {route}"]
+
+    sweep = write_json(tmp_path, "sweep.json", {"parameter": "p", "values": [0.3]})
+    code, out, _ = run(capsys, ["sweep", model, sweep])
+    assert code == 0
+    assert out.splitlines()[1].endswith(
+        f",Inconclusive,semi-irreducibility not confirmed by the reachability probe at "
+        f"radius 1; {route}")
 
 
 def test_sweep_empty_values_writes_header_only(tmp_path, capsys):
@@ -673,10 +699,13 @@ def test_simulate_argument_errors(tmp_path, capsys):
     (["simulate", "--saturate", ","], "--saturate: expected N or queues in 1..4"),
     (["simulate", "--initial", "1,2,3,4", "--saturate", "N"],
      "--saturate: not allowed with argument --initial"),
-    (["analyze", "--levels", "0"], "--levels: expected an integer of at least 1"),
-    (["analyze", "--levels", "-3"], "--levels: expected an integer of at least 1"),
-    (["certificate", "--cap", "0"], "--cap: expected an integer of at least 1"),
-    (["sweep", "sweep.json", "--levels", "0"], "--levels: expected an integer of at least 1"),
+    # the start level and the level cap are constants, not options
+    (["analyze", "--levels", "4"], "unrecognized arguments: --levels 4"),
+    (["analyze", "--cap", "512"], "unrecognized arguments: --cap 512"),
+    (["certificate", "--levels", "4", "--cap", "512"],
+     "unrecognized arguments: --levels 4 --cap 512"),
+    (["sweep", "sweep.json", "--levels", "4", "--cap", "512"],
+     "unrecognized arguments: --levels 4 --cap 512"),
     (["validate", "--probe-radius", "-1"], "--probe-radius: expected an integer of at least 0"),
     (["simulate", "--horizon", "0"], "--horizon: expected a positive finite number"),
     (["simulate", "--horizon", "-1"], "--horizon: expected a positive finite number"),
@@ -740,6 +769,22 @@ def test_certificate_command(tmp_path, capsys):
     transient = write_json(tmp_path, "transient.json", TRANSIENT_MODEL)
     code, _, err = run(capsys, ["certificate", transient, "--mode", "closed"])
     assert code == 4 and "AssumptionViolated" in err
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["readme", "custom"])
+@pytest.mark.parametrize("mode", [None, "both", "numeric"], ids=["default", "both", "numeric"])
+def test_certificate_from_a_numeric_table_verifies(tmp_path, capsys, mode, custom):
+    # the README model, and its stations written as a custom discipline,
+    # which has no closed form: "both" then certifies the numeric table
+    payload = custom_model(tmp_path, README_MODEL) if custom else README_MODEL
+    model = write_json(tmp_path, "model.json", payload)
+    code, out, _ = run(capsys, ["certificate", model, *(["--mode", mode] if mode else [])])
+    assert code == 0
+    cert = json.loads(out)
+    table = drift_table(load_model(model), mode=mode or "both")
+    assert (table.closed is None) == (custom or mode == "numeric")
+    assert verify_certificate(np.array(cert["U"]), table) == (cert["leadingMinors"],
+                                                              cert["innerProducts"])
 
 
 @pytest.mark.parametrize("arrivals, p, queue", [

@@ -175,7 +175,8 @@ def test_noncanonical_transient_subset_is_flagged(np_model, monkeypatch):
     # boundary mass.
     kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {1, 2, 4})
-    sol = solve_stationary(chain, levels=4, cap=16)
+    monkeypatch.setattr(induced_chains, "LEVEL_CAP", 16)
+    sol = solve_stationary(chain)
     assert not sol.converged and sol.history == []
     assert sol.dist is None and sol.tail_mass is None
     assert sol.note == ("levels (None,): qbd refused: mean drift condition fails: up rate "
@@ -184,7 +185,7 @@ def test_noncanonical_transient_subset_is_flagged(np_model, monkeypatch):
         output_rates(chain, sol)
 
     monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
-    sol = solve_stationary(chain, levels=4, cap=16)
+    sol = solve_stationary(chain)
     assert not sol.converged
     assert sol.tail_mass > 1e-3
     assert "not decaying" in sol.note
@@ -192,17 +193,19 @@ def test_noncanonical_transient_subset_is_flagged(np_model, monkeypatch):
         output_rates(chain, sol)
 
 
-def test_start_level_above_cap_starts_at_cap(np_model, monkeypatch):
-    # as a QBD, queue 1 is the untruncated level and only queue 4 is
-    # capped; on the box, both are
-    chain = build_induced_chain(kernel_of(np_model), {2, 3})
-    for path, start in (("qbd", (None, 16)), ("box", (16, 16))):
+def test_growth_never_passes_the_level_cap(monkeypatch):
+    # face {1,4} of the symmetric K=3 model converges at (8, None) as a
+    # QBD, queue 3 being the untruncated level, and at (9, 26) on its
+    # box; a cap of 6 stops either with a named reason
+    chain = build_induced_chain(kernel_of(symmetric_limited_model(3)), {1, 4})
+    monkeypatch.setattr(induced_chains, "LEVEL_CAP", 6)
+    for path in ("qbd", "box"):
         if path == "box":
             monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
-        sol = solve_stationary(chain, levels=40, cap=16)
-        assert sol.converged
-        assert sol.history[0][0] == start
-        assert max(max(L for L in shape if L) for shape, *_ in sol.history) <= 16
+        sol = solve_stationary(chain)
+        assert not sol.converged and sol.note.endswith("truncation cap 6 reached")
+        assert 6 in sol.history[-1][0]
+        assert max(max(L for L in shape if L) for shape, *_ in sol.history) <= 6
         assert ({h[3] for h in sol.history} == {"qbd"}) == (path == "qbd")
 
 
@@ -214,7 +217,8 @@ def test_start_level_over_state_budget_solves_at_largest_fitting_level(
     kernel = kernel_of(np_model)
     chain = build_induced_chain(kernel, {2, 3})
     monkeypatch.setattr(induced_chains, "MAX_STATES", 20 ** 2 * kernel.S0 + 5)
-    sol = solve_stationary(chain, levels=32)
+    monkeypatch.setattr(induced_chains, "START_LEVEL", 32)
+    sol = solve_stationary(chain)
     assert sol.converged
     assert sol.history[0][0] == (20, 20)
     assert sol.levels == (20, 20)
@@ -233,9 +237,10 @@ def test_start_level_over_state_budget_solves_at_largest_fitting_level(
     # 10 x 12 cells, the slow axis (queue 3) is cut back to 13
     limited = kernel_of(symmetric_limited_model(3))
     chain = build_induced_chain(limited, {1, 4})
+    monkeypatch.setattr(induced_chains, "START_LEVEL", 8)
     for cells, boxes in ((12 ** 2, [(8, 8), (9, 16)]), (10 * 12, [(8, 8), (9, 13)])):
         monkeypatch.setattr(induced_chains, "MAX_STATES", cells * limited.S0)
-        sol = solve_stationary(chain, levels=8)
+        sol = solve_stationary(chain)
         assert not sol.converged
         assert [shape for shape, *_ in sol.history] == boxes
         assert "state budget" in sol.note
@@ -257,19 +262,6 @@ def test_start_level_over_state_budget_solves_at_largest_fitting_level(
     assert [shape for shape, *_ in sol.history] == [(3, None)]
     assert sol.note == ("levels (4, None) exceed the state budget; started at (3, None); "
                         "state budget exceeded beyond levels (3, None)")
-
-
-def test_levels_and_cap_must_be_positive(np_model, monkeypatch):
-    # on every path and face dimension, before any solve
-    kernel = kernel_of(np_model)
-    for qbd in (induced_chains.QBD_PHASES, 0):
-        monkeypatch.setattr(induced_chains, "QBD_PHASES", qbd)
-        for A in (N, {1, 2, 3}, {2, 3}):
-            chain = build_induced_chain(kernel, A)
-            for kwargs, name in ((dict(levels=0), "levels"), (dict(levels=-3), "levels"),
-                                 (dict(cap=0), "cap"), (dict(levels=0, cap=-1), "levels")):
-                with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
-                    solve_stationary(chain, **kwargs)
 
 
 def test_a_1d_face_is_a_qbd_only_within_its_own_cap(monkeypatch):
@@ -309,7 +301,9 @@ def test_failed_solves_fail_loudly(np_model, monkeypatch):
             (qbd_phases, 400, "qbd", lu_reason, (None, 8))):
         monkeypatch.setattr(induced_chains, "QBD_PHASES", qbd)
         monkeypatch.setattr(induced_chains, "DENSE_STATES", dense)
-        sol = solve_stationary(chain, levels=8)
+        with monkeypatch.context() as m:
+            m.setattr(induced_chains, "START_LEVEL", 8)
+            sol = solve_stationary(chain)
         assert not sol.converged and sol.history == []
         assert sol.note == f"levels {levels}: {path} failed: {reason}"
         with pytest.raises(NotConverged, match=path):
@@ -340,7 +334,8 @@ def test_failed_solves_fail_loudly(np_model, monkeypatch):
         return x, 300 if len(calls) > 1 else info
 
     monkeypatch.setattr(spla, "gmres", stalled)
-    sol = solve_stationary(chain, levels=8)
+    monkeypatch.setattr(induced_chains, "START_LEVEL", 8)
+    sol = solve_stationary(chain)
     assert not sol.converged
     assert [shape for shape, *_ in sol.history] == [(8, 8)]
     assert sol.note.startswith("levels (11, 8): ilu-gmres")
@@ -359,7 +354,8 @@ def test_failed_solves_fail_loudly(np_model, monkeypatch):
         return x if len(calls) == 1 else x - 0.1
 
     monkeypatch.setattr(np.linalg, "solve", face_solves_only(off, lu))
-    sol = solve_stationary(chain, levels=8)
+    monkeypatch.setattr(induced_chains, "START_LEVEL", 8)
+    sol = solve_stationary(chain)
     assert not sol.converged
     assert [(shape, path) for shape, _, _, path in sol.history] == [((8, 8), "dense-lu")]
     assert sol.note.startswith("levels (11, 8): dense-lu failed: least entry")
@@ -588,7 +584,7 @@ def test_failed_face_keeps_every_note(monkeypatch):
     chain = build_induced_chain(kernel, {1, 4})
     monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
     monkeypatch.setattr(induced_chains, "MAX_STATES", 3 * 4 * kernel.S0)
-    sol = solve_stationary(chain, levels=4)
+    sol = solve_stationary(chain)
     assert not sol.converged
     assert sol.note.startswith("levels (4, 4) exceed the state budget; started at (3, 4); "
                                "2 closed classes; solved the one holding state ")
@@ -610,8 +606,10 @@ def test_decay_sized_truncation_matches_fixed_level(model):
     kernel = kernel_of(model)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(induced_chains, "QBD_PHASES", 0)
-        solved = {A: (solve_stationary(build_induced_chain(kernel, A)),
-                      solve_stationary(build_induced_chain(kernel, A), levels=32, cap=32))
+        sized = {A: solve_stationary(build_induced_chain(kernel, A)) for A in CANONICAL_SUBSETS}
+        mp.setattr(induced_chains, "START_LEVEL", 32)
+        mp.setattr(induced_chains, "LEVEL_CAP", 32)
+        solved = {A: (sized[A], solve_stationary(build_induced_chain(kernel, A)))
                   for A in CANONICAL_SUBSETS}
     for A in CANONICAL_SUBSETS:
         chain = build_induced_chain(kernel, A)
@@ -715,7 +713,7 @@ def test_drift_equals_uniformization_rate_times_step_mean(np_model, subset):
 
 
 def test_input_rate_identity(np_model):
-    table = drift_table(np_model, mode="numeric", levels=32, cap=128)
+    table = drift_table(np_model, mode="numeric")
     for A in CANONICAL_SUBSETS:
         e = table.numeric[A]
         out = e.output_rates
@@ -732,15 +730,14 @@ def test_input_rate_identity(np_model):
     ids=["non_preemptive", "preemptive_resume"],
 )
 def test_numeric_matches_closed_form_priority(model):
-    table = drift_table(model, mode="both", levels=32, cap=128)
+    table = drift_table(model, mode="both")
     cross = table.cross_check
     assert cross["ok"], cross
     assert cross["worst"] <= 1e-4
 
 
 def test_numeric_matches_closed_form_limited():
-    table = drift_table(symmetric_limited_model(3), mode="both",
-                        levels=32, cap=128)
+    table = drift_table(symmetric_limited_model(3), mode="both")
     cross = table.cross_check
     assert cross["ok"], cross
     assert cross["worst"] <= 1e-4
@@ -758,7 +755,8 @@ def test_limited_face_grows_only_its_slow_axis(monkeypatch):
     for path in ("qbd", "box"):
         if path == "box":
             monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
-        sol = solve_stationary(chain, levels=8 if path == "box" else 4)
+            monkeypatch.setattr(induced_chains, "START_LEVEL", 8)
+        sol = solve_stationary(chain)
         assert sol.converged
         q2, q3 = sol.levels
         if path == "box":
@@ -780,7 +778,8 @@ def test_limited_k2_faces_need_a_quarter_of_a_square_box(monkeypatch):
     for path in ("qbd", "box"):
         if path == "box":
             monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
-        table = drift_table(model, mode="both", levels=8 if path == "box" else 4)
+            monkeypatch.setattr(induced_chains, "START_LEVEL", 8)
+        table = drift_table(model, mode="both")
         assert table.cross_check["ok"], table.cross_check
         for A in (frozenset({1, 4}), frozenset({2, 3})):
             diag = table.numeric[A].diagnostics
@@ -1022,19 +1021,19 @@ def test_structured_qbd_solve_matches_the_dense_reference(qbd):
 
 
 def test_off_subset_drift_vanishes(np_model):
-    table = drift_table(np_model, mode="numeric", levels=32, cap=128)
+    table = drift_table(np_model, mode="numeric")
     for A in CANONICAL_SUBSETS:
         e = table.numeric[A]
         assert e.diagnostics["offSubsetDriftMax"] <= 1e-5
 
 
-def test_exponential_disciplines_share_numeric_drifts():
+def test_exponential_disciplines_share_numeric_drifts(monkeypatch):
     # with exponential services the preemption rule cannot matter in any
     # saturated stationary regime; force equal truncation and compare
-    t_np = drift_table(exp_model("non_preemptive"), mode="numeric",
-                       levels=32, cap=64)
-    t_pr = drift_table(exp_model("preemptive_resume"), mode="numeric",
-                       levels=32, cap=64)
+    monkeypatch.setattr(induced_chains, "START_LEVEL", 32)
+    monkeypatch.setattr(induced_chains, "LEVEL_CAP", 64)
+    t_np = drift_table(exp_model("non_preemptive"), mode="numeric")
+    t_pr = drift_table(exp_model("preemptive_resume"), mode="numeric")
     for A in CANONICAL_SUBSETS:
         a = t_np.numeric[A].drifts
         b = t_pr.numeric[A].drifts
@@ -1234,7 +1233,7 @@ def test_markovian_inputs_cross_check():
         exponential_ph(2.2),
         0.3,
     )
-    table = drift_table(model, mode="both", levels=32, cap=128)
+    table = drift_table(model, mode="both")
     assert table.lam1 == pytest.approx(0.8, abs=1e-12)
     cross = table.cross_check
     assert cross["ok"], cross
@@ -1243,11 +1242,12 @@ def test_markovian_inputs_cross_check():
         assert table.numeric[A].diagnostics["offSubsetDriftMax"] <= 1e-5
 
 
-def test_numeric_table_reports_unstable_subset_without_drifts():
+def test_numeric_table_reports_unstable_subset_without_drifts(monkeypatch):
     # lam1 > mu1 makes the {2,3} chain itself transient; the entry must
     # carry no drift vector and downstream access must fail loudly
     model = exp_model(lam1=5.0, mus=(4.0, 2.4, 4.2, 2.2))
-    entries = numeric_table(model, levels=4, cap=8)
+    monkeypatch.setattr(induced_chains, "LEVEL_CAP", 8)
+    entries = numeric_table(model)
     e = entries[frozenset({2, 3})]
     assert e.drifts is None
     assert not e.diagnostics["converged"]

@@ -179,8 +179,9 @@ def test_cross_check_note_separates_missing_faces_from_disagreement(monkeypatch)
     # drift: nothing disagreed, and the note must not say so
     with monkeypatch.context() as m:
         m.setattr(induced_chains, "QBD_PHASES", 0)
-        report = classify(exp_model(), mode="both", levels=2, cap=2,
-                          assume_semi_irreducible=True)
+        m.setattr(induced_chains, "START_LEVEL", 2)
+        m.setattr(induced_chains, "LEVEL_CAP", 2)
+        report = classify(exp_model(), mode="both", assume_semi_irreducible=True)
     cross = report.table.cross_check
     assert not cross["ok"] and cross["worst"] is None
     assert cross["subsets"]["14"] is None and cross["subsets"]["23"] is None
@@ -211,7 +212,9 @@ def test_cross_check_worst_is_null_unless_every_face_is_checked(monkeypatch):
     # the worst one
     with monkeypatch.context() as m:
         m.setattr(induced_chains, "QBD_PHASES", 0)
-        capped = drift_table(exp_model(), mode="both", levels=2, cap=2)
+        m.setattr(induced_chains, "START_LEVEL", 2)
+        m.setattr(induced_chains, "LEVEL_CAP", 2)
+        capped = drift_table(exp_model(), mode="both")
     assert capped.to_json_dict()["crossCheck"]["worst"] is None
     full = drift_table(exp_model(), mode="both").cross_check
     assert full["worst"] == max(full["subsets"].values())
