@@ -2,10 +2,11 @@
 workload simulates (its models have at most 9 background states): the
 symmetric (1,K)-limited model at K=12 (S0 = 196), plain and with
 `--saturate 1,4`, and the seeded PH/MAP priority model (S0 = 32), plain.
-Each run must exit 0 and simulate at least one event.  Prints one Markdown
-table row per run with its wall time, events per wall second (process
-start included) and peak RSS (`os.wait4` of the child); exits 1 after all
-runs if any failed.
+Each run must exit 0 and simulate at least one event; the saturated run
+must also take its reference from the closed form and agree with it on
+all four queues.  Prints one Markdown table row per run with its wall
+time, events per wall second (process start included) and peak RSS
+(`os.wait4` of the child); exits 1 after all runs if any failed.
 
 usage: python .github/scripts/simulate_smoke.py >> "$GITHUB_STEP_SUMMARY"
 """
@@ -46,9 +47,17 @@ def smoke(name, S0, model, extra, tmp):
     summary = os.path.join(out, "summary.json")
     if os.path.exists(summary):
         with open(summary) as fh:
-            events = sum(r["events"] for r in json.load(fh)["perReplication"])
+            report = json.load(fh)
+        events = sum(r["events"] for r in report["perReplication"])
         if events <= 0:
             failures.append("no events simulated")
+        if "--saturate" in extra:
+            provenance = (report["analytical"] or {}).get("provenance")
+            if provenance != "ClosedForm":
+                failures.append(f"reference provenance {provenance}, expected ClosedForm")
+            ok = [a["ok"] for a in report["agreement"] or []]
+            if ok != [True] * 4:
+                failures.append(f"agreement {ok}, expected four ok")
     else:
         failures.append("no summary written")
     row = (f"| {name} | {S0} | {' '.join(extra) or 'plain'} | {code} | {events} | "

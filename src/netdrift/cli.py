@@ -461,23 +461,20 @@ def cmd_sweep(args):
 
 def _analytic_reference(model, subset):
     """Drift entry for the saturated subset: the closed form when in scope,
-    else, on a canonical face, that face's own numeric solve; None when
-    neither exists."""
-    from . import generator, induced_chains as ic
+    else, on a canonical face, that face's numeric entry; None when
+    neither has drifts."""
+    from . import induced_chains as ic
 
     try:
         entry = ic.drift_table(model, mode="closed").entry(subset)
-        rates, provenance = entry.output_rates, "ClosedForm"
     except NetdriftError:
         if frozenset(subset) not in ic.CANONICAL_SUBSETS:
             return None
-        try:
-            chain = ic.build_induced_chain(generator.kernel_of(model), subset)
-            rates, provenance = ic.output_rates(chain, ic.solve_stationary(chain)), "Numeric"
-        except NetdriftError:
+        entry = ic.numeric_entry(model, subset)
+        if entry.drifts is None:
             return None
-    return {"drifts": list(ic.input_rates(model, rates) - rates),
-            "outputRates": list(rates), "provenance": provenance}
+    return {"drifts": list(entry.drifts), "outputRates": list(entry.output_rates),
+            "provenance": entry.provenance}
 
 
 def cmd_simulate(args):

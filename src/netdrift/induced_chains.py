@@ -592,8 +592,6 @@ def _json_safe(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     return obj
 
 
@@ -752,33 +750,35 @@ def closed_form_table(model: NetworkModel):
             for A, rates in out.items()}
 
 
+def numeric_entry(model: NetworkModel, A) -> DriftEntry:
+    """Numeric drift entry of face A: its induced chain on the model's
+    shared kernel, solved by `solve_stationary`; the rates and drifts
+    are None when the solve did not converge."""
+    chain = build_induced_chain(kernel_of(model), A)
+    sol = solve_stationary(chain)
+    diag = {
+        "levels": sol.levels,
+        "residual": sol.residual,
+        "tailMass": sol.tail_mass,
+        "converged": sol.converged,
+        "history": sol.history,
+        **(sol.qbd or {}),
+    }
+    if sol.note:
+        diag["note"] = sol.note
+    if not sol.converged:
+        return DriftEntry(chain.A, None, None, None, "Numeric", diag)
+    mu_bar = output_rates(chain, sol)
+    inp = input_rates(model, mu_bar)
+    drifts = inp - mu_bar
+    off = [abs(drifts[i - 1]) for i in range(1, 5) if i not in A]
+    diag["offSubsetDriftMax"] = max(off) if off else 0.0
+    return DriftEntry(chain.A, inp, mu_bar, drifts, "Numeric", diag)
+
+
 def numeric_table(model: NetworkModel):
     """Numeric drift entries for the canonical subsets."""
-    kernel = kernel_of(model)
-    entries = {}
-    for A in CANONICAL_SUBSETS:
-        chain = build_induced_chain(kernel, A)
-        sol = solve_stationary(chain)
-        diag = {
-            "levels": sol.levels,
-            "residual": sol.residual,
-            "tailMass": sol.tail_mass,
-            "converged": sol.converged,
-            "history": sol.history,
-            **(sol.qbd or {}),
-        }
-        if sol.note:
-            diag["note"] = sol.note
-        if not sol.converged:
-            entries[A] = DriftEntry(A, None, None, None, "Numeric", diag)
-            continue
-        mu_bar = output_rates(chain, sol)
-        inp = input_rates(model, mu_bar)
-        drifts = inp - mu_bar
-        off = [abs(drifts[i - 1]) for i in range(1, 5) if i not in A]
-        diag["offSubsetDriftMax"] = max(off) if off else 0.0
-        entries[A] = DriftEntry(A, inp, mu_bar, drifts, "Numeric", diag)
-    return entries
+    return {A: numeric_entry(model, A) for A in CANONICAL_SUBSETS}
 
 
 def drift_table(model: NetworkModel, mode="both") -> DriftTable:

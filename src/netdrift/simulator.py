@@ -53,7 +53,6 @@ class Trajectory:
             raise TypeError(f"unexpected trajectory fields {sorted(kw)}")
 
     def summary(self):
-        span = self.horizon if self.horizon > 0 else 1.0
         return {
             "seed": self.seed,
             "horizon": self.horizon,
@@ -65,7 +64,7 @@ class Trajectory:
             },
             "departures": [int(v) for v in self.departures],
             "arrivals": [int(v) for v in self.arrivals],
-            "departureRates": [v / span for v in self.departures],
+            "departureRates": [v / self.horizon for v in self.departures],
             "emptyReturns": len(self.empty_return_times),
             "emptyReturnsTruncated": self.empty_times_truncated,
             "saturated": sorted(self.saturated) if self.saturated else None,

@@ -270,6 +270,45 @@ def test_parse_problems_are_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def with_block(group, index, block, model=BASE_MODEL):
+    """`model` with block `index` (from 1) of its `group` list replaced."""
+    blocks = list(model[group])
+    blocks[index - 1] = block
+    return dict(model, **{group: blocks})
+
+
+@pytest.mark.parametrize("model, code, message", [
+    ([BASE_MODEL], 3, "model file must contain a JSON object"),
+    (dict(BASE_MODEL, arrivals=BASE_MODEL["arrivals"][:1]), 3,
+     "arrivals: expected a list of exactly 2 blocks"),
+    (dict(BASE_MODEL, services=BASE_MODEL["services"][:3]), 3,
+     "services: expected a list of exactly 4 blocks"),
+    (dict(BASE_MODEL, discipline="fifo"), 3, "discipline: unknown discipline 'fifo'"),
+    (dict(BASE_MODEL, discipline=5), 3, "discipline: expected a name or"),
+    (with_block("arrivals", 1, "poisson"), 3, "arrivals.1: expected an object"),
+    (with_block("arrivals", 1, {}), 3,
+     "arrivals.1: expected 'poisson' or 'mmpp' shorthand or C/D matrices"),
+    (with_block("services", 1, "exponential"), 3, "services.1: expected an object"),
+    (with_block("services", 1, {}), 3,
+     "services.1: expected 'exponential', 'erlang' or 'hyperexponential' shorthand"),
+    (with_block("services", 2, {"beta": [1.0], "H": [-2.0]}), 3,
+     "services.2.H: expected a two-dimensional matrix"),
+    (with_block("services", 2, {"beta": [[1.0]], "H": [[-2.0]]}), 3,
+     "services.2.beta: expected a one-dimensional vector"),
+    (dict(BASE_MODEL, discipline={"custom": {"msp1": "x", "msp2": "x"}}), 3,
+     "discipline.custom.msp1: expected an object"),
+    (with_block("arrivals", 1, {"mmpp": 3}), 3, "arrivals.1.mmpp: expected an object"),
+    (dict(BASE_MODEL, p=1.5), 2, "invalid model at p"),
+], ids=["top-level list", "one arrival", "three services", "fifo", "discipline 5",
+        "string arrival", "empty arrival", "string service", "empty service", "1-D H",
+        "2-D beta", "string msp1", "mmpp 3", "p 1.5"])
+def test_structural_model_errors_keep_their_exit_codes(tmp_path, capsys, model, code,
+                                                       message):
+    got, out, err = run(capsys, ["validate", write_json(tmp_path, "m.json", model)])
+    assert (got, out) == (code, "")
+    assert message in err and err.count("\n") == 1, err
+
+
 def test_analyze_exit_codes(tmp_path, capsys):
     stable = write_json(tmp_path, "stable.json", BASE_MODEL)
     code, out, _ = run(capsys, ["analyze", stable, "--mode", "closed",
@@ -467,6 +506,26 @@ def test_analyze_reports_failed_sign_premises(tmp_path, capsys):
     assert any("sign condition failed" in r for r in report["reasons"])
 
 
+def test_neither_ratio_condition_variant_is_inconclusive(tmp_path, capsys):
+    # every sign condition holds, but the drift ratio |q1/q4| on face N
+    # exceeds the one on face 14, and both variants of the ratio
+    # conditions need it below: neither holds
+    path = write_json(tmp_path, "model.json", dict(
+        README_MODEL, arrivals=[{"poisson": 0.8}, {"poisson": 0.2}],
+        discipline={"limited": {"K": 4}}))
+    for mode in ("closed", "both"):
+        code, out, _ = run(capsys, ["analyze", path, "--mode", mode])
+        report = json.loads(out)
+        assert (code, report["classification"]) == (4, "Inconclusive"), mode
+        assert report["reasons"] == ["neither ratio-condition variant holds"]
+        assert report["signConditions"]["allHold"] is True
+        ratio = report["ratioConditions"]
+        assert ratio["variant"] == "Neither"
+        assert [(c["pair"], c["relation"]) for c in ratio["comparisons"]] == [
+            ("q1/q4", "greater"), ("q3/q2", "less")]
+        assert report["r1r2"] == pytest.approx(0.04264120829470372, rel=1e-12)
+
+
 def expected_limited_ratio(K):
     rho1, rho2 = 1.0 / 5.0, 1.0 / 1.8
     return (rho1 + K * rho2 - 1.0) / (-rho1 + K * (1.0 - rho2))
@@ -593,6 +652,48 @@ def test_sweep_rejects_bad_parameter_path(tmp_path, capsys):
                          {"parameter": "discipline.K", "values": [2]})
     code, _, err = run(capsys, ["sweep", model, sweep_k])
     assert code == 2
+
+
+def test_sweep_of_an_erlang_rate_matches_analyze(tmp_path, capsys):
+    payload = with_block("services", 1, {"erlang": {"phases": 2, "rate": 8.0}},
+                         README_MODEL)
+    model = write_json(tmp_path, "model.json", payload)
+    sweep = write_json(tmp_path, "sweep.json", {"parameter": "services.1.rate",
+                                                "values": [12.0]})
+    code, out, _ = run(capsys, ["sweep", model, sweep, "--mode", "closed"])
+    assert code == 0
+    row = out.splitlines()[1].split(",", 5)
+    patched = write_json(tmp_path, "patched.json", with_block(
+        "services", 1, {"erlang": {"phases": 2, "rate": 12.0}}, README_MODEL))
+    code, out, _ = run(capsys, ["analyze", patched, "--mode", "closed"])
+    report = json.loads(out)
+    assert (code, report["classification"]) == (0, "PositiveRecurrent")
+    assert row == ["12.0", repr(report["r1"]), repr(report["r2"]), repr(report["r1r2"]),
+                   "PositiveRecurrent", ""]
+    assert report["r1r2"] == 0.3111111111111111
+
+
+HYPEREXP_SERVICE = {"hyperexponential": {"weights": [0.4, 0.6], "rates": [10.0, 3.75]}}
+
+
+@pytest.mark.parametrize("model, sweep, code, message", [
+    (BASE_MODEL, {"parameter": "services.x.rate", "values": [1.0]}, 2,
+     "BadParameterPath: bad index in parameter path 'services.x.rate'"),
+    (PHMAP_MODEL, {"parameter": "arrivals.1.rate", "values": [1.0]}, 2,
+     "BadParameterPath: arrivals.1.rate: rate sweeps need the poisson shorthand"),
+    (with_block("services", 1, HYPEREXP_SERVICE), {"parameter": "services.1.rate",
+                                                   "values": [1.0]}, 2,
+     "BadParameterPath: services.1.rate: rate sweeps need the exponential or erlang"),
+    (BASE_MODEL, {"parameter": 5, "values": [1.0]}, 3,
+     "sweep.parameter: expected a string path"),
+    (BASE_MODEL, {"parameter": "p", "values": "a"}, 3, "sweep.values: expected a list"),
+], ids=["index x", "mmpp rate", "hyperexponential rate", "parameter 5", "values a"])
+def test_bad_sweep_files_keep_their_exit_codes(tmp_path, capsys, model, sweep, code,
+                                               message):
+    got, out, err = run(capsys, ["sweep", write_json(tmp_path, "m.json", model),
+                                 write_json(tmp_path, "s.json", sweep)])
+    assert (got, out) == (code, "")
+    assert message in err and err.count("\n") == 1, err
 
 
 def test_apply_parameter_paths():
@@ -873,3 +974,35 @@ def test_simulate_saturated_asym_limited_agrees_with_the_closed_form(tmp_path, c
     model = dict(README_MODEL, discipline={"limited": {"K": 4}})
     summary = simulate_asym_k4_face_14(tmp_path, capsys, model)
     assert summary["analytical"]["provenance"] == "ClosedForm"
+
+
+@pytest.mark.parametrize("saturate", [None, "N"])
+def test_simulate_too_short_for_an_estimate_has_no_reference(tmp_path, capsys, saturate):
+    argv = ["simulate", write_json(tmp_path, "model.json", README_MODEL),
+            "--horizon", "0.5", "--seed", "3"]
+    code, out, err = run(capsys, argv + (["--saturate", saturate] if saturate else []))
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    (replication,) = summary["perReplication"]
+    assert replication["driftEstimate"] is None
+    assert replication["note"].endswith("sample points after burn-in; at least 100 required")
+    assert (summary["analytical"], summary["agreement"]) == (None, None)
+
+
+def test_simulate_without_a_drift_entry_has_no_reference(tmp_path, capsys, monkeypatch):
+    # face 124 is not canonical, so neither table has it; face 14 of the
+    # custom (1,4)-limited stations has no closed form, and its numeric
+    # solve fails under a state budget below S0
+    from netdrift import induced_chains
+
+    readme = write_json(tmp_path, "readme.json", README_MODEL)
+    custom = write_json(tmp_path, "custom.json", custom_model(
+        tmp_path, dict(README_MODEL, discipline={"limited": {"K": 4}})))
+    monkeypatch.setattr(induced_chains, "MAX_STATES", 1)
+    for model, saturate in ((readme, "1,2,4"), (custom, "1,4")):
+        code, out, err = run(capsys, ["simulate", model, "--saturate", saturate,
+                                      "--horizon", "100", "--seed", "3"])
+        assert (code, err) == (0, ""), saturate
+        summary = json.loads(out)
+        assert summary["perReplication"][0]["driftEstimate"] is not None, saturate
+        assert (summary["analytical"], summary["agreement"]) == (None, None), saturate
