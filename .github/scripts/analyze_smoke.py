@@ -1,6 +1,6 @@
 """Smoke-run `netdrift analyze --mode both --assume-semi-irreducible` on the
 two symmetric (1,K)-limited models either side of `QBD_PHASES`: the largest
-whose faces are all solved as QBDs, and the first whose 2-D faces are solved
+whose faces are all solved as QBDs, and the first whose faces are all solved
 on boxes; then the first of them again with every face forced onto its box
 (`QBD_PHASES` = 0, as the tests set it).  All are transient.  Then on the
 README rates under (1,12)-limited service (S0 = 196), which is positive
@@ -8,10 +8,11 @@ recurrent and not symmetric: it checks the closed form of an asymmetric
 limited model against numeric faces all solved as QBDs, at a size no
 benchmark workload runs (about 0.5 s of face solves).  Each run must exit
 with its verdict's code, pass the closed-form cross-check and take the
-expected solver paths (`qbd` on every face but N; `ilu-gmres` on some box
-face; no `qbd` when forced).  The all-QBD sym run must peak no higher than
-its forced box run: the premise of the cap.  Prints one Markdown table row
-per run with its wall time and peak RSS (`os.wait4` of the child); exits 1
+expected solver paths (`qbd` on every face but N; `ilu-gmres` alone on
+every face but N past the cap, as one size rule holds for every face; no
+`qbd` when forced).  The all-QBD sym run must peak no higher than its
+forced box run: the premise of the cap.  Prints one Markdown table row per
+run with its wall time and peak RSS (`os.wait4` of the child); exits 1
 after the runs if any check failed.
 
 usage: python .github/scripts/analyze_smoke.py >> "$GITHUB_STEP_SUMMARY"
@@ -85,7 +86,7 @@ def main():
     runs = [(f"sym K={K}", limited_model(K), start * (K + 2) ** 2, 1, want, phases)
             for K, want, phases in (
                 (qbd_k, only_qbd, ""),
-                (qbd_k + 1, lambda paths: "ilu-gmres" in paths, ""),
+                (qbd_k + 1, lambda paths: paths == {"ilu-gmres"}, ""),
                 (qbd_k, lambda paths: "ilu-gmres" in paths and "qbd" not in paths, 0))]
     runs.append(("README rates, K=12", dict(README_MODEL, discipline={"limited": {"K": 12}}),
                  start * 14 ** 2, 0, only_qbd, ""))

@@ -16,12 +16,11 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "errors": ("NetdriftError",),
-    "generator": ("BlockKernel", "check_semi_irreducible", "generator_block",
-                  "kernel_of", "regime_signature", "write_generator_triplets"),
+    "generator": ("BlockKernel", "check_semi_irreducible", "kernel_of",
+                  "regime_signature"),
     "induced_chains": ("CANONICAL_SUBSETS", "DriftTable", "build_induced_chain",
-                       "closed_form_table", "drift_table", "mean_displacement",
-                       "nominal_condition", "numeric_table", "output_rates",
-                       "solve_stationary", "subset_name"),
+                       "closed_form_table", "drift_table", "nominal_condition",
+                       "numeric_table", "output_rates", "solve_stationary", "subset_name"),
     "primitives": ("MAPSpec", "PHSpec", "erlang_ph", "exponential_ph",
                    "hyperexponential_ph", "map_arrival_rate", "map_stationary_phase",
                    "mmpp_map", "ph_mean", "poisson_map", "validate_map", "validate_ph"),

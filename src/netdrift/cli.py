@@ -346,8 +346,6 @@ def _emit_json(obj, out_path):
 def _fmt(value):
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, int):
         return str(value)
     return repr(float(value))

@@ -72,10 +72,6 @@ class NegativeOffDiagonal(NetdriftError):
 
 # --- transition kernel ---------------------------------------------------
 
-class SkipFreeViolation(NetdriftError):
-    pass
-
-
 class ProbeBoxTooLarge(NetdriftError):
     pass
 

@@ -36,12 +36,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptySubset, ProbeBoxTooLarge, SkipFreeViolation, UnsupportedSubset
+from .errors import EmptySubset, ProbeBoxTooLarge, UnsupportedSubset
 from .service_disciplines import NetworkModel
 
 SUBSET_ALL = frozenset((1, 2, 3, 4))
 
-# a rate at or below this is absent: no probe edge, move or triplet
+# a rate at or below this is absent: no probe edge or move
 RATE_TOL = 1e-14
 
 # the displacements z of the kernel's blocks, numbered for the move table,
@@ -268,29 +268,6 @@ def kernel_of(model: NetworkModel) -> BlockKernel:
     return BlockKernel(model)
 
 
-def generator_block(model: NetworkModel, x, xp):
-    """Continuous-time rate block for the move x -> xp, as a dense S0 x S0
-    array: a debug view of the kernel's triplets.
-
-    Raises SkipFreeViolation when some coordinate changes by more than
-    one.  Moves within distance one that match no event still return a
-    zero block.
-    """
-    x, xp = (tuple(int(v) for v in s) for s in (x, xp))
-    if len(x) != 4 or len(xp) != 4:
-        raise SkipFreeViolation("states must have 4 coordinates")
-    if any(v < 0 for v in x + xp):
-        raise SkipFreeViolation("queue lengths must be nonnegative")
-    z = tuple(b - a for a, b in zip(x, xp))
-    if max(abs(v) for v in z) > 1:
-        raise SkipFreeViolation(f"move {z} changes a coordinate by more than one")
-    kernel = kernel_of(model)
-    out = np.zeros((kernel.S0, kernel.S0))
-    rows, cols, vals = kernel.q_blocks(regime_signature(x)).get(z, kernel._blocks[0])
-    out[rows, cols] = vals
-    return out
-
-
 # -- lattice assembly --------------------------------------------------------
 #
 # STRATEGY: a truncated chain on {0..L_1-1} x ... x {0..L_d-1} x S0
@@ -298,7 +275,7 @@ def generator_block(model: NetworkModel, x, xp):
 # signature: a nonzero (bi, bj) of the block at source cell s with target
 # cell t is the entry (s*S0 + bi, t*S0 + bj).  This index arithmetic writes
 # every entry into one set of canonical COO triplets, which the face
-# solvers and the debug export read as they are: no sparse matrix class.
+# solvers read as they are: no sparse matrix class.
 # Out-of-box moves fold onto the boundary (reflecting truncation).
 
 def signature_ranges(sig_component, L):
@@ -425,15 +402,3 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
         frontier = np.concatenate(layer)
     return CONFIRMED if inner.all() else UNKNOWN
 
-
-def write_generator_triplets(model: NetworkModel, radius, path):
-    """Debug export: the generator of the reflecting truncation to
-    {0..radius}^4 (see `lattice_triplets`), whose rows sum to zero, one
-    "row col rate" line per nonzero, row-major order."""
-    kernel = kernel_of(model)
-    L = radius + 1
-    rows, cols, data, _ = lattice_triplets(kernel.q_blocks, (L,) * 4, kernel.S0)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# truncated generator, box {L}^4 x {kernel.S0}\n")
-        fh.writelines(f"{r} {c} {float(v)!r}\n"
-                      for r, c, v in zip(rows, cols, data) if abs(v) > RATE_TOL)

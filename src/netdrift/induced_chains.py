@@ -134,7 +134,7 @@ class InducedChainSolution:
 _SOLVE_ERRORS = (RuntimeError, np.linalg.LinAlgError, Warning)
 
 # a kept class of at most this many states is solved by dense LU: face N of the
-# bench models keeps at most 64; a box (past the QBD caps) holds 2,800+ at START_LEVEL
+# bench models keeps at most 64; a box (past the QBD cap) holds over 1,000 at START_LEVEL
 DENSE_STATES = 400
 
 
@@ -386,13 +386,14 @@ def _next_level(L, tail, rate, target):
     return min(L + steps, top)
 
 
-# the most phases solved as a QBD: numeric mode on sym K=13 (900) peaks at
-# 76 MB with QBDs, 92 with boxes, and takes 0.90 s, 0.72 with boxes (median
-# of 6), r1*r2 off by 2e-15 and 8e-7; sym K=14's 2-D faces (1,024) stay on
-# the box.  A 1-D face (S0 phases) also stays within 700: at sym K=25..29
-# (729..961) its QBD takes 1.4-2.0 times its box's time and peaks 4-7 MB
-# higher, numeric and both mode, and r1*r2 is the same either way
-QBD_PHASES, QBD_1D_PHASES = 1000, 700
+# the most phases solved as a QBD, S0 * START_LEVEL (a 2-D face's phases at
+# its start) on every face with a free coordinate, so that a model's such faces
+# are all QBDs or all boxes: numeric mode on sym K=13 (900) peaks at 76 MB
+# with QBDs, 92 with boxes, and takes 0.90 s, 0.72 with boxes (median of 6),
+# r1*r2 off by 2e-15 and 8e-7.  Past it the 2-D faces load scipy for their
+# boxes, and a 1-D face's box is then the faster: sym K=14 takes 0.65 s, 0.78
+# with its 1-D faces as QBDs, for the same r1*r2 to 2e-15
+QBD_PHASES = 1000
 
 
 def _solve_at(chain: InducedChain, shape):
@@ -417,9 +418,8 @@ def solve_stationary(chain: InducedChain) -> InducedChainSolution:
     """Stationary distribution of a face's induced chain, one truncation
     level per free coordinate, grown in one loop on either path.
 
-    A face with a free coordinate and at most QBD_PHASES phases (S0,
-    times START_LEVEL on a 2-D face; a 1-D face also at most
-    QBD_1D_PHASES) is a QBD whose level, the free queue with exogenous
+    A face with a free coordinate is a QBD when S0 * START_LEVEL is at
+    most QBD_PHASES.  Its level, the free queue with exogenous
     arrivals (1 or 3), is not truncated (None); its other axis, if any,
     is truncated.  Any other face is a box, every axis truncated.  So
     the path depends on the model alone.  Each truncated axis starts at
@@ -448,7 +448,7 @@ def solve_stationary(chain: InducedChain) -> InducedChainSolution:
     stationarity residual, within the bound `_accept` sets.
     """
     d, S0 = len(chain.free), chain.kernel.S0
-    qbd = d > 0 and S0 * START_LEVEL ** (d - 1) <= QBD_PHASES and (d > 1 or S0 <= QBD_1D_PHASES)
+    qbd = d > 0 and S0 * START_LEVEL <= QBD_PHASES
     slow = next((a for a, q in enumerate(chain.free) if q in (1, 3)), 0) if qbd else None
     axes = [a for a in range(d) if a != slow]
     power, aim = (2, TAIL_TOL / 2) if qbd else (1, TAIL_TOL / 4)
@@ -545,16 +545,6 @@ def input_rates(model: NetworkModel, mu_bar) -> np.ndarray:
     plus internal transfers (Q1 -> Q2, feedback into Q3, Q3 -> Q4)."""
     lam1, lam3 = model.arrival_rates
     return np.array([lam1, mu_bar[0], lam3 + model.p * mu_bar[1], mu_bar[2]])
-
-
-def mean_displacement(chain: InducedChain, sol: InducedChainSolution) -> np.ndarray:
-    """Mean displacement per unit time, all four coordinates (saturated
-    ones use the full, unreduced moves)."""
-    a = np.zeros(4)
-    for z, flow in _flows(chain, sol):
-        for i in range(4):
-            a[i] += z[i] * flow
-    return a
 
 
 # --- drift tables -----------------------------------------------------------

@@ -139,7 +139,7 @@ def compute_r1_r2(table: DriftTable):
     for det, ratio in ((r1_det, r1_ratio), (r2_det, r2_ratio)):
         if abs(det - ratio) > RATIO_FORM_TOL * max(1.0, abs(det)):
             raise NetdriftError(
-                f"determinant and ratio forms disagree: {det!r} vs {ratio!r}"
+                f"determinant and ratio forms disagree: {float(det)!r} vs {float(ratio)!r}"
             )
     return float(r1_det), float(r2_det)
 
@@ -296,7 +296,7 @@ def lyapunov_certificate(table: DriftTable) -> LyapunovCertificate:
             failure = exc
     raise CertificateNotFound(
         "no certificate on the construction grid "
-        f"(last epsilon {eps!r}, delta {delta!r}: {failure}); "
+        f"(last epsilon {float(eps)!r}, delta {float(delta)!r}: {failure}); "
         "the stability margin is thinner than the grid, not refuted"
     )
 

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from netdrift import BlockKernel, build_network, exponential_ph, poisson_map
+from netdrift import (
+    BlockKernel,
+    build_network,
+    exponential_ph,
+    kernel_of,
+    poisson_map,
+    regime_signature,
+)
 from netdrift.generator import lattice_triplets
 
 
@@ -32,6 +39,14 @@ def dense(block, n):
     rows, cols, rates = block
     out[rows, cols] = rates
     return out
+
+
+def dense_block(model, x, xp):
+    """The rates of the move x -> xp as a dense S0 x S0 array: zero when no
+    event makes that move."""
+    kernel, z = kernel_of(model), tuple(int(b) - int(a) for a, b in zip(x, xp))
+    none = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+    return dense(kernel.q_blocks(regime_signature(x)).get(z, none), kernel.S0)
 
 
 def triplets(B):

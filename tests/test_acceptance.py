@@ -19,7 +19,6 @@ from netdrift import (
     check_ratio_conditions,
     drift_table,
     estimate_drift,
-    generator_block,
     kernel_of,
     lyapunov_certificate,
     simulate,
@@ -30,6 +29,7 @@ from netdrift import (
 from netdrift.cli import main
 
 from tests.conftest import (
+    dense_block,
     exp_model,
     lattice_csr,
     priority_sample,
@@ -169,8 +169,8 @@ def test_criterion_4_generator_soundness(np_model):
             yp = tuple(a + d for a, d in zip(y, z))
             if any(v < 0 for v in xp + yp):
                 continue
-            bx = generator_block(np_model, x, xp)
-            by = generator_block(np_model, y, yp)
+            bx = dense_block(np_model, x, xp)
+            by = dense_block(np_model, y, yp)
             if not np.array_equal(bx, by):
                 ok = False
     report(4, "generator rows conserve and blocks are face-homogeneous", ok)

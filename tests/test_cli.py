@@ -4,6 +4,7 @@ byte-for-byte reproducibility of reports."""
 import copy
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,62 @@ def test_structural_model_errors_keep_their_exit_codes(tmp_path, capsys, model, 
     got, out, err = run(capsys, ["validate", write_json(tmp_path, "m.json", model)])
     assert (got, out) == (code, "")
     assert message in err and err.count("\n") == 1, err
+
+
+def with_msp1_entry(kind, key, row, col, value):
+    """A builder of BASE_MODEL's stations as a custom discipline, with
+    entry (row, col) of station 1's matrix `kind`[key] set to `value`."""
+    def build(tmp_path):
+        model = custom_model(tmp_path, BASE_MODEL)
+        model["discipline"]["custom"]["msp1"][kind][key][row][col] = value
+        return model
+    return build
+
+
+def with_msp1_shape_1x1(tmp_path):
+    model = custom_model(tmp_path, BASE_MODEL)
+    model["discipline"]["custom"]["msp1"]["t"]["+0"] = [[-1.0]]
+    return model
+
+
+SWITCH = [[-1.0, 1.0], [1.0, -1.0]]
+
+
+@pytest.mark.parametrize("model, message", [
+    (with_block("arrivals", 1, {"poisson": -1}),
+     "arrivals.1: Poisson rate must be >= 0, got -1.0"),
+    (with_block("services", 1, {"exponential": 0}),
+     "services.1: exponential rate must be > 0, got 0.0"),
+    (with_block("services", 1, {"erlang": {"phases": 2, "rate": 0}}),
+     "services.1: stage rate must be > 0, got 0.0"),
+    (with_block("services", 1, {"hyperexponential": {"weights": [0.5, 0.5], "rates": [1.0]}}),
+     "services.1: weights and rates differ in length"),
+    (with_block("services", 1, {"hyperexponential": {"weights": [0.5, 0.5],
+                                                     "rates": [1.0, 0.0]}}),
+     "services.1: every branch rate must be > 0"),
+    (with_block("arrivals", 1, {"mmpp": {"switch": SWITCH, "rates": [1.0]}}),
+     "arrivals.1: rates length must match the generator size"),
+    (with_block("arrivals", 1, {"mmpp": {"switch": SWITCH, "rates": [1.0, -0.5]}}),
+     "arrivals.1: arrival rates must be >= 0"),
+    (with_block("arrivals", 1, {"C": [[-1.0, 1.0]], "D": [[1.0, 0.0]]}),
+     "arrivals.1: C must be square, got shape (1, 2)"),
+    (with_block("services", 1, {"beta": [1.0, 0.0], "H": [[-1.0, 1.0]]}),
+     "services.1: H must be square, got shape (1, 2)"),
+    (with_msp1_shape_1x1, "discipline: t['+0'] has shape (1, 1), expected (3, 3)"),
+    (with_msp1_entry("t", "1*0", 0, 0, -1.0),
+     "discipline: completion matrix t['1*0'] has a negative entry"),
+    (with_msp1_entry("u", "+*0", 0, 0, -1.0), "discipline: u['+*0'] has a negative entry"),
+    (with_msp1_entry("t", "00", 0, 1, 0.5), "discipline: t['00'] row sums reach 5.000e-01"),
+], ids=["poisson -1", "exponential 0", "erlang rate 0", "hyperexponential lengths",
+        "hyperexponential rate 0", "mmpp rates length", "mmpp rate -0.5", "C 1x2", "H 1x2",
+        "custom t shape", "custom t negative", "custom u negative", "custom t row sum"])
+def test_invalid_model_inputs_are_exit_2(tmp_path, capsys, model, message):
+    if callable(model):
+        model = model(tmp_path)
+    got, out, err = run(capsys, ["validate", write_json(tmp_path, "m.json", model),
+                                 "--probe-radius", "0"])
+    assert (got, out) == (2, "")
+    assert f"invalid model at {message}" in err and err.count("\n") == 1, err
 
 
 def test_analyze_exit_codes(tmp_path, capsys):
@@ -870,6 +927,31 @@ def test_certificate_command(tmp_path, capsys):
     transient = write_json(tmp_path, "transient.json", TRANSIENT_MODEL)
     code, _, err = run(capsys, ["certificate", transient, "--mode", "closed"])
     assert code == 4 and "AssumptionViolated" in err
+
+
+# README rates with services.4 at 0.96 (1 + 1e-8): r1*r2 = 1 - 1.7e-8, a
+# margin thinner than the certificate's construction grid
+THIN_MARGIN_MODEL = with_block("services", 4, {"exponential": 0.9600000095999999},
+                               README_MODEL)
+# the grid's failure, naming its last epsilon and delta as plain floats
+NO_CERTIFICATE = re.compile(r"no certificate on the construction grid \(last epsilon "
+                            r"[-+.e0-9]+, delta [-+.e0-9]+: leading minor 4 of U is not "
+                            r"positive\); the stability margin is thinner than the grid, "
+                            r"not refuted")
+
+
+def test_a_margin_too_thin_to_certify_names_plain_floats(tmp_path, capsys):
+    model = write_json(tmp_path, "model.json", THIN_MARGIN_MODEL)
+    code, out, _ = run(capsys, ["analyze", model, "--certificate"])
+    report = json.loads(out)
+    assert (code, report["classification"], report["certificate"]) == (
+        0, "PositiveRecurrent", None)
+    assert report["r1r2"] == pytest.approx(0.9999999828571439, rel=1e-12)
+    assert any(NO_CERTIFICATE.fullmatch(note) for note in report["notes"]), report["notes"]
+    code, out, err = run(capsys, ["certificate", model])
+    assert (code, out) == (4, "")
+    assert NO_CERTIFICATE.fullmatch(err.removeprefix("netdrift: CertificateNotFound: ")
+                                    .rstrip("\n")), err
 
 
 @pytest.mark.parametrize("custom", [False, True], ids=["readme", "custom"])

@@ -20,16 +20,14 @@ from netdrift import (
     check_semi_irreducible,
     erlang_ph,
     exponential_ph,
-    generator_block,
     hyperexponential_ph,
     kernel_of,
     mmpp_map,
     poisson_map,
     regime_signature,
     validate_map,
-    write_generator_triplets,
 )
-from netdrift.errors import ProbeBoxTooLarge, SkipFreeViolation
+from netdrift.errors import ProbeBoxTooLarge
 from netdrift.generator import (
     CONFIRMED,
     DISPLACEMENTS,
@@ -37,7 +35,14 @@ from netdrift.generator import (
     UNKNOWN,
     lattice_triplets,
 )
-from tests.conftest import dense, exp_model, lattice_csr, symmetric_limited_model, triplets
+from tests.conftest import (
+    dense,
+    dense_block,
+    exp_model,
+    lattice_csr,
+    symmetric_limited_model,
+    triplets,
+)
 from tests.test_service_disciplines import PH_PAIRS
 
 ALL_SIGS = list(itertools.product((0, 1, 2), repeat=4))
@@ -188,34 +193,26 @@ def test_blocks_depend_only_on_signature(np_model):
         xp2 = tuple(a + b for a, b in zip(x2, z))
         if min(xp) < 0 or min(xp2) < 0:
             continue
-        assert np.array_equal(generator_block(np_model, x, xp),
-                              generator_block(np_model, x2, xp2))
+        assert np.array_equal(dense_block(np_model, x, xp), dense_block(np_model, x2, xp2))
 
 
 def test_diagonal_block_is_kronecker_sum(np_model):
     m = np_model
-    got = generator_block(m, (0, 0, 0, 0), (0, 0, 0, 0))
+    got = dense_block(m, (0, 0, 0, 0), (0, 0, 0, 0))
     want = _kronsum([m.map1.C, m.map3.C, m.msp1.t["00"], m.msp2.t["00"]])
     assert np.allclose(got, want, atol=1e-14)
 
 
 def test_feedback_block_matches_composition(np_model):
     m = np_model
-    got = generator_block(m, (1, 1, 0, 2), (1, 0, 1, 2))
+    got = dense_block(m, (1, 1, 0, 2), (1, 0, 1, 2))
     T = m.msp2.t["01*"] @ m.msp2.u["0*0"]
     want = np.kron(np.eye(1), np.kron(np.eye(1), np.kron(np.eye(3), m.p * T)))
     assert np.allclose(got, want, atol=1e-14)
 
 
 def test_unmatched_move_gives_zero_block(np_model):
-    assert not generator_block(np_model, (1, 1, 1, 1), (0, 1, 1, 0)).any()
-
-
-def test_skip_free_violations_raise(np_model):
-    with pytest.raises(SkipFreeViolation):
-        generator_block(np_model, (0, 0, 0, 0), (0, 0, 2, 0))
-    with pytest.raises(SkipFreeViolation):
-        generator_block(np_model, (0, 0, 0, 0), (0, 0, -1, 0))
+    assert not dense_block(np_model, (1, 1, 1, 1), (0, 1, 1, 0)).any()
 
 
 # --- uniformization -------------------------------------------------------------
@@ -593,56 +590,51 @@ def test_folded_entries_sum_as_first_plus_the_rest():
     assert folded(1.0, 1.0, 1e16)[2].tolist() == [1e16]
 
 
-# --- debug export ----------------------------------------------------------------
+# --- the truncated generator -----------------------------------------------------
 
-# sha256 of the radius-2 exports of kernels whose blocks equal the factor-by-
-# factor np.kron reference: a rate moving by one ulp changes them
+# sha256 of the radius-2 truncations (box 3^4) of kernels whose blocks equal
+# the factor-by-factor np.kron reference, written as a "#" header and one
+# "row col rate" line per rate above RATE_TOL: a rate moving by one ulp
+# changes them
 PINNED_TRIPLETS = {
     "readme": "4e4848984e7bf75da01d09d0c07121127534b80124c9de8ae87a218e60b268e8",
     "limited3": "97da74fc9c4ee87fc4a94fcaa94db8f6453457db1c4a760df3e1e84104173ad6",
 }
 
 
-def test_triplet_exports_are_pinned(tmp_path):
+def test_triplet_exports_are_pinned():
     models = {"readme": exp_model(mus=(5.0, 2.4, 5.0, 2.2)),
               "limited3": symmetric_limited_model(3)}
     for name, model in models.items():
-        path = tmp_path / f"{name}.txt"
-        write_generator_triplets(model, 2, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRIPLETS[name], name
+        kernel = kernel_of(model)
+        rows, cols, data, _ = lattice_triplets(kernel.q_blocks, (3,) * 4, kernel.S0)
+        text = f"# truncated generator, box 3^4 x {kernel.S0}\n" + "".join(
+            f"{r} {c} {float(v)!r}\n" for r, c, v in zip(rows, cols, data) if abs(v) > RATE_TOL)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TRIPLETS[name], name
 
 
-def test_triplet_export_is_deterministic(tmp_path, np_model):
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_generator_triplets(np_model, 1, a)
-    write_generator_triplets(np_model, 1, b)
-    assert a.read_bytes() == b.read_bytes()
-    lines = a.read_text().splitlines()
-    assert lines[0].startswith("#")
-    pairs = [tuple(int(v) for v in line.split()[:2]) for line in lines[1:]]
-    assert all(p < q for p, q in zip(pairs, pairs[1:]))
-    row, col, rate = lines[1].split()
-    assert float(rate) != 0.0
-    # spot-check one entry against the block API; the empty cell's row
-    # has no move out of the box, so folding leaves it as it is
-    S0 = 9
-    L = 2
-    r, c = int(row), int(col)
-    x = np.unravel_index(r // S0, (L,) * 4)
-    xp = np.unravel_index(c // S0, (L,) * 4)
-    B = generator_block(np_model, tuple(x), tuple(xp))
-    assert B[r % S0, c % S0] == pytest.approx(float(rate), rel=1e-12)
+def test_triplet_export_is_deterministic(np_model):
+    # a second kernel of the model gives the same bytes, in row-major order
+    S0, L = 9, 2
+    rows, cols, data, n = lattice_triplets(kernel_of(np_model).q_blocks, (L,) * 4, S0)
+    again = lattice_triplets(BlockKernel(np_model).q_blocks, (L,) * 4, S0)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((rows, cols, data), again))
+    assert (np.diff(rows * n + cols) > 0).all()
+    assert data[0] != 0.0
+    # spot-check one entry against its block; the empty cell's row has no
+    # move out of the box, so folding leaves it as it is
+    x = np.unravel_index(rows[0] // S0, (L,) * 4)
+    xp = np.unravel_index(cols[0] // S0, (L,) * 4)
+    B = dense_block(np_model, x, xp)
+    assert B[rows[0] % S0, cols[0] % S0] == pytest.approx(data[0], rel=1e-12)
 
 
-def test_triplet_export_rows_sum_to_zero(tmp_path, np_model):
-    # the export is the reflecting truncation: moves out of the box fold
-    # onto its boundary, so every row of the generator sums to zero
-    path = tmp_path / "q.txt"
-    write_generator_triplets(np_model, 1, path)
-    entries = np.loadtxt(path, comments="#", ndmin=2)
-    sums = np.zeros(2 ** 4 * kernel_of(np_model).S0)
-    np.add.at(sums, entries[:, 0].astype(int), entries[:, 2])
-    assert np.abs(sums).max() <= 1e-12
+def test_triplet_export_rows_sum_to_zero(np_model):
+    # the reflecting truncation: moves out of the box fold onto its
+    # boundary, so every row of the generator sums to zero
+    kernel = kernel_of(np_model)
+    rows, _, data, n = lattice_triplets(kernel.q_blocks, (2,) * 4, kernel.S0)
+    assert np.abs(np.bincount(rows, data, n)).max() <= 1e-12
 
 
 # --- one sparse form at large S0 -----------------------------------------------

@@ -1,6 +1,6 @@
-"""Parsing, simulation, validation, closed-mode sweeps, the generator
-export and the face solves of the small and the limited bench models
-load numpy alone, and
+"""Parsing, simulation, validation, closed-mode sweeps, the truncated
+generator's assembly and the face solves of the small and the limited
+bench models load numpy alone, and
 not numpy.ma where numpy leaves it unloaded; scipy waits for the first
 face solved on its box by ILU-GMRES.  `import netdrift` loads no
 submodule, and each command loads only the netdrift modules it runs."""
@@ -19,12 +19,10 @@ import netdrift
 # the public API: each submodule and the names `netdrift` exports from it
 EXPORTS = {
     "errors": ["NetdriftError"],
-    "generator": ["BlockKernel", "check_semi_irreducible", "generator_block",
-                  "kernel_of", "regime_signature", "write_generator_triplets"],
+    "generator": ["BlockKernel", "check_semi_irreducible", "kernel_of", "regime_signature"],
     "induced_chains": ["CANONICAL_SUBSETS", "DriftTable", "build_induced_chain",
-                       "closed_form_table", "drift_table", "mean_displacement",
-                       "nominal_condition", "numeric_table", "output_rates",
-                       "solve_stationary", "subset_name"],
+                       "closed_form_table", "drift_table", "nominal_condition",
+                       "numeric_table", "output_rates", "solve_stationary", "subset_name"],
     "primitives": ["MAPSpec", "PHSpec", "erlang_ph", "exponential_ph",
                    "hyperexponential_ph", "map_arrival_rate", "map_stationary_phase",
                    "mmpp_map", "ph_mean", "poisson_map", "validate_map", "validate_ph"],
@@ -109,8 +107,10 @@ for name, path in (("limited", limited), ("asym", asym)):
                  "--out", f"{out}/{name}-report.json"]) == 0
     no_scipy(f"analyze {name}")
 assert not (ma_on_demand and "numpy.ma" in sys.modules), "analyze loaded numpy.ma"
-netdrift.write_generator_triplets(load_model(model), 1, out + "/triplets.txt")
-no_scipy("write_generator_triplets")
+from netdrift.generator import lattice_triplets
+kernel = netdrift.kernel_of(load_model(model))
+lattice_triplets(kernel.q_blocks, (2,) * 4, kernel.S0)
+no_scipy("lattice_triplets")
 # faces over the QBD size rule are solved on their boxes
 import netdrift.induced_chains
 netdrift.induced_chains.QBD_PHASES = 0

@@ -25,7 +25,6 @@ from netdrift import (
     exponential_ph,
     hyperexponential_ph,
     kernel_of,
-    mean_displacement,
     mmpp_map,
     numeric_table,
     output_rates,
@@ -44,7 +43,10 @@ from netdrift.generator import SUBSET_ALL, lattice_triplets
 from netdrift.induced_chains import (
     CROSS_CHECK_TOL,
     TAIL_TOL,
+    InducedChain,
     InducedChainSolution,
+    _flows,
+    _next_level,
     input_rates,
     nominal_condition,
 )
@@ -209,6 +211,11 @@ def test_growth_never_passes_the_level_cap(monkeypatch):
         assert ({h[3] for h in sol.history} == {"qbd"}) == (path == "qbd")
 
 
+def test_a_tail_with_no_decay_rate_grows_by_one_level():
+    # a measured rate of 0 leaves no mass past the next level
+    assert _next_level(8, 1e-3, 0.0, 5e-7) == 9
+
+
 def test_start_level_over_state_budget_solves_at_largest_fitting_level(
         np_model, monkeypatch):
     # the box path: 32 x 32 cells times S0 = 9 is over the budget, 20 x 20
@@ -264,16 +271,18 @@ def test_start_level_over_state_budget_solves_at_largest_fitting_level(
                         "state budget exceeded beyond levels (3, None)")
 
 
-def test_a_1d_face_is_a_qbd_only_within_its_own_cap(monkeypatch):
-    # a 1-D face (S0 phases) past QBD_1D_PHASES is solved on its box, while
-    # a 2-D face within QBD_PHASES stays a QBD
+def test_faces_with_a_free_coordinate_share_one_qbd_rule(monkeypatch):
+    # S0 * START_LEVEL = 100 on sym K=3: within QBD_PHASES every face with
+    # a free coordinate, 1-D or 2-D, is a QBD, and past it none is
     kernel = kernel_of(symmetric_limited_model(3))
-    for cap, paths in ((kernel.S0, {"qbd"}), (kernel.S0 - 1, {"dense-lu", "ilu-gmres"})):
-        monkeypatch.setattr(induced_chains, "QBD_1D_PHASES", cap)
-        for A, want in (({1, 2, 3}, paths), ({1, 3, 4}, paths), ({1, 4}, {"qbd"})):
+    assert kernel.S0 * induced_chains.START_LEVEL == 100
+    for cap, qbd in ((100, True), (99, False)):
+        monkeypatch.setattr(induced_chains, "QBD_PHASES", cap)
+        for A in ({1, 2, 3}, {1, 3, 4}, {1, 4}, {2, 3}):
             sol = solve_stationary(build_induced_chain(kernel, A))
             assert sol.converged
-            assert {path for *_, path in sol.history} <= want, (A, sol.history)
+            paths = {path for *_, path in sol.history}
+            assert (paths == {"qbd"}) if qbd else ("qbd" not in paths), (A, cap, sol.history)
 
 
 def _singular_ilu(*args, **kwargs):
@@ -697,6 +706,16 @@ def test_output_rates_match_msp_reference(which):
         np.testing.assert_allclose(output_rates(chain, sol),
                                    _reference_output_rates(model, chain, sol),
                                    rtol=1e-13, atol=0.0, err_msg=str(sorted(A)))
+
+
+def mean_displacement(chain: InducedChain, sol: InducedChainSolution) -> np.ndarray:
+    """Mean displacement per unit time, all four coordinates (saturated
+    ones use the full, unreduced moves)."""
+    a = np.zeros(4)
+    for z, flow in _flows(chain, sol):
+        for i in range(4):
+            a[i] += z[i] * flow
+    return a
 
 
 @pytest.mark.parametrize("subset", [N, frozenset({2, 3}), frozenset({1, 4})])
@@ -1199,6 +1218,11 @@ def test_table_rejects_unknown_subset(np_model):
     table = drift_table(np_model, mode="closed")
     with pytest.raises(UnsupportedSubset):
         table.entry({1, 2})
+
+
+def test_drift_table_rejects_an_unknown_mode(np_model):
+    with pytest.raises(ValueError, match="unknown drift table mode 'x'"):
+        drift_table(np_model, mode="x")
 
 
 def test_direction_zeroes_stable_coordinates(np_model):

@@ -21,11 +21,12 @@ from netdrift import (
     subset_name,
     verify_certificate,
 )
-from netdrift import induced_chains
+from netdrift import induced_chains, stability
 from netdrift.cli import parse_model_dict
 from netdrift.errors import (
     AssumptionViolated,
     CertificateNotFound,
+    NetdriftError,
     SignConditionViolated,
 )
 from netdrift.stability import SIGN_CONDITIONS, build_u_matrix
@@ -57,6 +58,17 @@ def test_ratios_on_reference_model(np_model):
     r1, r2 = compute_r1_r2(closed_table(np_model))
     assert r1 == pytest.approx(0.7, abs=1e-12)
     assert r2 == pytest.approx(0.8 / 1.8, abs=1e-12)
+
+
+def test_disagreeing_ratio_forms_name_plain_floats(np_model, monkeypatch):
+    # a negative tolerance makes the two forms of r1 disagree
+    monkeypatch.setattr(stability, "RATIO_FORM_TOL", -1.0)
+    with pytest.raises(NetdriftError) as info:
+        compute_r1_r2(closed_table(np_model))
+    det, ratio = str(info.value).removeprefix(
+        "determinant and ratio forms disagree: ").split(" vs ")
+    assert float(det) == pytest.approx(0.7, abs=1e-12), info.value
+    assert float(ratio) == pytest.approx(0.7, abs=1e-12), info.value
 
 
 def test_ratios_match_priority_formulas():
