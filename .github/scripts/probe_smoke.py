@@ -6,7 +6,16 @@ run must peak at most PEAK_CEILING_MB = 104 MB (`os.wait4` of the child):
 about 1.5 times the 69 MB it peaks at with the kernel's blocks held as
 sparse triplets (2 vCPU, Python 3.11, numpy 2.4), where dense S0 x S0
 blocks peaked at 611 MB.  Prints one Markdown table row per run with its
-wall time and peak RSS; exits 1 after both runs if either failed.
+wall time and peak RSS.
+
+Then a `sweep` of `services.4.rate` over SWEEP_MU4 on sym K=12, whose
+kernel blocks (S0 = 196) are larger than any that a benchmark sweep
+refills: its points share one block pattern and the later ones refill
+it.  The sweep must exit 0, write the same CSV bytes with `--jobs 2`,
+and give each point the classification and r1r2 of `analyze --mode
+closed`.  Its row reports the wall time of the first point alone, of the
+whole sweep, and per point after the first (their difference over the
+later points).  Exits 1 after every run if any check failed.
 
 usage: python .github/scripts/probe_smoke.py >> "$GITHUB_STEP_SUMMARY"
 """
@@ -54,6 +63,59 @@ def smoke(K, tmp):
     return row, failures
 
 
+# the sweep's model and class-4 rates: both verdicts, at a K whose blocks no
+# benchmark sweep builds
+SWEEP_K, SWEEP_MU4 = 12, [1.5, 1.8, 2.4, 3.6]
+
+
+def _run(argv):
+    """`netdrift argv`: its exit code and wall time."""
+    start = time.perf_counter()
+    code = subprocess.run(["netdrift", *argv]).returncode
+    return code, time.perf_counter() - start
+
+
+def sweep_smoke(tmp):
+    """The `services.4.rate` sweep: its table row and the list of its failures."""
+    model, sweep = os.path.join(tmp, "sweep_model.json"), os.path.join(tmp, "sweep.json")
+    with open(model, "w") as fh:
+        json.dump(limited_model(SWEEP_K), fh)
+    failures, walls, csvs = [], {}, {}
+    for name, values, jobs in (("first", SWEEP_MU4[:1], "1"), ("serial", SWEEP_MU4, "1"),
+                               ("jobs2", SWEEP_MU4, "2")):
+        with open(sweep, "w") as fh:
+            json.dump({"parameter": "services.4.rate", "values": values}, fh)
+        out = os.path.join(tmp, f"sweep_{name}.csv")
+        code, walls[name] = _run(["sweep", model, sweep, "--mode", "closed", "--jobs", jobs,
+                                  "--out", out])
+        if code != 0:
+            failures.append(f"{name} sweep exit code {code}, expected 0")
+        csvs[name] = Path(out).read_bytes() if os.path.exists(out) else b""
+    if csvs["serial"] != csvs["jobs2"]:
+        failures.append("the --jobs 2 CSV differs from the serial one")
+    rows = [line.split(",", 5) for line in csvs["serial"].decode().splitlines()[1:]]
+    if len(rows) != len(SWEEP_MU4):
+        failures.append(f"{len(rows)} sweep rows, expected {len(SWEEP_MU4)}")
+    for mu4, row in zip(SWEEP_MU4, rows):
+        point, out = os.path.join(tmp, "point.json"), os.path.join(tmp, "point.out.json")
+        services = limited_model(SWEEP_K)["services"][:3] + [{"exponential": mu4}]
+        with open(point, "w") as fh:
+            json.dump(dict(limited_model(SWEEP_K), services=services), fh)
+        _run(["analyze", point, "--mode", "closed", "--out", out])
+        with open(out) as fh:
+            report = json.load(fh)
+        os.remove(out)
+        got = (row[4], float(row[3]) if row[3] else None)
+        if got != (report["classification"], report["r1r2"]):
+            failures.append(f"mu4 = {mu4}: sweep gives {got}, analyze "
+                            f"{(report['classification'], report['r1r2'])}")
+    later = (walls["serial"] - walls["first"]) / (len(SWEEP_MU4) - 1)
+    row = (f"| sym K={SWEEP_K} `services.4.rate` | {(SWEEP_K + 2) ** 2} | {len(SWEEP_MU4)} | "
+           f"{'ok' if not failures else 'FAILED'} | {walls['first']:.2f} | "
+           f"{walls['serial']:.2f} | {1e3 * later:.1f} |")
+    return row, failures
+
+
 def main():
     print("| model | S0 | exit | probe verdict | wall s | peak RSS MB |")
     print("|---|---|---|---|---|---|")
@@ -65,6 +127,14 @@ def main():
             for failure in failures:
                 sys.stderr.write(f"sym K={K}: {failure}\n")
             failed = failed or bool(failures)
+        print("\n| sweep | S0 | points | checks | first point s | sweep s | "
+              "ms per later point |")
+        print("|---|---|---|---|---|---|---|")
+        row, failures = sweep_smoke(tmp)
+        print(row, flush=True)
+        for failure in failures:
+            sys.stderr.write(f"sweep: {failure}\n")
+        failed = failed or bool(failures)
     return 1 if failed else 0
 
 

@@ -408,8 +408,8 @@ def _sweep_point(payload):
     try:
         patched = apply_parameter(model_dict, path, value)
         model = parse_model_dict(patched)
-        # a near-empty-box probe keeps per-point cost flat across the sweep;
-        # a confirmation is a proof at any radius
+        # a near-empty-box probe keeps a search cheap, and a point with the last one's
+        # pattern and move set reuses its verdict; a confirmation is a proof at any radius
         report = stability.classify(model, mode=mode, probe_radius=1)
         note = "; ".join(report.reasons)
         return (value, report.r1, report.r2, report.r1r2,

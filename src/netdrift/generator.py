@@ -30,8 +30,6 @@ the discrete chain and the CTMC are positive recurrent together.
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from functools import lru_cache
 
 import numpy as np
@@ -85,30 +83,65 @@ def canonical_triplets(keys, rates, n):
     return out
 
 
+def _pattern(sizes, nonzero, products, n):
+    """The pattern of n x n blocks that sum Kronecker products, for `_refill`.
+    Row t of `products` is product t's block, then its factors' numbers:
+    square matrices of `sizes`, whose raveled entries, concatenated, are
+    the value vector, nonzero where `nonzero` is.  Returns the blocks'
+    entries as canonical (rows, cols), block-major, and each block's bounds
+    in them; per term, in product order, its factors' places in the value
+    vector and its entry."""
+    sizes = np.asarray(sizes)
+    nz = np.flatnonzero(nonzero)
+    ends = np.cumsum(sizes * sizes)
+    f = np.searchsorted(ends, nz, side="right")
+    i, j = np.divmod(nz - ends[f] + sizes[f] ** 2, sizes[f])
+    count = np.bincount(f, minlength=len(sizes))
+    block, factors = products[:, 0], products[:, 1:]
+    per = count[factors].prod(axis=1)
+    term = np.repeat(np.arange(len(products)), per)
+    factors = factors[term].T
+    # per term, its factors' nonzeros (the last factor's fastest), and then,
+    # by mixed radix, its row after its block number, and its column
+    rest, at = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per), np.empty_like(factors)
+    for w in reversed(range(len(at))):
+        rest, at[w] = np.divmod(rest, count[factors[w]])
+    at += (np.cumsum(count) - count)[factors]
+    rows, cols = block[term], 0
+    for fs, a in zip(factors, at):
+        rows, cols = rows * sizes[fs] + i[a], cols * sizes[fs] + j[a]
+    keys, entry = np.unique(rows * n + cols, return_inverse=True)
+    bounds = np.searchsorted(keys, np.arange(block.max() + 2) * n * n)
+    return np.divmod(keys % (n * n), n), bounds, nz[at], entry
+
+
+def _refill(pattern, values):
+    """The blocks of `pattern` with the value vector `values`, as canonical
+    read-only triplets: a term multiplies its factors ((1.0*a)*b)*c*d, as
+    `reduce(np.kron, factors)` does, and an entry sums its terms in product
+    order from 0.0, less exact zeros.  Also returns every entry's sum."""
+    (rows, cols), bounds, gather, entry = pattern
+    rates = values[gather[0]]
+    for g in gather[1:]:
+        rates = rates * values[g]
+    sums = np.bincount(entry, rates, minlength=len(rows))
+    keep = sums != 0.0
+    out = rows[keep], cols[keep], sums[keep]
+    for a in out:
+        a.flags.writeable = False
+    at = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
+    return [tuple(a[s:e] for a in out) for s, e in zip(at, at[1:])], sums
+
+
 def _kron_sum(terms, n):
     """The n x n sum of the Kronecker products `terms`, in term order, as
-    canonical triplets.  A term's factors are square matrices, or ints for
-    identities of that size.  A product is built from the factors' nonzeros,
-    taken ((a*b)*c)*d, as `reduce(np.kron, factors)` takes it; an identity's
-    1.0 changes no product.  `stride` is the row stride of the factors to come."""
-    keys, rates = [], []
-    for factors in terms:
-        k, r, stride = np.zeros(1, dtype=np.int64), np.ones(1), n
-        for f in factors:
-            if isinstance(f, int):
-                stride //= f
-                if f > 1:
-                    k, r = np.add.outer(k, np.arange(f) * ((n + 1) * stride)), r.repeat(f)
-            elif len(f) == 1:
-                r = r * f[0, 0]
-            else:
-                stride //= len(f)
-                i, j = np.nonzero(f)
-                k = np.add.outer(k, (i * n + j) * stride)
-                r = np.multiply.outer(r, f[i, j])
-        keys.append(k.ravel())
-        rates.append(r.ravel())
-    return canonical_triplets(np.concatenate(keys), np.concatenate(rates), n)
+    canonical triplets, built as `BlockKernel` builds a block.  A term's
+    factors are square matrices, or ints for identities of that size, and
+    every term has as many."""
+    mats = [np.eye(f) if isinstance(f, int) else f for term in terms for f in term]
+    values = np.concatenate([np.ravel(m) for m in mats])
+    products = np.c_[np.zeros(len(terms), dtype=int), np.arange(len(mats)).reshape(len(terms), -1)]
+    return _refill(_pattern([len(m) for m in mats], values != 0, products, n), values)[0][0]
 
 
 def _moves_of(z, block):
@@ -121,27 +154,86 @@ def _moves_of(z, block):
     return rows[on], cols[on], vals[on]
 
 
+# the model matrix a block factor "kind key..." names
+_FACTORS = {
+    "D1": lambda m: m.map1.D, "C1": lambda m: m.map1.C, "Ia1": lambda m: np.eye(m.map1.dim),
+    "D3": lambda m: m.map3.D, "C3": lambda m: m.map3.C, "Ia3": lambda m: np.eye(m.map3.dim),
+    "t1": lambda m, k: m.msp1.t[k], "u1": lambda m, k: m.msp1.u[k],
+    "t2": lambda m, k: m.msp2.t[k], "u2": lambda m, k: m.msp2.u[k],
+    "Im1": lambda m: np.eye(m.msp1.n), "Im2": lambda m: np.eye(m.msp2.n),
+    "out": lambda m, k: (1.0 - m.p) * m.msp2.t[k],  # class 2 leaves
+    "fb": lambda m, k, k2: m.p * (m.msp2.t[k] @ m.msp2.u[k2]),  # or feeds back as class 3
+}
+
+
+@lru_cache(maxsize=1)
+def _structure():
+    """The kernel's block structure, the same for every model: the number
+    k >= 1 of the block of each displacement (`DISPLACEMENTS` row) and
+    regime (flat index column; 0: none), keyed on its products; the split
+    `_FACTORS` names; and `_pattern`'s products, factors by name number."""
+    numbers, blocks = np.zeros((len(DISPLACEMENTS), 81), dtype=int), {}
+    for flat, sig in enumerate(SIGNATURES):
+        g1, g2, g3, g4 = ("0" if c == 0 else "+" for c in sig)
+        c1, c2, c3, c4 = ("1*" if c == 1 else "2*" for c in sig)
+        g2post = "0" if sig[1] == 1 else "+"
+        for z, products in (
+                ((1, 0, 0, 0), [("D1", "Ia3", f"u1 {g1}*{g4}", "Im2")]),
+                ((0, 0, 1, 0), [("Ia1", "D3", "Im1", f"u2 {g3}*{g2}")]),
+                ((-1, 1, 0, 0), sig[0] and [("Ia1", "Ia3", f"t1 {c1}{g4}", f"u2 {g3}{g2}*")]),
+                ((0, -1, 0, 0), sig[1] and [("Ia1", "Ia3", "Im1", f"out {g3}{c2}")]),
+                ((0, -1, 1, 0), sig[1] and [("Ia1", "Ia3", "Im1", f"fb {g3}{c2} {g3}*{g2post}")]),
+                ((0, 0, -1, 1), sig[2] and [("Ia1", "Ia3", f"u1 {g1}{g4}*", f"t2 {c3}{g2}")]),
+                ((0, 0, 0, -1), sig[3] and [("Ia1", "Ia3", f"t1 {g1}{c4}", "Im2")]),
+                ((0, 0, 0, 0), [("C1", "Ia3", "Im1", "Im2"), ("Ia1", "C3", "Im1", "Im2"),
+                                ("Ia1", "Ia3", f"t1 {g1}{g4}", "Im2"),
+                                ("Ia1", "Ia3", "Im1", f"t2 {g3}{g2}")])):
+            if products:
+                k = blocks.setdefault(tuple(products), len(blocks) + 1)
+                numbers[DISPLACEMENTS.index(z), flat] = k
+    names = {f: i for i, f in enumerate(dict.fromkeys(f for ps in blocks for p in ps for f in p))}
+    products = [(k, *map(names.get, p)) for ps, k in blocks.items() for p in ps]
+    return numbers, [f.split() for f in names], np.array(products)
+
+
+@lru_cache(maxsize=1)
+def _kernel_pattern(n, sizes, nonzero):
+    """The `_pattern` of kernel blocks whose factors have these sizes and
+    nonzeros (bool bytes), with each entry's block and whether it is a
+    no-move diagonal: the last one is kept, for a rate sweep's points."""
+    numbers, _, products = _structure()
+    pattern = _pattern(sizes, np.frombuffer(nonzero, dtype=bool), products, n)
+    (rows, cols), bounds = pattern[:2]
+    block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    return pattern, block, np.isin(block, numbers[-1]) & (rows == cols)
+
+
 class BlockKernel:
     """Signature-indexed transition blocks for one model: the model's one
     rate table, read by the probe, the induced chains and the simulator.
 
     A block is held in one form, the canonical triplets of an S0 x S0
-    matrix (`canonical_triplets`), built lazily from its Kronecker factors'
-    nonzeros.  The k-th distinct block (k >= 1), `_blocks[k]`, is built once
-    per kernel for every signature that reads it, and `_numbers[z]` holds k
-    per signature (`np.ndindex` order; 0: none).  The move table derives from them.
-    The caches are not locked: a kernel belongs to one thread (`sweep
-    --jobs` runs its points in worker processes).
+    matrix (`canonical_triplets`).  The k-th distinct block (k >= 1),
+    `_blocks[k]`, serves every signature that `_structure` gives k.  As
+    sparse direct solvers split symbolic from numeric work, a pattern
+    (`_kernel_pattern`) is kept while the factors' nonzeros hold, and each
+    kernel refills every block's values from it (`_refill`).  The move
+    table derives from the blocks.  The caches are not locked: a kernel
+    belongs to one thread (`sweep --jobs` runs its points in processes).
     """
 
     def __init__(self, model: NetworkModel):
         self.model = model
         self.dims = (model.map1.dim, model.map3.dim, model.msp1.n, model.msp2.n)
         self.S0 = int(np.prod(self.dims))
+        mats = [_FACTORS[kind](model, *keys) for kind, *keys in _structure()[1]]
+        values = np.concatenate([f.ravel() for f in mats])
+        self.pattern_key = self.S0, tuple(map(len, mats)), (values != 0).tobytes()
+        pattern, _, still = _kernel_pattern(*self.pattern_key)
+        self._blocks, sums = _refill(pattern, values)
+        # per pattern entry, whether it is a move (`_moves_of`): the probe's edges
+        self.move_set = ((sums > RATE_TOL) & ~still).tobytes()
         self._q_cache = {}
-        self._blocks = [canonical_triplets(np.zeros(0, dtype=np.int64), np.zeros(0), 1)]
-        self._numbers = defaultdict(lambda: [0] * 81)
-        self._shared = {}
         self.regimes = [None] * 81
         self.move_dest, self.move_z, self._move_rows = [], [], np.empty((0, 3))
 
@@ -149,54 +241,16 @@ class BlockKernel:
 
     def q_blocks(self, sig):
         """Regime `sig`'s blocks, as {z: triplets}, in `DISPLACEMENTS` order."""
-        sig = tuple(int(v) for v in sig)
-        hit = self._q_cache.get(sig)
+        flat = 27 * sig[0] + 9 * sig[1] + 3 * sig[2] + sig[3]
+        hit = self._q_cache.get(flat)
         if hit is None:
-            hit = self._q_cache[sig] = self._build_q(sig)
+            hit = self._q_cache[flat] = {z: self._blocks[k] for z, k in zip(
+                DISPLACEMENTS, _structure()[0][:, flat].tolist()) if k}
         return hit
 
     def move_edges(self, sig):
         """Per displacement, the `_moves_of` regime `sig`'s blocks."""
         return {z: _moves_of(z, B) for z, B in self.q_blocks(sig).items()}
-
-    def _build_q(self, sig):
-        """The blocks of regime `sig`.  A block is keyed on z and the regime
-        symbols it reads, so that the signatures that share it share one
-        set of arrays and one number; it sums the Kronecker products `terms()`."""
-        m = self.model
-        Ia1, Ia3, Im1, Im2 = eyes = self.dims  # identity factors
-        t1, u1, t2, u2 = m.msp1.t, m.msp1.u, m.msp2.t, m.msp2.u
-        g1, g2, g3, g4 = ("0" if c == 0 else "+" for c in sig)
-        c1, c2, c3, c4 = ("1*" if c == 1 else "2*" for c in sig)
-        blocks, flat = {}, 27 * sig[0] + 9 * sig[1] + 3 * sig[2] + sig[3]
-
-        def share(z, key, terms):
-            k = self._shared.get((z, key))
-            if k is None:
-                self._blocks.append(_kron_sum(terms(), self.S0))
-                k = self._shared[(z, key)] = len(self._blocks) - 1
-            blocks[z], self._numbers[z][flat] = self._blocks[k], k
-
-        share((1, 0, 0, 0), (g1, g4), lambda: [(m.map1.D, Ia3, u1[f"{g1}*{g4}"], Im2)])
-        share((0, 0, 1, 0), (g3, g2), lambda: [(Ia1, m.map3.D, Im1, u2[f"{g3}*{g2}"])])
-        if sig[0] >= 1:
-            share((-1, 1, 0, 0), (c1, g4, g3, g2),
-                  lambda: [(Ia1, Ia3, t1[f"{c1}{g4}"], u2[f"{g3}{g2}*"])])
-        if sig[1] >= 1:
-            T2c = t2[f"{g3}{c2}"]
-            share((0, -1, 0, 0), (g3, c2), lambda: [(Ia1, Ia3, Im1, (1.0 - m.p) * T2c)])
-            g2post = "0" if sig[1] == 1 else "+"
-            share((0, -1, 1, 0), (g3, c2),
-                  lambda: [(Ia1, Ia3, Im1, m.p * (T2c @ u2[f"{g3}*{g2post}"]))])
-        if sig[2] >= 1:
-            share((0, 0, -1, 1), (g1, g4, c3, g2),
-                  lambda: [(Ia1, Ia3, u1[f"{g1}{g4}*"], t2[f"{c3}{g2}"])])
-        if sig[3] >= 1:
-            share((0, 0, 0, -1), (g1, c4), lambda: [(Ia1, Ia3, t1[f"{g1}{c4}"], Im2)])
-        share((0, 0, 0, 0), (g1, g2, g3, g4), lambda: [
-            (math.prod(eyes[:i]), c, math.prod(eyes[i + 1:]))
-            for i, c in enumerate((m.map1.C, m.map3.C, t1[f"{g1}{g4}"], t2[f"{g3}{g2}"]))])
-        return blocks
 
     # -- derived views -----------------------------------------------------
 
@@ -288,6 +342,17 @@ def signature_ranges(sig_component, L):
     return np.arange(2, L)
 
 
+@lru_cache(maxsize=256)
+def _cell_moves(shape, sig, z):
+    """The cells of signature `sig` in the box `shape`, in C order, and the
+    cells each reaches by z, clipped to the box, as flat indices: faces
+    assemble the same few boxes again and again."""
+    axes = [signature_ranges(c, L) for c, L in zip(sig, shape)]
+    grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    return np.ravel_multi_index(grids, shape), np.ravel_multi_index(
+        [np.clip(g + dz, 0, L - 1) for g, dz, L in zip(grids, z, shape)], shape)
+
+
 def lattice_triplets(block_fn, shape, S0):
     """The chain truncated to the box `shape`, one level per free
     coordinate, as canonical COO triplets (rows, cols, data, n): sorted
@@ -307,14 +372,10 @@ def lattice_triplets(block_fn, shape, S0):
     n = int(np.prod(shape)) * S0
     keys, data = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for sig in np.ndindex(*(3,) * len(shape)):
-        axes = [signature_ranges(c, L) for c, L in zip(sig, shape)]
-        if any(a.size == 0 for a in axes):
-            continue
-        grids = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-        cells = np.ravel_multi_index(grids, shape)
-        for z, (bi, bj, B) in block_fn(tuple(sig)).items():
-            tgt = np.ravel_multi_index(
-                [np.clip(g + dz, 0, L - 1) for g, dz, L in zip(grids, z, shape)], shape)
+        if any(c >= L for c, L in zip(sig, shape)):
+            continue  # no cell has the signature
+        for z, (bi, bj, B) in block_fn(sig).items():
+            cells, tgt = _cell_moves(tuple(shape), sig, z)
             keys.append(np.add.outer(cells * S0, bi).ravel() * n
                         + np.add.outer(tgt * S0, bj).ravel())
             data.append(np.tile(B, cells.size))
@@ -348,36 +409,43 @@ def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
     states, else ProbeBoxTooLarge.  The search runs back over the kernel's
     move edges a layer at a time, PROBE_CHUNK states per gather, and stops
     once the inner box is covered: the reachable set only grows, so the
-    verdict is the full search's.
+    verdict is the full search's.  The last verdict is kept while the
+    kernel's pattern and move set hold: across a rate sweep, as a rule.
     """
     kernel = kernel_of(model)
     S0 = kernel.S0
     probe = kernel.check_state(probe_state or ((0, 0, 0, 0), 0))
-    L, side = radius + 1, 4 * radius + 2
-    shape = (side,) * 4 + (S0,)
+    side = 4 * radius + 2
     if side ** 4 * S0 > PROBE_STATES:
         raise ProbeBoxTooLarge(f"probe radius {radius} needs a box of {side}^4 x {S0} = "
                                f"{side ** 4 * S0:,} states, over the budget of {PROBE_STATES:,}")
-    if any(v >= L for v in probe[0]):
+    if any(v > radius for v in probe[0]):
         return UNKNOWN
+    return _probe_search(kernel.pattern_key, kernel.move_set, probe, radius)
+
+
+@lru_cache(maxsize=1)
+def _probe_search(pattern_key, move_set, probe, radius):
+    """`check_semi_irreducible`'s search, on a kernel's `pattern_key` and `move_set`."""
+    pattern, block, _ = _kernel_pattern(*pattern_key)
+    (rows, cols), bounds = pattern[:2]
+    S0, L, side = pattern_key[0], radius + 1, 4 * radius + 2
+    shape = (side,) * 4 + (S0,)
     # predecessors as CSR over keys (block number, j2): j - j2 of each move
     # j -> j2; `first` maps (z, sig), z-major, to a block's first key
-    for sig in SIGNATURES:
-        kernel.q_blocks(sig)
-    zs, blocks = [*kernel._numbers], len(kernel._blocks)
-    Z, outside = np.array(zs), len(zs) * 81
+    Z, outside, blocks = np.array(DISPLACEMENTS), len(DISPLACEMENTS) * 81, len(bounds) - 1
     # a predecessor outside the box sums to `outside` or more: block 0 there
     first = np.zeros(4 * outside + 1, dtype=np.int32)
-    first[:outside] = S0 * np.array([kernel._numbers[z] for z in zs]).ravel()
-    edges = [_moves_of(z, kernel._blocks[k]) for (z, _), k in kernel._shared.items()]
-    j, j2, _ = (np.concatenate(e) for e in zip(*edges))
-    keys = j2 + S0 * np.repeat(np.arange(1, blocks), [len(e) for e, _, _ in edges])
+    first[:outside] = S0 * _structure()[0].ravel()
+    on = np.frombuffer(move_set, dtype=bool)
+    j, j2 = rows[on], cols[on]
+    keys = j2 + S0 * block[on]
     order = np.argsort(keys, kind="stable")
     keys, dj = keys[order], (j - j2)[order].astype(np.int32)
     indptr = np.searchsorted(keys, np.arange(blocks * S0 + 1)).astype(np.int32)
     # per axis, coordinate y and z: the weight in `first` of y - z, or "outside"
     x = np.arange(side)[:, None, None] - Z
-    w = np.minimum(x, 2) * [27, 9, 3, 1] + np.arange(len(zs))[:, None] * [81, 0, 0, 0]
+    w = np.minimum(x, 2) * [27, 9, 3, 1] + np.arange(len(Z))[:, None] * [81, 0, 0, 0]
     axes = np.where((x >= 0) & (x < side), w, outside).astype(np.int32).transpose(2, 0, 1)
     step = (Z @ side ** np.arange(3, -1, -1) * S0).astype(np.int32)
     seen = np.zeros(side ** 4 * S0, dtype=bool)

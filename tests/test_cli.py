@@ -648,20 +648,54 @@ def test_sweep_point_that_fails_the_sign_gate_has_no_ratios(tmp_path, capsys):
                       "0.3111111111111111,PositiveRecurrent,")
 
 
+# p through a new pattern (0.0), a reused verdict (0.0 again), the first
+# pattern with moves at or below RATE_TOL (1e-20) and the first move set
+P_SWEEP = {"parameter": "p", "values": [0.3, 0.0, 0.0, 1e-20, 0.2, 0.2]}
+
+
 def test_sweep_parallel_matches_serial(tmp_path, capsys):
-    model = write_json(tmp_path, "limited.json", LIMITED_MODEL)
-    sweep = write_json(tmp_path, "sweep.json",
-                       {"parameter": "discipline.K", "values": [2, 6]})
+    limited = write_json(tmp_path, "limited.json", LIMITED_MODEL)
+    k_sweep = write_json(tmp_path, "sweep.json",
+                         {"parameter": "discipline.K", "values": [2, 6]})
+    readme = write_json(tmp_path, "readme.json", README_MODEL)
+    p_sweep = write_json(tmp_path, "p_sweep.json", P_SWEEP)
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    for mode in ("closed", "numeric"):
+    for model, sweep, mode in ((limited, k_sweep, "closed"), (limited, k_sweep, "numeric"),
+                               (readme, p_sweep, "closed")):
         assert run(capsys, ["sweep", model, sweep, "--mode", mode,
                             "--out", str(serial)])[0] == 0
         assert run(capsys, ["sweep", model, sweep, "--mode", mode, "--jobs", "2",
                             "--out", str(parallel)])[0] == 0
-        assert serial.read_bytes() == parallel.read_bytes(), mode
-        verdicts = [row.split(",")[4] for row in serial.read_text().splitlines()[1:]]
-        assert verdicts == ["PositiveRecurrent", "Transient"], mode
+        assert serial.read_bytes() == parallel.read_bytes(), (sweep, mode)
+        if sweep == k_sweep:
+            verdicts = [row.split(",")[4] for row in serial.read_text().splitlines()[1:]]
+            assert verdicts == ["PositiveRecurrent", "Transient"], mode
+
+
+def test_sweep_searches_again_only_when_the_move_set_changes(tmp_path, capsys, monkeypatch):
+    # the probe searches at the first point and at each point whose move
+    # set differs from the last: 0.3, 0.0, 1e-20 and 0.2
+    import csv
+    from functools import lru_cache
+
+    from netdrift import generator
+
+    searches = []
+    search = generator._probe_search.__wrapped__
+    monkeypatch.setattr(generator, "_probe_search", lru_cache(maxsize=1)(
+        lambda *key: searches.append(key[2:]) or search(*key)))
+    model = write_json(tmp_path, "readme.json", README_MODEL)
+    sweep = write_json(tmp_path, "sweep.json", P_SWEEP)
+    code, out, _ = run(capsys, ["sweep", model, sweep])
+    assert code == 0 and searches == [(((0, 0, 0, 0), 0), 1)] * 4
+    rows = list(csv.reader(out.splitlines()))[1:]
+    for value, row in zip(P_SWEEP["values"], rows):
+        report = classify(load_model(write_json(tmp_path, "point.json", apply_parameter(
+            README_MODEL, "p", value))), mode="closed", probe_radius=1)
+        assert row == [repr(value), repr(report.r1), repr(report.r2), repr(report.r1r2),
+                       report.classification, "; ".join(report.reasons)], value
+        assert report.semi_irreducibility == "ConfirmedSemiIrreducible"
 
 
 def test_unconfirmed_probe_names_its_radius_and_a_route(tmp_path, capsys, monkeypatch):

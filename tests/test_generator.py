@@ -90,17 +90,21 @@ def _np_kronsum4(mats):
 @pytest.mark.parametrize("build", [exp_model, phmap_model, lambda: symmetric_limited_model(8)],
                          ids=["np", "phmap", "limited8"])
 def test_move_edges_are_the_blocks_rates_computed_once(build, monkeypatch):
-    # each shared block is built once, and its edges are read off those triplets
+    # each shared block is built once, by the kernel's one refill, and its
+    # edges are read off those triplets
     built = []
-    real = generator._kron_sum
-    monkeypatch.setattr(generator, "_kron_sum", lambda *a: built.append(real(*a)) or built[-1])
+    real = generator._refill
+    monkeypatch.setattr(generator, "_refill", lambda *a: built.append(real(*a)) or built[-1])
     kernel = BlockKernel(build())
+    [(refilled, _)] = built
+    read = set()
     for sig in ALL_SIGS:
         blocks, edges = kernel.q_blocks(sig), kernel.move_edges(sig)
         kernel.moves(sig)
         assert list(edges) == list(blocks), sig
         for z, B in blocks.items():
-            assert any(B is b for b in built), (sig, z)
+            assert any(B is b for b in refilled), (sig, z)
+            read.add(id(B))
             B = dense(B, kernel.S0)
             on = B > RATE_TOL
             if not any(z):
@@ -109,7 +113,8 @@ def test_move_edges_are_the_blocks_rates_computed_once(build, monkeypatch):
             j, j2 = np.nonzero(on)
             assert np.array_equal(edges[z][0], j) and np.array_equal(edges[z][1], j2), (sig, z)
             assert edges[z][2].tobytes() == B[j, j2].tobytes(), (sig, z)
-    assert len(built) == len({id(b) for b in built}) == 68
+    # 68 distinct blocks, and the empty block 0 that no signature reads
+    assert len(read) == 68 and len(refilled) == len({id(b) for b in refilled}) == 69
 
 
 def _table_moves(kernel, sig, j):
@@ -136,17 +141,19 @@ def test_move_edges_are_the_clocks_moves(which, np_model):
 
 def test_no_move_diagonal_is_never_a_move(np_model, monkeypatch):
     # validation lets a diagonal rate reach +1e-12, above RATE_TOL
-    real = generator._kron_sum
+    real = generator._refill
 
-    def raised(terms, n):
-        B = dense(real(terms, n), n)
-        if len(terms) == 4:  # the Kronecker sum: the no-move block
-            np.fill_diagonal(B, 1e-13)
-        rows, cols, rates = triplets(B)
-        return generator.canonical_triplets(rows * n + cols, rates, n)
+    def raised(pattern, values):
+        # the no-move blocks' diagonals hold the kernel's only negative rates
+        blocks, sums = real(pattern, values)
+        return ([(rows, cols, np.where(rates < 0, 1e-13, rates)) for rows, cols, rates in blocks],
+                np.where(sums < 0, 1e-13, sums))
 
-    monkeypatch.setattr(generator, "_kron_sum", raised)
+    monkeypatch.setattr(generator, "_refill", raised)
     kernel = BlockKernel(np_model)
+    # nor is it one of the probe's edges
+    _, _, still = generator._kernel_pattern(*kernel.pattern_key)
+    assert still.any() and not np.frombuffer(kernel.move_set, dtype=bool)[still].any()
     assert (dense(kernel.q_blocks((1, 1, 1, 1))[(0, 0, 0, 0)], kernel.S0).diagonal()
             == 1e-13).all()
     rows, cols, _ = kernel.move_edges((1, 1, 1, 1))[(0, 0, 0, 0)]
@@ -505,6 +512,83 @@ def test_shared_blocks_match_per_signature_build(pair):
                 distinct.add(id(B))
         # one set of triplets per distinct (displacement, regime symbols)
         assert len(distinct) == 68, (discipline, K)
+
+
+@st.composite
+def refill_cases(draw):
+    """(first model, model, whether one of the model's Kronecker products
+    underflows to 0.0): one random built-in model twice, first with its
+    rates scaled and p = 0.5, then with p of 0 or 1 (a factor of zeros: a
+    new pattern), 1e-20 (the same pattern, but moves at or below RATE_TOL)
+    or between.  Poisson or two-phase MMPP arrivals; exponential, Erlang-2
+    or two-branch hyperexponential services; the non-preemptive,
+    preemptive-resume and (1,K)-limited disciplines with K <= 3; S0 <= 64."""
+    rate = st.floats(min_value=0.5, max_value=5.0)
+    arrivals = [draw(st.one_of(st.tuples(st.just("poisson"), rate),
+                               st.tuples(st.just("mmpp"), rate, rate, rate))) for _ in range(2)]
+    services = [draw(st.one_of(st.tuples(st.just("exponential"), rate),
+                               st.tuples(st.just("erlang"), rate),
+                               st.tuples(st.just("hyperexponential"), rate, rate)))
+                for _ in range(4)]
+    discipline, K = draw(st.sampled_from([("non_preemptive", None), ("preemptive_resume", None),
+                                          ("limited", 1), ("limited", 2), ("limited", 3)]))
+    maps = {"poisson": lambda s, a: poisson_map(s * a),
+            "mmpp": lambda s, q, a, b: mmpp_map([[-s * q, s * q], [s * q, -s * q]], [s * a, s * b])}
+    phs = {"exponential": lambda s, a: exponential_ph(s * a),
+           "erlang": lambda s, a: erlang_ph(2, s * a),
+           "hyperexponential": lambda s, a, b: hyperexponential_ph([0.3, 0.7], [s * a, s * b])}
+
+    def build(s, p):
+        return build_network(*(maps[kind](s, *args) for kind, *args in arrivals),
+                             *(phs[kind](s, *args) for kind, *args in services), p, discipline, K)
+
+    model = build(1.0, draw(st.one_of(st.sampled_from([0.0, 1.0, 1e-20]),
+                                      st.floats(min_value=0.05, max_value=0.95))))
+    assume(model.map1.dim * model.map3.dim * model.msp1.n * model.msp2.n <= 64)
+    return build(draw(st.floats(min_value=0.25, max_value=4.0)), 0.5), model, False
+
+
+def _tiny_model(rate, p=0.3):
+    # D1 (x) U1 multiplies the class-1 arrival rate by a first-phase weight
+    return build_network(poisson_map(rate), poisson_map(0.4),
+                         hyperexponential_ph([rate, 1.0], [2.0, 3.0]),
+                         *[exponential_ph(m) for m in (2.0, 3.0, 2.0)], p, "non_preemptive")
+
+
+@settings(max_examples=50, deadline=None)
+@given(refill_cases())
+@example((exp_model(p=0.5), exp_model(p=0.0), False))
+@example((exp_model(p=0.5), exp_model(p=1.0), False))
+@example((exp_model(p=0.5), exp_model(p=1e-20), False))
+@example((_tiny_model(1e-170), _tiny_model(1e-200), True))  # 1e-340 is subnormal; 1e-400 is 0.0
+def test_refilled_blocks_are_byte_identical_to_a_cold_build(case):
+    first, model, underflows = case
+    generator._kernel_pattern.cache_clear()
+    before = BlockKernel(first)
+    hits = generator._kernel_pattern.cache_info().hits
+    warm = BlockKernel(model)
+    shared = warm.pattern_key == before.pattern_key
+    assert generator._kernel_pattern.cache_info().hits == hits + shared
+    # a p of 0 or 1 zeroes a factor; a p of 1e-20 keeps the pattern but not the moves
+    assert shared == (0.0 < model.p < 1.0)
+    if model.p == 1e-20:
+        assert warm.move_set != before.move_set
+    generator._kernel_pattern.cache_clear()
+    cold = BlockKernel(model)
+    assert warm.pattern_key == cold.pattern_key and warm.move_set == cold.move_set
+    for sig in ALL_SIGS:
+        got, want = warm.q_blocks(sig), cold.q_blocks(sig)
+        reference = _reference_q(model, sig)
+        assert list(got) == list(want) == list(reference), sig
+        for z, B in got.items():
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(B, want[z])), (sig, z)
+            rows, cols, rates = triplets(reference[z])
+            assert np.array_equal(B[0], rows) and np.array_equal(B[1], cols), (sig, z)
+            assert B[2].tobytes() == rates.tobytes(), (sig, z)
+    # an underflowing product is in the pattern, but no block keeps it
+    kept = sum(len(rows) for rows, _, _ in cold._blocks)
+    pattern = generator._kernel_pattern(*cold.pattern_key)[0]
+    assert (kept < len(pattern[0][0])) == underflows
 
 
 # --- lattice assembly ------------------------------------------------------------
