@@ -1,19 +1,21 @@
 """Smoke-run `netdrift analyze --mode both --assume-semi-irreducible` on the
 two symmetric (1,K)-limited models either side of `QBD_PHASES`: the largest
-whose faces are all solved as QBDs, and the first whose faces are all solved
-on boxes; then the first of them again with every face forced onto its box
+whose solved faces are all QBDs, and the first whose solved faces are all
+boxes; then the first of them again with every face forced onto its box
 (`QBD_PHASES` = 0, as the tests set it).  All are transient.  Then on the
 README rates under (1,12)-limited service (S0 = 196), which is positive
 recurrent and not symmetric: it checks the closed form of an asymmetric
-limited model against numeric faces all solved as QBDs, at a size no
-benchmark workload runs (about 0.5 s of face solves).  Each run must exit
-with its verdict's code, pass the closed-form cross-check and take the
-expected solver paths (`qbd` on every face but N; `ilu-gmres` alone on
-every face but N past the cap, as one size rule holds for every face; no
-`qbd` when forced).  The all-QBD sym run must peak no higher than its
-forced box run: the premise of the cap.  Prints one Markdown table row per
-run with its wall time and peak RSS (`os.wait4` of the child); exits 1
-after the runs if any check failed.
+limited model against numeric faces solved as QBDs, at a size no
+benchmark workload runs.  Each run must exit with its verdict's code, pass
+the closed-form cross-check, read faces 14 and 23 off their sub-faces (a
+`decomposed` diagnostic and an empty `history`) and take the expected
+solver paths on the faces it solves (`qbd` on every face but N; `ilu-gmres`
+alone on every face but N past the cap, as one size rule holds for every
+face; no `qbd` when forced).  The all-QBD sym run must peak no higher than
+its forced box run: the premise of the cap.  Prints one Markdown table row
+per run with S0 times the start level (the phases `QBD_PHASES` bounds), its
+wall time and peak RSS (`os.wait4` of the child); exits 1 after the runs if
+any check failed.
 
 usage: python .github/scripts/analyze_smoke.py >> "$GITHUB_STEP_SUMMARY"
 """
@@ -61,6 +63,10 @@ def smoke(name, model, face_phases, want_code, want_paths, tmp, qbd_phases=""):
         # the solver of every level tried on every face but N, in order
         paths = dict.fromkeys(h[3] for face in table["numeric"] if face["subset"] != [1, 2, 3, 4]
                               for h in face["diagnostics"]["history"])
+        for face in table["numeric"]:
+            diag = face["diagnostics"]
+            if face["subset"] in ([1, 4], [2, 3]) and (diag["history"] or "decomposed" not in diag):
+                failures.append(f"face {face['subset']} not decomposed: {diag.get('note')}")
     else:
         failures.append("no report written")
     if not want_paths(set(paths)):
@@ -77,8 +83,8 @@ def main():
     qbd_phases, start = map(int, subprocess.check_output([sys.executable, "-c", (
         "from netdrift.induced_chains import QBD_PHASES, START_LEVEL; "
         "print(QBD_PHASES, START_LEVEL)")]).split())
-    # a symmetric (1,K)-limited model has (K + 2)^2 background states, and a
-    # 2-D face starts with START_LEVEL levels of them as its QBD phases
+    # a symmetric (1,K)-limited model has (K + 2)^2 background states, and
+    # QBD_PHASES bounds START_LEVEL times that
     qbd_k = max(K for K in range(1, 64) if start * (K + 2) ** 2 <= qbd_phases)
     def only_qbd(paths):
         return paths == {"qbd"}
@@ -90,7 +96,7 @@ def main():
                 (qbd_k, lambda paths: "ilu-gmres" in paths and "qbd" not in paths, 0))]
     runs.append(("README rates, K=12", dict(README_MODEL, discipline={"limited": {"K": 12}}),
                  start * 14 ** 2, 0, only_qbd, ""))
-    print("| model | 2-D face phases | exit | wall s | peak RSS MB | face paths |")
+    print("| model | S0 x start level | exit | wall s | peak RSS MB | face paths |")
     print("|---|---|---|---|---|---|")
     failed, rss = False, []
     with tempfile.TemporaryDirectory() as tmp:

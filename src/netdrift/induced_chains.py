@@ -6,14 +6,14 @@ coordinates plus the background.  Its stationary distribution yields
 the long-run output rate of every queue and hence the drift vector
 Delta q^A: input rate minus output rate, per unit time.
 
-Numeric tables solve small faces as level-independent QBDs (quasi-
-birth-death chains) along one free queue, which is not truncated, and
-larger ones on a reflecting truncation of the free lattice (out-of-box
-moves folded onto the boundary).  Every path solves on the kept closed
-class, under one guard and one acceptance rule (`_stationary_of`).  Each
-truncated coordinate grows to the level its own measured decay calls
-for, until the distribution has provably negligible boundary mass.
-Closed-form tables cover every built-in discipline (`closed_form_table`).
+Numeric tables read faces 14 and 23 off face N and their 1-D sub-faces
+(`numeric_entry`) and solve the others as level-independent QBDs (quasi-
+birth-death chains) along an untruncated free queue when small, else on
+a reflecting truncation of the free lattice, on the kept closed class
+under one acceptance rule (`_stationary_of`).  Each truncated coordinate
+grows to the level its own measured decay calls for, until the boundary
+mass is provably negligible.  Closed-form tables cover every built-in
+discipline (`closed_form_table`).
 """
 
 from __future__ import annotations
@@ -386,13 +386,10 @@ def _next_level(L, tail, rate, target):
     return min(L + steps, top)
 
 
-# the most phases solved as a QBD, S0 * START_LEVEL (a 2-D face's phases at
-# its start) on every face with a free coordinate, so that a model's such faces
-# are all QBDs or all boxes: numeric mode on sym K=13 (900) peaks at 76 MB
-# with QBDs, 92 with boxes, and takes 0.90 s, 0.72 with boxes (median of 6),
-# r1*r2 off by 2e-15 and 8e-7.  Past it the 2-D faces load scipy for their
-# boxes, and a 1-D face's box is then the faster: sym K=14 takes 0.65 s, 0.78
-# with its 1-D faces as QBDs, for the same r1*r2 to 2e-15
+# the most phases solved as a QBD, S0 * START_LEVEL on every face with a free
+# coordinate: set for 2-D faces (at 900 phases a QBD peaks 16 MB below its
+# box), which are solved only when `numeric_entry`'s guard fails; a 1-D
+# face's box is already the faster from 256 phases up (sym K=14)
 QBD_PHASES = 1000
 
 
@@ -416,7 +413,8 @@ def _solve_at(chain: InducedChain, shape):
 
 def solve_stationary(chain: InducedChain) -> InducedChainSolution:
     """Stationary distribution of a face's induced chain, one truncation
-    level per free coordinate, grown in one loop on either path.
+    level per free coordinate, grown in one loop on either path (for
+    faces 14 and 23, only when they fail `numeric_entry`'s guard).
 
     A face with a free coordinate is a QBD when S0 * START_LEVEL is at
     most QBD_PHASES.  Its level, the free queue with exogenous
@@ -740,35 +738,87 @@ def closed_form_table(model: NetworkModel):
             for A, rates in out.items()}
 
 
-def numeric_entry(model: NetworkModel, A) -> DriftEntry:
-    """Numeric drift entry of face A: its induced chain on the model's
-    shared kernel, solved by `solve_stationary`; the rates and drifts
-    are None when the solve did not converge."""
-    chain = build_induced_chain(kernel_of(model), A)
-    sol = solve_stationary(chain)
-    diag = {
-        "levels": sol.levels,
-        "residual": sol.residual,
-        "tailMass": sol.tail_mass,
-        "converged": sol.converged,
-        "history": sol.history,
-        **(sol.qbd or {}),
-    }
-    if sol.note:
-        diag["note"] = sol.note
-    if not sol.converged:
-        return DriftEntry(chain.A, None, None, None, "Numeric", diag)
-    mu_bar = output_rates(chain, sol)
+def _decomposed(model: NetworkModel, A, entry):
+    """Face 14's or 23's diagnostics and output rates (None if unstable)
+    from face N and its 1-D sub-faces: with M_q face N's drift of free
+    queue q, it is stable iff some M_q < 0 and, for each free queue i whose
+    partner j has M_j < 0, queue i's drift on face A | {i} is below
+    -`stability.SIGN_MARGIN` (Fayolle, Malyshev & Menshikov 1995, ch. 3).
+    Its rates are face N's.  `entry(B)` gives face B's entry."""
+    from .stability import SIGN_MARGIN
+
+    free, N = sorted(SUBSET_ALL - A), entry(SUBSET_ALL)
+    M = {} if N.drifts is None else {q: float(N.drifts[q - 1]) for q in free}
+    subs, fail = {}, None if M else "face N has no drift"
+    if M and not min(M.values()) < -SIGN_MARGIN:
+        fail = f"no free queue's drift on face N is negative (by queue: {M})"
+    for i, j in (free, free[::-1]):
+        if fail is None and M[j] < -SIGN_MARGIN:
+            B, d = subset_name(A | {i}), entry(A | {i}).drifts
+            v = subs[B] = None if d is None else float(d[i - 1])
+            if v is None or not v < -SIGN_MARGIN:
+                fail = f"queue {i}'s drift on face {B} is " + (
+                    "unavailable" if v is None else f"{v:.6g}, not below -{SIGN_MARGIN:g}")
+    diag = {"levels": (), "residual": None, "tailMass": None, "converged": fail is None,
+            "history": [], "decomposed": {"interiorDrifts": M, "subFaceDrifts": subs}}
+    if fail:
+        return dict(diag, note=f"decomposed face not stable: {fail}"), None
+    return dict(diag, offSubsetDriftMax=0.0), N.output_rates
+
+
+def numeric_entry(model: NetworkModel, A, entries=None) -> DriftEntry:
+    """Numeric drift entry of face A, reading the faces it needs from
+    `entries` (face -> entry) or solving them.  Faces 14 and 23 come from
+    `_decomposed` when their station runs on its own: its `u["+*+"]` and
+    `u["++*"]` are the identity and face N kept one closed class.  Any
+    other face, or one failing that guard (its note says why), is solved
+    by `solve_stationary`, with no rates when it did not converge, and
+    `offSubsetDriftMax` is its free queues' leak.  But for a 2-D solve, the
+    free queues of a stable face leave at their inputs (flow balance)."""
+    A, have = saturated_subset(A), dict(entries or {})
+
+    def entry(B):
+        if B not in have:
+            have[B] = numeric_entry(model, B)
+        return have[B]
+
+    guard, diag = "", None
+    if A in (frozenset((1, 4)), frozenset((2, 3))):
+        station, u = (1, model.msp1.u) if 1 in A else (2, model.msp2.u)
+        if not all(np.array_equal(u[k], np.eye(len(u[k]))) for k in ("+*+", "++*")):
+            guard = f'station {station}\'s u["+*+"] or u["++*"] is not the identity'
+        elif "closed classes" in entry(SUBSET_ALL).diagnostics.get("note", ""):
+            guard = "face N kept several closed classes"
+        else:
+            diag, mu_bar = _decomposed(model, A, entry)
+    if diag is None:
+        chain = build_induced_chain(kernel_of(model), A)
+        sol = solve_stationary(chain)
+        diag = {"levels": sol.levels, "residual": sol.residual, "tailMass": sol.tail_mass,
+                "converged": sol.converged, "history": sol.history, **(sol.qbd or {})}
+        if sol.note or guard:
+            diag["note"] = "; ".join(filter(None, (
+                sol.note, guard and f"solved in 2-D, not decomposed: {guard}")))
+        mu_bar = output_rates(chain, sol) if sol.converged else None
+        if mu_bar is not None:
+            leak = input_rates(model, mu_bar) - mu_bar
+            diag["offSubsetDriftMax"] = max((abs(leak[i - 1]) for i in chain.free), default=0.0)
+    if mu_bar is None:
+        return DriftEntry(A, None, None, None, "Numeric", diag)
+    mu_bar = np.array(mu_bar, float)
+    for q in sorted(SUBSET_ALL - A) if len(A) == 3 or "decomposed" in diag else ():
+        mu_bar[q - 1] = input_rates(model, mu_bar)[q - 1]
     inp = input_rates(model, mu_bar)
-    drifts = inp - mu_bar
-    off = [abs(drifts[i - 1]) for i in range(1, 5) if i not in A]
-    diag["offSubsetDriftMax"] = max(off) if off else 0.0
-    return DriftEntry(chain.A, inp, mu_bar, drifts, "Numeric", diag)
+    return DriftEntry(A, inp, mu_bar, inp - mu_bar, "Numeric", diag)
 
 
 def numeric_table(model: NetworkModel):
-    """Numeric drift entries for the canonical subsets."""
-    return {A: numeric_entry(model, A) for A in CANONICAL_SUBSETS}
+    """Numeric drift entries for the canonical subsets, each face solved
+    once: faces 14 and 23 read the entries before them."""
+    table = {}
+    for A in CANONICAL_SUBSETS:
+        table[A] = numeric_entry(model, A, table)
+    return table
 
 
 def drift_table(model: NetworkModel, mode="both") -> DriftTable:

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from netdrift import (
     BlockKernel,
+    MSPSpec,
     build_network,
     exponential_ph,
     kernel_of,
@@ -60,6 +61,21 @@ def symmetric_limited_model(K, lam=1.0, mu_single=5.0, mu_batch=1.8):
     """The (1,K) alternating-service configuration with matched stations."""
     return exp_model("limited", K=K, lam1=lam, lam3=lam, p=0.0,
                      mus=(mu_single, mu_batch, mu_single, mu_batch))
+
+
+def as_custom(model, coupled=False):
+    """`model` with its stations' built MSPs as a custom discipline.  When
+    `coupled`, each station's u["+*+"] is not the identity: a background
+    arrival to a busy station moves an other-class service to the first
+    background phase, so neither station passes the guard under which
+    faces 14 and 23 are read off their sub-faces."""
+    def msp(m):
+        u = {k: v.copy() for k, v in m.u.items()}
+        if coupled:
+            u["+*+"][1 + m.s_lo:] = np.eye(1, m.n, 1)[0]
+        return MSPSpec(m.n, m.s_lo, m.s_hi, dict(m.t), u, "custom")
+    return build_network(model.map1, model.map3, *model.ph, model.p, "custom",
+                         msp1=msp(model.msp1), msp2=msp(model.msp2))
 
 
 def priority_sample(rng):

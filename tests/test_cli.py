@@ -449,7 +449,9 @@ def test_analyze_numeric_fallback_for_asymmetric_limited(tmp_path, capsys):
 def test_failed_faces_write_standard_json(tmp_path, capsys, monkeypatch):
     # a face whose solve fails has no residual or tail mass: the report
     # says null, not the non-standard Infinity.  Every face solver fails:
-    # face N's dense LU and the other faces' QBD solves.
+    # face N's dense LU and the other faces' QBD solves.  The README
+    # stations are written as custom MSPs whose u["+*+"] is not the
+    # identity, so faces 14 and 23 are solved in 2-D too.
     import scipy.sparse.linalg as spla
 
     def singular(*args, **kwargs):
@@ -460,7 +462,11 @@ def test_failed_faces_write_standard_json(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(spla, "spilu", singular)
     monkeypatch.setattr(np.linalg, "solve", face_solves_only(singular_lu, np.linalg.solve))
-    readme = dict(BASE_MODEL, services=[{"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)])
+    readme = custom_model(tmp_path, dict(BASE_MODEL, services=[
+        {"exponential": m} for m in (5.0, 2.4, 5.0, 2.2)]))
+    for msp in readme["discipline"]["custom"].values():
+        # the other-class phase moves to the background phase
+        msp["u"]["+*+"][2] = [0.0, 1.0, 0.0]
     model = write_json(tmp_path, "readme.json", readme)
     out = tmp_path / "report.json"
     code, _, _ = run(capsys, ["analyze", model, "--mode", "numeric",

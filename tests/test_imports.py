@@ -111,11 +111,14 @@ from netdrift.generator import lattice_triplets
 kernel = netdrift.kernel_of(load_model(model))
 lattice_triplets(kernel.q_blocks, (2,) * 4, kernel.S0)
 no_scipy("lattice_triplets")
-# faces over the QBD size rule are solved on their boxes
+# faces over the QBD size rule are solved on their boxes; the README
+# rates at K = 12 (S0 = 196) keep 1-D boxes over DENSE_STATES, for ILU-GMRES
 import netdrift.induced_chains
 netdrift.induced_chains.QBD_PHASES = 0
-assert main(["analyze", limited, "--assume-semi-irreducible",
-             "--out", out + "/limited-box.json"]) == 0
+with open(out + "/k12.json", "w") as fh:
+    json.dump(dict(json.load(open(asym)), discipline={"limited": {"K": 12}}), fh)
+assert main(["analyze", out + "/k12.json", "--assume-semi-irreducible",
+             "--out", out + "/k12-box.json"]) == 0
 assert "scipy.sparse" in sys.modules
 """
 

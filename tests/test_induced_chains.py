@@ -49,9 +49,11 @@ from netdrift.induced_chains import (
     _next_level,
     input_rates,
     nominal_condition,
+    numeric_entry,
 )
 
 from tests.conftest import (
+    as_custom,
     exp_model,
     face_solves_only,
     lattice_csr,
@@ -319,8 +321,10 @@ def test_failed_solves_fail_loudly(np_model, monkeypatch):
             output_rates(chain, sol)
 
         # every face fails, and each one is named among the reasons; as
-        # QBDs, all but face N, which has no level
-        for model in (np_model, FROZEN_PHASE_MODEL):
+        # QBDs, all but face N, which has no level.  Stations that fail the
+        # decomposition guard put faces 14 and 23 through a solver too
+        for model in (as_custom(np_model, coupled=True),
+                      as_custom(FROZEN_PHASE_MODEL, coupled=True)):
             report = classify(model, mode="numeric", assume_semi_irreducible=True)
             assert report.classification == "Inconclusive"
             for A in CANONICAL_SUBSETS:
@@ -793,7 +797,11 @@ def test_limited_k2_faces_need_a_quarter_of_a_square_box(monkeypatch):
     # about 38 levels and the fast one about 14, so each face's box ends
     # well inside a quarter of a 64 x 64 box.  As QBDs, the slow queue
     # is the untruncated level and the fast one stays under 16 levels.
+    # The table reads these faces off their sub-faces, so each is solved
+    # here and its drifts cross-checked as the table would
     model = symmetric_limited_model(2)
+    kernel = kernel_of(model)
+    closed = closed_form_table(model)
     for path in ("qbd", "box"):
         if path == "box":
             monkeypatch.setattr(induced_chains, "QBD_PHASES", 0)
@@ -801,16 +809,22 @@ def test_limited_k2_faces_need_a_quarter_of_a_square_box(monkeypatch):
         table = drift_table(model, mode="both")
         assert table.cross_check["ok"], table.cross_check
         for A in (frozenset({1, 4}), frozenset({2, 3})):
-            diag = table.numeric[A].diagnostics
-            assert diag["converged"]
+            chain = build_induced_chain(kernel, A)
+            sol = solve_stationary(chain)
+            assert sol.converged
+            mu = output_rates(chain, sol)
+            drifts, want = input_rates(model, mu) - mu, closed[A].drifts
+            for i in sorted(A):
+                gap = abs(drifts[i - 1] - want[i - 1]) / max(abs(want[i - 1]), 1e-8)
+                assert gap <= CROSS_CHECK_TOL, (subset_name(A), i, gap)
             if path == "box":
-                assert math.prod(diag["levels"]) < 64 ** 2 / 4, diag["levels"]
+                assert math.prod(sol.levels) < 64 ** 2 / 4, sol.levels
                 continue
-            fast = [L for L in diag["levels"] if L is not None]
-            assert len(fast) == 1 and fast[0] < 16, diag["levels"]
-            assert all(len(h) == 4 and None in h[0] and h[3] == "qbd" for h in diag["history"])
-            assert diag["lrIterations"] >= 1 and diag["gRowSumError"] <= 1e-12
-            assert 0 < diag["downPhases"] <= diag["phases"]
+            fast = [L for L in sol.levels if L is not None]
+            assert len(fast) == 1 and fast[0] < 16, sol.levels
+            assert all(len(h) == 4 and None in h[0] and h[3] == "qbd" for h in sol.history)
+            assert sol.qbd["lrIterations"] >= 1 and sol.qbd["gRowSumError"] <= 1e-12
+            assert 0 < sol.qbd["downPhases"] <= sol.qbd["phases"]
 
 
 @pytest.mark.parametrize("K", range(2, 11))
@@ -1212,6 +1226,116 @@ def test_numeric_faces_match_the_closed_form(model):
         scale = np.maximum(np.abs(c.drifts), np.maximum(c.input_rates, c.output_rates))
         np.testing.assert_array_less(np.abs(n.drifts - c.drifts), 1e-6 * scale + 1e-15,
                                      err_msg=subset_name(A))
+
+
+S14, S23 = frozenset({1, 4}), frozenset({2, 3})
+
+
+def _direct_drifts(model, A):
+    """Face A's drifts from its own induced-chain solve, None when it did
+    not converge."""
+    chain = build_induced_chain(kernel_of(model), A)
+    sol = solve_stationary(chain)
+    if not sol.converged:
+        return None
+    mu = output_rates(chain, sol)
+    return input_rates(model, mu) - mu
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(builtin_models(), st.sampled_from(["built-in", "custom", "coupled"]))
+def test_decomposed_faces_match_their_own_solves(model, form):
+    # faces 14 and 23 read off face N and their 1-D sub-faces agree with
+    # their 2-D solves within 1e-6 of the queue's rates (the solve's
+    # boundary mass may reach TAIL_TOL), and every face with the closed
+    # form within 1e-12; stations that fail the guard keep the 2-D solve
+    if form != "built-in":
+        model = as_custom(model, coupled=form == "coupled")
+    numeric = numeric_table(model)
+    for A in (S14, S23):
+        entry = numeric[A]
+        diag = entry.diagnostics
+        if form == "coupled":
+            assert "decomposed" not in diag and "not decomposed: station" in diag["note"]
+            continue
+        if "decomposed" in diag:
+            assert diag["history"] == [], subset_name(A)
+        else:
+            # frozen phases (preemptive resume with a multi-phase class 1)
+            assert diag["note"].endswith("face N kept several closed classes"), diag
+        direct = _direct_drifts(model, A)
+        assert (entry.drifts is None) == (direct is None), (subset_name(A), diag)
+        if direct is not None:
+            scale = np.maximum(np.abs(direct), np.maximum(entry.input_rates,
+                                                          entry.output_rates))
+            np.testing.assert_array_less(np.abs(entry.drifts - direct), 1e-6 * scale + 1e-15,
+                                         err_msg=subset_name(A))
+    if form == "built-in":
+        closed = closed_form_table(model)
+        for A in CANONICAL_SUBSETS:
+            c, n = closed[A], numeric[A]
+            scale = np.maximum(np.abs(c.drifts), np.maximum(c.input_rates, c.output_rates))
+            assert np.all(np.abs(n.drifts - c.drifts) <= 1e-12 * scale), subset_name(A)
+
+
+def test_one_d_faces_balance_their_free_queue():
+    # the free queue of a converged 1-D face leaves at its input, and
+    # offSubsetDriftMax keeps the solve's own imbalance
+    model = symmetric_limited_model(3)
+    for A, free in ((frozenset({1, 2, 3}), 4), (frozenset({1, 3, 4}), 2)):
+        entry = numeric_entry(model, A)
+        chain = build_induced_chain(kernel_of(model), A)
+        mu = output_rates(chain, solve_stationary(chain))
+        leak = abs(input_rates(model, mu)[free - 1] - mu[free - 1])
+        assert entry.drifts[free - 1] == 0.0
+        assert entry.output_rates[free - 1] == entry.input_rates[free - 1]
+        assert entry.diagnostics["offSubsetDriftMax"] == leak
+
+
+def test_a_face_that_found_the_state_budget_reads_its_drift_off_its_sub_faces():
+    # (1,7)-limited, S0 = 81: face 14's free station carries load 0.92, and
+    # as a QBD its fast axis ran out of the state budget at boundary mass
+    # 1.9e-4, so it had no numeric drift
+    model = exp_model("limited", K=7, lam1=0.4, lam3=0.89, p=0.0,
+                      mus=(4.57, 1.13, 7.56, 7.91))
+    table = drift_table(model, mode="both")
+    assert table.cross_check["ok"], table.cross_check
+    diag = table.numeric[S14].diagnostics
+    assert table.numeric[S14].drifts is not None and diag["history"] == []
+    assert diag["decomposed"]["subFaceDrifts"].keys() == {"134"}
+
+
+# the reading that fails on each FACE_REFUSALS model of a 2-D face
+REFUSING_READINGS = {"14": "queue 3's drift on face 134", "23": "queue 1's drift on face 123"}
+
+
+@pytest.mark.parametrize("face", sorted(REFUSING_READINGS))
+def test_decomposed_faces_refuse_the_unstable_face_by_its_reading(face):
+    K, lam1, lam3, p, mus = FACE_REFUSALS[face]
+    model = exp_model("limited", K=K, lam1=lam1, lam3=lam3, p=p, mus=mus)
+    entry = numeric_entry(model, {int(q) for q in face})
+    diag = entry.diagnostics
+    assert entry.drifts is None and not diag["converged"] and diag["history"] == []
+    sub = REFUSING_READINGS[face][-3:]
+    value = diag["decomposed"]["subFaceDrifts"][sub]
+    assert value > 0.0
+    assert diag["note"] == (f"decomposed face not stable: {REFUSING_READINGS[face]} is "
+                            f"{value:.6g}, not below -1e-09")
+
+
+def test_stations_that_do_not_run_alone_keep_the_2d_solve():
+    # a custom u["+*+"] that is not the identity, and a face N with two
+    # closed classes, each keep faces 14 and 23 on their own solves
+    model = as_custom(exp_model(), coupled=True)
+    for A, station in ((S14, 1), (S23, 2)):
+        diag = numeric_entry(model, A).diagnostics
+        assert diag["history"] and "decomposed" not in diag, diag
+        assert diag["note"].endswith(f'solved in 2-D, not decomposed: station {station}\'s '
+                                     'u["+*+"] or u["++*"] is not the identity')
+    for A in (S14, S23):
+        diag = numeric_entry(FROZEN_PHASE_MODEL, A).diagnostics
+        assert diag["history"] and diag["note"].endswith(
+            "solved in 2-D, not decomposed: face N kept several closed classes")
 
 
 def test_table_rejects_unknown_subset(np_model):

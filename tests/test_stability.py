@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 
 from netdrift import (
+    build_induced_chain,
     check_ratio_conditions,
     check_sign_conditions,
     classify,
     closed_form_table,
     compute_r1_r2,
     drift_table,
+    kernel_of,
     lyapunov_certificate,
     nominal_condition,
+    solve_stationary,
     spiral_path,
     subset_name,
     verify_certificate,
@@ -32,9 +35,10 @@ from netdrift.errors import (
 from netdrift.stability import SIGN_CONDITIONS, build_u_matrix
 
 from tests.conftest import exp_model, priority_sample, symmetric_limited_model
+from tests.test_induced_chains import FROZEN_PHASE_MODEL
 
 
-S23 = frozenset({2, 3})
+S14, S23 = frozenset({1, 4}), frozenset({2, 3})
 
 
 def closed_table(model):
@@ -188,12 +192,13 @@ def test_probe_and_numeric_table_share_one_kernel(np_model, kernel_builds):
 
 def test_cross_check_note_separates_missing_faces_from_disagreement(monkeypatch):
     # capped at level 2 on their boxes, faces 14 and 23 have no numeric
-    # drift: nothing disagreed, and the note must not say so
+    # drift: nothing disagreed, and the note must not say so.  Face N of
+    # this model keeps two closed classes, so both faces are solved in 2-D
     with monkeypatch.context() as m:
         m.setattr(induced_chains, "QBD_PHASES", 0)
         m.setattr(induced_chains, "START_LEVEL", 2)
         m.setattr(induced_chains, "LEVEL_CAP", 2)
-        report = classify(exp_model(), mode="both", assume_semi_irreducible=True)
+        report = classify(FROZEN_PHASE_MODEL, mode="both", assume_semi_irreducible=True)
     cross = report.table.cross_check
     assert not cross["ok"] and cross["worst"] is None
     assert cross["subsets"]["14"] is None and cross["subsets"]["23"] is None
@@ -220,13 +225,13 @@ def test_cross_check_note_separates_missing_faces_from_disagreement(monkeypatch)
 
 def test_cross_check_worst_is_null_unless_every_face_is_checked(monkeypatch):
     # on their boxes, faces 14 and 23 stop at the cap with no numeric
-    # drift: the largest difference over the other three faces is not
-    # the worst one
+    # drift (solved in 2-D, as face N keeps two closed classes): the
+    # largest difference over the other three faces is not the worst one
     with monkeypatch.context() as m:
         m.setattr(induced_chains, "QBD_PHASES", 0)
         m.setattr(induced_chains, "START_LEVEL", 2)
         m.setattr(induced_chains, "LEVEL_CAP", 2)
-        capped = drift_table(exp_model(), mode="both")
+        capped = drift_table(FROZEN_PHASE_MODEL, mode="both")
     assert capped.to_json_dict()["crossCheck"]["worst"] is None
     full = drift_table(exp_model(), mode="both").cross_check
     assert full["worst"] == max(full["subsets"].values())
@@ -525,6 +530,20 @@ def test_near_threshold_limited_model_gets_the_closed_form_verdict():
     report = classify(model, mode="numeric", assume_semi_irreducible=True)
     assert report.classification == "Transient"
     assert report.r1r2 == pytest.approx(1.000000137454556, rel=1e-12, abs=0.0)
-    for A, entry in report.table.numeric.items():
-        if len(A) == 2:
-            assert {h[3] for h in entry.diagnostics["history"]} == {"qbd"}, subset_name(A)
+    # the table reads the 2-D faces off their sub-faces; solved, they are QBDs
+    for A in (S14, S23):
+        sol = solve_stationary(build_induced_chain(kernel_of(model), A))
+        assert {h[3] for h in sol.history} == {"qbd"}, subset_name(A)
+
+
+def test_near_threshold_sym_k14_gets_the_closed_form_verdict():
+    # the same tuning at K=14 (1,024 phases per 2-D face, past the QBD
+    # size rule): the closed form gives r1*r2 = 1 + 1.3e-7, Transient.  Its
+    # 2-D faces on boxes put r1*r2 low by about 4e-7, PositiveRecurrent;
+    # read off face N and their 1-D sub-faces they carry round-off alone
+    model = symmetric_limited_model(14, mu_batch=1.9178081616438372)
+    report = classify(model, mode="numeric", assume_semi_irreducible=True)
+    assert report.classification == "Transient"
+    assert report.r1r2 == pytest.approx(1.0000001347692402, rel=1e-12, abs=0.0)
+    for A in (S14, S23):
+        assert report.table.numeric[A].diagnostics["history"] == [], subset_name(A)
