@@ -1,12 +1,13 @@
-"""Smoke-run `netdrift validate` at the default probe radius on two large
-symmetric (1,K)-limited models: K=12 (S0 = 196) and K=30 (S0 = 1,024, a
-39.3M-state probe box).  No benchmark workload probes a model this large.
-Each run must exit 0 and report `ConfirmedSemiIrreducible`, and the K=30
-run must peak at most PEAK_CEILING_MB = 104 MB (`os.wait4` of the child):
-about 1.5 times the 69 MB it peaks at with the kernel's blocks held as
-sparse triplets (2 vCPU, Python 3.11, numpy 2.4), where dense S0 x S0
-blocks peaked at 611 MB.  Prints one Markdown table row per run with its
-wall time and peak RSS.
+"""Smoke-run `netdrift validate` on two large symmetric (1,K)-limited
+models: K=12 (S0 = 196) and K=30 (S0 = 1,024).  No benchmark workload
+probes a model this large.  The probe runs its one rule: the drain lemma at
+each of the 80 nonzero signatures, then a search of level 0 in the box
+{0, 1}^4 x S0 (16,384 states at K=30).  Each run must exit 0 and report
+`ConfirmedSemiIrreducible`, and the K=30 run must peak at most
+PEAK_CEILING_MB = 75 MB (`os.wait4` of the child): about 1.5 times the
+50 MB it peaks at (2 vCPU, Python 3.11, numpy 2.4), where the radius-3 box
+probe that the lemma replaced peaked at 75 MB.  Prints one Markdown table
+row per run with its wall time and peak RSS.
 
 Then a `sweep` of `services.4.rate` over SWEEP_MU4 on sym K=12, whose
 kernel blocks (S0 = 196) are larger than any that a benchmark sweep
@@ -34,7 +35,7 @@ from workloads import limited_model  # noqa: E402
 
 CONFIRMED = "ConfirmedSemiIrreducible"
 # peak RSS ceilings in MB, by K
-PEAK_CEILING_MB = {30: 104}
+PEAK_CEILING_MB = {30: 75}
 
 
 def smoke(K, tmp):

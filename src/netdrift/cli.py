@@ -30,7 +30,6 @@ from .errors import (
     ModelParseError,
     NegativeProbability,
     NetdriftError,
-    ProbeBoxTooLarge,
     SingularH,
     Undecided,
 )
@@ -357,7 +356,7 @@ def cmd_validate(args):
     from . import generator
 
     model = load_model(args.model)
-    status = generator.check_semi_irreducible(model, radius=args.probe_radius)
+    status, why = generator.check_semi_irreducible(model)
     if args.canonical_out:
         Path(args.canonical_out).write_text(_dump_json(canonical_model_dict(model)))
     report = {
@@ -369,6 +368,7 @@ def cmd_validate(args):
         "serviceRates": list(model.service_rates),
         "backgroundStates": generator.kernel_of(model).S0,
         "semiIrreducibility": status,
+        "semiIrreducibilityReason": why,
     }
     _emit_json(report, args.out)
     return 0
@@ -408,9 +408,7 @@ def _sweep_point(payload):
     try:
         patched = apply_parameter(model_dict, path, value)
         model = parse_model_dict(patched)
-        # a near-empty-box probe keeps a search cheap, and a point with the last one's
-        # pattern and move set reuses its verdict; a confirmation is a proof at any radius
-        report = stability.classify(model, mode=mode, probe_radius=1)
+        report = stability.classify(model, mode=mode)
         note = "; ".join(report.reasons)
         return (value, report.r1, report.r2, report.r1r2,
                 report.classification, note)
@@ -607,7 +605,6 @@ def build_parser():
 
     p = sub.add_parser("validate", help="validate a model file")
     p.add_argument("model")
-    p.add_argument("--probe-radius", type=count, default=3)
     p.add_argument("--canonical-out", help="also write the canonical model form")
     p.add_argument("--out", help="write the report to this path")
     p.set_defaults(func=cmd_validate)
@@ -677,10 +674,6 @@ def main(argv=None):
     except Undecided as exc:
         sys.stderr.write(f"netdrift: {type(exc).__name__}: {exc}\n")
         return 4
-    except ProbeBoxTooLarge as exc:
-        # a --probe-radius too large for the model is a bad option value
-        sys.stderr.write(f"netdrift: {type(exc).__name__}: {exc}\n")
-        return 3
     except NetdriftError as exc:
         sys.stderr.write(f"netdrift: {type(exc).__name__}: {exc}\n")
         return 2

@@ -70,12 +70,6 @@ class NegativeOffDiagonal(NetdriftError):
     pass
 
 
-# --- transition kernel ---------------------------------------------------
-
-class ProbeBoxTooLarge(NetdriftError):
-    pass
-
-
 # --- induced chains and drifts -------------------------------------------
 
 class EmptySubset(Undecided):

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptySubset, ProbeBoxTooLarge, UnsupportedSubset
+from .errors import EmptySubset, UnsupportedSubset
 from .service_disciplines import NetworkModel
 
 SUBSET_ALL = frozenset((1, 2, 3, 4))
@@ -90,7 +90,7 @@ def _pattern(sizes, nonzero, products, n):
     the value vector, nonzero where `nonzero` is.  Returns the blocks'
     entries as canonical (rows, cols), block-major, and each block's bounds
     in them; per term, in product order, its factors' places in the value
-    vector and its entry."""
+    vector and its entry, as int32."""
     sizes = np.asarray(sizes)
     nz = np.flatnonzero(nonzero)
     ends = np.cumsum(sizes * sizes)
@@ -112,7 +112,8 @@ def _pattern(sizes, nonzero, products, n):
         rows, cols = rows * sizes[fs] + i[a], cols * sizes[fs] + j[a]
     keys, entry = np.unique(rows * n + cols, return_inverse=True)
     bounds = np.searchsorted(keys, np.arange(block.max() + 2) * n * n)
-    return np.divmod(keys % (n * n), n), bounds, nz[at], entry
+    gather, entry = nz[at].astype(np.int32), entry.astype(np.int32)
+    return np.divmod(keys % (n * n), n), bounds, gather, entry
 
 
 def _refill(pattern, values):
@@ -393,80 +394,93 @@ def lattice_triplets(block_fn, shape, S0):
 
 CONFIRMED = "ConfirmedSemiIrreducible"
 UNKNOWN = "Unknown"
-# the largest probe box, in states: a byte each, and int32 flat indices
-PROBE_STATES = 2 ** 28
-PROBE_CHUNK = 4096  # frontier states per gather
 
 
-def check_semi_irreducible(model: NetworkModel, probe_state=None, radius=3):
-    """Reverse BFS probe for semi-irreducibility: Confirmed, a proof, when
-    the probe state (x, j), j as `BlockKernel.background_index` takes it,
-    is reached from every state of {0..radius}^4 x S0, else Unknown, as
-    paths may need more room.  Paths are searched in a box of side
-    4*radius + 2 (draining a box state needs no arrivals, and the count
-    never grows without one, so no coordinate exceeds 4*radius; the level
-    above is slack for an in-flight customer) of at most PROBE_STATES
-    states, else ProbeBoxTooLarge.  The search runs back over the kernel's
-    move edges a layer at a time, PROBE_CHUNK states per gather, and stops
-    once the inner box is covered: the reachable set only grows, so the
-    verdict is the full search's.  The last verdict is kept while the
-    kernel's pattern and move set hold: across a rate sweep, as a rule.
-    """
+def check_semi_irreducible(model: NetworkModel, probe_state=0):
+    """Whether every state of Z_+^4 x S0 reaches the probe state, level 0
+    in background `probe_state` (as `BlockKernel.background_index` takes
+    it): (CONFIRMED, None), a proof, or (UNKNOWN, reason).  Two finite
+    checks make the proof, by induction on w = 4 x1 + 3 x2 + 2 x3 + x4,
+    which every completion (a `DISPLACEMENTS` row with a negative entry)
+    lowers and every phase move (z = 0) keeps:
+      - the drain lemma: at each nonzero signature, every background state
+        reaches by phase moves one with a completion move, so every state
+        drains to level 0;
+      - the probe: a reverse search from the probe state over the move
+        edges of the box {0, 1}^4 x S0 reaches all of level 0.
+    The reason names the first signature and background state failing the
+    lemma, else the first level-0 state the search missed.  Both checks
+    are kept while the kernel's pattern and move set hold: across a rate
+    sweep, as a rule."""
     kernel = kernel_of(model)
-    S0 = kernel.S0
-    probe = kernel.check_state(probe_state or ((0, 0, 0, 0), 0))
-    side = 4 * radius + 2
-    if side ** 4 * S0 > PROBE_STATES:
-        raise ProbeBoxTooLarge(f"probe radius {radius} needs a box of {side}^4 x {S0} = "
-                               f"{side ** 4 * S0:,} states, over the budget of {PROBE_STATES:,}")
-    if any(v > radius for v in probe[0]):
-        return UNKNOWN
-    return _probe_search(kernel.pattern_key, kernel.move_set, probe, radius)
+    miss = _probe_search(kernel.pattern_key, kernel.move_set,
+                         kernel.background_index(probe_state))
+    if miss is None:
+        return CONFIRMED, None
+    sig, j = miss
+    state = f"background state {j} {tuple(map(int, np.unravel_index(j, kernel.dims)))}"
+    if sig is None:
+        return UNKNOWN, f"the probe state is not reached from level 0 in {state}"
+    return UNKNOWN, (f"the drain lemma fails at signature {sig}: {state} reaches no "
+                     "completion by phase moves")
 
 
 @lru_cache(maxsize=1)
-def _probe_search(pattern_key, move_set, probe, radius):
-    """`check_semi_irreducible`'s search, on a kernel's `pattern_key` and `move_set`."""
+def _probe_search(pattern_key, move_set, probe):
+    """`check_semi_irreducible`'s checks on a kernel's `pattern_key` and
+    `move_set`: None when both hold, else the (signature, j) failing the
+    lemma, or (None, j) for the level-0 state j the search missed."""
     pattern, block, _ = _kernel_pattern(*pattern_key)
     (rows, cols), bounds = pattern[:2]
-    S0, L, side = pattern_key[0], radius + 1, 4 * radius + 2
-    shape = (side,) * 4 + (S0,)
-    # predecessors as CSR over keys (block number, j2): j - j2 of each move
-    # j -> j2; `first` maps (z, sig), z-major, to a block's first key
+    S0, numbers = pattern_key[0], _structure()[0]
+    on = np.frombuffer(move_set, dtype=bool)
+    j, j2, block = rows[on], cols[on], block[on]
+    # the lemma: per signature, the states with a completion move, grown
+    # back over the phase moves of its z = 0 block until they stop growing
+    moving = np.zeros((len(bounds) - 1, S0), dtype=bool)
+    moving[block, j] = True
+    done = moving[numbers[(np.array(DISPLACEMENTS) < 0).any(axis=1)]].any(axis=0)
+    for b in set(numbers[-1].tolist()):
+        sigs, edge = numbers[-1] == b, block == b
+        src, dst, drains = j[edge], j2[edge], done[sigs]
+        while (grow := drains[:, dst] & ~drains[:, src]).any():
+            at, e = np.nonzero(grow)
+            drains[at, src[e]] = True
+        done[sigs] = drains
+    fail = np.argwhere(~done[1:])
+    if fail.size:
+        return SIGNATURES[fail[0, 0] + 1], int(fail[0, 1])
+    # the probe, in the box {0, 1}^4 x S0: predecessors as CSR over keys
+    # (block number, j2): j - j2 of each move j -> j2; `first` maps (z,
+    # sig), z-major, to a block's first key
     Z, outside, blocks = np.array(DISPLACEMENTS), len(DISPLACEMENTS) * 81, len(bounds) - 1
     # a predecessor outside the box sums to `outside` or more: block 0 there
     first = np.zeros(4 * outside + 1, dtype=np.int32)
-    first[:outside] = S0 * _structure()[0].ravel()
-    on = np.frombuffer(move_set, dtype=bool)
-    j, j2 = rows[on], cols[on]
-    keys = j2 + S0 * block[on]
+    first[:outside] = S0 * numbers.ravel()
+    keys = j2 + S0 * block
     order = np.argsort(keys, kind="stable")
     keys, dj = keys[order], (j - j2)[order].astype(np.int32)
     indptr = np.searchsorted(keys, np.arange(blocks * S0 + 1)).astype(np.int32)
     # per axis, coordinate y and z: the weight in `first` of y - z, or "outside"
-    x = np.arange(side)[:, None, None] - Z
-    w = np.minimum(x, 2) * [27, 9, 3, 1] + np.arange(len(Z))[:, None] * [81, 0, 0, 0]
-    axes = np.where((x >= 0) & (x < side), w, outside).astype(np.int32).transpose(2, 0, 1)
-    step = (Z @ side ** np.arange(3, -1, -1) * S0).astype(np.int32)
-    seen = np.zeros(side ** 4 * S0, dtype=bool)
-    inner = seen.reshape(shape)[(slice(0, L),) * 4]
-    frontier = np.array([np.ravel_multi_index(probe[0] + (probe[1],), shape)], dtype=np.int32)
+    x = np.arange(2)[:, None, None] - Z
+    w = x * [27, 9, 3, 1] + np.arange(len(Z))[:, None] * [81, 0, 0, 0]
+    axes = np.where((x >= 0) & (x < 2), w, outside).astype(np.int32).transpose(2, 0, 1)
+    step = (Z @ [8, 4, 2, 1] * S0).astype(np.int32)
+    seen = np.zeros(16 * S0, dtype=bool)
+    level0 = seen[:S0]
+    frontier = np.array([probe], dtype=np.int32)
     seen[frontier] = True
-    while frontier.size and not inner.all():
-        layer = []
-        for chunk in np.split(frontier, range(PROBE_CHUNK, frontier.size, PROBE_CHUNK)):
-            *y, j2 = np.unravel_index(chunk, shape)
-            key = first.take(sum(a.take(c, axis=0) for a, c in zip(axes, y))) + j2[:, None]
-            start, n = indptr.take(key).ravel(), indptr.take(key + 1).ravel()
-            n -= start
-            start -= np.cumsum(n, dtype=np.int32) - n
-            # the chunk's predecessors: their places in dj, then their states
-            found = dj.take(np.repeat(start, n) + np.arange(n.sum(), dtype=np.int32))
-            found += np.repeat((chunk[:, None] - step).ravel(), n)
-            found = np.sort(found.compress(~seen.take(found)))
-            found = found.compress(np.diff(found, prepend=-1) != 0)
-            seen[found] = True
-            layer.append(found)
-        frontier = np.concatenate(layer)
-    return CONFIRMED if inner.all() else UNKNOWN
-
+    # a layer at a time, in one gather: the box bounds a layer to 16 S0 states
+    while frontier.size and not level0.all():
+        *y, j2 = np.unravel_index(frontier, (2, 2, 2, 2, S0))
+        key = first.take(sum(a.take(c, axis=0) for a, c in zip(axes, y))) + j2[:, None]
+        start, n = indptr.take(key).ravel(), indptr.take(key + 1).ravel()
+        n -= start
+        start -= np.cumsum(n, dtype=np.int32) - n
+        # the layer's predecessors: their places in dj, then their states
+        found = dj.take(np.repeat(start, n) + np.arange(n.sum(), dtype=np.int32))
+        found += np.repeat((frontier[:, None] - step).ravel(), n)
+        found = np.sort(found.compress(~seen.take(found)))
+        frontier = found.compress(np.diff(found, prepend=-1) != 0)
+        seen[frontier] = True
+    return None if level0.all() else (None, int(np.argmin(level0)))

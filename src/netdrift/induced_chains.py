@@ -770,11 +770,11 @@ def numeric_entry(model: NetworkModel, A, entries=None) -> DriftEntry:
     """Numeric drift entry of face A, reading the faces it needs from
     `entries` (face -> entry) or solving them.  Faces 14 and 23 come from
     `_decomposed` when their station runs on its own: its `u["+*+"]` and
-    `u["++*"]` are the identity and face N kept one closed class.  Any
-    other face, or one failing that guard (its note says why), is solved
-    by `solve_stationary`, with no rates when it did not converge, and
-    `offSubsetDriftMax` is its free queues' leak.  But for a 2-D solve, the
-    free queues of a stable face leave at their inputs (flow balance)."""
+    `u["++*"]` are the identity.  Any other face, or one failing that
+    guard (its note says why), is solved by `solve_stationary`, with no
+    rates when it did not converge, and `offSubsetDriftMax` is its free
+    queues' leak.  But for a 2-D solve, the free queues of a stable face
+    leave at their inputs (flow balance)."""
     A, have = saturated_subset(A), dict(entries or {})
 
     def entry(B):
@@ -787,8 +787,6 @@ def numeric_entry(model: NetworkModel, A, entries=None) -> DriftEntry:
         station, u = (1, model.msp1.u) if 1 in A else (2, model.msp2.u)
         if not all(np.array_equal(u[k], np.eye(len(u[k]))) for k in ("+*+", "++*")):
             guard = f'station {station}\'s u["+*+"] or u["++*"] is not the identity'
-        elif "closed classes" in entry(SUBSET_ALL).diagnostics.get("note", ""):
-            guard = "face N kept several closed classes"
         else:
             diag, mu_bar = _decomposed(model, A, entry)
     if diag is None:

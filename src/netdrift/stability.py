@@ -24,7 +24,7 @@ from .errors import (
     SignConditionViolated,
     UnsupportedSubset,
 )
-from .generator import CONFIRMED, SUBSET_ALL, check_semi_irreducible
+from .generator import SUBSET_ALL, check_semi_irreducible
 from .induced_chains import (
     CANONICAL_SUBSETS,
     DriftTable,
@@ -371,7 +371,7 @@ class StabilityReport:
 
 
 def classify(model: NetworkModel, *, mode="both", assume_semi_irreducible=False,
-             probe_radius=3, with_certificate=False, with_spiral=False) -> StabilityReport:
+             with_certificate=False, with_spiral=False) -> StabilityReport:
     """Full decision pipeline on one model."""
     rho, nominal = nominal_condition(model)
     reasons = []
@@ -379,13 +379,9 @@ def classify(model: NetworkModel, *, mode="both", assume_semi_irreducible=False,
     if assume_semi_irreducible:
         irreducibility = "Asserted"
     else:
-        irreducibility = check_semi_irreducible(model, radius=probe_radius)
-        if irreducibility != CONFIRMED:
-            reasons.append(
-                "semi-irreducibility not confirmed by the reachability probe at "
-                f"radius {probe_radius}; `netdrift validate --probe-radius R` probes "
-                "a larger radius R"
-            )
+        irreducibility, why = check_semi_irreducible(model)
+        if why:
+            reasons.append(f"semi-irreducibility not confirmed: {why}")
     table = drift_table(model, mode=mode)
     notes.extend(table.notes)
     sign_report = check_sign_conditions(table)

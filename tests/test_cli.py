@@ -106,6 +106,7 @@ def test_validate_reports_model_facts(tmp_path, capsys):
     assert report["serviceRates"] == [4.0, 2.4, 4.2, 2.2]
     assert report["backgroundStates"] == 9
     assert report["semiIrreducibility"] == "ConfirmedSemiIrreducible"
+    assert report["semiIrreducibilityReason"] is None
 
 
 def test_validate_canonical_round_trip(tmp_path, capsys):
@@ -238,7 +239,7 @@ def test_malformed_numeric_leaves_keep_the_exit_code_contract(tmp_path, capsys):
     broken, runs = [], 0
     for model, leaves in models:
         path.write_text(json.dumps(model))
-        assert run(capsys, ["validate", str(path), "--probe-radius", "0"])[0] == 0
+        assert run(capsys, ["validate", str(path)])[0] == 0
         for leaf in leaves:
             for value, allowed in malformed:
                 bad = copy.deepcopy(model)
@@ -247,7 +248,7 @@ def test_malformed_numeric_leaves_keep_the_exit_code_contract(tmp_path, capsys):
                     node = node[key]
                 node[leaf[-1]] = value
                 path.write_text(json.dumps(bad))
-                code = run(capsys, ["validate", str(path), "--probe-radius", "0"])[0]
+                code = run(capsys, ["validate", str(path)])[0]
                 if code not in allowed:
                     broken.append((leaf, value, code))
                 runs += 1
@@ -360,8 +361,7 @@ SWITCH = [[-1.0, 1.0], [1.0, -1.0]]
 def test_invalid_model_inputs_are_exit_2(tmp_path, capsys, model, message):
     if callable(model):
         model = model(tmp_path)
-    got, out, err = run(capsys, ["validate", write_json(tmp_path, "m.json", model),
-                                 "--probe-radius", "0"])
+    got, out, err = run(capsys, ["validate", write_json(tmp_path, "m.json", model)])
     assert (got, out) == (2, "")
     assert f"invalid model at {message}" in err and err.count("\n") == 1, err
 
@@ -628,7 +628,7 @@ def test_sweep_visit_budget(tmp_path, capsys):
 
 def test_closed_k_sweep_is_pinned(tmp_path, capsys):
     # sha256 of the CSV of kernels whose blocks equal the factor-by-factor
-    # np.kron reference: the closed-form ratios and the radius-1 probes
+    # np.kron reference: the closed-form ratios and the probes
     model = write_json(tmp_path, "limited3.json",
                        dict(LIMITED_MODEL, discipline={"limited": {"K": 3}}))
     sweep = write_json(tmp_path, "sweep.json",
@@ -694,37 +694,41 @@ def test_sweep_searches_again_only_when_the_move_set_changes(tmp_path, capsys, m
     model = write_json(tmp_path, "readme.json", README_MODEL)
     sweep = write_json(tmp_path, "sweep.json", P_SWEEP)
     code, out, _ = run(capsys, ["sweep", model, sweep])
-    assert code == 0 and searches == [(((0, 0, 0, 0), 0), 1)] * 4
+    assert code == 0 and searches == [(0,)] * 4
     rows = list(csv.reader(out.splitlines()))[1:]
     for value, row in zip(P_SWEEP["values"], rows):
         report = classify(load_model(write_json(tmp_path, "point.json", apply_parameter(
-            README_MODEL, "p", value))), mode="closed", probe_radius=1)
+            README_MODEL, "p", value))), mode="closed")
         assert row == [repr(value), repr(report.r1), repr(report.r2), repr(report.r1r2),
                        report.classification, "; ".join(report.reasons)], value
         assert report.semi_irreducibility == "ConfirmedSemiIrreducible"
 
 
-def test_unconfirmed_probe_names_its_radius_and_a_route(tmp_path, capsys, monkeypatch):
-    # analyze probes at radius 3 and sweep at radius 1; neither has a
-    # radius option, so the reason points at validate's
-    from netdrift import stability
+def test_unconfirmed_probe_names_its_reason(tmp_path, capsys, monkeypatch):
+    # analyze, sweep and validate run one rule and report its reason
+    import csv
 
-    monkeypatch.setattr(stability, "check_semi_irreducible",
-                        lambda model, radius: "Unknown")
+    from netdrift import generator, stability
+
+    why = "the probe state is not reached from level 0 in background state 0 (0, 0, 0, 0)"
+    for module in (generator, stability):
+        monkeypatch.setattr(module, "check_semi_irreducible", lambda model: ("Unknown", why))
     model = write_json(tmp_path, "model.json", README_MODEL)
-    route = "`netdrift validate --probe-radius R` probes a larger radius R"
     code, out, _ = run(capsys, ["analyze", model, "--mode", "closed"])
     report = json.loads(out)
     assert (code, report["semiIrreducibility"]) == (4, "Unknown")
-    assert report["reasons"] == [
-        f"semi-irreducibility not confirmed by the reachability probe at radius 3; {route}"]
+    assert report["reasons"] == [f"semi-irreducibility not confirmed: {why}"]
 
     sweep = write_json(tmp_path, "sweep.json", {"parameter": "p", "values": [0.3]})
     code, out, _ = run(capsys, ["sweep", model, sweep])
     assert code == 0
-    assert out.splitlines()[1].endswith(
-        f",Inconclusive,semi-irreducibility not confirmed by the reachability probe at "
-        f"radius 1; {route}")
+    assert next(csv.reader(out.splitlines()[1:]))[4:] == [
+        "Inconclusive", f"semi-irreducibility not confirmed: {why}"]
+
+    code, out, _ = run(capsys, ["validate", model])
+    report = json.loads(out)
+    assert code == 0
+    assert (report["semiIrreducibility"], report["semiIrreducibilityReason"]) == ("Unknown", why)
 
 
 def test_sweep_empty_values_writes_header_only(tmp_path, capsys):
@@ -904,7 +908,8 @@ def test_simulate_argument_errors(tmp_path, capsys):
      "unrecognized arguments: --levels 4 --cap 512"),
     (["sweep", "sweep.json", "--levels", "4", "--cap", "512"],
      "unrecognized arguments: --levels 4 --cap 512"),
-    (["validate", "--probe-radius", "-1"], "--probe-radius: expected an integer of at least 0"),
+    # the probe has one rule, and no radius to set
+    (["validate", "--probe-radius", "3"], "unrecognized arguments: --probe-radius 3"),
     (["simulate", "--horizon", "0"], "--horizon: expected a positive finite number"),
     (["simulate", "--horizon", "-1"], "--horizon: expected a positive finite number"),
     (["simulate", "--horizon", "nan"], "--horizon: expected a positive finite number"),
@@ -918,21 +923,6 @@ def test_bad_numeric_options_are_exit_3(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, [argv[0], model, *argv[1:]])
     assert code == 3 and out == ""
     assert message in err and err.count("\n") == 1, err
-
-
-def test_probe_box_over_budget_is_exit_3(tmp_path, capsys, monkeypatch):
-    from netdrift import generator
-
-    # BASE_MODEL has 9 background states: radius 1 searches 6^4 x 9 states
-    monkeypatch.setattr(generator, "PROBE_STATES", 6 ** 4 * 9 - 1)
-    model = write_json(tmp_path, "model.json", BASE_MODEL)
-    for argv in (["validate", model, "--probe-radius", "1"],
-                 ["analyze", model, "--mode", "closed"]):
-        code, out, err = run(capsys, argv)
-        assert code == 3 and out == ""
-        assert "ProbeBoxTooLarge" in err and err.count("\n") == 1, err
-    code, out, _ = run(capsys, ["validate", model, "--probe-radius", "0"])
-    assert code == 0 and json.loads(out)["semiIrreducibility"] == "ConfirmedSemiIrreducible"
 
 
 def test_unwritable_out_is_exit_3(tmp_path, capsys):
@@ -1065,8 +1055,7 @@ def test_service_processes_over_max_phases_are_exit_2(tmp_path, capsys, service,
     # check that failed would end in a traceback (exit 5), not in a real allocation
     model = copy.deepcopy(BASE_MODEL)
     model["services"][1], model["discipline"] = service, discipline
-    code, _, err = run(capsys, ["validate", write_json(tmp_path, "m.json", model),
-                                "--probe-radius", "0"])
+    code, _, err = run(capsys, ["validate", write_json(tmp_path, "m.json", model)])
     assert code == 2, err
     assert f"invalid model at {where}" in err and "MAX_PHASES = 1024" in err, err
 

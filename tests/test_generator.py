@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import re
 from collections import deque
 from functools import reduce
 
@@ -18,6 +17,7 @@ from netdrift import (
     build_induced_chain,
     build_network,
     check_semi_irreducible,
+    classify,
     erlang_ph,
     exponential_ph,
     hyperexponential_ph,
@@ -27,7 +27,6 @@ from netdrift import (
     regime_signature,
     validate_map,
 )
-from netdrift.errors import ProbeBoxTooLarge
 from netdrift.generator import (
     CONFIRMED,
     DISPLACEMENTS,
@@ -35,7 +34,9 @@ from netdrift.generator import (
     UNKNOWN,
     lattice_triplets,
 )
+from netdrift.service_disciplines import MSPSpec
 from tests.conftest import (
+    as_custom,
     dense,
     dense_block,
     exp_model,
@@ -242,29 +243,54 @@ def test_ctmc_and_uniformized_chain_share_stationary_vector(np_model):
 # --- semi-irreducibility probe ----------------------------------------------
 
 def test_probe_confirms_nonpreemptive_model(np_model):
-    assert check_semi_irreducible(np_model, radius=3) == CONFIRMED
+    assert check_semi_irreducible(np_model) == (CONFIRMED, None)
 
 
 def test_probe_confirms_limited_model():
-    assert check_semi_irreducible(symmetric_limited_model(3), radius=2) == CONFIRMED
+    assert check_semi_irreducible(symmetric_limited_model(3)) == (CONFIRMED, None)
 
 
 def test_probe_confirms_full_feedback_line():
     model = exp_model(lam1=1.0, lam3=0.0, p=1.0, mus=(4.0, 2.4, 4.2, 2.2))
-    assert check_semi_irreducible(model, radius=3) == CONFIRMED
+    assert check_semi_irreducible(model) == (CONFIRMED, None)
 
 
 def test_probe_unknown_without_arrivals():
+    # every queue drains, but no arrival ever wakes an idle server
     phs = [exponential_ph(m) for m in (4.0, 2.4, 4.2, 2.2)]
     silent = validate_map([[0.0]], [[0.0]])
     model = build_network(silent, silent, *phs, 0.3, "non_preemptive")
-    probe = ((1, 0, 0, 0), 0)
-    assert check_semi_irreducible(model, probe_state=probe, radius=2) == UNKNOWN
+    assert check_semi_irreducible(model, probe_state=(0, 0, 1, 0)) == (
+        UNKNOWN, "the probe state is not reached from level 0 in background state 0 "
+                 "(0, 0, 0, 0)")
 
 
-def test_probe_outside_box_is_unknown(np_model):
-    assert check_semi_irreducible(np_model, probe_state=((5, 0, 0, 0), 0),
-                                  radius=2) == UNKNOWN
+def never_completing_model():
+    """`exp_model()` as a custom discipline whose class-1 service phase
+    (station 1's phase 1) never completes."""
+    base = as_custom(exp_model())
+    t = {k: v.copy() for k, v in base.msp1.t.items()}
+    for k in ("1*0", "2*0", "1*+", "2*+"):
+        t[k][1] = 0.0
+    t["+0"][1, 1] = t["++"][1, 1] = 0.0
+    msp1 = MSPSpec(base.msp1.n, base.msp1.s_lo, base.msp1.s_hi, t, base.msp1.u, "custom")
+    return build_network(base.map1, base.map3, *base.ph, base.p, "custom",
+                         msp1=msp1, msp2=base.msp2)
+
+
+def test_a_phase_that_never_completes_fails_the_drain_lemma_by_name():
+    # with queue 1 alone occupied, station 1 starts the class-1 service
+    # from idle and never ends it, whatever the background state
+    model = never_completing_model()
+    assert _reference_lemma(model) == ((1, 0, 0, 0), 0)
+    assert check_semi_irreducible(model) == (
+        UNKNOWN, "the drain lemma fails at signature (1, 0, 0, 0): background state 0 "
+                 "(0, 0, 0, 0) reaches no completion by phase moves")
+    report = classify(model, mode="numeric")
+    assert report.semi_irreducibility == UNKNOWN
+    assert report.reasons[0] == ("semi-irreducibility not confirmed: the drain lemma fails "
+                                 "at signature (1, 0, 0, 0): background state 0 (0, 0, 0, 0) "
+                                 "reaches no completion by phase moves")
 
 
 def test_background_index_is_checked(np_model):
@@ -279,42 +305,48 @@ def test_background_index_is_checked(np_model):
     # nor hands a negative index to the search
     for j in (-1, kernel.S0):
         with pytest.raises(ValueError):
-            check_semi_irreducible(np_model, probe_state=((0, 0, 0, 0), j),
-                                   radius=1)
+            check_semi_irreducible(np_model, probe_state=j)
 
 
-def test_probe_queue_lengths_are_checked(np_model):
-    # a named ValueError, not numpy's complaint about coordinates
-    for x in ((-1, 0, 0, 0), (1, 2, 3), (0, 0, 0, 0, 0)):
-        with pytest.raises(ValueError, match=re.escape(str(x))):
-            check_semi_irreducible(np_model, probe_state=(x, 0), radius=1)
-
-
-def test_probe_box_over_budget_fails_fast(monkeypatch):
-    # flat indices into the box are int32
-    assert generator.PROBE_STATES <= np.iinfo(np.int32).max
-    # radius 2 searches 10^4 x 9 states
-    monkeypatch.setattr(generator, "PROBE_STATES", 10 ** 4 * 9 - 1)
-    model = exp_model()
-    with pytest.raises(ProbeBoxTooLarge, match=re.escape("10^4 x 9 = 90,000 states, over "
-                                                         "the budget of 89,999")):
-        check_semi_irreducible(model, radius=2)
-    # before any block is built
-    assert not kernel_of(model)._q_cache
-    monkeypatch.setattr(generator, "PROBE_STATES", 10 ** 4 * 9)
-    assert check_semi_irreducible(model, radius=2) == CONFIRMED
-
-
-def _reference_probe(model, radius, probe):
-    """check_semi_irreducible's verdict by a plain BFS over the
-    predecessor lists of every state of the box, read off the blocks."""
+def _reference_lemma(model):
+    """The drain lemma's first failure, by a plain BFS per state over
+    dense blocks: the first (signature, j), in flat signature order, from
+    which no path of phase moves reaches a state with a completion move;
+    None when there is none."""
     kernel = kernel_of(model)
-    S0, side = kernel.S0, 4 * radius + 2
-    cells = list(itertools.product(range(side), repeat=4))
+    S0 = kernel.S0
+    for sig in ALL_SIGS[1:]:
+        phase, ends = np.zeros((S0, S0), dtype=bool), np.zeros(S0, dtype=bool)
+        for z, B in kernel.q_blocks(sig).items():
+            moves = dense(B, S0) > RATE_TOL
+            if not any(z):
+                phase = moves & ~np.eye(S0, dtype=bool)
+            elif min(z) < 0:
+                ends |= moves.any(axis=1)
+        for j in range(S0):
+            seen, queue = {j}, deque([j])
+            while queue:
+                for k in np.flatnonzero(phase[queue.popleft()]).tolist():
+                    if k not in seen:
+                        seen.add(k)
+                        queue.append(k)
+            if not ends[sorted(seen)].any():
+                return sig, j
+    return None
+
+
+def _reference_probe(model, probe):
+    """The probe's verdict by a plain BFS over the predecessor lists of
+    every state of the box {0, 1}^4 x S0, read off the blocks: whether
+    every level-0 state reaches level 0 in background `probe`, a phase
+    tuple."""
+    kernel = kernel_of(model)
+    S0 = kernel.S0
+    cells = list(itertools.product(range(2), repeat=4))
     index = {x: i for i, x in enumerate(cells)}
     edges = {}
     for sig in ALL_SIGS:
-        edges[sig] = [(z, list(zip(*np.nonzero(dense(B, S0) > 1e-14))))
+        edges[sig] = [(z, list(zip(*np.nonzero(dense(B, S0) > RATE_TOL))))
                       for z, B in kernel.q_blocks(sig).items()]
     preds = [[] for _ in range(len(cells) * S0)]
     for x in cells:
@@ -326,8 +358,7 @@ def _reference_probe(model, radius, probe):
                 src, dst = index[x] * S0 + j, index[y] * S0 + k
                 if src != dst:
                     preds[dst].append(src)
-    x, parts = probe
-    target = index[x] * S0 + int(np.ravel_multi_index(parts, kernel.dims))
+    target = int(np.ravel_multi_index(probe, kernel.dims))
     seen = {target}
     queue = deque([target])
     while queue:
@@ -335,9 +366,7 @@ def _reference_probe(model, radius, probe):
             if s not in seen:
                 seen.add(s)
                 queue.append(s)
-    inner = itertools.product(range(radius + 1), repeat=4)
-    ok = all(index[x] * S0 + j in seen for x in inner for j in range(S0))
-    return CONFIRMED if ok else UNKNOWN
+    return CONFIRMED if all(j in seen for j in range(S0)) else UNKNOWN
 
 
 def test_probe_agrees_with_reference_bfs(np_model):
@@ -345,28 +374,35 @@ def test_probe_agrees_with_reference_bfs(np_model):
     silent = validate_map([[0.0]], [[0.0]])
     no_arrivals = build_network(silent, silent, *phs, 0.3, "non_preemptive")
     readme = exp_model(mus=(5.0, 2.4, 5.0, 2.2))
-    empty = ((0, 0, 0, 0), (0, 0, 0, 0))
+    empty = (0, 0, 0, 0)
     cases = [
-        (np_model, empty, 1, CONFIRMED),
-        (symmetric_limited_model(3), empty, 1, CONFIRMED),
-        (phmap_model(), empty, 1, CONFIRMED),
-        (no_arrivals, ((1, 0, 0, 0), (0, 0, 0, 0)), 1, UNKNOWN),
-        # a background given as a tuple of (arrival, arrival, server, server)
-        (np_model, ((0, 1, 0, 0), (0, 0, 0, 2)), 1, CONFIRMED),
-        # radius 0: the inner box is the empty cell alone
-        (readme, empty, 0, CONFIRMED),
-        (phmap_model(), ((0, 0, 0, 0), (1, 0, 0, 0)), 0, CONFIRMED),
-        (no_arrivals, empty, 0, CONFIRMED),
+        (np_model, empty, CONFIRMED),
+        (symmetric_limited_model(3), empty, CONFIRMED),
+        (phmap_model(), empty, CONFIRMED),
+        # a background given as an index
+        (np_model, 0, CONFIRMED),
+        (readme, empty, CONFIRMED),
+        # as a tuple of (arrival, arrival, server, server) phases
+        (phmap_model(), (1, 0, 0, 0), CONFIRMED),
+        (no_arrivals, empty, CONFIRMED),
         # no arrival ever wakes a server, so a busy-server target is unreachable
-        (no_arrivals, ((0, 0, 0, 0), (0, 0, 1, 0)), 0, UNKNOWN),
-        (readme, empty, 2, CONFIRMED),
-        (readme, ((1, 2, 0, 1), (0, 0, 1, 2)), 2, CONFIRMED),
-        (phmap_model(), ((2, 0, 1, 0), (1, 0, 2, 1)), 2, CONFIRMED),
-        (no_arrivals, ((1, 0, 0, 0), (0, 0, 0, 0)), 2, UNKNOWN),
+        (no_arrivals, (0, 0, 1, 0), UNKNOWN),
+        # with both queues empty, a busy phase is a placeholder that is left
+        # at once and never entered
+        (readme, (0, 0, 1, 2), UNKNOWN),
+        (phmap_model(), (1, 0, 2, 1), UNKNOWN),
     ]
-    for model, probe, radius, want in cases:
-        got = check_semi_irreducible(model, probe_state=probe, radius=radius)
-        assert got == _reference_probe(model, radius, probe) == want, (probe, radius)
+    for model, probe, want in cases:
+        assert _reference_lemma(model) is None
+        got, _ = check_semi_irreducible(model, probe_state=probe)
+        assert got == _reference_probe(model, _phases(model, probe)) == want, probe
+
+
+def _phases(model, probe):
+    """Background `probe`, an index or a phase tuple, as a phase tuple."""
+    if isinstance(probe, tuple):
+        return probe
+    return tuple(int(v) for v in np.unravel_index(probe, kernel_of(model).dims))
 
 
 _SILENT = validate_map([[0.0]], [[0.0]])
@@ -374,12 +410,12 @@ _SILENT = validate_map([[0.0]], [[0.0]])
 
 @st.composite
 def probe_cases(draw):
-    """(model, radius, probe state): silent, Poisson or two-phase MMPP
+    """(model, probe background): silent, Poisson or two-phase MMPP
     arrivals; exponential, Erlang-2 or two-branch hyperexponential
     services; p of 0, 1 or between; the non-preemptive, preemptive-resume
-    and (1,K)-limited disciplines with K <= 3.  S0 is at most 16 at radius 1
-    and 36 at radius 0 (one MMPP already gives 2 * 3 * 3 = 18); the probe
-    state lies in the inner box, its background an index or a phase tuple."""
+    and (1,K)-limited disciplines with K <= 3.  S0 is at most 36 (one MMPP
+    already gives 2 * 3 * 3 = 18); the background is an index or a phase
+    tuple."""
     rate = st.floats(min_value=0.5, max_value=5.0)
 
     def arrivals():
@@ -408,29 +444,35 @@ def probe_cases(draw):
     dims = (map1.dim, map3.dim, model.msp1.n, model.msp2.n)
     S0 = int(np.prod(dims))
     assume(S0 <= 36)
-    radius = draw(st.integers(min_value=0, max_value=1 if S0 <= 16 else 0))
-    x = draw(st.tuples(*[st.integers(min_value=0, max_value=radius)] * 4))
     j = draw(st.integers(min_value=0, max_value=S0 - 1))
     if draw(st.booleans()):
         j = tuple(int(v) for v in np.unravel_index(j, dims))
-    return model, radius, (x, j)
+    return model, j
 
 
 @settings(max_examples=30, deadline=None)
 @given(probe_cases())
-# no arrivals: a nonempty probe state is reached from no state of the empty cell
+# no arrivals: a busy background is reached from no state of level 0
 @example((build_network(_SILENT, _SILENT, *[exponential_ph(2.0)] * 4, 0.5,
-                        "limited", 2), 1, ((0, 1, 0, 0), 3)))
+                        "limited", 2), 3))
 # ... nor does an idle server ever start
 @example((build_network(_SILENT, _SILENT, *[hyperexponential_ph([0.3, 0.7], [1.0, 4.0])] * 4,
-                        0.0, "preemptive_resume"), 0, ((0, 0, 0, 0), (0, 0, 1, 0))))
+                        0.0, "preemptive_resume"), (0, 0, 1, 0)))
+# a class-1 service that never completes fails the lemma
+@example((never_completing_model(), 0))
 def test_probe_matches_reference_bfs_on_random_models(case):
-    model, radius, probe = case
-    got = check_semi_irreducible(model, probe_state=probe, radius=radius)
-    x, j = probe
-    if not isinstance(j, tuple):  # the reference takes phase tuples
-        j = tuple(int(v) for v in np.unravel_index(j, kernel_of(model).dims))
-    assert got == _reference_probe(model, radius, (x, j))
+    # the lemma's first failure by name, else the search's verdict
+    model, probe = case
+    verdict, why = check_semi_irreducible(model, probe_state=probe)
+    first = _reference_lemma(model)
+    if first is None:
+        assert verdict == _reference_probe(model, _phases(model, probe))
+        assert (why is None) == (verdict == CONFIRMED), why
+    else:
+        sig, j = first
+        assert (verdict, why) == (UNKNOWN, f"the drain lemma fails at signature {sig}: "
+                                           f"background state {j} {_phases(model, j)} "
+                                           "reaches no completion by phase moves")
 
 
 def _reference_q(model, sig):
@@ -758,7 +800,7 @@ def test_s0_4096_model_validates_and_solves_face_n(tmp_path, capsys):
              "discipline": {"limited": {"K": 20}}}
     path, out = tmp_path / "s0_4096.json", tmp_path / "out.json"
     path.write_text(json.dumps(model))
-    assert main(["validate", str(path), "--probe-radius", "0", "--out", str(out)]) == 0
+    assert main(["validate", str(path), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["backgroundStates"] == 4096
     assert report["semiIrreducibility"] == CONFIRMED

@@ -35,7 +35,6 @@ from netdrift.errors import (
 from netdrift.stability import SIGN_CONDITIONS, build_u_matrix
 
 from tests.conftest import exp_model, priority_sample, symmetric_limited_model
-from tests.test_induced_chains import FROZEN_PHASE_MODEL
 
 
 S14, S23 = frozenset({1, 4}), frozenset({2, 3})
@@ -191,18 +190,21 @@ def test_probe_and_numeric_table_share_one_kernel(np_model, kernel_builds):
 
 
 def test_cross_check_note_separates_missing_faces_from_disagreement(monkeypatch):
-    # capped at level 2 on their boxes, faces 14 and 23 have no numeric
-    # drift: nothing disagreed, and the note must not say so.  Face N of
-    # this model keeps two closed classes, so both faces are solved in 2-D
+    # capped at level 2 on their boxes, faces 123 and 134 have no numeric
+    # drift, nor have faces 14 and 23, which read them: nothing disagreed,
+    # and the note must not say so
     with monkeypatch.context() as m:
         m.setattr(induced_chains, "QBD_PHASES", 0)
         m.setattr(induced_chains, "START_LEVEL", 2)
         m.setattr(induced_chains, "LEVEL_CAP", 2)
-        report = classify(FROZEN_PHASE_MODEL, mode="both", assume_semi_irreducible=True)
+        report = classify(symmetric_limited_model(3), mode="both",
+                          assume_semi_irreducible=True)
     cross = report.table.cross_check
     assert not cross["ok"] and cross["worst"] is None
-    assert cross["subsets"]["14"] is None and cross["subsets"]["23"] is None
-    assert report.notes == ["no numeric drift to cross-check on faces 14, 23"]
+    assert [face for face, rel in cross["subsets"].items() if rel is None] == [
+        "123", "134", "14", "23"]
+    assert cross["subsets"]["N"] <= cross["tolerance"]
+    assert report.notes == ["no numeric drift to cross-check on faces 123, 134, 14, 23"]
 
     # a closed form off by 1% on face N disagrees beyond the tolerance
     closed = induced_chains._closed_rates
@@ -224,14 +226,14 @@ def test_cross_check_note_separates_missing_faces_from_disagreement(monkeypatch)
 
 
 def test_cross_check_worst_is_null_unless_every_face_is_checked(monkeypatch):
-    # on their boxes, faces 14 and 23 stop at the cap with no numeric
-    # drift (solved in 2-D, as face N keeps two closed classes): the
-    # largest difference over the other three faces is not the worst one
+    # on their boxes, faces 123 and 134 stop at the cap with no numeric
+    # drift, and so faces 14 and 23 have none: the difference on face N
+    # is not the worst one
     with monkeypatch.context() as m:
         m.setattr(induced_chains, "QBD_PHASES", 0)
         m.setattr(induced_chains, "START_LEVEL", 2)
         m.setattr(induced_chains, "LEVEL_CAP", 2)
-        capped = drift_table(FROZEN_PHASE_MODEL, mode="both")
+        capped = drift_table(symmetric_limited_model(3), mode="both")
     assert capped.to_json_dict()["crossCheck"]["worst"] is None
     full = drift_table(exp_model(), mode="both").cross_check
     assert full["worst"] == max(full["subsets"].values())
